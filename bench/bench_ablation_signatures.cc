@@ -9,14 +9,11 @@
 // variant returns the identical result.
 
 #include <algorithm>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/baselines/kmeans.h"
-#include "src/common/threads.h"
 #include "src/common/timer.h"
-#include "src/core/dime_parallel.h"
 #include "src/core/dime_plus.h"
 #include "src/core/incremental.h"
 #include "src/datagen/dbgen_gen.h"
@@ -104,40 +101,6 @@ int main() {
     PreparedGroup pg = PrepareGroup(group, pos, neg, {});
     RunOn("DBGen (" + std::to_string(group.size()) + " entities)", pg, pos,
           neg);
-  }
-
-  std::printf("\n");
-
-  // Thread scaling of the naive engine (an engineering extension beyond
-  // the paper: step 1's pair space is embarrassingly parallel).
-  {
-    bench::PrintTitle("Parallel DIME thread scaling (DBGen)");
-    std::printf("(resolved thread count %u; speedups are only expected "
-                "beyond 1)\n",
-                ResolveThreadCount(0));
-    DbgenOptions options;
-    options.num_entities = bench::QuickMode() ? 4000 : 12000;
-    options.seed = 17;
-    Group group = GenerateDbgenGroup(options);
-    std::vector<PositiveRule> pos = DbgenPositiveRules();
-    std::vector<NegativeRule> neg = DbgenNegativeRules();
-    PreparedGroup pg = PrepareGroup(group, pos, neg, {});
-    WallTimer t0;
-    DimeResult sequential = RunDime(pg, pos, neg);
-    double base = t0.ElapsedSeconds();
-    std::printf("%-12s %8.3fs\n", "1 (RunDime)", base);
-    for (unsigned threads : {2u, 4u, 8u}) {
-      ParallelOptions popts;
-      popts.num_threads = threads;
-      WallTimer t;
-      DimeResult r = RunDimeParallel(pg, pos, neg, popts);
-      double secs = t.ElapsedSeconds();
-      std::printf("%-12u %8.3fs  speedup %.1fx%s\n", threads, secs,
-                  base / std::max(secs, 1e-9),
-                  r.flagged_by_prefix == sequential.flagged_by_prefix
-                      ? ""
-                      : "  *MISMATCH*");
-    }
   }
 
   std::printf("\n");

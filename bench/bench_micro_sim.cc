@@ -14,7 +14,6 @@
 #include "src/datagen/scholar_gen.h"
 #include "src/datagen/presets.h"
 #include "src/core/signature.h"
-#include "src/index/similarity_join.h"
 #include "src/ontology/builtin.h"
 #include "src/sim/edit_distance.h"
 #include "src/sim/set_similarity.h"
@@ -223,30 +222,6 @@ void BM_WeightedJaccardAtLeast(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WeightedJaccardAtLeast)->Arg(8)->Arg(64);
-
-void BM_SimilaritySelfJoin(benchmark::State& state) {
-  Random rng(7);
-  size_t n = static_cast<size_t>(state.range(0));
-  std::vector<std::vector<uint32_t>> records(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (i > 0 && rng.Bernoulli(0.3)) {
-      for (uint32_t t : records[i - 1]) {
-        if (!rng.Bernoulli(0.2)) records[i].push_back(t);
-      }
-      continue;
-    }
-    for (uint32_t t = 0; t < 200; ++t) {
-      if (rng.Bernoulli(0.05)) records[i].push_back(t);
-    }
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        SetSimilaritySelfJoin(records, SimFunc::kJaccard, 0.7));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-}
-BENCHMARK(BM_SimilaritySelfJoin)->Arg(200)->Arg(1000);
 
 void BM_PrepareGroup(benchmark::State& state) {
   ScholarSetup setup = MakeScholarSetup();

@@ -4,14 +4,14 @@
 //   dime_cli <group.tsv> --positive "<rule>" [--positive ...]
 //                        --negative "<rule>" [--negative ...]
 //                        [--rules <ruleset.txt>]
-//                        [--engine naive|plus|parallel|sharded]
+//                        [--engine naive|plus|sharded]
 //                        [--threads <n>] [--venue-ontology]
 //                        [--ontology <tree.txt> --ontology-mode exact|keyword]
 //                        [--deadline-ms <n>] [--stats]
 //
 // Snapshot mode — run over a prepared binary snapshot (dime_snapshot):
 //   dime_cli --snapshot <corpus.snap> [--group-name <name>]
-//            [--engine naive|plus|parallel|sharded] [--threads <n>]
+//            [--engine naive|plus|sharded] [--threads <n>]
 //            [--deadline-ms <n>] [--stats]
 // Loads the corpus with zero preparation (the snapshot already holds rank
 // columns, masses, signatures and frozen indexes) and checks the named
@@ -75,16 +75,14 @@
 #include "src/common/deadline.h"
 #include "src/common/random.h"
 #include "src/common/exit_code.h"
-#include "src/core/dime_parallel.h"
-#include "src/core/dime_plus.h"
-#include "src/exec/sharded_dime.h"
 #include "src/core/metrics.h"
 #include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
+#include "src/exec/engine.h"
 #include "src/ontology/builtin.h"
 #include "src/rules/rule_io.h"
 #include "src/server/http.h"
-#include "src/server/tcp_server.h"
+#include "src/server/net_util.h"
 #include "src/server/wire.h"
 #include "src/store/snapshot.h"
 
@@ -318,7 +316,7 @@ int RunSnapshot(int argc, char** argv) {
   using namespace dime;
   std::string path;
   std::string group_name;
-  std::string engine = "plus";
+  EngineKind engine = EngineKind::kPlus;
   unsigned threads = 0;
   long deadline_ms = -1;
   bool show_stats = false;
@@ -334,11 +332,9 @@ int RunSnapshot(int argc, char** argv) {
     if (arg == "--group-name") {
       group_name = next();
     } else if (arg == "--engine") {
-      engine = next();
-      if (engine != "naive" && engine != "plus" && engine != "parallel" &&
-          engine != "sharded") {
-        return UsageError(
-            "--engine must be naive, plus, parallel, or sharded");
+      if (!EngineKindFromName(next(), &engine)) {
+        return UsageError("--engine must be one of %s",
+                          EngineKindNames(", ").c_str());
       }
     } else if (arg == "--threads") {
       threads = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
@@ -386,22 +382,11 @@ int RunSnapshot(int argc, char** argv) {
 
   RunControl control;
   if (deadline_ms > 0) control.deadline = Deadline::AfterMillis(deadline_ms);
-  DimeResult result;
-  if (engine == "naive") {
-    result = RunDime(pg, loaded->positive, loaded->negative, control);
-  } else if (engine == "parallel") {
-    ParallelOptions popts;
-    popts.num_threads = threads;
-    result = RunDimeParallel(pg, loaded->positive, loaded->negative, popts,
-                             control);
-  } else if (engine == "sharded") {
-    exec::ShardedOptions sopts;
-    sopts.num_threads = threads;
-    result = exec::RunDimePlusSharded(pg, loaded->positive, loaded->negative,
-                                      sopts, control);
-  } else {
-    result = RunDimePlus(pg, loaded->positive, loaded->negative, {}, control);
-  }
+  exec::ShardedOptions engine_options;
+  engine_options.num_threads = threads;
+  DimeResult result = exec::RunEngine(engine, pg, loaded->positive,
+                                      loaded->negative, engine_options,
+                                      control);
   if (!result.ok()) {
     std::fprintf(stderr, "note: run truncated (%s); results are partial\n",
                  result.status.ToString().c_str());
@@ -421,7 +406,7 @@ int main(int argc, char** argv) {
   std::string path = argv[1];
   std::vector<std::string> positive_texts, negative_texts;
   bool use_venue_ontology = false;
-  std::string engine = "plus";
+  EngineKind engine = EngineKind::kPlus;
   unsigned threads = 0;
   long deadline_ms = -1;
   bool show_stats = false;
@@ -454,11 +439,9 @@ int main(int argc, char** argv) {
       }
       ontology_modes.back() = next();
     } else if (arg == "--engine") {
-      engine = next();
-      if (engine != "naive" && engine != "plus" && engine != "parallel" &&
-          engine != "sharded") {
-        return UsageError(
-            "--engine must be naive, plus, parallel, or sharded");
+      if (!EngineKindFromName(next(), &engine)) {
+        return UsageError("--engine must be one of %s",
+                          EngineKindNames(", ").c_str());
       }
     } else if (arg == "--threads") {
       threads = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
@@ -545,20 +528,10 @@ int main(int argc, char** argv) {
   if (deadline_ms > 0) control.deadline = Deadline::AfterMillis(deadline_ms);
 
   PreparedGroup pg = PrepareGroup(group, positive, negative, context);
-  DimeResult result;
-  if (engine == "naive") {
-    result = RunDime(pg, positive, negative, control);
-  } else if (engine == "parallel") {
-    ParallelOptions popts;
-    popts.num_threads = threads;
-    result = RunDimeParallel(pg, positive, negative, popts, control);
-  } else if (engine == "sharded") {
-    exec::ShardedOptions sopts;
-    sopts.num_threads = threads;
-    result = exec::RunDimePlusSharded(pg, positive, negative, sopts, control);
-  } else {
-    result = RunDimePlus(pg, positive, negative, {}, control);
-  }
+  exec::ShardedOptions engine_options;
+  engine_options.num_threads = threads;
+  DimeResult result = exec::RunEngine(engine, pg, positive, negative,
+                                      engine_options, control);
   if (!result.ok()) {
     std::fprintf(stderr, "note: run truncated (%s); results are partial\n",
                  result.status.ToString().c_str());

@@ -11,8 +11,8 @@
 /// Monotonic deadlines and cooperative cancellation for the engines.
 ///
 /// A production service cannot let one pathological group monopolize a
-/// worker: RunDime / RunDimePlus / RunDimeParallel accept a RunControl and
-/// check it at partition / rule-prefix boundaries, returning the partial
+/// worker: RunDime / RunDimePlus / RunDimePlusSharded accept a RunControl
+/// and check it at partition / rule-prefix boundaries, returning the partial
 /// (but still monotone) scrollbar computed so far together with a
 /// DEADLINE_EXCEEDED or CANCELLED status.
 ///

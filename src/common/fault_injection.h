@@ -16,7 +16,7 @@
 ///
 /// Failpoint registry (every name in the tree, machine-checked):
 ///   "io/read"                TSV/file reads fail with IO_ERROR
-///   "parallel/worker-fault"  a RunDimeParallel worker throws
+///   "parallel/worker-fault"  a RunDimePlusSharded worker task throws
 ///   "engine/deadline"        engines behave as if the deadline expired
 ///   "store/mmap"             snapshot loads take the read() fallback
 ///   "store/swap"             ReloadFromSnapshot fails (UNAVAILABLE)
@@ -43,7 +43,7 @@ namespace failpoints {
 /// call sites reference a constant, every constant fires in at least one
 /// test, and the doc list above matches this block exactly.
 inline constexpr char kIoRead[] = "io/read";
-inline constexpr char kParallelWorkerFault[] = "parallel/worker-fault";
+inline constexpr char kWorkerFault[] = "parallel/worker-fault";
 inline constexpr char kEngineDeadline[] = "engine/deadline";
 inline constexpr char kStoreMmap[] = "store/mmap";
 inline constexpr char kStoreSwap[] = "store/swap";

@@ -92,7 +92,7 @@ struct DimeResult {
   /// RunControl stopped the engine early: the result is then partial but
   /// valid — every flagged set is a subset of what the untruncated run
   /// would flag, and the scrollbar prefixes stay monotone. INTERNAL when
-  /// RunDimeParallel captured a worker fault and serial fallback was
+  /// RunDimePlusSharded captured a worker fault and serial fallback was
   /// disabled (the result carries no partitions in that case).
   Status status;
 

@@ -126,7 +126,7 @@ class TaskGroup {
   TaskGroup& operator=(const TaskGroup&) = delete;
 
   /// Schedules `fn`. May be called from inside another task of the same
-  /// pool (the task graph and dynamic per-partition spawning do this).
+  /// pool.
   void Spawn(std::function<void()> fn);
 
   /// Marks the group cancelled: tasks not yet started are skipped (their

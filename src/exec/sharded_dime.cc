@@ -10,14 +10,11 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/check.h"
 #include "src/common/fault_injection.h"
 #include "src/common/logging.h"
 #include "src/common/mutex.h"
 #include "src/core/dime_plus_internal.h"
 #include "src/exec/parallel_sort.h"
-#include "src/exec/shard.h"
-#include "src/exec/task_graph.h"
 #include "src/index/inverted_index.h"
 #include "src/index/striped_union_find.h"
 #include "src/sim/set_similarity.h"
@@ -43,10 +40,10 @@ struct PoolRef {
   }
 };
 
-/// Rethrows the group's first task exception, if any. The engines call
-/// this right after Wait(); the catch site at the top level maps the
+/// Rethrows the group's first task exception, if any. The engine calls
+/// this right after Wait(); the catch site in RunDimePlusSharded maps the
 /// exception to the documented degradation path (serial fallback or
-/// INTERNAL), exactly as the historical fork-join engine did.
+/// INTERNAL).
 void RethrowTaskFault(const TaskGroup& group) {
   std::exception_ptr e = group.exception();
   if (e != nullptr) std::rethrow_exception(e);
@@ -70,170 +67,6 @@ DimeResult AbandonedResult(size_t num_negative, Status st) {
 size_t ChunkSize(size_t total, unsigned threads, size_t floor_size) {
   const size_t chunks = static_cast<size_t>(threads) * 4;
   return std::max(floor_size, (total + chunks - 1) / chunks);
-}
-
-// ---------------------------------------------------------------------------
-// RunDimeSharded: the naive quadratic framework (Algorithm 1) as a task
-// graph of shard blocks.
-// ---------------------------------------------------------------------------
-
-DimeResult RunDimeShardedInner(const PreparedGroup& pg,
-                               const std::vector<PositiveRule>& positive,
-                               const std::vector<NegativeRule>& negative,
-                               const ShardedOptions& options,
-                               const RunControl& control,
-                               WorkStealingPool* pool) {
-  DimeResult result;
-  const int n = static_cast<int>(pg.size());
-  const unsigned threads = pool->thread_count();
-
-  size_t target = options.target_shard_size;
-  if (target == 0) {
-    // Auto: ~4 shards per executor keeps every intra-shard node chunky
-    // while leaving the (quadratically many) pair nodes to balance load.
-    target = ChunkSize(static_cast<size_t>(n), threads, 64);
-  }
-  const ShardPlan plan = BuildSignatureShardPlan(pg, positive, target);
-  const size_t num_shards = plan.num_shards();
-
-  // ---- Step 1: intra-shard nodes unlock shard-pair nodes. ----------------
-  StripedUnionFind uf(static_cast<size_t>(n));
-  std::atomic<size_t> pos_checks{0};
-  std::atomic<uint64_t> kernel_exits{0};
-  TaskGroup group(pool);
-  {
-    TaskGraph graph(&group);
-
-    // Scans every unordered pair with one entity in shard s1 and one in
-    // s2 (s1 == s2: the shard's internal pairs). Pair membership depends
-    // only on the deterministic plan, so every pair is evaluated exactly
-    // once regardless of schedule — positive_pair_checks stays equal to
-    // the serial engine's (the naive framework has no skip path).
-    auto scan_block = [&pg, &positive, &plan, &uf, &control, &group,
-                       &pos_checks, &kernel_exits](size_t s1, size_t s2) {
-      if (DIME_FAULT_POINT(failpoints::kParallelWorkerFault)) {
-        throw std::runtime_error("injected worker fault (step 1)");
-      }
-      const uint64_t exits_before = KernelEarlyExits();
-      size_t local_checks = 0;
-      const size_t b1 = plan.starts[s1], e1 = plan.starts[s1 + 1];
-      const size_t b2 = plan.starts[s2], e2 = plan.starts[s2 + 1];
-      for (size_t i = b1; i < e1; ++i) {
-        Status st =
-            internal::CheckRunControl(control, "dime_parallel/positive-row");
-        if (!st.ok()) {
-          group.RecordControl(std::move(st));
-          break;
-        }
-        const int a = plan.order[i];
-        const size_t j_begin = (s1 == s2) ? i + 1 : b2;
-        for (size_t j = j_begin; j < e2; ++j) {
-          int x = a, y = plan.order[j];
-          if (x > y) std::swap(x, y);
-          for (const PositiveRule& rule : positive) {
-            ++local_checks;
-            if (EvalPositiveRule(pg, rule, x, y)) {
-              uf.Union(x, y);
-              break;
-            }
-          }
-        }
-      }
-      pos_checks.fetch_add(local_checks, std::memory_order_relaxed);
-      kernel_exits.fetch_add(KernelEarlyExits() - exits_before,
-                             std::memory_order_relaxed);
-    };
-
-    // Streaming topology: pair node (s1, s2) unlocks when both inputs
-    // finished their intra-shard pass, while other shards still run.
-    std::vector<int> intra(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      intra[s] = graph.AddNode([&scan_block, s] { scan_block(s, s); });
-    }
-    for (size_t s1 = 0; s1 < num_shards; ++s1) {
-      for (size_t s2 = s1 + 1; s2 < num_shards; ++s2) {
-        const int id =
-            graph.AddNode([&scan_block, s1, s2] { scan_block(s1, s2); });
-        graph.AddEdge(intra[s1], id);
-        graph.AddEdge(intra[s2], id);
-      }
-    }
-    graph.Run();
-    group.Wait();
-  }
-  RethrowTaskFault(group);
-  if (!group.control_status().ok()) {
-    return AbandonedResult(negative.size(), group.control_status());
-  }
-  result.stats.positive_pair_checks = pos_checks.load();
-  result.partitions = uf.Components();
-
-  // ---- Step 2. -----------------------------------------------------------
-  result.pivot = internal::PickPivot(result.partitions);
-  DIME_DCHECK(result.partitions.empty() || result.pivot >= 0)
-      << "non-empty group must yield a pivot";
-
-  // ---- Step 3: one non-pivot partition per task. -------------------------
-  std::vector<int> first_flagging(result.partitions.size(), -1);
-  if (result.pivot >= 0 && !negative.empty()) {
-    const std::vector<int>& pivot_entities = result.partitions[result.pivot];
-    std::atomic<size_t> neg_checks{0};
-    TaskGroup flag_group(pool);
-    for (size_t p = 0; p < result.partitions.size(); ++p) {
-      if (static_cast<int>(p) == result.pivot) continue;
-      flag_group.Spawn([&pg, &negative, &result, &control, &flag_group,
-                        &pivot_entities, &first_flagging, &neg_checks,
-                        &kernel_exits, p] {
-        if (DIME_FAULT_POINT(failpoints::kParallelWorkerFault)) {
-          throw std::runtime_error("injected worker fault (step 3)");
-        }
-        Status st = internal::CheckRunControl(
-            control, "dime_parallel/negative-partition");
-        if (!st.ok()) {
-          flag_group.RecordControl(std::move(st));
-          return;
-        }
-        const uint64_t exits_before = KernelEarlyExits();
-        size_t local_checks = 0;
-        int flag = -1;
-        for (size_t r = 0; r < negative.size() && flag < 0; ++r) {
-          for (int e : result.partitions[p]) {
-            bool all_dissimilar = true;
-            for (int e_star : pivot_entities) {
-              ++local_checks;
-              if (!EvalNegativeRule(pg, negative[r], e, e_star)) {
-                all_dissimilar = false;
-                break;
-              }
-            }
-            if (all_dissimilar) {
-              flag = static_cast<int>(r);
-              break;
-            }
-          }
-        }
-        first_flagging[p] = flag;
-        neg_checks.fetch_add(local_checks, std::memory_order_relaxed);
-        kernel_exits.fetch_add(KernelEarlyExits() - exits_before,
-                               std::memory_order_relaxed);
-      });
-    }
-    flag_group.Wait();
-    RethrowTaskFault(flag_group);
-    // Deadline during step 3: the partitions whose tasks ran keep their
-    // flags (a subset of the full run's — monotone scrollbar), skipped
-    // ones stay unflagged, and the status reports the truncation.
-    if (!flag_group.control_status().ok()) {
-      result.status = flag_group.control_status();
-    }
-    result.stats.negative_pair_checks = neg_checks.load();
-  }
-  result.first_flagging_rule = first_flagging;
-  result.flagged_by_prefix = internal::BuildScrollbar(
-      result.partitions, result.pivot, first_flagging, negative.size());
-  result.stats.kernel_early_exits = kernel_exits.load();
-  internal::DcheckResultInvariants(result, pg.size(), negative.size());
-  return result;
 }
 
 // ---------------------------------------------------------------------------
@@ -472,7 +305,7 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
       verify_group.Spawn([&pg, &positive, &plus, &uf, &control, &verify_group,
                           &balanced, &pos_checks, &trans_skips, &kernel_exits,
                           batch_begin, batch_end] {
-        if (DIME_FAULT_POINT(failpoints::kParallelWorkerFault)) {
+        if (DIME_FAULT_POINT(failpoints::kWorkerFault)) {
           throw std::runtime_error("injected worker fault (step 1)");
         }
         const uint64_t exits_before = KernelEarlyExits();
@@ -637,7 +470,7 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
                           &flag_group, &pivot_entities, &first_flagging,
                           &rule_context, &scratches, &neg_checks, &pruned,
                           &kernel_exits, artifacts, p] {
-          if (DIME_FAULT_POINT(failpoints::kParallelWorkerFault)) {
+          if (DIME_FAULT_POINT(failpoints::kWorkerFault)) {
             throw std::runtime_error("injected worker fault (step 3)");
           }
           Status st = internal::CheckRunControl(
@@ -678,79 +511,40 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
   return result;
 }
 
-/// Shared top level: empty-group short circuit, pool resolution, and the
-/// historical fault contract (serial fallback with a WARNING, or an
-/// INTERNAL status carrying the task's message).
-template <typename Inner, typename SerialFn>
-DimeResult RunWithFaultContract(const PreparedGroup& pg,
-                                const std::vector<NegativeRule>& negative,
-                                const ShardedOptions& options,
-                                const char* engine_name, const Inner& inner,
-                                const SerialFn& serial) {
-  if (pg.size() == 0) {
-    DimeResult result;
-    result.flagged_by_prefix.assign(negative.size(), {});
-    return result;
-  }
-  PoolRef ref(options);
-  try {
-    return inner(ref.pool);
-  } catch (const std::exception& e) {
-    if (options.serial_fallback) {
-      DIME_LOG(WARNING) << engine_name << " worker fault (" << e.what()
-                        << "); falling back to the serial engine";
-      return serial();
-    }
-    return AbandonedResult(negative.size(),
-                           InternalError(std::string("worker thread fault: ") +
-                                         FaultText(&e)));
-  } catch (...) {
-    if (options.serial_fallback) {
-      DIME_LOG(WARNING) << engine_name
-                        << " worker fault; falling back to the serial engine";
-      return serial();
-    }
-    return AbandonedResult(
-        negative.size(),
-        InternalError("worker thread fault: worker thread failed"));
-  }
-}
-
 }  // namespace
-
-DimeResult RunDimeSharded(const PreparedGroup& pg,
-                          const std::vector<PositiveRule>& positive,
-                          const std::vector<NegativeRule>& negative,
-                          const ShardedOptions& options,
-                          const RunControl& control) {
-  return RunWithFaultContract(
-      pg, negative, options, "RunDimeSharded",
-      [&](WorkStealingPool* pool) {
-        return RunDimeShardedInner(pg, positive, negative, options, control,
-                                   pool);
-      },
-      [&] { return RunDime(pg, positive, negative, control); });
-}
-
-DimeResult RunDimeSharded(const PreparedGroup& pg,
-                          const std::vector<PositiveRule>& positive,
-                          const std::vector<NegativeRule>& negative,
-                          const ShardedOptions& options) {
-  return RunDimeSharded(pg, positive, negative, options, RunControl{});
-}
 
 DimeResult RunDimePlusSharded(const PreparedGroup& pg,
                               const std::vector<PositiveRule>& positive,
                               const std::vector<NegativeRule>& negative,
                               const ShardedOptions& options,
                               const RunControl& control) {
-  return RunWithFaultContract(
-      pg, negative, options, "RunDimePlusSharded",
-      [&](WorkStealingPool* pool) {
-        return RunDimePlusShardedInner(pg, positive, negative, options,
-                                       control, pool);
-      },
-      [&] { return RunDimePlus(pg, positive, negative, options.plus, control); });
+  if (pg.size() == 0) {
+    DimeResult result;
+    result.flagged_by_prefix.assign(negative.size(), {});
+    return result;
+  }
+  PoolRef ref(options);
+  // A task fault takes the documented degradation path: serial fallback
+  // with a WARNING, or an INTERNAL status carrying the task's message.
+  auto degrade = [&](const std::exception* e) {
+    if (options.serial_fallback) {
+      DIME_LOG(WARNING) << "RunDimePlusSharded worker fault ("
+                        << FaultText(e)
+                        << "); falling back to the serial engine";
+      return RunDimePlus(pg, positive, negative, options.plus, control);
+    }
+    return AbandonedResult(
+        negative.size(),
+        InternalError("worker thread fault: " + FaultText(e)));
+  };
+  try {
+    return RunDimePlusShardedInner(pg, positive, negative, options, control,
+                                   ref.pool);
+  } catch (const std::exception& e) {
+    return degrade(&e);
+  } catch (...) {
+    return degrade(nullptr);
+  }
 }
 
 DimeResult RunDimePlusSharded(const PreparedGroup& pg,

@@ -6,18 +6,18 @@
 #include "src/exec/pool.h"
 
 /// \file sharded_dime.h
-/// The sharded streaming execution engine (DESIGN.md §7.9): DIME and
-/// DIME+ decomposed into chunky tasks on a WorkStealingPool, with the
-/// positive-phase merges going through a striped concurrent union-find.
-/// Decisions (partitions, pivot, flags) are bit-identical to the serial
-/// engines for any thread count — the partitions are the transitive
-/// closure of the verified positive edges, which no schedule can change,
-/// and the negative phase is per-partition deterministic. Step-1 effort
-/// stats (pair checks / transitivity skips) are schedule-dependent for
-/// the DIME+ path; their sum with skips equals the deterministic
-/// candidate volume.
+/// The sharded streaming execution engine (DESIGN.md §7.9): DIME+
+/// (Algorithm 2) decomposed into chunky tasks on a WorkStealingPool,
+/// with the positive-phase merges going through a striped concurrent
+/// union-find. Decisions (partitions, pivot, flags) are bit-identical to
+/// serial RunDimePlus, and so to the RunDime oracle, for any thread
+/// count — the partitions are the transitive closure of the verified
+/// positive edges, which no schedule can change, and the negative phase
+/// is per-partition deterministic. Step-1 effort stats (pair checks /
+/// transitivity skips) are schedule-dependent; their sum equals the
+/// deterministic candidate volume.
 ///
-/// Failure contract (same as the historical RunDimeParallel):
+/// Failure contract:
 ///  * a task that throws → serial fallback (bit-identical result) or,
 ///    with serial_fallback = false, an INTERNAL status and no partitions;
 ///  * deadline/cancellation during step 1 → no partitions, empty
@@ -42,26 +42,7 @@ struct ShardedOptions {
   /// benefit order, transitivity skip). The positive phase always
   /// streams lists; exact_benefit_cap is not consulted.
   DimePlusOptions plus;
-  /// Entities per shard for RunDimeSharded's block decomposition
-  /// (0 = auto: keep roughly 4 shards per executor).
-  size_t target_shard_size = 0;
 };
-
-/// Sharded counterpart of RunDime: all-pairs positive phase decomposed
-/// into intra-shard and shard-pair task-graph nodes (a pair node unlocks
-/// when its two input shards finish), full pivot-vs-member negative
-/// phase as one task per partition. Replaces the historical fork-join
-/// RunDimeParallel, which routes here.
-DimeResult RunDimeSharded(const PreparedGroup& pg,
-                          const std::vector<PositiveRule>& positive,
-                          const std::vector<NegativeRule>& negative,
-                          const ShardedOptions& options,
-                          const RunControl& control);
-
-DimeResult RunDimeSharded(const PreparedGroup& pg,
-                          const std::vector<PositiveRule>& positive,
-                          const std::vector<NegativeRule>& negative,
-                          const ShardedOptions& options = {});
 
 /// Sharded counterpart of RunDimePlus: parallel signature generation,
 /// pool-sorted postings (the inverted lists), volume-balanced candidate

@@ -62,8 +62,7 @@ void DispatchRequestAsync(DimeService* service, const DispatchHooks& hooks,
                           std::function<void(DispatchResult)> done);
 
 /// Parse + dispatch of one raw request line, blocking until the reply is
-/// ready. This is TcpServer::Dispatch's engine, exposed so tests can
-/// drive the protocol without sockets.
+/// ready. Lets tests drive the protocol without sockets.
 DispatchResult DispatchLine(DimeService* service, const DispatchHooks& hooks,
                             const std::string& line);
 

@@ -84,6 +84,35 @@ bool RecvLine(int fd, std::string* line) {
   }
 }
 
+StatusOr<std::string> SendRequestLine(const std::string& host, int port,
+                                      const std::string& line,
+                                      int timeout_ms) {
+  int fd = ConnectToHost(host, port, timeout_ms);
+  if (fd < 0) {
+    return UnavailableError("cannot connect to " + host + ":" +
+                            std::to_string(port) + ": " +
+                            std::strerror(errno));
+  }
+  std::string request = line;
+  if (request.empty() || request.back() != '\n') request += '\n';
+  if (!SendAll(fd, request)) {
+    Status status = IoError(std::string("send: ") + std::strerror(errno));
+    ::close(fd);
+    return status;
+  }
+  std::string response;
+  bool ok = RecvLine(fd, &response);
+  int saved_errno = errno;
+  ::close(fd);
+  if (!ok) {
+    if (saved_errno == EAGAIN || saved_errno == EWOULDBLOCK) {
+      return DeadlineExceededError("timed out waiting for the response");
+    }
+    return IoError("connection closed before a response line arrived");
+  }
+  return response;
+}
+
 StatusOr<int> ListenTcp(const std::string& host, int port, int backlog,
                         int* bound_port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);

@@ -8,7 +8,7 @@
 
 /// \file net_util.h
 /// Shared socket plumbing for the serving layer: the blocking client
-/// helpers (SendRequestLine in tcp_server.h, SendHttpRequest in http.h)
+/// helpers (SendRequestLine below, SendHttpRequest in http.h)
 /// and the non-blocking event-loop transport (event_loop.h) sit on the
 /// same handful of primitives, so error handling (EINTR retries, short
 /// writes, MSG_NOSIGNAL) lives exactly once.
@@ -34,6 +34,14 @@ int ConnectToHost(const std::string& host, int port, int timeout_ms);
 /// '\n') landed in *line; false on EOF, timeout, or a line past an
 /// internal 64 MiB abuse cap.
 bool RecvLine(int fd, std::string* line);
+
+/// Client-side helper (dime_cli --client, tests, benches): connects to
+/// host:port, sends `line` (a '\n' is appended when missing), reads one
+/// response line. UNAVAILABLE when the server is unreachable, IO_ERROR /
+/// DEADLINE_EXCEEDED on broken or timed-out reads.
+StatusOr<std::string> SendRequestLine(const std::string& host, int port,
+                                      const std::string& line,
+                                      int timeout_ms = 30000);
 
 /// Creates, binds, and listens an IPv4 TCP socket. On success returns
 /// the fd and writes the bound port (after an ephemeral port 0 bind) to

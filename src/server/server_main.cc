@@ -20,7 +20,7 @@
 //               [--threads N]  # engine pool size (default: DIME_THREADS
 //                              # env, then hardware concurrency)
 //               [--default-deadline-ms N]
-//               [--engine naive|plus|parallel|sharded]
+//               [--engine naive|plus|sharded]
 //               [--idle-timeout-ms N]
 //   live corpus (see DESIGN.md "Live corpus & epochs"):
 //               [--watch] [--watch-interval-ms N]  # poll --snapshot for a
@@ -68,7 +68,7 @@
 #include "src/ontology/builtin.h"
 #include "src/datagen/scholar_gen.h"
 #include "src/rules/rule_io.h"
-#include "src/server/tcp_server.h"
+#include "src/server/event_loop.h"
 #include "src/store/delta_log.h"
 #include "src/store/snapshot.h"
 
@@ -203,8 +203,9 @@ StatusOr<ReloadOutcome> MergeDeltaLog(LiveCorpusState* state) {
 }
 
 /// Self-pipe for SIGTERM/SIGINT: the handler only write()s (async-signal
-/// safe); a helper thread turns the byte into TcpServer::RequestShutdown
-/// so the server drains through the same path as a wire shutdown.
+/// safe); a helper thread turns the byte into
+/// EventLoopServer::RequestShutdown so the server drains through the same
+/// path as a wire shutdown.
 int g_signal_pipe_write = -1;
 
 extern "C" void HandleTermSignal(int signo) {
@@ -229,7 +230,7 @@ int main(int argc, char** argv) {
   int watch_interval_ms = 500;
   std::string delta_log_path;
   uint64_t delta_threshold_bytes = 4096;
-  TcpServerOptions transport;
+  EventLoopServerOptions transport;
   ServiceOptions options;
 
   for (int i = 1; i < argc; ++i) {
@@ -291,7 +292,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--engine") {
       EngineKind kind;
       if (!EngineKindFromName(next(), &kind)) {
-        return Usage("--engine must be naive, plus, parallel, or sharded");
+        return Usage(
+            ("--engine must be one of " + EngineKindNames(", ")).c_str());
       }
       options.default_engine = kind;
     } else if (arg == "--idle-timeout-ms") {
@@ -307,10 +309,11 @@ int main(int argc, char** argv) {
           "  [--venue-ontology] [--ontology <tree> --ontology-mode m]\n"
           "  [--host H] [--port N] [--workers N] [--threads N]\n"
           "  [--queue-cap N]\n"
-          "  [--cache-cap N] [--default-deadline-ms N] [--engine e]\n"
+          "  [--cache-cap N] [--default-deadline-ms N] [--engine %s]\n"
           "  [--idle-timeout-ms N] [--max-connections N] [--demo-pages N]\n"
           "  [--watch] [--watch-interval-ms N]\n"
-          "  [--delta-log <file>] [--delta-threshold-bytes N]\n");
+          "  [--delta-log <file>] [--delta-threshold-bytes N]\n",
+          EngineKindNames("|").c_str());
       return 0;
     } else {
       return Usage(("unknown flag: " + arg).c_str());
@@ -420,12 +423,12 @@ int main(int argc, char** argv) {
     live.loaded_fp_hi = boot_fp_hi;
   }
   if (!live.snapshot_path.empty() || !live.delta_log_path.empty()) {
-    transport.reload_handler = [&live](const std::string& fingerprint) {
+    transport.hooks.reload_handler = [&live](const std::string& fingerprint) {
       return ReloadSources(&live, fingerprint);
     };
   }
 
-  TcpServer server(&service, transport);
+  EventLoopServer server(&service, transport);
   Status started = server.Start();
   if (!started.ok()) return ExitWithStatus(started, "startup");
 

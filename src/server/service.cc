@@ -10,7 +10,6 @@
 #include "src/common/check.h"
 #include "src/common/fault_injection.h"
 #include "src/common/logging.h"
-#include "src/exec/sharded_dime.h"
 
 namespace dime {
 namespace {
@@ -27,35 +26,6 @@ std::shared_ptr<const DimeResult> ResultWithStatus(Status status) {
 }
 
 }  // namespace
-
-const char* EngineKindName(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kNaive:
-      return "naive";
-    case EngineKind::kPlus:
-      return "plus";
-    case EngineKind::kParallel:
-      return "parallel";
-    case EngineKind::kSharded:
-      return "sharded";
-  }
-  return "unknown";
-}
-
-bool EngineKindFromName(std::string_view name, EngineKind* kind) {
-  if (name == "naive") {
-    *kind = EngineKind::kNaive;
-  } else if (name == "plus") {
-    *kind = EngineKind::kPlus;
-  } else if (name == "parallel") {
-    *kind = EngineKind::kParallel;
-  } else if (name == "sharded") {
-    *kind = EngineKind::kSharded;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 /// One admitted request, owned by the queue until a worker picks it up.
 /// The deadline inside `control` is anchored at ADMISSION time, so time
@@ -464,32 +434,12 @@ CheckReply DimeService::Execute(PendingCheck& pending) {
                            corpus.context);
       pg = &local;
     }
-    switch (pending.engine) {
-      case EngineKind::kNaive:
-        *result =
-            RunDime(*pg, corpus.positive, corpus.negative, pending.control);
-        break;
-      case EngineKind::kPlus:
-        *result = RunDimePlus(*pg, corpus.positive, corpus.negative,
-                              options_.dime_plus, pending.control);
-        break;
-      case EngineKind::kParallel: {
-        ParallelOptions popts = options_.parallel;
-        if (popts.pool == nullptr) popts.pool = engine_pool_.get();
-        *result = RunDimeParallel(*pg, corpus.positive, corpus.negative,
-                                  popts, pending.control);
-        break;
-      }
-      case EngineKind::kSharded: {
-        exec::ShardedOptions sopts;
-        sopts.pool = engine_pool_.get();
-        sopts.plus = options_.dime_plus;
-        *result = exec::RunDimePlusSharded(*pg, corpus.positive,
-                                           corpus.negative, sopts,
-                                           pending.control);
-        break;
-      }
-    }
+    exec::ShardedOptions engine_options;
+    engine_options.pool = engine_pool_.get();
+    engine_options.plus = options_.dime_plus;
+    *result = exec::RunEngine(pending.engine, *pg, corpus.positive,
+                              corpus.negative, engine_options,
+                              pending.control);
   } catch (const std::exception& e) {
     *result = DimeResult{};
     result->status = InternalError(std::string("engine fault: ") + e.what());

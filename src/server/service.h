@@ -14,8 +14,8 @@
 #include "src/common/mutex.h"
 #include "src/common/status.h"
 #include "src/core/corpus.h"
-#include "src/core/dime_parallel.h"
 #include "src/core/dime_plus.h"
+#include "src/exec/engine.h"
 #include "src/exec/pool.h"
 #include "src/server/request_queue.h"
 #include "src/server/result_cache.h"
@@ -25,9 +25,10 @@
 /// \file service.h
 /// The resident DIME service: loads a corpus (rules, ontologies, optional
 /// preloaded groups) ONCE and answers repeated "check group G" requests
-/// without re-ingesting anything. This is the in-process API; the TCP
-/// transport (tcp_server.h) is a thin line-JSON wrapper around it, so
-/// tests, benches and the CLI can drive the service without sockets.
+/// without re-ingesting anything. This is the in-process API; the socket
+/// transport (event_loop.h) and the wire dispatch (dispatch.h) sit on top
+/// of it, so tests, benches and the CLI can drive the service without
+/// sockets.
 ///
 /// Request lifecycle:
 ///
@@ -37,7 +38,7 @@
 ///         bounded queue  ── full ──> RESOURCE_EXHAUSTED (shed, never block)
 ///                 │ admitted
 ///                 v
-///         worker pool ──> PrepareGroup + Run{Dime,DimePlus,DimeParallel}
+///         worker pool ──> PrepareGroup + exec::RunEngine
 ///                 │          (per-request deadline via RunControl,
 ///                 │           anchored at ADMISSION so queue wait counts)
 ///                 v
@@ -61,13 +62,6 @@
 
 namespace dime {
 
-/// Which engine executes a check.
-enum class EngineKind { kNaive, kPlus, kParallel, kSharded };
-
-/// "naive" / "plus" / "parallel" / "sharded".
-const char* EngineKindName(EngineKind kind);
-bool EngineKindFromName(std::string_view name, EngineKind* kind);
-
 struct ServiceOptions {
   /// Worker threads executing engine runs. 0 is normalized to 1.
   unsigned num_workers = 4;
@@ -80,12 +74,10 @@ struct ServiceOptions {
   int64_t default_deadline_ms = 0;
   EngineKind default_engine = EngineKind::kPlus;
   DimePlusOptions dime_plus;
-  ParallelOptions parallel;
-  /// Executors of the shared scheduler pool the parallel and sharded
-  /// engines run on (one pool for the whole service — serving workers
-  /// spawn task groups into it and help execute while they wait, so
-  /// concurrent requests time-share the same threads instead of
-  /// oversubscribing). 0 = the --threads / DIME_THREADS /
+  /// Executors of the shared scheduler pool the sharded engine runs on
+  /// (one pool for the whole service — serving workers spawn task groups
+  /// into it and help execute while they wait, so concurrent requests
+  /// time-share the same threads instead of oversubscribing). 0 = the --threads / DIME_THREADS /
   /// hardware_concurrency precedence of exec::ResolveThreadCount.
   unsigned engine_threads = 0;
   /// Test-only: invoked by a worker before executing each admitted
@@ -151,7 +143,8 @@ struct ReloadOutcome {
 };
 
 /// The 128-bit content fingerprint in its canonical wire form: 32 hex
-/// digits, low word first — exactly the "fingerprint" string a reload
+/// digits, high word first (the order log lines and dime_snapshot
+/// inspect print) — exactly the "fingerprint" string a reload
 /// response carries (see wire.h), so clients can echo it back verbatim
 /// for a fingerprint-gated reload.
 std::string FingerprintToWireHex(uint64_t lo, uint64_t hi);

@@ -25,7 +25,7 @@
 ///               "group"       name of a preloaded corpus group
 ///               "group_tsv"   inline group in GroupToTsv format
 ///               "deadline_ms" number; 0/absent = server default
-///               "engine"      "naive" | "plus" | "parallel" | "sharded"
+///               "engine"      "naive" | "plus" | "sharded"
 ///               "no_cache"    bool; true bypasses the result cache
 ///
 /// "reload" asks the server to re-read its corpus source (the snapshot

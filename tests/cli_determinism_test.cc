@@ -1,10 +1,8 @@
 // Golden determinism test for dime_cli (DESIGN.md §7.9): the printed
 // output must be byte-identical across --threads 1/2/8. For --engine
-// parallel that includes --stats (the naive pair space has no skip path,
-// so every counter is schedule-independent); for --engine sharded the
-// decisions — scrollbar, partitions, exit code — are compared without
-// --stats (step-1 effort counters are schedule-dependent by design) and
-// must also match the serial --engine plus output exactly.
+// sharded the decisions — scrollbar, partitions, exit code — are
+// compared without --stats (step-1 effort counters are schedule-dependent
+// by design) and must also match the serial --engine plus output exactly.
 //
 // The test exports a scholar-2999-scale page through the real TSV/rule
 // codecs and spawns the real binary, so it covers the whole path a user
@@ -73,13 +71,11 @@ class CliDeterminismTest : public ::testing::Test {
     delete rules_;
   }
 
-  static CliResult RunCli(const std::string& engine, unsigned threads,
-                          bool stats) {
+  static CliResult RunCli(const std::string& engine, unsigned threads) {
     std::string cmd = std::string(DIME_CLI_BINARY) + " '" + *page_ +
                       "' --rules '" + *rules_ + "' --venue-ontology" +
                       " --engine " + engine + " --threads " +
                       std::to_string(threads);
-    if (stats) cmd += " --stats";
     return RunCommand(cmd);
   }
 
@@ -92,24 +88,12 @@ std::string* CliDeterminismTest::dir_ = nullptr;
 std::string* CliDeterminismTest::page_ = nullptr;
 std::string* CliDeterminismTest::rules_ = nullptr;
 
-TEST_F(CliDeterminismTest, ParallelEngineOutputIsByteIdenticalWithStats) {
-  CliResult one = RunCli("parallel", 1, /*stats=*/true);
-  ASSERT_EQ(one.exit_code, 0) << one.output;
-  ASSERT_FALSE(one.output.empty());
-  for (unsigned threads : {2u, 8u}) {
-    CliResult r = RunCli("parallel", threads, /*stats=*/true);
-    ASSERT_EQ(r.exit_code, 0) << r.output;
-    EXPECT_EQ(r.output, one.output) << "--threads " << threads
-                                    << " output diverged";
-  }
-}
-
 TEST_F(CliDeterminismTest, ShardedEngineDecisionsAreByteIdentical) {
-  CliResult one = RunCli("sharded", 1, /*stats=*/false);
+  CliResult one = RunCli("sharded", 1);
   ASSERT_EQ(one.exit_code, 0) << one.output;
   ASSERT_FALSE(one.output.empty());
   for (unsigned threads : {2u, 8u}) {
-    CliResult r = RunCli("sharded", threads, /*stats=*/false);
+    CliResult r = RunCli("sharded", threads);
     ASSERT_EQ(r.exit_code, 0) << r.output;
     EXPECT_EQ(r.output, one.output) << "--threads " << threads
                                     << " output diverged";
@@ -117,9 +101,9 @@ TEST_F(CliDeterminismTest, ShardedEngineDecisionsAreByteIdentical) {
 }
 
 TEST_F(CliDeterminismTest, ShardedEngineMatchesSerialPlusOutput) {
-  CliResult plus = RunCli("plus", 1, /*stats=*/false);
+  CliResult plus = RunCli("plus", 1);
   ASSERT_EQ(plus.exit_code, 0) << plus.output;
-  CliResult sharded = RunCli("sharded", 8, /*stats=*/false);
+  CliResult sharded = RunCli("sharded", 8);
   ASSERT_EQ(sharded.exit_code, 0) << sharded.output;
   EXPECT_EQ(sharded.output, plus.output);
 }

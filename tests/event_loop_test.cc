@@ -22,7 +22,6 @@
 #include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
 #include "src/server/net_util.h"
-#include "src/server/tcp_server.h"
 #include "src/server/wire.h"
 
 namespace dime {
@@ -284,9 +283,10 @@ TEST(ChaosEventLoopTest, ContinuousSwapUnderLineAndHttpClients) {
   std::vector<JsonObject> golden;
   for (int v = 0; v < kVariants; ++v) {
     DimeService solo(MakeVariant(v), ServiceOptions{});
-    TcpServer dispatcher(&solo, TcpServerOptions{});
-    golden.push_back(MustParse(dispatcher.Dispatch(
-        R"({"type":"check","group":"page_0","no_cache":true})")));
+    golden.push_back(MustParse(
+        DispatchLine(&solo, DispatchHooks{},
+                     R"({"type":"check","group":"page_0","no_cache":true})")
+            .line));
     ASSERT_EQ(golden.back().at("status").string_value, "OK") << v;
     solo.Shutdown();
   }

@@ -15,9 +15,7 @@
 #include "src/datagen/scholar_gen.h"
 #include "src/exec/parallel_sort.h"
 #include "src/exec/pool.h"
-#include "src/exec/shard.h"
 #include "src/exec/sharded_dime.h"
-#include "src/exec/task_graph.h"
 
 namespace dime {
 namespace exec {
@@ -144,115 +142,6 @@ TEST(PoolTest, ExecTaskFaultFailpointThrowsInsideTheRunner) {
 }
 
 // ---------------------------------------------------------------------------
-// TaskGraph.
-
-TEST(TaskGraphTest, DependentsRunAfterAllDependencies) {
-  WorkStealingPool pool(PoolOptions{4});
-  TaskGroup group(&pool);
-  TaskGraph graph(&group);
-  // Timestamps from a shared logical clock: every node records when it
-  // ran; edges must be respected regardless of schedule.
-  std::atomic<int> clock{0};
-  constexpr int kShards = 6;
-  std::vector<std::atomic<int>> stamp(kShards + kShards * kShards);
-  std::vector<int> intra(kShards);
-  for (int s = 0; s < kShards; ++s) {
-    intra[s] =
-        graph.AddNode([&stamp, &clock, s] { stamp[s] = clock.fetch_add(1); });
-  }
-  struct Pair {
-    int node;
-    int s1;
-    int s2;
-  };
-  std::vector<Pair> pairs;
-  for (int s1 = 0; s1 < kShards; ++s1) {
-    for (int s2 = s1 + 1; s2 < kShards; ++s2) {
-      const int slot = kShards + s1 * kShards + s2;
-      const int id = graph.AddNode(
-          [&stamp, &clock, slot] { stamp[slot] = clock.fetch_add(1); });
-      graph.AddEdge(intra[s1], id);
-      graph.AddEdge(intra[s2], id);
-      pairs.push_back(Pair{slot, s1, s2});
-    }
-  }
-  graph.Run();
-  group.Wait();
-  ASSERT_EQ(group.exception(), nullptr);
-  for (const Pair& p : pairs) {
-    EXPECT_GT(stamp[p.node].load(), stamp[p.s1].load());
-    EXPECT_GT(stamp[p.node].load(), stamp[p.s2].load());
-  }
-}
-
-TEST(TaskGraphTest, RootsOnlyGraphDegeneratesToPlainSpawns) {
-  WorkStealingPool pool(PoolOptions{2});
-  TaskGroup group(&pool);
-  TaskGraph graph(&group);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 10; ++i) {
-    graph.AddNode([&ran] { ran.fetch_add(1); });
-  }
-  graph.Run();
-  group.Wait();
-  EXPECT_EQ(ran.load(), 10);
-}
-
-TEST(TaskGraphTest, NodesRunExactlyOnceEvenWhenWorkersOutpaceRun) {
-  // Regression: Run() used to submit every node whose `unmet` counter
-  // READ zero — but workers finishing fast roots decrement dependents to
-  // zero (and submit them) while Run() is still looping over later
-  // indices, so those dependents ran twice. Decisions survived (Union is
-  // idempotent) but effort stats doubled, breaking dime_cli --stats
-  // byte-identity across thread counts. Instant root bodies + many
-  // dependents make the window wide; assert exactly-once per node.
-  for (int round = 0; round < 20; ++round) {
-    WorkStealingPool pool(PoolOptions{8});
-    TaskGroup group(&pool);
-    TaskGraph graph(&group);
-    constexpr int kRoots = 4;
-    constexpr int kDependents = 64;
-    std::vector<std::atomic<int>> runs(kRoots + kDependents);
-    std::vector<int> roots(kRoots);
-    for (int r = 0; r < kRoots; ++r) {
-      roots[r] = graph.AddNode([&runs, r] { runs[r].fetch_add(1); });
-    }
-    for (int d = 0; d < kDependents; ++d) {
-      const int slot = kRoots + d;
-      const int id = graph.AddNode([&runs, slot] { runs[slot].fetch_add(1); });
-      graph.AddEdge(roots[d % kRoots], id);
-    }
-    graph.Run();
-    group.Wait();
-    ASSERT_EQ(group.exception(), nullptr);
-    for (size_t i = 0; i < runs.size(); ++i) {
-      ASSERT_EQ(runs[i].load(), 1) << "node " << i << " round " << round;
-    }
-  }
-}
-
-TEST(TaskGraphTest, CancellationAbandonsTheUnreachedTail) {
-  // Serial pool: the chain runs strictly head-to-tail on the waiting
-  // thread, so a cancel from the middle abandons the rest.
-  WorkStealingPool pool(PoolOptions{1});
-  TaskGroup group(&pool);
-  TaskGraph graph(&group);
-  std::atomic<int> ran{0};
-  int prev = graph.AddNode([&ran] { ran.fetch_add(1); });
-  int cancelling = graph.AddNode([&group, &ran] {
-    ran.fetch_add(1);
-    group.RecordControl(CancelledError("stop"));
-  });
-  graph.AddEdge(prev, cancelling);
-  int tail = graph.AddNode([&ran] { ran.fetch_add(1); });
-  graph.AddEdge(cancelling, tail);
-  graph.Run();
-  group.Wait();
-  EXPECT_EQ(ran.load(), 2);
-  EXPECT_EQ(group.control_status().code(), StatusCode::kCancelled);
-}
-
-// ---------------------------------------------------------------------------
 // ParallelSort.
 
 TEST(ParallelSortTest, SmallInputTakesSerialPathAndSorts) {
@@ -282,38 +171,6 @@ TEST(ParallelSortTest, LargeInputMatchesStdSort) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard planning.
-
-TEST(ShardPlanTest, PlanIsAPermutationWithMonotoneCuts) {
-  DbgenOptions options;
-  options.num_entities = 500;
-  options.seed = 5;
-  Group group = GenerateDbgenGroup(options);
-  std::vector<PositiveRule> pos = DbgenPositiveRules();
-  std::vector<NegativeRule> neg = DbgenNegativeRules();
-  PreparedGroup pg = PrepareGroup(group, pos, neg, {});
-
-  ShardPlan plan = BuildSignatureShardPlan(pg, pos, 64);
-  ASSERT_EQ(plan.order.size(), pg.size());
-  EXPECT_EQ(plan.num_shards(), (pg.size() + 63) / 64);
-  std::vector<int> sorted = plan.order;
-  std::sort(sorted.begin(), sorted.end());
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    EXPECT_EQ(sorted[i], static_cast<int>(i));
-  }
-  ASSERT_GE(plan.starts.size(), 2u);
-  EXPECT_EQ(plan.starts.front(), 0u);
-  EXPECT_EQ(plan.starts.back(), pg.size());
-  for (size_t s = 0; s + 1 < plan.starts.size(); ++s) {
-    EXPECT_LT(plan.starts[s], plan.starts[s + 1]);
-  }
-  // Deterministic: same inputs, same plan.
-  ShardPlan again = BuildSignatureShardPlan(pg, pos, 64);
-  EXPECT_EQ(again.order, plan.order);
-  EXPECT_EQ(again.starts, plan.starts);
-}
-
-// ---------------------------------------------------------------------------
 // Sharded engines vs their serial counterparts.
 
 struct DbgenFixture {
@@ -338,41 +195,6 @@ void ExpectSameDecisions(const DimeResult& a, const DimeResult& b) {
   EXPECT_EQ(a.pivot, b.pivot);
   EXPECT_EQ(a.first_flagging_rule, b.first_flagging_rule);
   EXPECT_EQ(a.flagged_by_prefix, b.flagged_by_prefix);
-}
-
-TEST(ShardedDimeTest, MatchesSerialNaiveAcrossThreadCounts) {
-  DbgenFixture f(1200);
-  DimeResult serial = RunDime(f.pg, f.positive, f.negative);
-  ASSERT_TRUE(serial.ok());
-  for (unsigned threads : {1u, 2u, 8u}) {
-    ShardedOptions options;
-    options.num_threads = threads;
-    DimeResult sharded =
-        RunDimeSharded(f.pg, f.positive, f.negative, options);
-    ASSERT_TRUE(sharded.ok()) << "threads=" << threads;
-    ExpectSameDecisions(serial, sharded);
-    // The naive framework has no skip path: every pair is checked exactly
-    // once no matter how the pair space is sharded.
-    EXPECT_EQ(sharded.stats.positive_pair_checks,
-              serial.stats.positive_pair_checks)
-        << "threads=" << threads;
-    EXPECT_EQ(sharded.stats.negative_pair_checks,
-              serial.stats.negative_pair_checks)
-        << "threads=" << threads;
-  }
-}
-
-TEST(ShardedDimeTest, TinyShardsStillCoverEveryPair) {
-  DbgenFixture f(300);
-  DimeResult serial = RunDime(f.pg, f.positive, f.negative);
-  ShardedOptions options;
-  options.num_threads = 3;
-  options.target_shard_size = 7;  // dozens of shards, heavy cross traffic
-  DimeResult sharded = RunDimeSharded(f.pg, f.positive, f.negative, options);
-  ASSERT_TRUE(sharded.ok());
-  ExpectSameDecisions(serial, sharded);
-  EXPECT_EQ(sharded.stats.positive_pair_checks,
-            serial.stats.positive_pair_checks);
 }
 
 TEST(ShardedDimePlusTest, MatchesSerialPlusAcrossThreadCounts) {
@@ -401,6 +223,68 @@ TEST(ShardedDimePlusTest, MatchesSerialPlusAcrossThreadCounts) {
               sharded.stats.candidate_pairs)
         << "threads=" << threads;
   }
+}
+
+// The sharded DIME+ path against the Algorithm 1 oracle directly, across
+// thread counts (including one that does not divide the work evenly).
+class ParallelEquivalenceTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(ParallelEquivalenceTest, MatchesSequentialOnScholar) {
+  ScholarSetup setup = MakeScholarSetup();
+  ScholarGenOptions gen;
+  gen.num_correct = 90;
+  gen.seed = 31;
+  Group group = GenerateScholarGroup("Parallel Owner", gen);
+  PreparedGroup pg =
+      PrepareGroup(group, setup.positive, setup.negative, setup.context);
+  DimeResult sequential = RunDime(pg, setup.positive, setup.negative);
+  ShardedOptions options;
+  options.num_threads = GetParam();
+  DimeResult sharded =
+      RunDimePlusSharded(pg, setup.positive, setup.negative, options);
+  ASSERT_TRUE(sharded.ok());
+  ExpectSameDecisions(sequential, sharded);
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelEquivalenceTest,
+                         ::testing::Values(1, 2, 3, 8));
+
+TEST(ParallelEquivalenceTest, MatchesSequentialOnDbgen) {
+  DbgenFixture f(800, /*seed=*/33);
+  ExpectSameDecisions(RunDime(f.pg, f.positive, f.negative),
+                      RunDimePlusSharded(f.pg, f.positive, f.negative));
+}
+
+TEST(ParallelTest, EmptyGroup) {
+  Group g;
+  g.schema = Schema({"Authors"});
+  std::vector<PositiveRule> pos(1);
+  std::vector<NegativeRule> neg(1);
+  ASSERT_TRUE(ParsePositiveRule("overlap(Authors) >= 1", g.schema, &pos[0]));
+  ASSERT_TRUE(ParseNegativeRule("overlap(Authors) <= 0", g.schema, &neg[0]));
+  PreparedGroup pg = PrepareGroup(g, pos, neg, {});
+  DimeResult r = RunDimePlusSharded(pg, pos, neg);
+  EXPECT_TRUE(r.partitions.empty());
+  EXPECT_EQ(r.pivot, -1);
+}
+
+TEST(ParallelTest, MoreThreadsThanEntities) {
+  Group g;
+  g.schema = Schema({"Authors"});
+  for (int i = 0; i < 3; ++i) {
+    Entity e;
+    e.id = "e" + std::to_string(i);
+    e.values = {{"a"}};
+    g.entities.push_back(std::move(e));
+  }
+  std::vector<PositiveRule> pos(1);
+  ASSERT_TRUE(ParsePositiveRule("overlap(Authors) >= 1", g.schema, &pos[0]));
+  PreparedGroup pg = PrepareGroup(g, pos, {}, {});
+  ShardedOptions options;
+  options.num_threads = 32;
+  DimeResult r = RunDimePlusSharded(pg, pos, {}, options);
+  ASSERT_EQ(r.partitions.size(), 1u);
+  EXPECT_EQ(r.partitions[0], (std::vector<int>{0, 1, 2}));
 }
 
 TEST(ShardedDimePlusTest, MatchesSerialOnScholarCorpus) {
@@ -455,13 +339,9 @@ TEST(ShardedDimeTest, EmptyGroupShortCircuits) {
   PreparedGroup pg = PrepareGroup(group, pos, neg, {});
   ShardedOptions options;
   options.num_threads = 4;
-  DimeResult naive = RunDimeSharded(pg, pos, neg, options);
   DimeResult plus = RunDimePlusSharded(pg, pos, neg, options);
-  EXPECT_TRUE(naive.ok());
   EXPECT_TRUE(plus.ok());
-  EXPECT_TRUE(naive.partitions.empty());
   EXPECT_TRUE(plus.partitions.empty());
-  ASSERT_EQ(naive.flagged_by_prefix.size(), neg.size());
   ASSERT_EQ(plus.flagged_by_prefix.size(), neg.size());
 }
 
@@ -473,7 +353,7 @@ TEST(ShardedDimeTest, BorrowedPoolIsReusedAcrossRuns) {
   DimeResult serial = RunDime(f.pg, f.positive, f.negative);
   for (int run = 0; run < 3; ++run) {
     DimeResult sharded =
-        RunDimeSharded(f.pg, f.positive, f.negative, options);
+        RunDimePlusSharded(f.pg, f.positive, f.negative, options);
     ASSERT_TRUE(sharded.ok());
     ExpectSameDecisions(serial, sharded);
   }
@@ -482,7 +362,7 @@ TEST(ShardedDimeTest, BorrowedPoolIsReusedAcrossRuns) {
 TEST(ShardedDimePlusTest, WorkerFaultFallsBackToSerialBitIdentical) {
   DbgenFixture f(400);
   DimeResult serial = RunDimePlus(f.pg, f.positive, f.negative);
-  FaultInjection::Arm(failpoints::kParallelWorkerFault, /*count=*/1);
+  FaultInjection::Arm(failpoints::kWorkerFault, /*count=*/1);
   ShardedOptions options;
   options.num_threads = 2;
   DimeResult sharded =
@@ -494,7 +374,7 @@ TEST(ShardedDimePlusTest, WorkerFaultFallsBackToSerialBitIdentical) {
 
 TEST(ShardedDimePlusTest, WorkerFaultWithoutFallbackIsInternal) {
   DbgenFixture f(400);
-  FaultInjection::Arm(failpoints::kParallelWorkerFault, /*count=*/1);
+  FaultInjection::Arm(failpoints::kWorkerFault, /*count=*/1);
   ShardedOptions options;
   options.num_threads = 2;
   options.serial_fallback = false;

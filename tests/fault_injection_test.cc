@@ -15,9 +15,9 @@
 
 #include "src/common/csv.h"
 #include "src/core/dime.h"
-#include "src/core/dime_parallel.h"
 #include "src/core/dime_plus.h"
 #include "src/entity/entity.h"
+#include "src/exec/sharded_dime.h"
 
 namespace dime {
 namespace {
@@ -52,7 +52,7 @@ TEST_F(FaultInjectionTest, SkipDelaysFiring) {
 
 TEST_F(FaultInjectionTest, FailpointsAreIndependent) {
   FaultInjection::Arm(failpoints::kIoRead, 1);
-  EXPECT_FALSE(DIME_FAULT_POINT(failpoints::kParallelWorkerFault));
+  EXPECT_FALSE(DIME_FAULT_POINT(failpoints::kWorkerFault));
   EXPECT_TRUE(DIME_FAULT_POINT(failpoints::kIoRead));
 }
 
@@ -204,11 +204,12 @@ TEST_F(FaultInjectionTest, WorkerFaultFallsBackToSerialBitIdentical) {
   DimeResult serial = RunDime(pg, positive, negative);
   ASSERT_TRUE(serial.ok());
 
-  ScopedFailpoint fp(failpoints::kParallelWorkerFault);
-  ParallelOptions options;
+  ScopedFailpoint fp(failpoints::kWorkerFault);
+  exec::ShardedOptions options;
   options.num_threads = 2;
   options.serial_fallback = true;
-  DimeResult parallel = RunDimeParallel(pg, positive, negative, options);
+  DimeResult parallel =
+      exec::RunDimePlusSharded(pg, positive, negative, options);
 
   EXPECT_TRUE(parallel.ok());
   EXPECT_EQ(parallel.partitions, serial.partitions);
@@ -223,11 +224,11 @@ TEST_F(FaultInjectionTest, WorkerFaultWithoutFallbackIsInternal) {
   std::vector<NegativeRule> negative = OverlapNegative({0, 1});
   PreparedGroup pg = PrepareGroup(g, positive, negative, {});
 
-  ScopedFailpoint fp(failpoints::kParallelWorkerFault);
-  ParallelOptions options;
+  ScopedFailpoint fp(failpoints::kWorkerFault);
+  exec::ShardedOptions options;
   options.num_threads = 2;
   options.serial_fallback = false;
-  DimeResult r = RunDimeParallel(pg, positive, negative, options);
+  DimeResult r = exec::RunDimePlusSharded(pg, positive, negative, options);
 
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status.code(), StatusCode::kInternal);
@@ -322,10 +323,10 @@ TEST_F(FaultInjectionTest, DeadlinePressureTruncatesParallel) {
   DimeResult full = RunDime(pg, positive, negative);
   ASSERT_TRUE(full.ok());
 
-  ParallelOptions options;
+  exec::ShardedOptions options;
   options.num_threads = 2;
   ScopedFailpoint fp(failpoints::kEngineDeadline, /*count=*/1000);
-  DimeResult r = RunDimeParallel(pg, positive, negative, options);
+  DimeResult r = exec::RunDimePlusSharded(pg, positive, negative, options);
   EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded);
   ASSERT_EQ(r.flagged_by_prefix.size(), full.flagged_by_prefix.size());
   for (size_t k = 0; k < full.flagged_by_prefix.size(); ++k) {

@@ -18,8 +18,8 @@
 
 #include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
+#include "src/server/event_loop.h"
 #include "src/server/net_util.h"
-#include "src/server/tcp_server.h"
 #include "src/server/wire.h"
 
 namespace dime {
@@ -240,7 +240,8 @@ class HttpSocketTest : public ::testing::Test {
   void SetUp() override {
     service_ = std::make_unique<DimeService>(MakeTestCorpus(),
                                              ServiceOptions{});
-    server_ = std::make_unique<TcpServer>(service_.get(), TcpServerOptions{});
+    server_ = std::make_unique<EventLoopServer>(service_.get(),
+                                                EventLoopServerOptions{});
     Status started = server_->Start();
     ASSERT_TRUE(started.ok()) << started.ToString();
   }
@@ -273,7 +274,7 @@ class HttpSocketTest : public ::testing::Test {
   }
 
   std::unique_ptr<DimeService> service_;
-  std::unique_ptr<TcpServer> server_;
+  std::unique_ptr<EventLoopServer> server_;
 };
 
 TEST_F(HttpSocketTest, PingRoundTrip) {
@@ -432,9 +433,9 @@ TEST_F(HttpSocketTest, PipelinedGoodRequestAnswersBeforeTheBadOneCuts) {
 
 TEST(HttpReloadTest, FingerprintInTheBodyReachesTheHandler) {
   DimeService service(MakeTestCorpus(), ServiceOptions{});
-  TcpServerOptions options;
+  EventLoopServerOptions options;
   std::string seen_fingerprint;
-  options.reload_handler =
+  options.hooks.reload_handler =
       [&seen_fingerprint](
           const std::string& fingerprint) -> StatusOr<ReloadOutcome> {
     seen_fingerprint = fingerprint;
@@ -444,7 +445,7 @@ TEST(HttpReloadTest, FingerprintInTheBodyReachesTheHandler) {
     outcome.noop = true;
     return outcome;
   };
-  TcpServer server(&service, options);
+  EventLoopServer server(&service, options);
   ASSERT_TRUE(server.Start().ok());
   const std::string fp(32, 'b');
   int http_status = 0;

@@ -42,7 +42,7 @@
 // Conversely, deleting the DIME_GUARDED_BY(mu) from Counter::value makes
 // Bad1 and Bad2 compile silently — stripping one annotation removes
 // exactly the protection, which is why every shared field in
-// dime_parallel.cc / corpus.cc / fault_injection.cc carries one (and why
+// sharded_dime.cc / corpus.cc / fault_injection.cc carries one (and why
 // removing one there fails the Clang build: the locked accesses remain,
 // and DIME_EXCLUDES/DIME_REQUIRES contracts referencing the field's mutex
 // no longer type-check against an unannotated field's unlocked uses).

@@ -10,11 +10,11 @@
 
 #include "src/common/deadline.h"
 #include "src/common/random.h"
-#include "src/core/dime_parallel.h"
 #include "src/core/dime_plus.h"
 #include "src/entity/entity.h"
 #include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
+#include "src/exec/sharded_dime.h"
 
 namespace dime {
 namespace {
@@ -156,10 +156,10 @@ TEST(RobustnessTest, ExpiredDeadlineTruncatesEveryEngine) {
   EXPECT_EQ(fast.status.code(), StatusCode::kDeadlineExceeded);
   ExpectTruncatedButValid(fast, full);
 
-  ParallelOptions popts;
-  popts.num_threads = 2;
-  DimeResult par =
-      RunDimeParallel(pg, setup.positive, setup.negative, popts, expired);
+  exec::ShardedOptions sopts;
+  sopts.num_threads = 2;
+  DimeResult par = exec::RunDimePlusSharded(pg, setup.positive,
+                                            setup.negative, sopts, expired);
   EXPECT_EQ(par.status.code(), StatusCode::kDeadlineExceeded);
   ExpectTruncatedButValid(par, full);
 }

@@ -551,6 +551,8 @@ TEST(LiveCorpusTest, FingerprintWireHexRoundTrips) {
   const std::string hex = FingerprintToWireHex(0x0123456789abcdefULL,
                                                0xfedcba9876543210ULL);
   EXPECT_EQ(hex.size(), 32u);
+  // High word first: the order log lines and dime_snapshot inspect print.
+  EXPECT_EQ(hex, "fedcba9876543210" "0123456789abcdef");
   uint64_t lo = 0;
   uint64_t hi = 0;
   ASSERT_TRUE(FingerprintFromWireHex(hex, &lo, &hi));

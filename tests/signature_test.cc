@@ -81,6 +81,13 @@ struct RuleCase {
   bool positive;
 };
 
+// The rule text names the case (its operator already gives the polarity).
+// Without this gtest prints the raw object bytes, heap pointer included,
+// so the discovered ctest names would change from build to build.
+void PrintTo(const RuleCase& rule_case, std::ostream* os) {
+  *os << rule_case.text;
+}
+
 class SignatureCompletenessTest : public ::testing::TestWithParam<RuleCase> {};
 
 /// Positive rules: a satisfying pair must share a rule signature.

@@ -12,7 +12,6 @@
 #include "src/common/logging.h"
 #include "src/common/random.h"
 #include "src/core/corpus.h"
-#include "src/core/dime_parallel.h"
 #include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
 #include "src/exec/sharded_dime.h"
@@ -20,7 +19,7 @@
 #include "src/index/union_find.h"
 
 /// \file thread_safety_test.cc
-/// Concurrency stress for the parallel engines: RunDimeParallel and
+/// Concurrency stress for the parallel engines: RunDimePlusSharded and
 /// RunCorpus hammered while another thread arms/disarms failpoints,
 /// expires deadlines, and flips cancellation tokens. The assertions are
 /// the engine output contract (status coded, flagged ⊆ group, scrollbar
@@ -90,19 +89,19 @@ TEST_F(ThreadSafetyTest, ParallelEngineUnderFailpointAndDeadlineChurn) {
   std::thread chaos([&]() {
     int round = 0;
     while (!done.load(std::memory_order_relaxed)) {
-      FaultInjection::Arm(failpoints::kParallelWorkerFault, /*count=*/1,
+      FaultInjection::Arm(failpoints::kWorkerFault, /*count=*/1,
                           /*skip=*/round % 5);
       FaultInjection::Arm(failpoints::kEngineDeadline, /*count=*/1,
                           /*skip=*/(round * 3) % 17);
       std::this_thread::yield();
-      FaultInjection::Disarm(failpoints::kParallelWorkerFault);
+      FaultInjection::Disarm(failpoints::kWorkerFault);
       FaultInjection::Disarm(failpoints::kEngineDeadline);
       ++round;
     }
   });
 
   for (int iter = 0; iter < 150; ++iter) {
-    ParallelOptions options;
+    exec::ShardedOptions options;
     options.num_threads = 4;
     options.serial_fallback = (iter % 2 == 0);
     CancellationToken token;
@@ -115,8 +114,8 @@ TEST_F(ThreadSafetyTest, ParallelEngineUnderFailpointAndDeadlineChurn) {
     if (iter % 4 == 0) {
       canceller = std::thread([&token]() { token.Cancel(); });
     }
-    DimeResult r = RunDimeParallel(pg, setup.positive, setup.negative,
-                                   options, control);
+    DimeResult r = exec::RunDimePlusSharded(pg, setup.positive,
+                                            setup.negative, options, control);
     if (canceller.joinable()) canceller.join();
     ExpectResultContract(r, pg.size(), setup.negative.size());
   }
@@ -262,9 +261,8 @@ TEST_F(ThreadSafetyTest, StripedUnionFindConcurrentUnionsMatchSerial) {
 }
 
 TEST_F(ThreadSafetyTest, ShardedEngineUnderFailpointAndDeadlineChurn) {
-  // The sharded DIME+ path under the same chaos the parallel engine
-  // endures: worker faults, deadline pressure, mid-flight cancellation,
-  // and a shared borrowed pool — the serving topology. The output
+  // The chaos above plus task-runner faults (exec/task-fault) and a
+  // shared borrowed pool — the serving topology. The output
   // contract must hold for every interleaving.
   ScholarSetup setup = MakeScholarSetup();
   ScholarGenOptions gen;
@@ -279,14 +277,14 @@ TEST_F(ThreadSafetyTest, ShardedEngineUnderFailpointAndDeadlineChurn) {
   std::thread chaos([&]() {
     int round = 0;
     while (!done.load(std::memory_order_relaxed)) {
-      FaultInjection::Arm(failpoints::kParallelWorkerFault, /*count=*/1,
+      FaultInjection::Arm(failpoints::kWorkerFault, /*count=*/1,
                           /*skip=*/round % 5);
       FaultInjection::Arm(failpoints::kExecTaskFault, /*count=*/1,
                           /*skip=*/(round * 5) % 23);
       FaultInjection::Arm(failpoints::kEngineDeadline, /*count=*/1,
                           /*skip=*/(round * 3) % 17);
       std::this_thread::yield();
-      FaultInjection::Disarm(failpoints::kParallelWorkerFault);
+      FaultInjection::Disarm(failpoints::kWorkerFault);
       FaultInjection::Disarm(failpoints::kExecTaskFault);
       FaultInjection::Disarm(failpoints::kEngineDeadline);
       ++round;
