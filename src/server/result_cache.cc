@@ -1,32 +1,6 @@
 #include "src/server/result_cache.h"
 
 namespace dime {
-namespace {
-
-/// 64-bit FNV-1a with a caller-chosen offset basis. The standard basis
-/// gives the canonical hash; a second, distinct basis gives a stream that
-/// disagrees with the first on any input differing in at least one byte
-/// position's contribution — good enough independence for a cache key.
-uint64_t Fnv1a64(std::string_view bytes, uint64_t basis) {
-  constexpr uint64_t kPrime = 0x100000001b3ULL;
-  uint64_t h = basis;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= kPrime;
-  }
-  return h;
-}
-
-}  // namespace
-
-Fingerprint FingerprintBytes(std::string_view bytes) {
-  constexpr uint64_t kStandardBasis = 0xcbf29ce484222325ULL;
-  // Arbitrary second basis (digits of pi); any constant != the standard
-  // basis yields an independent stream.
-  constexpr uint64_t kAltBasis = 0x243f6a8885a308d3ULL;
-  return Fingerprint{Fnv1a64(bytes, kStandardBasis),
-                     Fnv1a64(bytes, kAltBasis)};
-}
 
 ResultCache::ResultCache(size_t capacity) : capacity_(capacity) {}
 
@@ -62,12 +36,6 @@ void ResultCache::Insert(const Fingerprint& key,
   lru_.push_front(Entry{key, std::move(value)});
   index_[key] = lru_.begin();
   ++counters_.insertions;
-}
-
-void ResultCache::Clear() {
-  MutexLock lock(&mu_);
-  index_.clear();
-  lru_.clear();
 }
 
 ResultCache::Counters ResultCache::counters() const {

@@ -1,14 +1,12 @@
 #ifndef DIME_SERVER_RESULT_CACHE_H_
 #define DIME_SERVER_RESULT_CACHE_H_
 
-#include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 
+#include "src/common/fingerprint.h"
 #include "src/common/mutex.h"
 #include "src/core/dime.h"
 
@@ -18,46 +16,36 @@
 /// is identical to one already answered.
 ///
 /// Cache key. A request's outcome is fully determined by (engine, rule
-/// set, group content): the engines are deterministic and the context /
-/// ontologies are fixed for the lifetime of a service. The key is
-/// therefore a 128-bit fingerprint over the canonical serializations —
-/// RuleSetToText for the rules, GroupToTsv for the group — prefixed with
-/// the engine name. Hashing content instead of the client's group *name*
-/// means a re-crawled page with identical entities still hits, and a page
-/// that changed by one entity misses (no stale answers).
+/// context, group content): the engines are deterministic, and the engine
+/// stays in the key because result->stats differ by engine. The key
+/// (DimeService::RequestFingerprint) combines three 128-bit parts:
+///   - the engine name;
+///   - the epoch's context key, computed once per epoch over the schema,
+///     the canonical rule text, qgram_q and every ontology ref's mode and
+///     tree (CorpusEpoch::context_key);
+///   - the group content key, a hash over the group's raw fields, each
+///     length-prefixed (CorpusEpoch::GroupKey; memoized per resident
+///     group, hashed once per request for inline groups).
+/// Hashing content instead of the client's group *name* means a re-crawled
+/// page with identical entities still hits, and a page that changed by one
+/// entity misses (no stale answers). Because no epoch identity is folded
+/// in, the cache survives corpus swaps: a snapshot reload or delta merge
+/// keeps every entry whose context and group content did not change, and
+/// anything that did change simply stops matching.
 ///
 /// Only complete (result.ok()) results are inserted: a deadline-truncated
 /// scrollbar is valid but partial, and caching it would pin the partial
 /// answer for future callers with laxer deadlines.
 ///
-/// Collisions: two distinct requests colliding on all 128 bits of two
-/// independent FNV-1a streams is vanishingly unlikely at any realistic
-/// cache size; we accept that instead of storing full serializations,
-/// which would multiply the cache's memory footprint.
+/// Collisions: two distinct requests colliding on all 128 bits is
+/// vanishingly unlikely at any realistic cache size; we accept that
+/// instead of storing full serializations, which would multiply the
+/// cache's memory footprint. The key encoding itself is injective (every
+/// field is length-prefixed, values are hashed raw, not sanitized), so
+/// distinct requests differ in the hashed input, never only in a lossy
+/// rendering of it.
 
 namespace dime {
-
-/// 128 bits of content hash (two independent 64-bit FNV-1a streams).
-struct Fingerprint {
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-
-  bool operator==(const Fingerprint& other) const {
-    return lo == other.lo && hi == other.hi;
-  }
-  bool operator!=(const Fingerprint& other) const { return !(*this == other); }
-};
-
-struct FingerprintHash {
-  size_t operator()(const Fingerprint& fp) const {
-    // lo is already a mixed 64-bit hash; fold hi in for map dispersion.
-    return static_cast<size_t>(fp.lo ^ (fp.hi * 0x9e3779b97f4a7c15ULL));
-  }
-};
-
-/// Fingerprints a byte string (two FNV-1a variants with distinct offset
-/// bases, so the halves are independent).
-Fingerprint FingerprintBytes(std::string_view bytes);
 
 /// Thread-safe LRU cache from request fingerprint to a completed engine
 /// result. Values are shared_ptr<const ...> so a hit can be returned (and
@@ -81,11 +69,6 @@ class ResultCache {
   /// bug — enforced with DIME_DCHECK at the call site's layer.
   void Insert(const Fingerprint& key, std::shared_ptr<const DimeResult> value)
       DIME_EXCLUDES(mu_);
-
-  /// Drops every entry (hit/miss counters survive). Used on corpus epoch
-  /// swaps: key fingerprints already prevent cross-epoch hits, so this is
-  /// hygiene — superseded entries would only occupy LRU slots.
-  void Clear() DIME_EXCLUDES(mu_);
 
   struct Counters {
     uint64_t hits = 0;

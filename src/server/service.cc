@@ -1,6 +1,5 @@
 #include "src/server/service.h"
 
-#include <bit>
 #include <cstdio>
 #include <exception>
 #include <future>
@@ -73,17 +72,12 @@ std::shared_ptr<const CorpusEpoch> DimeService::CurrentEpoch() const {
   return epochs_.Pin();
 }
 
-const Group* DimeService::FindGroup(std::string_view name) const {
-  return epochs_.Pin()->FindGroup(name);
-}
-
 ReloadOutcome DimeService::InstallCorpus(ServingCorpus corpus) {
+  // The result cache is left alone: keys hold no epoch identity, so
+  // entries whose context and group content survive the swap keep
+  // hitting, and entries for changed content simply stop matching.
   std::shared_ptr<const CorpusEpoch> epoch =
       epochs_.Install(std::move(corpus));
-  // Hygiene, not correctness: keys already fold the epoch fingerprint,
-  // so stale entries could never hit — but they would sit in the LRU
-  // evicting useful ones.
-  cache_.Clear();
   ReloadOutcome outcome;
   outcome.sequence = epoch->sequence();
   outcome.fingerprint_lo = epoch->fingerprint_lo();
@@ -145,7 +139,7 @@ StatusOr<ReloadOutcome> DimeService::ReloadFromSnapshot(
         current->fingerprint_hi() == want_hi) {
       // The fleet-coordination fast path: this replica already serves the
       // requested build, so re-loading the file would only churn an
-      // identical epoch (and clear a warm cache) for nothing.
+      // identical epoch for nothing.
       ReloadOutcome outcome;
       outcome.sequence = current->sequence();
       outcome.fingerprint_lo = current->fingerprint_lo();
@@ -296,24 +290,11 @@ Fingerprint DimeService::RequestFingerprint(EngineKind engine,
 Fingerprint DimeService::RequestFingerprint(EngineKind engine,
                                             const Group& group,
                                             const CorpusEpoch& epoch) const {
-  std::string tsv = GroupToTsv(group);
-  std::string bytes;
-  // '\x1f' (unit separator) cannot occur in the TSV or rule grammars, so
-  // the concatenation is unambiguous (no component can absorb another).
-  const std::string& rules_text = epoch.rules_text();
-  bytes.reserve(rules_text.size() + tsv.size() + 16);
-  bytes += EngineKindName(engine);
-  bytes += '\x1f';
-  bytes += rules_text;
-  bytes += '\x1f';
-  bytes += tsv;
-  Fingerprint fp = FingerprintBytes(bytes);
-  // Fold the epoch content fingerprint in: two epochs that differ
-  // anywhere (different snapshot, delta-merged successor) can never share
-  // a cache slot, while identical content legitimately can.
-  fp.lo ^= epoch.fingerprint_lo() * 0x9e3779b97f4a7c15ULL;
-  fp.hi ^= epoch.fingerprint_hi() * 0xc2b2ae3d27d4eb4fULL;
-  return fp;
+  return ContentHasher()
+      .Field(EngineKindName(engine))
+      .Key(epoch.context_key())
+      .Key(epoch.GroupKey(group))
+      .Finish();
 }
 
 StatusOr<CheckReply> DimeService::Check(const CheckRequest& request) {
@@ -328,6 +309,9 @@ StatusOr<CheckReply> DimeService::Check(const CheckRequest& request) {
 }
 
 void DimeService::CheckAsync(const CheckRequest& request, CheckCallback done) {
+  // Admission starts here, so the service's own latency counts group
+  // resolution and the cache key too.
+  Deadline::Clock::time_point admit_time = Deadline::Clock::now();
   std::shared_ptr<const CorpusEpoch> epoch = epochs_.Pin();
   const Group* group = request.group;
   if (group == nullptr) {
@@ -353,7 +337,6 @@ void DimeService::CheckAsync(const CheckRequest& request, CheckCallback done) {
 
   EngineKind engine = request.engine.value_or(options_.default_engine);
   Fingerprint fp = RequestFingerprint(engine, *group, *epoch);
-  Deadline::Clock::time_point admit_time = Deadline::Clock::now();
 
   if (!request.bypass_cache) {
     if (std::shared_ptr<const DimeResult> hit = cache_.Lookup(fp)) {
@@ -404,7 +387,13 @@ void DimeService::WorkerLoop() {
     if (options_.worker_pre_run_hook) options_.worker_pre_run_hook();
     CheckReply reply = Execute(*pending);
     RecordCompleted(pending->admit_time);
-    pending->done(std::move(reply));
+    // Drop the worker's epoch pin BEFORE answering: the reply carries its
+    // own, so once the caller lets go of the reply nothing here keeps a
+    // superseded epoch alive (a caller that checks retirement right after
+    // its last reply must not race this thread's cleanup).
+    CheckCallback done = std::move(pending->done);
+    pending.reset();
+    done(std::move(reply));
   }
 }
 
@@ -473,39 +462,14 @@ void DimeService::RecordRejected() {
 }
 
 void DimeService::RecordCompleted(Deadline::Clock::time_point admit_time) {
-  uint64_t micros = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
+  uint64_t nanos = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
           Deadline::Clock::now() - admit_time)
           .count());
-  int bucket = static_cast<int>(std::bit_width(micros));
-  if (bucket >= kLatencyBuckets) bucket = kLatencyBuckets - 1;
   MutexLock lock(&stats_mu_);
   ++completed_;
-  ++latency_buckets_[bucket];
+  latency_ns_.Record(nanos);
 }
-
-namespace {
-
-/// Upper bound (ms) of the histogram bucket containing quantile `q`.
-double PercentileFromBuckets(const uint64_t* buckets, int num_buckets,
-                             double q) {
-  uint64_t total = 0;
-  for (int i = 0; i < num_buckets; ++i) total += buckets[i];
-  if (total == 0) return 0.0;
-  uint64_t target = static_cast<uint64_t>(q * static_cast<double>(total));
-  if (target == 0) target = 1;
-  uint64_t seen = 0;
-  for (int i = 0; i < num_buckets; ++i) {
-    seen += buckets[i];
-    if (seen >= target) {
-      // Bucket i covers [2^(i-1), 2^i) microseconds.
-      return static_cast<double>(1ULL << i) / 1000.0;
-    }
-  }
-  return static_cast<double>(1ULL << (num_buckets - 1)) / 1000.0;
-}
-
-}  // namespace
 
 StatsSnapshot DimeService::Stats() const {
   StatsSnapshot s;
@@ -527,8 +491,8 @@ StatsSnapshot DimeService::Stats() const {
   s.delta_records_applied = delta_records_applied_;
   s.pairs_skipped_by_transitivity = engine_transitivity_skips_;
   s.kernel_early_exits = engine_kernel_exits_;
-  s.p50_ms = PercentileFromBuckets(latency_buckets_, kLatencyBuckets, 0.50);
-  s.p99_ms = PercentileFromBuckets(latency_buckets_, kLatencyBuckets, 0.99);
+  s.p50_ms = latency_ns_.Percentile(0.50) / 1e6;
+  s.p99_ms = latency_ns_.Percentile(0.99) / 1e6;
   return s;
 }
 

@@ -17,6 +17,7 @@
 #include "src/core/dime_plus.h"
 #include "src/exec/engine.h"
 #include "src/exec/pool.h"
+#include "src/server/latency_histogram.h"
 #include "src/server/request_queue.h"
 #include "src/server/result_cache.h"
 #include "src/store/delta_log.h"
@@ -32,7 +33,7 @@
 ///
 /// Request lifecycle:
 ///
-///   Check() ── pin epoch ── fingerprint ──> result cache ── hit ──> reply
+///   Check() ── admit ── pin epoch ── cache key ──> result cache ── hit ──> reply
 ///                 │ miss
 ///                 v
 ///         bounded queue  ── full ──> RESOURCE_EXHAUSTED (shed, never block)
@@ -50,10 +51,12 @@
 /// merge mid-request cannot mix generations. InstallCorpus /
 /// ReloadFromSnapshot / ApplyDeltaLog publish a new epoch atomically;
 /// the superseded epoch's mmap is unmapped when its last in-flight
-/// request finishes. Cache correctness across swaps comes from the key:
-/// RequestFingerprint folds the epoch's content fingerprint, so entries
-/// cached under one generation can never answer for a different one
-/// (Clear() on install is hygiene, not the safety mechanism).
+/// request finishes. The result cache is keyed on content, not on the
+/// epoch: RequestFingerprint combines the engine, the epoch's context key
+/// (rules, schema, ontologies) and the group's content key, so a swap
+/// does not clear the cache. Entries for groups a reload or delta merge
+/// left unchanged keep hitting under the new epoch; a changed group, or
+/// any change to the rules or ontologies, misses (see result_cache.h).
 ///
 /// Shutdown() closes the queue: admitted work drains, new work gets
 /// UNAVAILABLE. Every piece of shared state is a PR-2 annotated Mutex /
@@ -175,8 +178,8 @@ struct StatsSnapshot {
   uint64_t pairs_skipped_by_transitivity = 0;
   uint64_t kernel_early_exits = 0;
   /// Admission-to-reply latency percentiles over completed requests, in
-  /// milliseconds (log-bucketed histogram: values are bucket upper
-  /// bounds, i.e. within 2x of exact).
+  /// milliseconds (log-linear histogram, within 6.25% of exact; see
+  /// latency_histogram.h).
   double p50_ms = 0;
   double p99_ms = 0;
 };
@@ -219,17 +222,10 @@ class DimeService {
   /// Pins and returns the epoch currently serving. Never null.
   std::shared_ptr<const CorpusEpoch> CurrentEpoch() const;
 
-  /// Preloaded group by name in the CURRENT epoch, or nullptr. The
-  /// pointer stays valid until the next Install retires that epoch —
-  /// callers that might race a swap should go through CurrentEpoch() and
-  /// hold the pin instead.
-  const Group* FindGroup(std::string_view name) const;
-
   /// Publishes `corpus` as the next epoch: in-flight requests finish on
   /// the epoch they pinned, new requests see this one, and the old
-  /// epoch's backing is unmapped when its last pin drops. Also clears the
-  /// result cache (hygiene — key fingerprints already prevent stale
-  /// hits).
+  /// epoch's backing is unmapped when its last pin drops. The result
+  /// cache is kept: entries for unchanged content stay valid.
   ReloadOutcome InstallCorpus(ServingCorpus corpus);
 
   /// Loads `path` and installs it as the next epoch. On any load error
@@ -269,7 +265,7 @@ class DimeService {
 
   const ServiceOptions& options() const { return options_; }
 
-  /// The cache key for (engine, epoch content, group content) under the
+  /// The cache key for (engine, context key, group content key) under the
   /// current epoch — see result_cache.h. Exposed for tests.
   Fingerprint RequestFingerprint(EngineKind engine, const Group& group) const;
   /// Same, under an explicit epoch (what Check uses internally).
@@ -315,10 +311,8 @@ class DimeService {
   uint64_t rejected_ DIME_GUARDED_BY(stats_mu_) = 0;
   uint64_t completed_ DIME_GUARDED_BY(stats_mu_) = 0;
   uint64_t delta_records_applied_ DIME_GUARDED_BY(stats_mu_) = 0;
-  /// Log-bucketed latency histogram: bucket i counts requests whose
-  /// admission-to-reply latency was in [2^(i-1), 2^i) microseconds.
-  static constexpr int kLatencyBuckets = 40;
-  uint64_t latency_buckets_[kLatencyBuckets] DIME_GUARDED_BY(stats_mu_) = {};
+  /// Admission-to-reply latency of completed requests, in nanoseconds.
+  LatencyHistogram latency_ns_ DIME_GUARDED_BY(stats_mu_);
   uint64_t engine_transitivity_skips_ DIME_GUARDED_BY(stats_mu_) = 0;
   uint64_t engine_kernel_exits_ DIME_GUARDED_BY(stats_mu_) = 0;
 };

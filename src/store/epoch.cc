@@ -1,13 +1,13 @@
 #include "src/store/epoch.h"
 
 #include <chrono>
+#include <functional>
 #include <thread>
 #include <utility>
 
 #include "src/common/fault_injection.h"
 #include "src/entity/entity.h"
 #include "src/rules/rule_io.h"
-#include "src/store/snapshot_format.h"
 
 namespace dime {
 
@@ -26,8 +26,48 @@ ServingCorpus CorpusFromSnapshot(LoadedSnapshot snapshot) {
   return corpus;
 }
 
+Fingerprint GroupContentKey(const Group& group) {
+  ContentHasher h;
+  const std::vector<std::string>& header = group.schema.attribute_names();
+  h.Word(header.size());
+  for (const std::string& attr : header) h.Field(attr);
+  h.Word(group.entities.size());
+  for (const Entity& entity : group.entities) {
+    h.Field(entity.id);
+    h.Word(entity.values.size());
+    for (const AttributeValue& value : entity.values) {
+      h.Word(value.size());
+      for (const std::string& piece : value) h.Field(piece);
+    }
+  }
+  h.Field(std::string_view(reinterpret_cast<const char*>(group.truth.data()),
+                           group.truth.size()));
+  return h.Finish();
+}
+
+namespace {
+
+Fingerprint ContextKey(const Schema& schema, const std::string& rules_text,
+                       const DimeContext& context) {
+  ContentHasher h;
+  h.Word(schema.size());
+  for (const std::string& attr : schema.attribute_names()) h.Field(attr);
+  h.Field(rules_text);
+  h.Word(static_cast<uint64_t>(context.qgram_q));
+  h.Word(context.ontologies.size());
+  for (const OntologyRef& ref : context.ontologies) {
+    h.Word(static_cast<uint64_t>(ref.mode));
+    h.Field(ref.tree == nullptr ? std::string() : ref.tree->ToText());
+  }
+  return h.Finish();
+}
+
+}  // namespace
+
 CorpusEpoch::CorpusEpoch(uint64_t sequence, ServingCorpus corpus)
-    : sequence_(sequence), corpus_(std::move(corpus)) {
+    : sequence_(sequence),
+      corpus_(std::move(corpus)),
+      group_keys_(std::make_unique<KeySlot[]>(corpus_.groups.size())) {
   // Unique ownership becomes shared ownership: a successor epoch built
   // from this one (delta merge) copies the shared_ptrs and the raw
   // pointers inside context.ontologies stay valid in both epochs.
@@ -38,21 +78,25 @@ CorpusEpoch::CorpusEpoch(uint64_t sequence, ServingCorpus corpus)
 
   rules_text_ =
       RuleSetToText(corpus_.schema, corpus_.positive, corpus_.negative);
+  context_key_ = ContextKey(corpus_.schema, rules_text_, corpus_.context);
+
+  for (const Group& group : corpus_.groups) {
+    group_by_name_.emplace(group.name, &group);
+  }
 
   if (corpus_.content_fingerprint_lo != 0 ||
       corpus_.content_fingerprint_hi != 0) {
     fingerprint_lo_ = corpus_.content_fingerprint_lo;
     fingerprint_hi_ = corpus_.content_fingerprint_hi;
   } else {
-    // Not snapshot-backed: synthesize the content identity so epoch swaps
-    // of TSV-ingested or delta-merged corpora still invalidate cache keys
-    // by content, exactly like snapshot swaps do.
-    SnapshotFingerprint fp;
-    fp.Update(rules_text_.data(), rules_text_.size());
+    // Not snapshot-backed: derive the identity from the cache-key parts
+    // (which fills every group's key slot on the way).
+    ContentHasher h;
+    h.Key(context_key_).Word(corpus_.groups.size());
     for (const Group& group : corpus_.groups) {
-      std::string tsv = GroupToTsv(group);
-      fp.Update(tsv.data(), tsv.size());
+      h.Field(group.name).Key(GroupKey(group));
     }
+    Fingerprint fp = h.Finish();
     fingerprint_lo_ = fp.lo;
     fingerprint_hi_ = fp.hi;
   }
@@ -65,11 +109,27 @@ CorpusEpoch::CorpusEpoch(uint64_t sequence, ServingCorpus corpus)
   }
 }
 
-const Group* CorpusEpoch::FindGroup(std::string_view name) const {
-  for (const Group& group : corpus_.groups) {
-    if (group.name == name) return &group;
+Fingerprint CorpusEpoch::GroupKey(const Group& group) const {
+  const Group* first = corpus_.groups.data();
+  const Group* last = first + corpus_.groups.size();
+  std::less<const Group*> before;
+  if (before(&group, first) || !before(&group, last)) {
+    return GroupContentKey(group);  // inline group: not ours to memoize
   }
-  return nullptr;
+  KeySlot& slot = group_keys_[static_cast<size_t>(&group - first)];
+  if (slot.ready.load()) return Fingerprint{slot.lo.load(), slot.hi.load()};
+  // Racing first uses all compute the same key and store the same words,
+  // so a reader that sees `ready` reads the right key from any of them.
+  Fingerprint key = GroupContentKey(group);
+  slot.lo.store(key.lo);
+  slot.hi.store(key.hi);
+  slot.ready.store(true);
+  return key;
+}
+
+const Group* CorpusEpoch::FindGroup(std::string_view name) const {
+  auto it = group_by_name_.find(name);
+  return it == group_by_name_.end() ? nullptr : it->second;
 }
 
 const PreparedGroup* CorpusEpoch::FindPrepared(const Group* group) const {

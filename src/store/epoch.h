@@ -10,6 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/fingerprint.h"
 #include "src/common/mutex.h"
 #include "src/core/preprocess.h"
 #include "src/store/snapshot.h"
@@ -68,9 +69,8 @@ struct ServingCorpus {
   /// directly instead of calling PrepareGroup per request.
   std::vector<std::shared_ptr<const PreparedGroup>> prepared;
   /// Content fingerprint of the snapshot backing this corpus (both zero
-  /// when not snapshot-loaded). The epoch fingerprint — folded into
-  /// result-cache keys — is derived from this, or synthesized from the
-  /// corpus content when zero.
+  /// when not snapshot-loaded). The epoch fingerprint is this, or
+  /// synthesized from the epoch's context and group keys when zero.
   uint64_t content_fingerprint_lo = 0;
   uint64_t content_fingerprint_hi = 0;
   /// Keep-alive for the mapped bytes `prepared` borrows from.
@@ -83,10 +83,18 @@ struct ServingCorpus {
 /// because vector storage moves wholesale.
 ServingCorpus CorpusFromSnapshot(LoadedSnapshot snapshot);
 
-/// One immutable corpus generation plus the lookup structure the serving
-/// hot path needs (group-by-name, prepared-by-group, canonical rule
-/// text). Constructed once at Install; all accessors are const and safe
-/// to call concurrently without synchronization.
+/// The content key of `group`: a 128-bit hash over its raw fields, each
+/// length-prefixed — the schema's attribute names, every entity id, every
+/// value piece, and the truth labels. The group name is not part of it,
+/// so a renamed page with identical entities shares the key. Values are
+/// hashed as stored, not through the sanitizing TSV writer, so "a|b" and
+/// "a/b", or one piece "a|b" and two pieces "a", "b", differ.
+Fingerprint GroupContentKey(const Group& group);
+
+/// One immutable corpus generation plus the lookup structures the serving
+/// hot path needs (group-by-name, prepared-by-group, canonical rule text,
+/// cache-key parts). Constructed once at Install; all accessors are const
+/// and safe to call concurrently without synchronization.
 class CorpusEpoch {
  public:
   CorpusEpoch(uint64_t sequence, ServingCorpus corpus);
@@ -96,19 +104,32 @@ class CorpusEpoch {
 
   const ServingCorpus& corpus() const { return corpus_; }
 
-  /// RuleSetToText of the rule set — the rule component of cache keys.
+  /// RuleSetToText of the rule set.
   const std::string& rules_text() const { return rules_text_; }
 
-  /// The epoch's 128-bit content identity: the snapshot fingerprint when
-  /// the corpus was snapshot-loaded, otherwise synthesized (FNV-1a over
-  /// the rule text and every group's canonical TSV). Two epochs with
-  /// identical content share a fingerprint — and may legitimately share
-  /// result-cache entries; two that differ anywhere cannot.
+  /// The context half of every result-cache key, computed once at
+  /// construction over the schema, rules_text(), qgram_q, and each
+  /// ontology ref's mode and Ontology::ToText(). Two epochs whose rules
+  /// and ontologies agree share it, whatever their groups.
+  const Fingerprint& context_key() const { return context_key_; }
+
+  /// The content key of `group` (GroupContentKey). For a resident group
+  /// of this epoch it is computed on first use and memoized in the
+  /// group's slot; concurrent first uses may each compute it, and all
+  /// store the same value. Any other group is hashed on every call.
+  Fingerprint GroupKey(const Group& group) const;
+
+  /// The epoch's 128-bit content identity, reported by reloads and
+  /// compared by fingerprint-gated reloads: the snapshot fingerprint when
+  /// the corpus was snapshot-loaded, otherwise synthesized from the
+  /// context key and every group's name and content key. It is not part
+  /// of result-cache keys.
   uint64_t fingerprint_lo() const { return fingerprint_lo_; }
   uint64_t fingerprint_hi() const { return fingerprint_hi_; }
 
-  /// Preloaded group by name, or nullptr. The pointer is valid for the
-  /// epoch's lifetime — hold a pin (the shared_ptr) while using it.
+  /// Preloaded group by name (the first, if names repeat), or nullptr.
+  /// The pointer is valid for the epoch's lifetime — hold a pin (the
+  /// shared_ptr) while using it.
   const Group* FindGroup(std::string_view name) const;
 
   /// Fully prepared form of `group` (must be a group of this epoch), or
@@ -116,13 +137,25 @@ class CorpusEpoch {
   const PreparedGroup* FindPrepared(const Group* group) const;
 
  private:
+  /// A resident group's memoized content key. `ready` publishes lo/hi.
+  struct KeySlot {
+    std::atomic<bool> ready{false};
+    std::atomic<uint64_t> lo{0};
+    std::atomic<uint64_t> hi{0};
+  };
+
   const uint64_t sequence_;
   ServingCorpus corpus_;
   std::string rules_text_;
+  Fingerprint context_key_;
   uint64_t fingerprint_lo_ = 0;
   uint64_t fingerprint_hi_ = 0;
+  /// Keys point into corpus_.groups[i].name.
+  std::unordered_map<std::string_view, const Group*> group_by_name_;
   /// corpus_.prepared indexed by group pointer (empty for TSV corpora).
   std::unordered_map<const Group*, const PreparedGroup*> prepared_by_group_;
+  /// Parallel to corpus_.groups.
+  std::unique_ptr<KeySlot[]> group_keys_;
 };
 
 /// Publishes and refcounts corpus epochs. Thread-safe. The manager holds

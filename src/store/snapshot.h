@@ -86,7 +86,7 @@ struct LoadedSnapshot {
   /// `backing`; prepared[i]->group == &groups[i].
   std::vector<std::shared_ptr<const PreparedGroup>> prepared;
   /// Content fingerprint from the snapshot tail (128-bit FNV-1a over the
-  /// section payloads) — fold into any cache key derived from this data.
+  /// section payloads): the identity of this build of the corpus.
   uint64_t fingerprint_lo = 0;
   uint64_t fingerprint_hi = 0;
   /// True when served from an mmap (false on the read() fallback).

@@ -29,8 +29,8 @@
 /// covers the table plus the tail fields before it, so a truncated or
 /// patched directory is caught before any section is trusted. The
 /// fingerprint is a 128-bit FNV-1a over the concatenated section
-/// payloads in table order — the content identity that the serving layer
-/// folds into its result-cache keys.
+/// payloads in table order — the content identity that reloads report
+/// and fingerprint-gated reloads compare.
 ///
 /// Versioning policy: `version` bumps on any layout change; a loader
 /// rejects versions above its own (PARSE_ERROR, "newer than supported")

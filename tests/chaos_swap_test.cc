@@ -6,7 +6,10 @@
 //      error (admission-control sheds are engineered out by capacity);
 //   2. no cross-epoch mixing — every reply's decisions are byte-identical
 //      to a single-epoch run of whichever epoch served it (the reply
-//      carries its epoch pin, so "whichever" is observable);
+//      carries its epoch pin, so "whichever" is observable). Cache hits
+//      across epochs are legitimate — the variants recur, and the cache
+//      is keyed on content and survives swaps — so this check is what
+//      catches a wrong one, including a hit across a context change;
 //   3. provable retirement — every superseded epoch's refcount-zero hook
 //      fires exactly once, including with the "epoch/unmap-delay"
 //      failpoint widening the race window.
@@ -25,16 +28,21 @@
 #include "src/core/dime_plus.h"
 #include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
+#include "src/rules/rule.h"
 #include "src/server/service.h"
 
 namespace dime {
 namespace {
 
-constexpr int kVariants = 3;
+constexpr int kVariants = 4;
+/// The variant whose groups equal variant 0's and whose context differs.
+constexpr int kContextVariant = 3;
 
-/// Variant v of the serving corpus: same rules and ontologies, same group
-/// name, content that differs per variant (distinct seeds), so a
-/// cross-epoch mixup changes decisions detectably.
+/// Variant v of the serving corpus: the same group name throughout.
+/// Variants 0-2 share rules and ontologies and differ in content
+/// (distinct seeds), so a cross-epoch mixup changes decisions detectably.
+/// Variant 3 has variant 0's content and one rule threshold changed, so a
+/// cache key that ignored the context would serve it variant 0's answer.
 ServingCorpus MakeVariant(int v) {
   ScholarSetup setup = MakeScholarSetup();
   ServingCorpus corpus;
@@ -43,10 +51,16 @@ ServingCorpus MakeVariant(int v) {
   corpus.negative = std::move(setup.negative);
   corpus.context = setup.context;
   corpus.owned_trees.push_back(std::move(setup.venue_tree));
+  const int content = v == kContextVariant ? 0 : v;
+  if (v == kContextVariant) {
+    // Was "overlap(Authors) >= 2": more pairs merge in step 1.
+    EXPECT_TRUE(ParsePositiveRule("overlap(Authors) >= 1", corpus.schema,
+                                  &corpus.positive[0]));
+  }
   ScholarGenOptions gen;
   gen.num_correct = 30;
-  gen.seed = 500 + v * 31;
-  gen.garbage_pubs = 2 + v;
+  gen.seed = 500 + content * 31;
+  gen.garbage_pubs = 2 + content;
   Group page = GenerateScholarGroup("Chaos Owner", gen);
   page.name = "page_0";
   corpus.groups.push_back(std::move(page));
@@ -76,6 +90,8 @@ TEST(ChaosSwapTest, ContinuousSwapUnderConcurrentLoad) {
 
   std::vector<DimeResult> golden;
   for (int v = 0; v < kVariants; ++v) golden.push_back(GoldenFor(v));
+  // Not vacuous: the context-only variant really decides differently.
+  ASSERT_NE(golden[kContextVariant].partitions, golden[0].partitions);
 
   std::atomic<uint64_t> retired{0};
   uint64_t installed_total = 0;
@@ -119,13 +135,20 @@ TEST(ChaosSwapTest, ContinuousSwapUnderConcurrentLoad) {
       });
     }
 
-    // The swapper: a new epoch roughly every 50ms for the whole run.
+    // The swapper: a new epoch every 50ms for the whole run, on a fixed
+    // cadence. Building and installing a corpus takes 10-30 ms under the
+    // sanitizers with the clients saturating the cores; sleeping a full
+    // interval after that work would stretch every period by it and fall
+    // short of the install count below.
     uint64_t next_sequence = 2;
-    auto deadline = std::chrono::steady_clock::now() + kDuration;
+    auto tick = std::chrono::steady_clock::now();
+    const auto deadline = tick + kDuration;
     while (std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(kSwapInterval);
       int variant = static_cast<int>((next_sequence - 1) % kVariants);
-      ReloadOutcome outcome = service.InstallCorpus(MakeVariant(variant));
+      ServingCorpus next = MakeVariant(variant);
+      tick += kSwapInterval;
+      std::this_thread::sleep_until(tick);
+      ReloadOutcome outcome = service.InstallCorpus(std::move(next));
       ASSERT_EQ(outcome.sequence, next_sequence);
       ++next_sequence;
     }

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "src/common/fault_injection.h"
@@ -158,6 +160,99 @@ TEST(EpochTest, TsvCorpusGetsASynthesizedFingerprint) {
       other.Install(MakeCorpus(2));
   EXPECT_TRUE(a->fingerprint_lo() != different->fingerprint_lo() ||
               a->fingerprint_hi() != different->fingerprint_hi());
+}
+
+TEST(EpochTest, GroupLookupIsByNameAndFirstWins) {
+  ServingCorpus corpus = MakeCorpus(1);
+  Group second = corpus.groups[0];
+  second.entities.pop_back();  // same name, different content
+  corpus.groups.push_back(std::move(second));
+  Group other = corpus.groups[0];
+  other.name = "page_1";
+  corpus.groups.push_back(std::move(other));
+  EpochManager manager;
+  std::shared_ptr<const CorpusEpoch> epoch = manager.Install(std::move(corpus));
+  EXPECT_EQ(epoch->FindGroup("page_0"), &epoch->corpus().groups[0]);
+  EXPECT_EQ(epoch->FindGroup("page_1"), &epoch->corpus().groups[2]);
+  EXPECT_EQ(epoch->FindGroup("page_2"), nullptr);
+}
+
+TEST(EpochTest, GroupKeyIsTheContentKeyResidentOrNot) {
+  EpochManager manager;
+  std::shared_ptr<const CorpusEpoch> epoch = manager.Install(MakeCorpus(1));
+  const Group& resident = epoch->corpus().groups[0];
+  Fingerprint key = epoch->GroupKey(resident);
+  EXPECT_EQ(key, GroupContentKey(resident));
+  EXPECT_EQ(epoch->GroupKey(resident), key);  // memoized, unchanged
+
+  // An inline copy (not resident) hashes to the same key; the name is
+  // not part of it, the content is.
+  Group copy = resident;
+  copy.name = "renamed";
+  EXPECT_EQ(epoch->GroupKey(copy), key);
+  copy.entities[0].id += "x";
+  EXPECT_NE(epoch->GroupKey(copy), key);
+}
+
+TEST(EpochTest, ContextKeyTracksRulesAndOntologiesNotGroups) {
+  EpochManager manager;
+  std::shared_ptr<const CorpusEpoch> base = manager.Install(MakeCorpus(1));
+  EXPECT_EQ(manager.Install(MakeCorpus(2))->context_key(),
+            base->context_key());
+
+  ServingCorpus tree_changed = MakeCorpus(1);
+  tree_changed.owned_trees[0]->AddNode("Context Key Venue", 0);
+  EXPECT_NE(manager.Install(std::move(tree_changed))->context_key(),
+            base->context_key());
+
+  ServingCorpus mode_changed = MakeCorpus(1);
+  mode_changed.context.ontologies[0].mode = MapMode::kFuzzyName;
+  EXPECT_NE(manager.Install(std::move(mode_changed))->context_key(),
+            base->context_key());
+
+  ServingCorpus q_changed = MakeCorpus(1);
+  q_changed.context.qgram_q = 3;
+  EXPECT_NE(manager.Install(std::move(q_changed))->context_key(),
+            base->context_key());
+
+  ServingCorpus rules_changed = MakeCorpus(1);
+  rules_changed.negative.pop_back();
+  EXPECT_NE(manager.Install(std::move(rules_changed))->context_key(),
+            base->context_key());
+}
+
+TEST(EpochTest, ConcurrentFirstGroupKeyAgrees) {
+  // A nonzero corpus fingerprint marks the corpus snapshot-backed, so the
+  // epoch computes no group key at construction: the first GroupKey call
+  // is the one the threads race.
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 20;
+  EpochManager manager;
+  for (int round = 0; round < kRounds; ++round) {
+    ServingCorpus corpus = MakeCorpus(round + 1);
+    corpus.content_fingerprint_lo = 0x5eed;
+    const Fingerprint want = GroupContentKey(corpus.groups[0]);
+    std::shared_ptr<const CorpusEpoch> epoch = manager.Install(std::move(corpus));
+    const Group& group = epoch->corpus().groups[0];
+
+    std::atomic<int> waiting{kThreads};
+    std::vector<Fingerprint> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        waiting.fetch_sub(1);
+        while (waiting.load() > 0) {
+        }
+        got[static_cast<size_t>(t)] = epoch->GroupKey(group);
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(got[static_cast<size_t>(t)], want)
+          << "round " << round << " thread " << t;
+    }
+    EXPECT_EQ(epoch->GroupKey(group), want);
+  }
 }
 
 TEST(EpochTest, RulesTextIsCanonical) {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -42,29 +44,21 @@ TEST(FingerprintTest, HalvesAreIndependentStreams) {
   }
 }
 
-TEST(FingerprintTest, CorpusFingerprintFoldSeparatesSnapshots) {
-  // The service folds the snapshot content fingerprint into every cache
-  // key (DimeService::RequestFingerprint): same request bytes under two
-  // different corpus fingerprints must land in different cache slots, and
-  // the zero fingerprint (TSV corpora) must leave the key unchanged.
-  Fingerprint request = FingerprintBytes("plus\x1frules\x1fgroup-content");
-  auto fold = [&](uint64_t corpus_lo, uint64_t corpus_hi) {
-    Fingerprint fp = request;
-    fp.lo ^= corpus_lo * 0x9e3779b97f4a7c15ULL;
-    fp.hi ^= corpus_hi * 0xc2b2ae3d27d4eb4fULL;
-    return fp;
+TEST(FingerprintTest, FieldsAreLengthPrefixed) {
+  // Field boundaries are part of the input: moving bytes between fields,
+  // or zero bytes at a word's padded tail, changes the fingerprint.
+  auto fields = [](std::initializer_list<std::string_view> parts) {
+    ContentHasher h;
+    for (std::string_view part : parts) h.Field(part);
+    return h.Finish();
   };
-  Fingerprint snapshot_a = fold(0x1111, 0x2222);
-  Fingerprint snapshot_b = fold(0x1111, 0x2223);
-  EXPECT_EQ(fold(0, 0), request);
-  EXPECT_NE(snapshot_a, request);
-  EXPECT_NE(snapshot_a, snapshot_b);
-
-  ResultCache cache(4);
-  cache.Insert(snapshot_a, MakeResult(1));
-  EXPECT_NE(cache.Lookup(snapshot_a), nullptr);
-  EXPECT_EQ(cache.Lookup(snapshot_b), nullptr);
-  EXPECT_EQ(cache.Lookup(request), nullptr);
+  EXPECT_NE(fields({"ab", "c"}), fields({"a", "bc"}));
+  EXPECT_NE(fields({"abc"}), fields({"ab", "c"}));
+  EXPECT_NE(fields({"", "x"}), fields({"x", ""}));
+  EXPECT_NE(fields({std::string_view("a\0", 2)}), fields({"a"}));
+  EXPECT_NE(fields({"12345678"}), fields({"1234567", "8"}));
+  EXPECT_EQ(fields({"ab", "c"}), fields({"ab", "c"}));
+  EXPECT_EQ(fields({"plus"}), FingerprintBytes("plus"));
 }
 
 TEST(ResultCacheTest, MissThenHit) {

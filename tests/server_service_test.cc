@@ -14,6 +14,7 @@
 #include "src/common/mutex.h"
 #include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
+#include "src/rules/rule.h"
 
 namespace dime {
 namespace {
@@ -248,34 +249,33 @@ TEST(DimeServiceTest, SnapshotWarmStartServesIdenticalResults) {
   }
 }
 
-TEST(DimeServiceTest, SnapshotFingerprintFoldsIntoCacheKeys) {
-  ServingCorpus tsv = MakeTestCorpus();
-  const std::string path = ::testing::TempDir() + "/service_fp.snap";
-  SnapshotWriteRequest request;
-  request.groups = &tsv.groups;
-  request.positive = &tsv.positive;
-  request.negative = &tsv.negative;
-  request.context = &tsv.context;
-  ASSERT_TRUE(WriteSnapshot(request, path).ok());
-  StatusOr<LoadedSnapshot> loaded = LoadSnapshot(path);
-  ASSERT_TRUE(loaded.ok());
-  DimeService warm(CorpusFromSnapshot(std::move(loaded).value()),
-                   ServiceOptions{});
-  DimeService cold(std::move(tsv), ServiceOptions{});
+TEST(DimeServiceTest, CacheKeyHashesRawValuesNotTheirTsvRendering) {
+  // The TSV writer sanitizes tab/newline to a space and '|' to '/', and
+  // joins a value's pieces with '|'. The key hashes the raw pieces, so
+  // groups that render to the same TSV still get distinct keys (a
+  // delta-edited resident page may hold raw "a|b" while an inline group
+  // holds "a/b").
+  DimeService service(MakeTestCorpus(/*pages=*/1), ServiceOptions{});
+  const Group& page = service.CurrentEpoch()->corpus().groups[0];
+  auto key_with = [&](AttributeValue value) {
+    Group g = page;
+    g.entities[0].values[0] = std::move(value);
+    return service.RequestFingerprint(EngineKind::kPlus, g);
+  };
+  EXPECT_NE(key_with({"a|b"}), key_with({"a/b"}));
+  EXPECT_NE(key_with({"x\ty"}), key_with({"x y"}));
+  EXPECT_NE(key_with({"x\ny"}), key_with({"x y"}));
+  EXPECT_NE(key_with({"a|b"}), key_with({"a", "b"}));
+  EXPECT_NE(key_with({"ab", "c"}), key_with({"a", "bc"}));
+  EXPECT_EQ(key_with({"a|b"}), key_with({"a|b"}));
 
-  // Same group content, same rules — but the warm service carries a
-  // nonzero corpus fingerprint, so its cache keys cannot collide with
-  // the TSV service's (a cache migrated across corpus swaps stays safe).
-  const Group& page = cold.CurrentEpoch()->corpus().groups[0];
-  EXPECT_NE(warm.RequestFingerprint(EngineKind::kPlus, page),
-            cold.RequestFingerprint(EngineKind::kPlus, page));
-  EXPECT_TRUE(warm.CurrentEpoch()->corpus().content_fingerprint_lo != 0 ||
-              warm.CurrentEpoch()->corpus().content_fingerprint_hi != 0);
-  EXPECT_EQ(cold.CurrentEpoch()->corpus().content_fingerprint_lo, 0u);
-  // A TSV corpus still gets a (synthesized) epoch fingerprint, so cache
-  // keys track content even without a snapshot.
-  EXPECT_TRUE(cold.CurrentEpoch()->fingerprint_lo() != 0 ||
-              cold.CurrentEpoch()->fingerprint_hi() != 0);
+  // The same holds for entity ids and attribute names.
+  Group tab_id = page;
+  tab_id.entities[0].id = "p\t1";
+  Group space_id = page;
+  space_id.entities[0].id = "p 1";
+  EXPECT_NE(service.RequestFingerprint(EngineKind::kPlus, tab_id),
+            service.RequestFingerprint(EngineKind::kPlus, space_id));
 }
 
 TEST(DimeServiceTest, FullQueueShedsWithResourceExhaustedNotBlocking) {
@@ -491,9 +491,9 @@ TEST(LiveCorpusTest, InstallCorpusSwapsEpochAndCacheCannotServeStale) {
   EXPECT_EQ(outcome.sequence, 2u);
   EXPECT_EQ(outcome.groups, 1u);
 
-  // The old cached result keyed (engine, rules, content, epoch-fp); the
-  // new epoch's fingerprint differs, so this MUST miss and recompute over
-  // the new content — a stale hit would resurrect a deleted entity.
+  // The cached result is keyed on (engine, context, group content); the
+  // group's content changed, so this MUST miss and recompute over the
+  // new content — a stale hit would resurrect a deleted entity.
   CheckRequest request;
   request.group_name = "page_0";
   StatusOr<CheckReply> after = service.Check(request);
@@ -502,14 +502,10 @@ TEST(LiveCorpusTest, InstallCorpusSwapsEpochAndCacheCannotServeStale) {
   EXPECT_EQ(after->epoch->sequence(), 2u);
   EXPECT_EQ(after->group->entities.size(), original_entities - 1);
 
-  // The worker that served the last epoch-1 request drops its pin a hair
-  // after the reply future is fulfilled; wait out that window instead of
-  // racing it.
+  // Workers drop their epoch pin before answering, so once the epoch-1
+  // replies above went out of scope nothing pinned epoch 1: the install
+  // retired it.
   StatsSnapshot stats = service.Stats();
-  for (int i = 0; i < 2000 && stats.epochs_retired == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    stats = service.Stats();
-  }
   EXPECT_EQ(stats.epoch_sequence, 2u);
   EXPECT_EQ(stats.epochs_installed, 2u);
   EXPECT_EQ(stats.epochs_retired, 1u);  // nothing pinned epoch 1 anymore
@@ -837,6 +833,129 @@ TEST(LiveCorpusTest, RotatingMergeRetriesWhenAProducerAppendsMidMerge) {
   EXPECT_EQ(applied->records.size(), 2u);
   StatusOr<DeltaLogContents> gone = ReadDeltaLog(path);
   EXPECT_FALSE(gone.ok());
+}
+
+/// Checks `name` on `service` and reports whether it was a cache hit.
+bool CheckHits(DimeService& service, const std::string& name) {
+  CheckRequest request;
+  request.group_name = name;
+  StatusOr<CheckReply> reply = service.Check(request);
+  EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+  return reply.ok() && reply->cache_hit;
+}
+
+TEST(LiveCorpusTest, OntologyOnlyChangeMissesOnEveryGroup) {
+  DimeService service(MakeTestCorpus(), ServiceOptions{});
+  for (const char* name : {"page_0", "page_1"}) {
+    EXPECT_FALSE(CheckHits(service, name)) << name;
+    EXPECT_TRUE(CheckHits(service, name)) << name;
+  }
+
+  // Same rules, same groups; one more venue in the ontology tree.
+  ServingCorpus changed = MakeTestCorpus();
+  changed.owned_trees[0]->AddNode("An Extra Venue Of Nothing", 0);
+  service.InstallCorpus(std::move(changed));
+  for (const char* name : {"page_0", "page_1"}) {
+    EXPECT_FALSE(CheckHits(service, name)) << name;
+  }
+}
+
+TEST(LiveCorpusTest, RulesOnlyChangeMissesOnEveryGroup) {
+  DimeService service(MakeTestCorpus(), ServiceOptions{});
+  for (const char* name : {"page_0", "page_1"}) {
+    EXPECT_FALSE(CheckHits(service, name)) << name;
+    EXPECT_TRUE(CheckHits(service, name)) << name;
+  }
+
+  // Same groups and ontologies; one negative-rule threshold moved.
+  ServingCorpus changed = MakeTestCorpus();
+  ASSERT_TRUE(ParseNegativeRule(
+      "overlap(Authors) <= 1 ^ ontology(Venue) <= 0.3", changed.schema,
+      &changed.negative[1]));
+  service.InstallCorpus(std::move(changed));
+  for (const char* name : {"page_0", "page_1"}) {
+    EXPECT_FALSE(CheckHits(service, name)) << name;
+  }
+}
+
+TEST(LiveCorpusTest, DeltaMergeKeepsUntouchedGroupsCached) {
+  ServingCorpus corpus = MakeTestCorpus();
+  DeltaRecord remove;
+  remove.op = DeltaRecord::Op::kRemove;
+  remove.group = "page_0";
+  remove.entity_id = corpus.groups[0].entities[1].id;
+  const std::string path = ::testing::TempDir() + "/live_keep_cache.dlog";
+  std::remove(path.c_str());
+  {
+    StatusOr<DeltaLogWriter> writer = DeltaLogWriter::Open(path);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    ASSERT_TRUE(writer->Append(remove).ok());
+  }
+
+  DimeService service(std::move(corpus), ServiceOptions{});
+  for (const char* name : {"page_0", "page_1"}) {
+    EXPECT_FALSE(CheckHits(service, name)) << name;
+  }
+  StatusOr<ReloadOutcome> outcome = service.ApplyDeltaLog(path);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  ASSERT_EQ(outcome->sequence, 2u);
+
+  // page_0 was edited: it misses. page_1 was not: its entry from epoch 1
+  // answers under epoch 2, and the answer equals a fresh engine run.
+  EXPECT_FALSE(CheckHits(service, "page_0"));
+  CheckRequest request;
+  request.group_name = "page_1";
+  StatusOr<CheckReply> cached = service.Check(request);
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+  EXPECT_TRUE(cached->cache_hit);
+  EXPECT_EQ(cached->epoch->sequence(), 2u);
+  request.bypass_cache = true;
+  StatusOr<CheckReply> fresh = service.Check(request);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_FALSE(fresh->cache_hit);
+  EXPECT_EQ(cached->result->partitions, fresh->result->partitions);
+  EXPECT_EQ(cached->result->pivot, fresh->result->pivot);
+  EXPECT_EQ(cached->result->flagged_by_prefix,
+            fresh->result->flagged_by_prefix);
+}
+
+TEST(LiveCorpusTest, SnapshotAndTsvEpochsShareCacheKeys) {
+  ServingCorpus tsv = MakeTestCorpus();
+  const std::string path = ::testing::TempDir() + "/live_same_keys.snap";
+  SnapshotWriteRequest write;
+  write.groups = &tsv.groups;
+  write.positive = &tsv.positive;
+  write.negative = &tsv.negative;
+  write.context = &tsv.context;
+  ASSERT_TRUE(WriteSnapshot(write, path).ok());
+  StatusOr<LoadedSnapshot> loaded = LoadSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  DimeService warm(CorpusFromSnapshot(std::move(loaded).value()),
+                   ServiceOptions{});
+  DimeService cold(std::move(tsv), ServiceOptions{});
+
+  // Same content, same rules and ontologies: the same keys, although the
+  // epochs' own fingerprints differ (snapshot versus synthesized).
+  std::shared_ptr<const CorpusEpoch> warm_epoch = warm.CurrentEpoch();
+  std::shared_ptr<const CorpusEpoch> cold_epoch = cold.CurrentEpoch();
+  EXPECT_EQ(warm_epoch->context_key(), cold_epoch->context_key());
+  EXPECT_NE(warm_epoch->fingerprint_lo(), cold_epoch->fingerprint_lo());
+  for (size_t i = 0; i < cold_epoch->corpus().groups.size(); ++i) {
+    const Group& page = cold_epoch->corpus().groups[i];
+    EXPECT_EQ(warm.RequestFingerprint(EngineKind::kPlus, page),
+              cold.RequestFingerprint(EngineKind::kPlus, page));
+    EXPECT_EQ(warm.RequestFingerprint(EngineKind::kPlus,
+                                      warm_epoch->corpus().groups[i]),
+              cold.RequestFingerprint(EngineKind::kPlus, page));
+  }
+
+  // So a reload from the snapshot keeps the TSV epoch's entries hitting.
+  EXPECT_FALSE(CheckHits(cold, "page_0"));
+  StatusOr<ReloadOutcome> reloaded = cold.ReloadFromSnapshot(path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(reloaded->sequence, 2u);
+  EXPECT_TRUE(CheckHits(cold, "page_0"));
+  EXPECT_FALSE(CheckHits(cold, "page_1"));
 }
 
 }  // namespace
