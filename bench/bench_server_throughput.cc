@@ -55,7 +55,7 @@ ServingCorpus MakeBenchCorpus(size_t pages) {
     gen.seed = 9000 + i * 31;
     Group page = GenerateScholarGroup("Bench Owner " + std::to_string(i), gen);
     page.name = "page_" + std::to_string(i);
-    corpus.groups.push_back(std::move(page));
+    corpus.AddGroup(std::move(page));
   }
   return corpus;
 }

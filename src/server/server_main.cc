@@ -97,7 +97,7 @@ ServingCorpus MakeDemoCorpus(size_t pages) {
     gen.chem_namesake_pubs = 2 + i % 3;
     Group page = GenerateScholarGroup("Demo Owner " + std::to_string(i), gen);
     page.name = "page_" + std::to_string(i);
-    corpus.groups.push_back(std::move(page));
+    corpus.AddGroup(std::move(page));
   }
   return corpus;
 }
@@ -371,9 +371,9 @@ int main(int argc, char** argv) {
         return ExitWithStatus(loaded, ("loading " + path).c_str());
       }
       if (group.name.empty()) group.name = path;
-      corpus.groups.push_back(std::move(group));
+      corpus.AddGroup(std::move(group));
     }
-    corpus.schema = corpus.groups.front().schema;
+    corpus.schema = corpus.groups.front()->group().schema;
     if (use_venue_ontology) {
       corpus.context.ontologies.push_back(
           OntologyRef{&VenueOntology(), MapMode::kExactName});
@@ -491,9 +491,10 @@ int main(int argc, char** argv) {
         if (outcome.ok()) {
           last_bad_delta_size = 0;
           std::printf("dime_server: swapped in epoch %llu (%zu group(s), "
-                      "%zu delta record(s))\n",
+                      "%zu delta record(s), %zu group(s) prepared)\n",
                       static_cast<unsigned long long>(outcome->sequence),
-                      outcome->groups, outcome->delta_records);
+                      outcome->groups, outcome->delta_records,
+                      outcome->groups_prepared);
           std::fflush(stdout);
         } else {
           // Degrade: the last good epoch keeps serving. Remember the

@@ -4,6 +4,8 @@
 #include <exception>
 #include <future>
 #include <string>
+#include <string_view>
+#include <unordered_set>
 #include <utility>
 
 #include "src/common/check.h"
@@ -24,6 +26,16 @@ std::shared_ptr<const DimeResult> ResultWithStatus(Status status) {
   return result;
 }
 
+/// The result-cache key: (engine, context key, group content key).
+Fingerprint CacheKey(EngineKind engine, const CorpusEpoch& epoch,
+                     const Fingerprint& group_key) {
+  return ContentHasher()
+      .Field(EngineKindName(engine))
+      .Key(epoch.context_key())
+      .Key(group_key)
+      .Finish();
+}
+
 }  // namespace
 
 /// One admitted request, owned by the queue until a worker picks it up.
@@ -32,10 +44,13 @@ std::shared_ptr<const DimeResult> ResultWithStatus(Status status) {
 /// out its whole budget is answered DEADLINE_EXCEEDED without touching
 /// the engine. `epoch` is the generation pinned at admission: the worker
 /// serves from it even if a swap lands while the request waits, and the
-/// pin keeps `group` valid when it points into the epoch's corpus.
+/// pin keeps `group` and `resident` valid when they point into the
+/// epoch's corpus.
 struct DimeService::PendingCheck {
   std::shared_ptr<const CorpusEpoch> epoch;
   const Group* group = nullptr;
+  /// The epoch's resident form of `group`; null for an inline group.
+  const ResidentGroup* resident = nullptr;
   EngineKind engine = EngineKind::kPlus;
   RunControl control;
   Fingerprint fp;
@@ -181,9 +196,9 @@ StatusOr<ReloadOutcome> DimeService::ApplyDeltaLog(const std::string& path,
   // appended between the read and the rename would be rotated away
   // without ever being applied. Every DeltaLogWriter::Append holds the
   // log's flock, so a size check under the same lock proves quiescence.
-  // The expensive part (re-preparing every group) runs unlocked; only
-  // the final attempt holds producers off for the whole merge, which
-  // guarantees progress under continuous append load.
+  // The expensive part (re-preparing the touched groups) runs unlocked;
+  // only the final attempt holds producers off for the whole merge,
+  // which guarantees progress under continuous append load.
   constexpr int kMergeAttempts = 3;
   for (int attempt = 0; attempt < kMergeAttempts; ++attempt) {
     DeltaLogLock lock;
@@ -223,25 +238,41 @@ StatusOr<ReloadOutcome> DimeService::ApplyDeltaLogAttempt(
   next.negative = old.negative;
   next.context = old.context;
   // Ontology trees are shared with the base epoch, so the raw pointers
-  // inside next.context stay valid in both generations.
+  // inside next.context — and inside every shared group's prepared form —
+  // stay valid in both generations. Rules, schema and ontologies are the
+  // base's, so its context key carries over too.
   next.shared_trees = old.shared_trees;
-  next.groups = old.groups;  // deep copies — the records mutate these
+  next.rules_text = old.rules_text;
+  next.context_key = old.context_key;
 
+  // A group is checked on its own (Algorithms 1 and 2 read only the
+  // group, the rules and the ontologies), so a group no record names
+  // cannot change: the merged epoch shares it as it is. Only the named
+  // groups are copied, edited and re-prepared, so the merged epoch serves
+  // fully warm, exactly like a snapshot load (this is the bulk-recompute
+  // half of the incremental split; the per-request IncrementalDime path
+  // stays for small deltas).
+  std::unordered_set<std::string_view> touched;
+  for (const DeltaRecord& record : log->records) touched.insert(record.group);
   size_t applied_total = 0;
-  for (Group& group : next.groups) {
-    size_t applied = 0;
-    Status status = ApplyDeltaRecords(log->records, &group, &applied);
-    if (!status.ok()) return status;
-    applied_total += applied;
-  }
-
-  // Re-prepare so the merged epoch serves fully warm, exactly like a
-  // snapshot load (this is the bulk-recompute half of the incremental
-  // split; the per-request IncrementalDime path stays for small deltas).
-  next.prepared.reserve(next.groups.size());
-  for (const Group& group : next.groups) {
-    next.prepared.push_back(std::make_shared<PreparedGroup>(
-        PrepareGroup(group, next.positive, next.negative, next.context)));
+  size_t prepared_total = 0;
+  next.groups.reserve(old.groups.size());
+  for (const std::shared_ptr<const ResidentGroup>& resident : old.groups) {
+    const bool named = touched.count(resident->group().name) != 0;
+    if (!named && resident->prepared() != nullptr) {
+      next.groups.push_back(resident);
+      continue;
+    }
+    Group group = resident->group();  // a copy — the records edit it
+    if (named) {
+      size_t applied = 0;
+      Status status = ApplyDeltaRecords(log->records, &group, &applied);
+      if (!status.ok()) return status;
+      applied_total += applied;
+    }
+    next.groups.push_back(ResidentGroup::Prepare(
+        std::move(group), next.positive, next.negative, next.context));
+    ++prepared_total;
   }
 
   if (lock != nullptr) {
@@ -266,6 +297,7 @@ StatusOr<ReloadOutcome> DimeService::ApplyDeltaLogAttempt(
 
   ReloadOutcome outcome = InstallCorpus(std::move(next));
   outcome.delta_records = applied_total;
+  outcome.groups_prepared = prepared_total;
   outcome.torn_tail = log->torn_tail;
   {
     MutexLock stats_lock(&stats_mu_);
@@ -290,11 +322,7 @@ Fingerprint DimeService::RequestFingerprint(EngineKind engine,
 Fingerprint DimeService::RequestFingerprint(EngineKind engine,
                                             const Group& group,
                                             const CorpusEpoch& epoch) const {
-  return ContentHasher()
-      .Field(EngineKindName(engine))
-      .Key(epoch.context_key())
-      .Key(epoch.GroupKey(group))
-      .Finish();
+  return CacheKey(engine, epoch, epoch.GroupKey(group));
 }
 
 StatusOr<CheckReply> DimeService::Check(const CheckRequest& request) {
@@ -314,6 +342,7 @@ void DimeService::CheckAsync(const CheckRequest& request, CheckCallback done) {
   Deadline::Clock::time_point admit_time = Deadline::Clock::now();
   std::shared_ptr<const CorpusEpoch> epoch = epochs_.Pin();
   const Group* group = request.group;
+  const ResidentGroup* resident = nullptr;
   if (group == nullptr) {
     if (request.group_name.empty()) {
       done(InvalidArgumentError(
@@ -323,20 +352,28 @@ void DimeService::CheckAsync(const CheckRequest& request, CheckCallback done) {
     }
     // Resolved against the epoch pinned above — never against a corpus
     // that a concurrent swap might retire under us.
-    group = epoch->FindGroup(request.group_name);
-    if (group == nullptr) {
+    resident = epoch->FindResident(request.group_name);
+    if (resident == nullptr) {
       done(NotFoundError("unknown group '" + request.group_name + "'"));
       return;
     }
+    group = &resident->group();
   } else if (group->schema.attribute_names() !=
              epoch->corpus().schema.attribute_names()) {
     done(SchemaMismatchError(
         "inline group schema does not match the serving corpus schema"));
     return;
+  } else {
+    // An "inline" group may be one of the epoch's own (in-process
+    // callers): serve it from its resident form like a named request.
+    resident = epoch->ResidentOf(*group);
   }
 
   EngineKind engine = request.engine.value_or(options_.default_engine);
-  Fingerprint fp = RequestFingerprint(engine, *group, *epoch);
+  Fingerprint fp =
+      CacheKey(engine, *epoch,
+               resident != nullptr ? resident->content_key()
+                                   : GroupContentKey(*group));
 
   if (!request.bypass_cache) {
     if (std::shared_ptr<const DimeResult> hit = cache_.Lookup(fp)) {
@@ -351,6 +388,7 @@ void DimeService::CheckAsync(const CheckRequest& request, CheckCallback done) {
   auto pending = std::make_unique<PendingCheck>();
   pending->epoch = std::move(epoch);
   pending->group = group;
+  pending->resident = resident;
   pending->engine = engine;
   int64_t deadline_ms = request.deadline_ms > 0 ? request.deadline_ms
                                                 : options_.default_deadline_ms;
@@ -413,11 +451,13 @@ CheckReply DimeService::Execute(PendingCheck& pending) {
   // capture anything the engines throw (e.g. bad_alloc on a pathological
   // group) as an INTERNAL result instead of unwinding through the pool.
   try {
-    // Snapshot-preloaded (or delta-merge re-prepared) groups come fully
-    // prepared with rule artifacts attached — the warm-start payoff is
-    // skipping this PrepareGroup.
+    // Snapshot-preloaded and delta-merged groups come fully prepared
+    // (snapshot ones with rule artifacts attached) — the warm-start
+    // payoff is skipping this PrepareGroup.
     PreparedGroup local;
-    const PreparedGroup* pg = pending.epoch->FindPrepared(pending.group);
+    const PreparedGroup* pg = pending.resident == nullptr
+                                  ? nullptr
+                                  : pending.resident->prepared();
     if (pg == nullptr) {
       local = PrepareGroup(*pending.group, corpus.positive, corpus.negative,
                            corpus.context);

@@ -50,8 +50,9 @@
 /// epoch at admission and serves entirely from it — a reload or delta
 /// merge mid-request cannot mix generations. InstallCorpus /
 /// ReloadFromSnapshot / ApplyDeltaLog publish a new epoch atomically;
-/// the superseded epoch's mmap is unmapped when its last in-flight
-/// request finishes. The result cache is keyed on content, not on the
+/// the superseded epoch is destroyed when its last in-flight request
+/// finishes, and a snapshot mapping is unmapped once no serving group
+/// borrows from it. The result cache is keyed on content, not on the
 /// epoch: RequestFingerprint combines the engine, the epoch's context key
 /// (rules, schema, ontologies) and the group's content key, so a swap
 /// does not clear the cache. Entries for groups a reload or delta merge
@@ -88,7 +89,7 @@ struct ServiceOptions {
   /// deterministically. Must not throw.
   std::function<void()> worker_pre_run_hook;
   /// Test hook forwarded to the EpochManager: fires with the epoch's
-  /// sequence after a retired epoch is fully destroyed (mmap unmapped).
+  /// sequence after a retired epoch is fully destroyed.
   /// Must be thread-safe.
   std::function<void(uint64_t)> epoch_retire_hook;
   /// Test-only: invoked by a rotating delta merge (ApplyDeltaLog with
@@ -136,6 +137,10 @@ struct ReloadOutcome {
   size_t groups = 0;  ///< groups resident in the new epoch
   /// Delta records applied (ApplyDeltaLog only; 0 for snapshot reloads).
   size_t delta_records = 0;
+  /// Groups this swap ran PrepareGroup on (ApplyDeltaLog only: the groups
+  /// its records touched, plus any the base epoch held unprepared; 0 for
+  /// snapshot reloads and InstallCorpus).
+  size_t groups_prepared = 0;
   /// A truncated final record was dropped from the delta log (crash
   /// mid-append; the applied prefix is intact).
   bool torn_tail = false;
@@ -167,7 +172,7 @@ struct StatsSnapshot {
   size_t queue_capacity = 0;
   unsigned workers = 0;
   /// Live-corpus counters: sequence of the epoch currently serving,
-  /// epochs published and fully retired (unmapped) over the service's
+  /// epochs published and fully retired (destroyed) over the service's
   /// lifetime, and delta records merged in via ApplyDeltaLog.
   uint64_t epoch_sequence = 0;
   uint64_t epochs_installed = 0;
@@ -224,8 +229,8 @@ class DimeService {
 
   /// Publishes `corpus` as the next epoch: in-flight requests finish on
   /// the epoch they pinned, new requests see this one, and the old
-  /// epoch's backing is unmapped when its last pin drops. The result
-  /// cache is kept: entries for unchanged content stay valid.
+  /// epoch is destroyed when its last pin drops. The result cache is
+  /// kept: entries for unchanged content stay valid.
   ReloadOutcome InstallCorpus(ServingCorpus corpus);
 
   /// Loads `path` and installs it as the next epoch. On any load error
@@ -243,12 +248,16 @@ class DimeService {
   StatusOr<ReloadOutcome> ReloadFromSnapshot(
       const std::string& path, const std::string& expected_fingerprint = "");
 
-  /// Reads the delta log at `path`, applies its records to a copy of the
-  /// current epoch's groups, re-prepares them, and installs the merged
-  /// corpus as the next epoch (the "recompute in bulk" half of the
-  /// incremental split — see delta_log.h). On any error — unreadable or
-  /// corrupt log (DATA_LOSS), a record naming an unknown group or entity
-  /// — nothing is installed and the current epoch keeps serving.
+  /// Reads the delta log at `path` and installs the current epoch with its
+  /// records applied as the next epoch (the "recompute in bulk" half of
+  /// the incremental split — see delta_log.h). Only the groups a record
+  /// names are copied, edited and re-prepared; every other prepared group
+  /// is shared with the current epoch as it is (ResidentGroup), prepared
+  /// form, content key and snapshot storage included. A corpus ingested
+  /// without preparation is prepared in full by its first merge. On any
+  /// error — unreadable or corrupt log (DATA_LOSS), a record naming an
+  /// unknown group or entity — nothing is installed and the current
+  /// epoch keeps serving.
   ///
   /// With `rotate_applied`, the applied log is renamed aside to
   /// `<path>.applied.<sequence>` so its records are never merged twice —
@@ -275,11 +284,11 @@ class DimeService {
  private:
   struct PendingCheck;
 
-  /// One merge attempt: read, merge, re-prepare, install. When `lock` is
-  /// non-null the install is gated on quiescence (log size under the
-  /// held lock == bytes read) and the applied log is rotated aside;
-  /// `*grew_during_merge` reports a discarded attempt (nothing was
-  /// installed) that the caller should retry.
+  /// One merge attempt: read, apply and re-prepare the touched groups,
+  /// install. When `lock` is non-null the install is gated on quiescence
+  /// (log size under the held lock == bytes read) and the applied log is
+  /// rotated aside; `*grew_during_merge` reports a discarded attempt
+  /// (nothing was installed) that the caller should retry.
   StatusOr<ReloadOutcome> ApplyDeltaLogAttempt(const std::string& path,
                                                DeltaLogLock* lock,
                                                bool* grew_during_merge);

@@ -531,6 +531,7 @@ std::string SerializeReloadResponse(const std::string& id,
                                                   outcome.fingerprint_hi));
   w.AddUint("groups", outcome.groups);
   w.AddUint("delta_records", outcome.delta_records);
+  w.AddUint("groups_prepared", outcome.groups_prepared);
   if (outcome.torn_tail) w.AddBool("torn_tail", true);
   if (outcome.noop) w.AddBool("noop", true);
   return w.Finish();

@@ -132,7 +132,7 @@ std::string SerializeStatsResponse(const std::string& id,
 std::string SerializePingResponse(const std::string& id);
 std::string SerializeShutdownResponse(const std::string& id);
 /// Successful corpus swap: the new epoch's sequence, fingerprint (hex),
-/// group count and applied delta records.
+/// group count, applied delta records and the groups the swap prepared.
 std::string SerializeReloadResponse(const std::string& id,
                                     const ReloadOutcome& outcome);
 

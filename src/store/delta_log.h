@@ -19,8 +19,9 @@
 /// everything that happened since. The split follows the incremental-ER
 /// playbook: run *small* deltas incrementally (IncrementalDime appends),
 /// recompute *in bulk* when the log grows past a threshold (the serving
-/// layer re-prepares the merged corpus and swaps it in as a new epoch —
-/// see epoch.h and DimeService::ApplyDeltaLog).
+/// layer re-prepares the groups the log touched, shares every other group
+/// with the serving epoch, and swaps the result in as a new epoch — see
+/// epoch.h and DimeService::ApplyDeltaLog).
 ///
 /// On-disk layout (native-endian, like the snapshot format):
 ///

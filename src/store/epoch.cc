@@ -1,7 +1,6 @@
 #include "src/store/epoch.h"
 
 #include <chrono>
-#include <functional>
 #include <thread>
 #include <utility>
 
@@ -11,6 +10,41 @@
 
 namespace dime {
 
+std::shared_ptr<const ResidentGroup> ResidentGroup::Prepare(
+    Group group, const std::vector<PositiveRule>& positive,
+    const std::vector<NegativeRule>& negative, const DimeContext& context) {
+  auto resident = std::make_shared<ResidentGroup>(std::move(group));
+  // Prepared in place: the prepared form points at the Group it was
+  // built from, which must be the resident's own.
+  resident->prepared_ = std::make_shared<PreparedGroup>(
+      PrepareGroup(resident->group_, positive, negative, context));
+  return resident;
+}
+
+std::shared_ptr<const ResidentGroup> ResidentGroup::Adopt(
+    Group group, std::shared_ptr<PreparedGroup> prepared,
+    std::shared_ptr<const void> backing) {
+  auto resident = std::make_shared<ResidentGroup>(std::move(group));
+  // Moving a Group keeps its entity storage in place, so only the back
+  // pointer needs fixing; the arenas stay borrowed from `backing`.
+  prepared->group = &resident->group_;
+  resident->prepared_ = std::move(prepared);
+  resident->backing_ = std::move(backing);
+  return resident;
+}
+
+Fingerprint ResidentGroup::content_key() const {
+  if (key_ready_.load()) return Fingerprint{key_lo_.load(), key_hi_.load()};
+  // Racing first uses all compute the same key and store the same words,
+  // so a reader that sees `key_ready_` reads the right key from any of
+  // them.
+  Fingerprint key = GroupContentKey(group_);
+  key_lo_.store(key.lo);
+  key_hi_.store(key.hi);
+  key_ready_.store(true);
+  return key;
+}
+
 ServingCorpus CorpusFromSnapshot(LoadedSnapshot snapshot) {
   ServingCorpus corpus;
   corpus.schema = std::move(snapshot.schema);
@@ -18,11 +52,14 @@ ServingCorpus CorpusFromSnapshot(LoadedSnapshot snapshot) {
   corpus.negative = std::move(snapshot.negative);
   corpus.context = std::move(snapshot.context);
   corpus.shared_trees = std::move(snapshot.owned_trees);
-  corpus.groups = std::move(snapshot.groups);
-  corpus.prepared = std::move(snapshot.prepared);
+  corpus.groups.reserve(snapshot.groups.size());
+  for (size_t i = 0; i < snapshot.groups.size(); ++i) {
+    corpus.groups.push_back(ResidentGroup::Adopt(
+        std::move(snapshot.groups[i]), std::move(snapshot.prepared[i]),
+        snapshot.backing));
+  }
   corpus.content_fingerprint_lo = snapshot.fingerprint_lo;
   corpus.content_fingerprint_hi = snapshot.fingerprint_hi;
-  corpus.backing = std::move(snapshot.backing);
   return corpus;
 }
 
@@ -65,9 +102,7 @@ Fingerprint ContextKey(const Schema& schema, const std::string& rules_text,
 }  // namespace
 
 CorpusEpoch::CorpusEpoch(uint64_t sequence, ServingCorpus corpus)
-    : sequence_(sequence),
-      corpus_(std::move(corpus)),
-      group_keys_(std::make_unique<KeySlot[]>(corpus_.groups.size())) {
+    : sequence_(sequence), corpus_(std::move(corpus)) {
   // Unique ownership becomes shared ownership: a successor epoch built
   // from this one (delta merge) copies the shared_ptrs and the raw
   // pointers inside context.ontologies stay valid in both epochs.
@@ -76,12 +111,15 @@ CorpusEpoch::CorpusEpoch(uint64_t sequence, ServingCorpus corpus)
   }
   corpus_.owned_trees.clear();
 
-  rules_text_ =
-      RuleSetToText(corpus_.schema, corpus_.positive, corpus_.negative);
-  context_key_ = ContextKey(corpus_.schema, rules_text_, corpus_.context);
+  if (!corpus_.context_key.has_value()) {
+    corpus_.rules_text =
+        RuleSetToText(corpus_.schema, corpus_.positive, corpus_.negative);
+    corpus_.context_key =
+        ContextKey(corpus_.schema, corpus_.rules_text, corpus_.context);
+  }
 
-  for (const Group& group : corpus_.groups) {
-    group_by_name_.emplace(group.name, &group);
+  for (const std::shared_ptr<const ResidentGroup>& resident : corpus_.groups) {
+    group_by_name_.emplace(resident->group().name, resident.get());
   }
 
   if (corpus_.content_fingerprint_lo != 0 ||
@@ -89,52 +127,47 @@ CorpusEpoch::CorpusEpoch(uint64_t sequence, ServingCorpus corpus)
     fingerprint_lo_ = corpus_.content_fingerprint_lo;
     fingerprint_hi_ = corpus_.content_fingerprint_hi;
   } else {
-    // Not snapshot-backed: derive the identity from the cache-key parts
-    // (which fills every group's key slot on the way).
+    // Not snapshot-backed: derive the identity from the cache-key parts.
+    // Groups shared with a base epoch bring their memoized keys; the
+    // rest are hashed here, once.
     ContentHasher h;
-    h.Key(context_key_).Word(corpus_.groups.size());
-    for (const Group& group : corpus_.groups) {
-      h.Field(group.name).Key(GroupKey(group));
+    h.Key(context_key()).Word(corpus_.groups.size());
+    for (const std::shared_ptr<const ResidentGroup>& resident :
+         corpus_.groups) {
+      h.Field(resident->group().name).Key(resident->content_key());
     }
     Fingerprint fp = h.Finish();
     fingerprint_lo_ = fp.lo;
     fingerprint_hi_ = fp.hi;
   }
-
-  for (size_t i = 0;
-       i < corpus_.prepared.size() && i < corpus_.groups.size(); ++i) {
-    if (corpus_.prepared[i] != nullptr) {
-      prepared_by_group_[&corpus_.groups[i]] = corpus_.prepared[i].get();
-    }
-  }
 }
 
 Fingerprint CorpusEpoch::GroupKey(const Group& group) const {
-  const Group* first = corpus_.groups.data();
-  const Group* last = first + corpus_.groups.size();
-  std::less<const Group*> before;
-  if (before(&group, first) || !before(&group, last)) {
-    return GroupContentKey(group);  // inline group: not ours to memoize
-  }
-  KeySlot& slot = group_keys_[static_cast<size_t>(&group - first)];
-  if (slot.ready.load()) return Fingerprint{slot.lo.load(), slot.hi.load()};
-  // Racing first uses all compute the same key and store the same words,
-  // so a reader that sees `ready` reads the right key from any of them.
-  Fingerprint key = GroupContentKey(group);
-  slot.lo.store(key.lo);
-  slot.hi.store(key.hi);
-  slot.ready.store(true);
-  return key;
+  const ResidentGroup* resident = ResidentOf(group);
+  return resident != nullptr ? resident->content_key()
+                             : GroupContentKey(group);
 }
 
-const Group* CorpusEpoch::FindGroup(std::string_view name) const {
+const ResidentGroup* CorpusEpoch::FindResident(std::string_view name) const {
   auto it = group_by_name_.find(name);
   return it == group_by_name_.end() ? nullptr : it->second;
 }
 
+const Group* CorpusEpoch::FindGroup(std::string_view name) const {
+  const ResidentGroup* resident = FindResident(name);
+  return resident == nullptr ? nullptr : &resident->group();
+}
+
+const ResidentGroup* CorpusEpoch::ResidentOf(const Group& group) const {
+  const ResidentGroup* resident = FindResident(group.name);
+  return resident != nullptr && &resident->group() == &group ? resident
+                                                             : nullptr;
+}
+
 const PreparedGroup* CorpusEpoch::FindPrepared(const Group* group) const {
-  auto it = prepared_by_group_.find(group);
-  return it == prepared_by_group_.end() ? nullptr : it->second;
+  const ResidentGroup* resident =
+      group == nullptr ? nullptr : ResidentOf(*group);
+  return resident == nullptr ? nullptr : resident->prepared();
 }
 
 void EpochManager::Retirer::operator()(const CorpusEpoch* epoch) const {
@@ -144,7 +177,9 @@ void EpochManager::Retirer::operator()(const CorpusEpoch* epoch) const {
   if (DIME_FAULT_POINT(failpoints::kEpochUnmapDelay)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(25));
   }
-  delete epoch;  // frees the corpus; releasing `backing` unmaps the file
+  // Releases the epoch's resident groups; a snapshot mapping unmaps
+  // with the last group that borrows from it.
+  delete epoch;
   control->retired.fetch_add(1, std::memory_order_relaxed);
   if (control->hook) control->hook(sequence);
 }

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -18,30 +19,85 @@
 /// \file epoch.h
 /// Epoch-based zero-downtime corpus swap (RCU-style). A *corpus epoch* is
 /// one immutable, fully-indexed generation of the serving corpus — a
-/// loaded snapshot, a TSV-ingested corpus, or a delta-merged re-prepare.
-/// The EpochManager holds the latest epoch behind a refcount:
+/// loaded snapshot, a TSV-ingested corpus, or a delta merge on top of
+/// either. The EpochManager holds the latest epoch behind a refcount:
 ///
 ///   Install(corpus)  publishes a new epoch; subsequent Pin() calls see it
 ///   Pin()            refcounts the current epoch for one request's lifetime
-///   (refcount -> 0)  the epoch is destroyed: its backing mmap is unmapped
+///   (refcount -> 0)  the epoch is destroyed, releasing its resident groups,
 ///                    and the retire hook fires with the epoch's sequence
 ///
 /// In-flight requests keep serving the epoch they pinned at admission —
 /// never a mix of two generations — while new requests see the latest.
-/// The old mapping is unmapped only when the last pin drops, so a swap
-/// can never pull pages out from under a running engine. Writers
-/// (Install) never block readers (Pin is one mutex-protected shared_ptr
-/// copy), and readers never block writers.
+/// Resident groups are owned per group, not per epoch (ResidentGroup): a
+/// delta merge shares every group its records did not touch with its
+/// base epoch. A snapshot mapping is therefore unmapped when the last
+/// group borrowing from it is released, which is never before the last
+/// pin of an epoch holding that group drops — a swap can never pull
+/// pages out from under a running engine. Writers (Install) never block
+/// readers (Pin is one mutex-protected shared_ptr copy), and readers
+/// never block writers.
 ///
 /// Failpoints (see fault_injection.h):
-///   "epoch/unmap-delay"  the retiring epoch sleeps before unmapping,
-///                        widening the swap/serve race window for tests
+///   "epoch/unmap-delay"  the retiring epoch sleeps before it is
+///                        destroyed, widening the swap/serve race window
+///                        for tests
 ///
 /// The serving layer's failpoint "store/swap" (a reload that fails before
 /// install) lives in DimeService::ReloadFromSnapshot, the main consumer
 /// of this machinery.
 
 namespace dime {
+
+/// One preloaded group as the serving layer holds it: the Group, its
+/// fully prepared form (null when the corpus was ingested without
+/// preparation; workers then prepare per request), a keep-alive for the
+/// snapshot mapping the prepared form borrows its arenas from, and the
+/// group's memoized content key. Immutable once published and shared by
+/// every epoch that holds it, so a delta-merged epoch keeps the untouched
+/// groups of its base — prepared state, key and storage alike — without
+/// keeping the base epoch itself alive.
+///
+/// The prepared form's context points at the corpus's ontology trees, so
+/// a resident group is shared only between epochs that share those trees
+/// (a delta merge keeps its base's).
+class ResidentGroup {
+ public:
+  /// An unprepared group (TSV ingest).
+  explicit ResidentGroup(Group group) : group_(std::move(group)) {}
+
+  ResidentGroup(const ResidentGroup&) = delete;
+  ResidentGroup& operator=(const ResidentGroup&) = delete;
+
+  /// `group` fully prepared (PrepareGroup) against the rules and context.
+  static std::shared_ptr<const ResidentGroup> Prepare(
+      Group group, const std::vector<PositiveRule>& positive,
+      const std::vector<NegativeRule>& negative, const DimeContext& context);
+
+  /// Adopts a loaded snapshot's group with its prepared form, re-pointing
+  /// `prepared->group` at the adopted copy. `backing` keeps the mapping
+  /// the prepared arenas borrow from alive for as long as this group is.
+  static std::shared_ptr<const ResidentGroup> Adopt(
+      Group group, std::shared_ptr<PreparedGroup> prepared,
+      std::shared_ptr<const void> backing);
+
+  const Group& group() const { return group_; }
+  /// The prepared form, or nullptr when the group was ingested unprepared.
+  const PreparedGroup* prepared() const { return prepared_.get(); }
+
+  /// GroupContentKey(group()), computed on first use and memoized.
+  /// Concurrent first uses may each compute it; all store the same value.
+  Fingerprint content_key() const;
+
+ private:
+  Group group_;
+  std::shared_ptr<const PreparedGroup> prepared_;
+  std::shared_ptr<const void> backing_;
+  /// The memoized content key; `key_ready_` publishes lo/hi.
+  mutable std::atomic<bool> key_ready_{false};
+  mutable std::atomic<uint64_t> key_lo_{0};
+  mutable std::atomic<uint64_t> key_hi_{0};
+};
 
 /// Everything one corpus generation holds resident: the schema the rules
 /// were parsed against, the rule set, the evaluation context (with owned
@@ -61,26 +117,32 @@ struct ServingCorpus {
   std::vector<std::unique_ptr<Ontology>> owned_trees;
   /// Shared ontology trees (snapshot loads and successor epochs).
   std::vector<std::shared_ptr<const Ontology>> shared_trees;
-  /// Preloaded groups, addressable by Group::name in CheckRequest.
-  std::vector<Group> groups;
-  /// Parallel to `groups` when the corpus is fully prepared (snapshot
-  /// warm start or delta-merge re-prepare; empty when TSV-ingested):
-  /// prepared groups with rule artifacts attached. Workers serve these
-  /// directly instead of calling PrepareGroup per request.
-  std::vector<std::shared_ptr<const PreparedGroup>> prepared;
+  /// Preloaded groups, addressable by Group::name in CheckRequest, each
+  /// owned on its own: a delta-merged corpus holds its base's pointers
+  /// for every group no record touched.
+  std::vector<std::shared_ptr<const ResidentGroup>> groups;
+  /// RuleSetToText of the rules, and the context key over schema, rules
+  /// and ontologies (CorpusEpoch::rules_text and context_key). Builders
+  /// leave both empty and CorpusEpoch derives them; a delta merge, which
+  /// keeps its base's schema, rules and ontologies, carries the base's
+  /// over.
+  std::string rules_text;
+  std::optional<Fingerprint> context_key;
   /// Content fingerprint of the snapshot backing this corpus (both zero
   /// when not snapshot-loaded). The epoch fingerprint is this, or
   /// synthesized from the epoch's context and group keys when zero.
   uint64_t content_fingerprint_lo = 0;
   uint64_t content_fingerprint_hi = 0;
-  /// Keep-alive for the mapped bytes `prepared` borrows from.
-  std::shared_ptr<const void> backing;
+
+  /// Appends `group` unprepared.
+  void AddGroup(Group group) {
+    groups.push_back(std::make_shared<ResidentGroup>(std::move(group)));
+  }
 };
 
-/// Adapts a loaded snapshot into a serving corpus: groups, rules,
-/// context, prepared groups and the backing mapping all move over;
-/// internal pointers (prepared[i]->group, ontology refs) stay valid
-/// because vector storage moves wholesale.
+/// Adapts a loaded snapshot into a serving corpus: rules, context and
+/// trees move over, and each group is adopted with its prepared form and
+/// a keep-alive for the mapping (ResidentGroup::Adopt).
 ServingCorpus CorpusFromSnapshot(LoadedSnapshot snapshot);
 
 /// The content key of `group`: a 128-bit hash over its raw fields, each
@@ -92,9 +154,9 @@ ServingCorpus CorpusFromSnapshot(LoadedSnapshot snapshot);
 Fingerprint GroupContentKey(const Group& group);
 
 /// One immutable corpus generation plus the lookup structures the serving
-/// hot path needs (group-by-name, prepared-by-group, canonical rule text,
-/// cache-key parts). Constructed once at Install; all accessors are const
-/// and safe to call concurrently without synchronization.
+/// hot path needs (group-by-name, canonical rule text, cache-key parts).
+/// Constructed once at Install; all accessors are const and safe to call
+/// concurrently without synchronization.
 class CorpusEpoch {
  public:
   CorpusEpoch(uint64_t sequence, ServingCorpus corpus);
@@ -105,18 +167,18 @@ class CorpusEpoch {
   const ServingCorpus& corpus() const { return corpus_; }
 
   /// RuleSetToText of the rule set.
-  const std::string& rules_text() const { return rules_text_; }
+  const std::string& rules_text() const { return corpus_.rules_text; }
 
-  /// The context half of every result-cache key, computed once at
-  /// construction over the schema, rules_text(), qgram_q, and each
-  /// ontology ref's mode and Ontology::ToText(). Two epochs whose rules
-  /// and ontologies agree share it, whatever their groups.
-  const Fingerprint& context_key() const { return context_key_; }
+  /// The context half of every result-cache key, over the schema,
+  /// rules_text(), qgram_q, and each ontology ref's mode and
+  /// Ontology::ToText(). Computed once at construction, or carried over
+  /// from the base epoch by a delta merge. Two epochs whose rules and
+  /// ontologies agree share it, whatever their groups.
+  const Fingerprint& context_key() const { return *corpus_.context_key; }
 
-  /// The content key of `group` (GroupContentKey). For a resident group
-  /// of this epoch it is computed on first use and memoized in the
-  /// group's slot; concurrent first uses may each compute it, and all
-  /// store the same value. Any other group is hashed on every call.
+  /// The content key of `group` (GroupContentKey): memoized in its
+  /// ResidentGroup when `group` is resident in this epoch (ResidentOf),
+  /// hashed on every call otherwise.
   Fingerprint GroupKey(const Group& group) const;
 
   /// The epoch's 128-bit content identity, reported by reloads and
@@ -127,49 +189,42 @@ class CorpusEpoch {
   uint64_t fingerprint_lo() const { return fingerprint_lo_; }
   uint64_t fingerprint_hi() const { return fingerprint_hi_; }
 
-  /// Preloaded group by name (the first, if names repeat), or nullptr.
+  /// Resident group by name (the first, if names repeat), or nullptr.
   /// The pointer is valid for the epoch's lifetime — hold a pin (the
   /// shared_ptr) while using it.
+  const ResidentGroup* FindResident(std::string_view name) const;
+  /// FindResident's Group, or nullptr.
   const Group* FindGroup(std::string_view name) const;
-
-  /// Fully prepared form of `group` (must be a group of this epoch), or
-  /// nullptr when the corpus was ingested without preparation.
+  /// The resident group holding `group` itself (not an equal copy), or
+  /// nullptr when `group` is not resident here or a group of the same
+  /// name comes before it.
+  const ResidentGroup* ResidentOf(const Group& group) const;
+  /// Fully prepared form of `group`, or nullptr when it is not resident
+  /// (ResidentOf) or was ingested without preparation.
   const PreparedGroup* FindPrepared(const Group* group) const;
 
  private:
-  /// A resident group's memoized content key. `ready` publishes lo/hi.
-  struct KeySlot {
-    std::atomic<bool> ready{false};
-    std::atomic<uint64_t> lo{0};
-    std::atomic<uint64_t> hi{0};
-  };
-
   const uint64_t sequence_;
   ServingCorpus corpus_;
-  std::string rules_text_;
-  Fingerprint context_key_;
   uint64_t fingerprint_lo_ = 0;
   uint64_t fingerprint_hi_ = 0;
-  /// Keys point into corpus_.groups[i].name.
-  std::unordered_map<std::string_view, const Group*> group_by_name_;
-  /// corpus_.prepared indexed by group pointer (empty for TSV corpora).
-  std::unordered_map<const Group*, const PreparedGroup*> prepared_by_group_;
-  /// Parallel to corpus_.groups.
-  std::unique_ptr<KeySlot[]> group_keys_;
+  /// Keys point into each resident's Group::name.
+  std::unordered_map<std::string_view, const ResidentGroup*> group_by_name_;
 };
 
 /// Publishes and refcounts corpus epochs. Thread-safe. The manager holds
 /// one reference to the current epoch; every Pin() adds another. An
-/// epoch's destructor (and therefore its munmap) runs on whichever
+/// epoch's destructor (and with it any munmap it causes) runs on whichever
 /// thread drops the last reference — a worker finishing the final
 /// in-flight request of a superseded epoch, or Install itself when no
 /// request pinned the old one.
 class EpochManager {
  public:
   /// `retire_hook(sequence)` fires after a retired epoch is fully
-  /// destroyed (backing unmapped). Must be thread-safe; it may run on any
-  /// thread, including after the manager itself is destroyed (epochs can
-  /// outlive the manager while pinned).
+  /// destroyed (its resident groups released; a snapshot mapping is
+  /// unmapped with the last group borrowing from it). Must be
+  /// thread-safe; it may run on any thread, including after the manager
+  /// itself is destroyed (epochs can outlive the manager while pinned).
   using RetireHook = std::function<void(uint64_t sequence)>;
 
   explicit EpochManager(RetireHook retire_hook = nullptr);
@@ -195,8 +250,8 @@ class EpochManager {
     return installed_.load(std::memory_order_relaxed);
   }
 
-  /// Epochs whose refcount drained to zero (destructor ran, mapping
-  /// unmapped, retire hook fired).
+  /// Epochs whose refcount drained to zero (destructor ran, retire hook
+  /// fired).
   uint64_t retired() const {
     return control_->retired.load(std::memory_order_relaxed);
   }

@@ -69,6 +69,15 @@ void MappedFile::Reset() {
 
 MappedFile::~MappedFile() { Reset(); }
 
+void MappedFile::DropResidentPages() const {
+#if DIME_HAVE_MMAP
+  if (mapped_ && data_ != nullptr) {
+    // lint: unchecked-status-ok(advisory; on failure pages stay resident)
+    (void)::madvise(const_cast<uint8_t*>(data_), size_, MADV_DONTNEED);
+  }
+#endif
+}
+
 StatusOr<MappedFile> MappedFile::Open(const std::string& path,
                                       const Options& options) {
   MappedFile file;

@@ -11,8 +11,9 @@
 /// \file mapped_file.h
 /// Read-only whole-file views. Prefers mmap (PROT_READ, MAP_SHARED): the
 /// snapshot loader then serves arenas straight off page cache, the pages
-/// are shared across every process mapping the same snapshot, and
-/// untouched sections are never faulted in at all. Falls back to a plain
+/// are shared across every process mapping the same snapshot, and after
+/// its checks the loader drops them (DropResidentPages), so only the
+/// sections serving touches again are resident. Falls back to a plain
 /// read()-into-buffer when mmap is unavailable (or refused), keeping the
 /// same 8-byte-aligned `data()` contract so the zero-copy loader works
 /// identically on both paths.
@@ -50,6 +51,12 @@ class MappedFile {
   size_t size() const { return size_; }
   /// True when backed by mmap, false on the read() fallback.
   bool mapped() const { return mapped_; }
+
+  /// Drops the mapping's resident pages (madvise MADV_DONTNEED; a no-op
+  /// on the read() fallback). The mapping is read-only and shared, so a
+  /// later read faults the same bytes back in from the page cache: only
+  /// pages touched again count against the process's resident memory.
+  void DropResidentPages() const;
 
  private:
   /// Unmaps / frees the current contents, leaving an empty file.

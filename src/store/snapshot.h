@@ -83,8 +83,10 @@ struct LoadedSnapshot {
   std::vector<std::shared_ptr<const Ontology>> owned_trees;
   std::vector<Group> groups;
   /// Fully prepared groups with artifacts attached, arenas borrowed from
-  /// `backing`; prepared[i]->group == &groups[i].
-  std::vector<std::shared_ptr<const PreparedGroup>> prepared;
+  /// `backing`; prepared[i]->group == &groups[i]. Owned by the caller,
+  /// which re-points `group` when it moves the groups elsewhere
+  /// (CorpusFromSnapshot does).
+  std::vector<std::shared_ptr<PreparedGroup>> prepared;
   /// Content fingerprint from the snapshot tail (128-bit FNV-1a over the
   /// section payloads): the identity of this build of the corpus.
   uint64_t fingerprint_lo = 0;

@@ -549,7 +549,7 @@ StatusOr<LoadedSnapshot> LoadFromRaw(RawSnapshot raw,
     prepared[i]->group = &loaded.groups[i];
     prepared[i]->context = loaded.context;
   }
-  loaded.prepared.assign(prepared.begin(), prepared.end());
+  loaded.prepared = std::move(prepared);
   loaded.backing = raw.file;
   return loaded;
 }
@@ -562,7 +562,15 @@ StatusOr<LoadedSnapshot> LoadSnapshot(const std::string& path,
       snapshot_internal::RawSnapshot raw,
       snapshot_internal::OpenRaw(path, options,
                                  /*check_section_crcs=*/true));
-  return snapshot_internal::LoadFromRaw(std::move(raw), options);
+  std::shared_ptr<MappedFile> file = raw.file;
+  StatusOr<LoadedSnapshot> loaded =
+      snapshot_internal::LoadFromRaw(std::move(raw), options);
+  // Loading read every byte for its CRC and copied the groups, rules and
+  // ontologies out; only the prepared arenas stay borrowed. Dropping the
+  // pages leaves resident just the arenas that serving touches again, so
+  // a reload that briefly maps two snapshots does not hold two of them.
+  if (loaded.ok()) file->DropResidentPages();
+  return loaded;
 }
 
 StatusOr<SnapshotInfo> InspectSnapshot(const std::string& path) {

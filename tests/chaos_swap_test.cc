@@ -21,7 +21,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <memory>
+#include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/fault_injection.h"
@@ -63,7 +67,7 @@ ServingCorpus MakeVariant(int v) {
   gen.garbage_pubs = 2 + content;
   Group page = GenerateScholarGroup("Chaos Owner", gen);
   page.name = "page_0";
-  corpus.groups.push_back(std::move(page));
+  corpus.AddGroup(std::move(page));
   return corpus;
 }
 
@@ -71,8 +75,8 @@ ServingCorpus MakeVariant(int v) {
 /// engine the service defaults to.
 DimeResult GoldenFor(int v) {
   ServingCorpus corpus = MakeVariant(v);
-  return RunDimePlus(corpus.groups[0], corpus.positive, corpus.negative,
-                     corpus.context);
+  return RunDimePlus(corpus.groups[0]->group(), corpus.positive,
+                     corpus.negative, corpus.context);
 }
 
 void ExpectSameDecisions(const DimeResult& golden, const DimeResult& got,
@@ -191,6 +195,148 @@ TEST(ChaosSwapTest, FailedReloadLeavesServingUntouched) {
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->epoch->sequence(), 1u);
   ExpectSameDecisions(golden, *reply->result, 1);
+}
+
+/// Page p of the multi-page corpus the reload/merge harness serves.
+Group ChurnPage(int p) {
+  ScholarGenOptions gen;
+  gen.num_correct = 30;
+  gen.seed = 900 + p * 7;
+  Group page = GenerateScholarGroup("Churn Owner " + std::to_string(p), gen);
+  page.name = "page_" + std::to_string(p);
+  return page;
+}
+
+/// Swaps that mix the two epoch producers: each cycle re-reads the
+/// snapshot (a fresh mapping whose groups borrow from it) and then merges
+/// a delta log on top (an epoch sharing all but one group with the
+/// snapshot epoch). Pinned requests keep serving groups whose mapping
+/// belongs to an epoch that already retired, with the unmap-delay
+/// failpoint widening the window; under ASan a group released too early
+/// is a use after unmap. Every reply must carry the decisions of the
+/// content its epoch holds for that page.
+TEST(ChaosSwapTest, SnapshotReloadsInterleavedWithDeltaMergesUnderLoad) {
+  constexpr int kClients = 8;
+  constexpr int kPages = 4;
+  constexpr auto kDuration = std::chrono::milliseconds(2000);
+
+  ScholarSetup setup = MakeScholarSetup();
+  std::vector<Group> pages;
+  for (int p = 0; p < kPages; ++p) pages.push_back(ChurnPage(p));
+  const std::string snap = ::testing::TempDir() + "/chaos_churn.snap";
+  SnapshotWriteRequest write;
+  write.groups = &pages;
+  write.positive = &setup.positive;
+  write.negative = &setup.negative;
+  write.context = &setup.context;
+  ASSERT_TRUE(WriteSnapshot(write, snap).ok());
+
+  // Cycle c's delta edits page c % kPages. The golden table holds the
+  // decisions for every content a page can have: as built, or edited.
+  auto batch_of = [&pages](int cycle) {
+    const Group& page = pages[static_cast<size_t>(cycle % kPages)];
+    DeltaRecord edit;
+    edit.op = DeltaRecord::Op::kEdit;
+    edit.group = page.name;
+    edit.entity_id = page.entities[0].id;
+    edit.values = page.entities[1].values;
+    return edit;
+  };
+  std::unordered_map<Fingerprint, DimeResult, FingerprintHash> golden;
+  for (int p = 0; p < kPages; ++p) {
+    Group edited = pages[static_cast<size_t>(p)];
+    ASSERT_TRUE(ApplyDeltaRecords({batch_of(p)}, &edited).ok());
+    for (const Group* page : {&pages[static_cast<size_t>(p)], &edited}) {
+      golden[GroupContentKey(*page)] = RunDimePlus(
+          *page, setup.positive, setup.negative, setup.context);
+    }
+  }
+
+  std::atomic<uint64_t> retired{0};
+  uint64_t installed_total = 0;
+  int cycles = 0;
+  {
+    StatusOr<LoadedSnapshot> loaded = LoadSnapshot(snap);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ServiceOptions options;
+    options.num_workers = 4;
+    options.queue_capacity = 4096;
+    options.cache_capacity = 64;
+    options.epoch_retire_hook = [&retired](uint64_t) {
+      retired.fetch_add(1, std::memory_order_relaxed);
+    };
+    DimeService service(CorpusFromSnapshot(std::move(loaded).value()),
+                        options);
+    ScopedFailpoint delay(failpoints::kEpochUnmapDelay, /*count=*/8,
+                          /*skip=*/2);
+
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> checks{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        CheckRequest request;
+        request.group_name = "page_" + std::to_string(c % kPages);
+        request.bypass_cache = (c % 2 == 0);
+        while (!stop.load(std::memory_order_relaxed)) {
+          StatusOr<CheckReply> reply = service.Check(request);
+          ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+          ASSERT_TRUE(reply->result->status.ok())
+              << reply->result->status.ToString();
+          auto want = golden.find(GroupContentKey(*reply->group));
+          ASSERT_NE(want, golden.end())
+              << "epoch " << reply->epoch->sequence()
+              << " served content no cycle produced";
+          ExpectSameDecisions(want->second, *reply->result,
+                              reply->epoch->sequence());
+          checks.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+
+    const std::string log = ::testing::TempDir() + "/chaos_churn.dlog";
+    std::remove(log.c_str());
+    const auto deadline = std::chrono::steady_clock::now() + kDuration;
+    while (std::chrono::steady_clock::now() < deadline) {
+      {
+        StatusOr<DeltaLogWriter> writer = DeltaLogWriter::Open(log);
+        ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+        ASSERT_TRUE(writer->Append(batch_of(cycles)).ok());
+      }
+      StatusOr<ReloadOutcome> reloaded = service.ReloadFromSnapshot(snap);
+      ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+      StatusOr<ReloadOutcome> merged =
+          service.ApplyDeltaLog(log, /*rotate_applied=*/true);
+      ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+      ASSERT_EQ(merged->groups_prepared, 1u);
+      // The merged epoch holds exactly this cycle's edit.
+      std::shared_ptr<const CorpusEpoch> epoch = service.CurrentEpoch();
+      const DeltaRecord edit = batch_of(cycles);
+      for (int p = 0; p < kPages; ++p) {
+        const Group& page = pages[static_cast<size_t>(p)];
+        const Group* served = epoch->FindGroup(page.name);
+        ASSERT_NE(served, nullptr);
+        EXPECT_EQ(GroupContentKey(*served) == GroupContentKey(page),
+                  page.name != edit.group)
+            << "cycle " << cycles << " " << page.name;
+      }
+      std::remove((log + ".applied." + std::to_string(merged->sequence))
+                      .c_str());
+      ++cycles;
+    }
+    installed_total = service.Stats().epochs_installed;
+
+    stop.store(true, std::memory_order_relaxed);
+    for (std::thread& t : clients) t.join();
+
+    StatsSnapshot stats = service.Stats();
+    EXPECT_EQ(stats.rejected, 0u);
+    EXPECT_GE(cycles, 5) << "the swapper fell behind badly";
+    EXPECT_EQ(installed_total, 1u + 2u * static_cast<uint64_t>(cycles));
+    EXPECT_GE(checks.load(), static_cast<uint64_t>(kClients));
+    EXPECT_GE(retired.load() + 1, installed_total);
+  }
+  EXPECT_EQ(retired.load(), installed_total);
 }
 
 }  // namespace

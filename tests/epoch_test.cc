@@ -34,7 +34,7 @@ ServingCorpus MakeCorpus(int seed = 7, size_t entities = 20) {
   gen.seed = seed;
   Group page = GenerateScholarGroup("Owner", gen);
   page.name = "page_0";
-  corpus.groups.push_back(std::move(page));
+  corpus.AddGroup(std::move(page));
   return corpus;
 }
 
@@ -137,7 +137,7 @@ TEST(EpochTest, GroupAndPreparedLookup) {
   std::shared_ptr<const CorpusEpoch> epoch = manager.Install(MakeCorpus(1));
   const Group* group = epoch->FindGroup("page_0");
   ASSERT_NE(group, nullptr);
-  EXPECT_EQ(group, &epoch->corpus().groups[0]);
+  EXPECT_EQ(group, &epoch->corpus().groups[0]->group());
   EXPECT_EQ(epoch->FindGroup("no_such_page"), nullptr);
   // TSV-ingested corpora carry no prepared groups.
   EXPECT_EQ(epoch->FindPrepared(group), nullptr);
@@ -164,23 +164,28 @@ TEST(EpochTest, TsvCorpusGetsASynthesizedFingerprint) {
 
 TEST(EpochTest, GroupLookupIsByNameAndFirstWins) {
   ServingCorpus corpus = MakeCorpus(1);
-  Group second = corpus.groups[0];
+  Group second = corpus.groups[0]->group();
   second.entities.pop_back();  // same name, different content
-  corpus.groups.push_back(std::move(second));
-  Group other = corpus.groups[0];
+  corpus.AddGroup(std::move(second));
+  Group other = corpus.groups[0]->group();
   other.name = "page_1";
-  corpus.groups.push_back(std::move(other));
+  corpus.AddGroup(std::move(other));
   EpochManager manager;
   std::shared_ptr<const CorpusEpoch> epoch = manager.Install(std::move(corpus));
-  EXPECT_EQ(epoch->FindGroup("page_0"), &epoch->corpus().groups[0]);
-  EXPECT_EQ(epoch->FindGroup("page_1"), &epoch->corpus().groups[2]);
+  const auto& groups = epoch->corpus().groups;
+  EXPECT_EQ(epoch->FindGroup("page_0"), &groups[0]->group());
+  EXPECT_EQ(epoch->FindGroup("page_1"), &groups[2]->group());
   EXPECT_EQ(epoch->FindGroup("page_2"), nullptr);
+  // The shadowed duplicate is not reachable by name, so it is not
+  // resident as far as lookups by group go.
+  EXPECT_EQ(epoch->ResidentOf(groups[0]->group()), groups[0].get());
+  EXPECT_EQ(epoch->ResidentOf(groups[1]->group()), nullptr);
 }
 
 TEST(EpochTest, GroupKeyIsTheContentKeyResidentOrNot) {
   EpochManager manager;
   std::shared_ptr<const CorpusEpoch> epoch = manager.Install(MakeCorpus(1));
-  const Group& resident = epoch->corpus().groups[0];
+  const Group& resident = epoch->corpus().groups[0]->group();
   Fingerprint key = epoch->GroupKey(resident);
   EXPECT_EQ(key, GroupContentKey(resident));
   EXPECT_EQ(epoch->GroupKey(resident), key);  // memoized, unchanged
@@ -231,9 +236,9 @@ TEST(EpochTest, ConcurrentFirstGroupKeyAgrees) {
   for (int round = 0; round < kRounds; ++round) {
     ServingCorpus corpus = MakeCorpus(round + 1);
     corpus.content_fingerprint_lo = 0x5eed;
-    const Fingerprint want = GroupContentKey(corpus.groups[0]);
+    const Fingerprint want = GroupContentKey(corpus.groups[0]->group());
     std::shared_ptr<const CorpusEpoch> epoch = manager.Install(std::move(corpus));
-    const Group& group = epoch->corpus().groups[0];
+    const Group& group = epoch->corpus().groups[0]->group();
 
     std::atomic<int> waiting{kThreads};
     std::vector<Fingerprint> got(kThreads);

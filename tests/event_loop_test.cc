@@ -46,7 +46,7 @@ ServingCorpus MakeVariant(int v) {
   gen.garbage_pubs = 2 + v;
   Group page = GenerateScholarGroup("Chaos Owner", gen);
   page.name = "page_0";
-  corpus.groups.push_back(std::move(page));
+  corpus.AddGroup(std::move(page));
   return corpus;
 }
 

@@ -38,7 +38,7 @@ ServingCorpus MakeTestCorpus() {
   gen.seed = 77;
   Group page = GenerateScholarGroup("Owner", gen);
   page.name = "page_0";
-  corpus.groups.push_back(std::move(page));
+  corpus.AddGroup(std::move(page));
   return corpus;
 }
 

@@ -6,8 +6,12 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <memory>
+#include <optional>
+#include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/fault_injection.h"
@@ -19,10 +23,24 @@
 namespace dime {
 namespace {
 
-/// A small resident corpus: the Scholar preset rules/ontologies plus two
-/// generated pages (page_0, page_1). Kept small — the suite runs on the
-/// TSan leg too.
-ServingCorpus MakeTestCorpus(size_t pages = 2) {
+/// Generated pages page_0, page_1, ... Kept small — the suite runs on
+/// the TSan leg too.
+std::vector<Group> MakeTestPages(size_t pages = 2) {
+  std::vector<Group> groups;
+  for (size_t i = 0; i < pages; ++i) {
+    ScholarGenOptions gen;
+    gen.num_correct = 40;
+    gen.seed = 100 + i * 13;
+    Group page = GenerateScholarGroup("Owner " + std::to_string(i), gen);
+    page.name = "page_" + std::to_string(i);
+    groups.push_back(std::move(page));
+  }
+  return groups;
+}
+
+/// A resident corpus of `pages` (unprepared, like a TSV ingest) under the
+/// Scholar preset rules/ontologies.
+ServingCorpus TestCorpusOf(std::vector<Group> pages) {
   ScholarSetup setup = MakeScholarSetup();
   ServingCorpus corpus;
   corpus.schema = setup.schema;
@@ -30,15 +48,24 @@ ServingCorpus MakeTestCorpus(size_t pages = 2) {
   corpus.negative = std::move(setup.negative);
   corpus.context = setup.context;
   corpus.owned_trees.push_back(std::move(setup.venue_tree));
-  for (size_t i = 0; i < pages; ++i) {
-    ScholarGenOptions gen;
-    gen.num_correct = 40;
-    gen.seed = 100 + i * 13;
-    Group page = GenerateScholarGroup("Owner " + std::to_string(i), gen);
-    page.name = "page_" + std::to_string(i);
-    corpus.groups.push_back(std::move(page));
-  }
+  for (Group& page : pages) corpus.AddGroup(std::move(page));
   return corpus;
+}
+
+ServingCorpus MakeTestCorpus(size_t pages = 2) {
+  return TestCorpusOf(MakeTestPages(pages));
+}
+
+/// Writes `corpus`'s groups and rules to a snapshot at `path`.
+void WriteTestSnapshot(const ServingCorpus& corpus, const std::string& path) {
+  std::vector<Group> pages;
+  for (const auto& resident : corpus.groups) pages.push_back(resident->group());
+  SnapshotWriteRequest write;
+  write.groups = &pages;
+  write.positive = &corpus.positive;
+  write.negative = &corpus.negative;
+  write.context = &corpus.context;
+  ASSERT_TRUE(WriteSnapshot(write, path).ok());
 }
 
 /// Blocks workers in the pre-run hook until Open(). `arrivals` counts
@@ -127,7 +154,7 @@ TEST(DimeServiceTest, SecondIdenticalCheckIsACacheHit) {
 
 TEST(DimeServiceTest, CacheKeyIsContentNotName) {
   ServingCorpus corpus = MakeTestCorpus();
-  Group renamed = corpus.groups[0];
+  Group renamed = corpus.groups[0]->group();
   renamed.name = "a re-crawl of page_0 under another name";
   DimeService service(std::move(corpus), ServiceOptions{});
 
@@ -204,7 +231,7 @@ TEST(DimeServiceTest, InlineGroupWithWrongSchemaIsSchemaMismatch) {
 
 TEST(DimeServiceTest, FingerprintSeparatesEnginesAndTracksContent) {
   DimeService service(MakeTestCorpus(), ServiceOptions{});
-  const Group& page = service.CurrentEpoch()->corpus().groups[0];
+  const Group& page = service.CurrentEpoch()->corpus().groups[0]->group();
   Fingerprint plus = service.RequestFingerprint(EngineKind::kPlus, page);
   Fingerprint naive = service.RequestFingerprint(EngineKind::kNaive, page);
   EXPECT_NE(plus, naive);
@@ -221,12 +248,7 @@ TEST(DimeServiceTest, FingerprintSeparatesEnginesAndTracksContent) {
 TEST(DimeServiceTest, SnapshotWarmStartServesIdenticalResults) {
   ServingCorpus tsv = MakeTestCorpus();
   const std::string path = ::testing::TempDir() + "/service_corpus.snap";
-  SnapshotWriteRequest request;
-  request.groups = &tsv.groups;
-  request.positive = &tsv.positive;
-  request.negative = &tsv.negative;
-  request.context = &tsv.context;
-  ASSERT_TRUE(WriteSnapshot(request, path).ok());
+  WriteTestSnapshot(tsv, path);
 
   StatusOr<LoadedSnapshot> loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -256,7 +278,7 @@ TEST(DimeServiceTest, CacheKeyHashesRawValuesNotTheirTsvRendering) {
   // delta-edited resident page may hold raw "a|b" while an inline group
   // holds "a/b").
   DimeService service(MakeTestCorpus(/*pages=*/1), ServiceOptions{});
-  const Group& page = service.CurrentEpoch()->corpus().groups[0];
+  const Group& page = service.CurrentEpoch()->corpus().groups[0]->group();
   auto key_with = [&](AttributeValue value) {
     Group g = page;
     g.entities[0].values[0] = std::move(value);
@@ -485,9 +507,10 @@ TEST(LiveCorpusTest, InstallCorpusSwapsEpochAndCacheCannotServeStale) {
   }
 
   // Same group name, different content: drop the last entity.
-  ServingCorpus changed = MakeTestCorpus(/*pages=*/1);
-  changed.groups[0].entities.pop_back();
-  ReloadOutcome outcome = service.InstallCorpus(std::move(changed));
+  std::vector<Group> changed = MakeTestPages(/*pages=*/1);
+  changed[0].entities.pop_back();
+  ReloadOutcome outcome =
+      service.InstallCorpus(TestCorpusOf(std::move(changed)));
   EXPECT_EQ(outcome.sequence, 2u);
   EXPECT_EQ(outcome.groups, 1u);
 
@@ -512,14 +535,8 @@ TEST(LiveCorpusTest, InstallCorpusSwapsEpochAndCacheCannotServeStale) {
 }
 
 TEST(LiveCorpusTest, ReloadFromSnapshotSwapsToAPreparedEpoch) {
-  ServingCorpus on_disk = MakeTestCorpus(/*pages=*/1);
   const std::string path = ::testing::TempDir() + "/live_reload.snap";
-  SnapshotWriteRequest write;
-  write.groups = &on_disk.groups;
-  write.positive = &on_disk.positive;
-  write.negative = &on_disk.negative;
-  write.context = &on_disk.context;
-  ASSERT_TRUE(WriteSnapshot(write, path).ok());
+  WriteTestSnapshot(MakeTestCorpus(/*pages=*/1), path);
 
   DimeService service(MakeTestCorpus(/*pages=*/1), ServiceOptions{});
   StatusOr<ReloadOutcome> outcome = service.ReloadFromSnapshot(path);
@@ -564,14 +581,8 @@ TEST(LiveCorpusTest, FingerprintWireHexRoundTrips) {
 }
 
 TEST(LiveCorpusTest, FingerprintGatedReloadNoopsWhenAlreadyServing) {
-  ServingCorpus on_disk = MakeTestCorpus(/*pages=*/1);
   const std::string path = ::testing::TempDir() + "/gated_noop.snap";
-  SnapshotWriteRequest write;
-  write.groups = &on_disk.groups;
-  write.positive = &on_disk.positive;
-  write.negative = &on_disk.negative;
-  write.context = &on_disk.context;
-  ASSERT_TRUE(WriteSnapshot(write, path).ok());
+  WriteTestSnapshot(MakeTestCorpus(/*pages=*/1), path);
 
   DimeService service(MakeTestCorpus(/*pages=*/2), ServiceOptions{});
   StatusOr<ReloadOutcome> first = service.ReloadFromSnapshot(path);
@@ -594,14 +605,8 @@ TEST(LiveCorpusTest, FingerprintGatedReloadNoopsWhenAlreadyServing) {
 }
 
 TEST(LiveCorpusTest, FingerprintGatedReloadRejectsAMismatchedSnapshot) {
-  ServingCorpus on_disk = MakeTestCorpus(/*pages=*/1);
   const std::string path = ::testing::TempDir() + "/gated_mismatch.snap";
-  SnapshotWriteRequest write;
-  write.groups = &on_disk.groups;
-  write.positive = &on_disk.positive;
-  write.negative = &on_disk.negative;
-  write.context = &on_disk.context;
-  ASSERT_TRUE(WriteSnapshot(write, path).ok());
+  WriteTestSnapshot(MakeTestCorpus(/*pages=*/1), path);
 
   DimeService service(MakeTestCorpus(/*pages=*/2), ServiceOptions{});
   // A well-formed fingerprint that matches neither the serving epoch nor
@@ -624,7 +629,7 @@ TEST(LiveCorpusTest, FingerprintGatedReloadRejectsAMismatchedSnapshot) {
 
 TEST(LiveCorpusTest, ApplyDeltaLogMergesAndServesMergedCorpus) {
   ServingCorpus corpus = MakeTestCorpus(/*pages=*/1);
-  const Group& page = corpus.groups[0];
+  const Group& page = corpus.groups[0]->group();
   const size_t original_entities = page.entities.size();
 
   DeltaRecord add;
@@ -700,7 +705,7 @@ TEST(LiveCorpusTest, CorruptDeltaLogDegradesToLastGoodEpoch) {
   add.op = DeltaRecord::Op::kAdd;
   add.group = "page_0";
   add.entity_id = "never_lands";
-  add.values = corpus.groups[0].entities[0].values;
+  add.values = corpus.groups[0]->group().entities[0].values;
   const std::string path = ::testing::TempDir() + "/live_corrupt.dlog";
   std::remove(path.c_str());
   {
@@ -739,7 +744,7 @@ TEST(LiveCorpusTest, RotatingMergeMovesTheAppliedLogAside) {
   add.op = DeltaRecord::Op::kAdd;
   add.group = "page_0";
   add.entity_id = "rotated_in";
-  add.values = corpus.groups[0].entities[0].values;
+  add.values = corpus.groups[0]->group().entities[0].values;
 
   const std::string path = ::testing::TempDir() + "/live_rotate.dlog";
   const std::string rotated = path + ".applied.2";
@@ -770,7 +775,8 @@ TEST(LiveCorpusTest, RotatingMergeMovesTheAppliedLogAside) {
 
 TEST(LiveCorpusTest, RotatingMergeRetriesWhenAProducerAppendsMidMerge) {
   ServingCorpus corpus = MakeTestCorpus(/*pages=*/1);
-  const std::vector<AttributeValue> values = corpus.groups[0].entities[0].values;
+  const std::vector<AttributeValue> values =
+      corpus.groups[0]->group().entities[0].values;
 
   const std::string path = ::testing::TempDir() + "/live_race.dlog";
   const std::string rotated = path + ".applied.2";
@@ -883,7 +889,7 @@ TEST(LiveCorpusTest, DeltaMergeKeepsUntouchedGroupsCached) {
   DeltaRecord remove;
   remove.op = DeltaRecord::Op::kRemove;
   remove.group = "page_0";
-  remove.entity_id = corpus.groups[0].entities[1].id;
+  remove.entity_id = corpus.groups[0]->group().entities[1].id;
   const std::string path = ::testing::TempDir() + "/live_keep_cache.dlog";
   std::remove(path.c_str());
   {
@@ -922,12 +928,7 @@ TEST(LiveCorpusTest, DeltaMergeKeepsUntouchedGroupsCached) {
 TEST(LiveCorpusTest, SnapshotAndTsvEpochsShareCacheKeys) {
   ServingCorpus tsv = MakeTestCorpus();
   const std::string path = ::testing::TempDir() + "/live_same_keys.snap";
-  SnapshotWriteRequest write;
-  write.groups = &tsv.groups;
-  write.positive = &tsv.positive;
-  write.negative = &tsv.negative;
-  write.context = &tsv.context;
-  ASSERT_TRUE(WriteSnapshot(write, path).ok());
+  WriteTestSnapshot(tsv, path);
   StatusOr<LoadedSnapshot> loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   DimeService warm(CorpusFromSnapshot(std::move(loaded).value()),
@@ -941,11 +942,11 @@ TEST(LiveCorpusTest, SnapshotAndTsvEpochsShareCacheKeys) {
   EXPECT_EQ(warm_epoch->context_key(), cold_epoch->context_key());
   EXPECT_NE(warm_epoch->fingerprint_lo(), cold_epoch->fingerprint_lo());
   for (size_t i = 0; i < cold_epoch->corpus().groups.size(); ++i) {
-    const Group& page = cold_epoch->corpus().groups[i];
+    const Group& page = cold_epoch->corpus().groups[i]->group();
     EXPECT_EQ(warm.RequestFingerprint(EngineKind::kPlus, page),
               cold.RequestFingerprint(EngineKind::kPlus, page));
-    EXPECT_EQ(warm.RequestFingerprint(EngineKind::kPlus,
-                                      warm_epoch->corpus().groups[i]),
+    const Group& warm_page = warm_epoch->corpus().groups[i]->group();
+    EXPECT_EQ(warm.RequestFingerprint(EngineKind::kPlus, warm_page),
               cold.RequestFingerprint(EngineKind::kPlus, page));
   }
 
@@ -956,6 +957,260 @@ TEST(LiveCorpusTest, SnapshotAndTsvEpochsShareCacheKeys) {
   EXPECT_EQ(reloaded->sequence, 2u);
   EXPECT_TRUE(CheckHits(cold, "page_0"));
   EXPECT_FALSE(CheckHits(cold, "page_1"));
+}
+
+// Delta merges share what they did not touch (service.h, ApplyDeltaLog).
+
+/// Replaces the delta log at `path` with `records`.
+void WriteDeltaLog(const std::string& path,
+                   const std::vector<DeltaRecord>& records) {
+  std::remove(path.c_str());
+  StatusOr<DeltaLogWriter> writer = DeltaLogWriter::Open(path);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  for (const DeltaRecord& record : records) {
+    ASSERT_TRUE(writer->Append(record).ok());
+  }
+}
+
+/// An edit of `page`'s entity `index` to the values of entity `index + 1`.
+DeltaRecord EditOf(const Group& page, size_t index) {
+  DeltaRecord edit;
+  edit.op = DeltaRecord::Op::kEdit;
+  edit.group = page.name;
+  edit.entity_id = page.entities[index].id;
+  edit.values = page.entities[index + 1].values;
+  return edit;
+}
+
+TEST(LiveCorpusTest, DeltaMergeSharesUntouchedGroupsWithItsBase) {
+  constexpr size_t kPages = 4;
+  const std::string snap = ::testing::TempDir() + "/live_share.snap";
+  WriteTestSnapshot(MakeTestCorpus(kPages), snap);
+  StatusOr<LoadedSnapshot> loaded = LoadSnapshot(snap);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  DimeService service(CorpusFromSnapshot(std::move(loaded).value()),
+                      ServiceOptions{});
+  std::shared_ptr<const CorpusEpoch> base = service.CurrentEpoch();
+
+  const std::string log = ::testing::TempDir() + "/live_share.dlog";
+  WriteDeltaLog(log, {EditOf(*base->FindGroup("page_0"), 0)});
+  StatusOr<ReloadOutcome> outcome = service.ApplyDeltaLog(log);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(outcome->delta_records, 1u);
+  EXPECT_EQ(outcome->groups_prepared, 1u);
+
+  std::shared_ptr<const CorpusEpoch> merged = service.CurrentEpoch();
+  ASSERT_EQ(merged->sequence(), 2u);
+  ASSERT_EQ(merged->corpus().groups.size(), kPages);
+  // The edited group is a new, re-prepared group...
+  const Group* edited = merged->FindGroup("page_0");
+  EXPECT_NE(edited, base->FindGroup("page_0"));
+  EXPECT_NE(merged->FindPrepared(edited), nullptr);
+  EXPECT_NE(merged->GroupKey(*edited),
+            base->GroupKey(*base->FindGroup("page_0")));
+  // ...and every other one is the base's own, snapshot artifacts included.
+  for (size_t i = 1; i < kPages; ++i) {
+    const std::string name = "page_" + std::to_string(i);
+    const Group* group = merged->FindGroup(name);
+    EXPECT_EQ(group, base->FindGroup(name)) << name;
+    const PreparedGroup* prepared = merged->FindPrepared(group);
+    ASSERT_NE(prepared, nullptr) << name;
+    EXPECT_EQ(prepared, base->FindPrepared(base->FindGroup(name))) << name;
+    EXPECT_NE(prepared->artifacts, nullptr) << name;
+  }
+  // Same rules and ontologies: the context key carries over.
+  EXPECT_EQ(merged->context_key(), base->context_key());
+  EXPECT_EQ(merged->rules_text(), base->rules_text());
+}
+
+TEST(LiveCorpusTest, FirstMergeOfAnUnpreparedCorpusPreparesEveryGroup) {
+  constexpr size_t kPages = 3;
+  DimeService service(MakeTestCorpus(kPages), ServiceOptions{});
+  const std::string log = ::testing::TempDir() + "/live_unprepared.dlog";
+
+  WriteDeltaLog(log, {EditOf(*service.CurrentEpoch()->FindGroup("page_0"), 0)});
+  StatusOr<ReloadOutcome> first = service.ApplyDeltaLog(log);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->groups_prepared, kPages);
+  std::shared_ptr<const CorpusEpoch> prepared = service.CurrentEpoch();
+  for (const auto& resident : prepared->corpus().groups) {
+    EXPECT_NE(resident->prepared(), nullptr) << resident->group().name;
+  }
+
+  // From then on only the touched group is prepared again.
+  WriteDeltaLog(log, {EditOf(*prepared->FindGroup("page_1"), 0)});
+  StatusOr<ReloadOutcome> second = service.ApplyDeltaLog(log);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->groups_prepared, 1u);
+  std::shared_ptr<const CorpusEpoch> merged = service.CurrentEpoch();
+  EXPECT_EQ(merged->corpus().groups[0], prepared->corpus().groups[0]);
+  EXPECT_NE(merged->corpus().groups[1], prepared->corpus().groups[1]);
+  EXPECT_EQ(merged->corpus().groups[2], prepared->corpus().groups[2]);
+}
+
+/// A fully re-prepared serving corpus of `pages`: every group through
+/// PrepareGroup, as if nothing were shared.
+ServingCorpus PreparedTestCorpusOf(const std::vector<Group>& pages) {
+  ServingCorpus corpus = TestCorpusOf({});
+  for (const Group& page : pages) {
+    corpus.groups.push_back(ResidentGroup::Prepare(
+        page, corpus.positive, corpus.negative, corpus.context));
+  }
+  return corpus;
+}
+
+TEST(LiveCorpusTest, RandomDeltaMergesMatchAFullRePrepare) {
+  constexpr size_t kPages = 4;
+  constexpr int kMerges = 30;
+  std::vector<Group> model = MakeTestPages(kPages);
+  const std::string snap = ::testing::TempDir() + "/live_random.snap";
+  WriteTestSnapshot(TestCorpusOf(model), snap);
+  StatusOr<LoadedSnapshot> loaded = LoadSnapshot(snap);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  DimeService service(CorpusFromSnapshot(std::move(loaded).value()),
+                      ServiceOptions{});
+  DimeService reference(MakeTestCorpus(1), ServiceOptions{});
+  const std::string log = ::testing::TempDir() + "/live_random.dlog";
+
+  std::mt19937_64 rng(0x5eed17);
+  auto pick = [&rng](size_t n) {
+    return static_cast<size_t>(rng() % static_cast<uint64_t>(n));
+  };
+  auto holds = [&model](const DeltaRecord& record) {
+    for (const Group& page : model) {
+      if (page.name != record.group) continue;
+      for (const Entity& entity : page.entities) {
+        if (entity.id == record.entity_id) return true;
+      }
+    }
+    return false;
+  };
+  int fresh_ids = 0;
+  int re_adds = 0;
+  int edits_back = 0;
+  std::optional<DeltaRecord> re_add;     // undoes a remove, next merge
+  std::optional<DeltaRecord> edit_back;  // undoes an edit, next merge
+  for (int merge = 0; merge < kMerges; ++merge) {
+    std::vector<DeltaRecord> records;
+    // Applies `record` to the model and queues it for this merge's log.
+    auto emit = [&](DeltaRecord record) {
+      for (Group& page : model) {
+        if (page.name != record.group) continue;
+        ASSERT_TRUE(ApplyDeltaRecords({record}, &page).ok());
+      }
+      records.push_back(std::move(record));
+    };
+    if (re_add && !holds(*re_add)) {
+      emit(*re_add);
+      ++re_adds;
+    }
+    if (edit_back && holds(*edit_back)) {
+      emit(*edit_back);
+      ++edits_back;
+    }
+    re_add.reset();
+    edit_back.reset();
+
+    for (size_t r = 1 + pick(3); r > 0; --r) {
+      const Group& page = model[pick(kPages)];
+      const Entity& target = page.entities[pick(page.entities.size())];
+      const Entity& donor = page.entities[pick(page.entities.size())];
+      DeltaRecord record{DeltaRecord::Op::kEdit, page.name, target.id,
+                         donor.values};
+      switch (pick(3)) {
+        case 0:
+          record.op = DeltaRecord::Op::kAdd;
+          record.entity_id = "fresh_" + std::to_string(fresh_ids++);
+          break;
+        case 1:
+          record.op = DeltaRecord::Op::kRemove;
+          record.values.clear();
+          if (!re_add) {
+            re_add = DeltaRecord{DeltaRecord::Op::kAdd, page.name, target.id,
+                                 target.values};
+          }
+          break;
+        default:
+          if (!edit_back) {
+            edit_back = DeltaRecord{DeltaRecord::Op::kEdit, page.name,
+                                    target.id, target.values};
+          }
+          break;
+      }
+      emit(std::move(record));
+    }
+
+    WriteDeltaLog(log, records);
+    StatusOr<ReloadOutcome> outcome = service.ApplyDeltaLog(log);
+    ASSERT_TRUE(outcome.ok()) << "merge " << merge << ": "
+                              << outcome.status().ToString();
+    reference.InstallCorpus(PreparedTestCorpusOf(model));
+
+    std::shared_ptr<const CorpusEpoch> epoch = service.CurrentEpoch();
+    for (const Group& page : model) {
+      const Group* served = epoch->FindGroup(page.name);
+      ASSERT_NE(served, nullptr);
+      EXPECT_EQ(GroupContentKey(*served), GroupContentKey(page))
+          << "merge " << merge << " " << page.name;
+      CheckRequest request;
+      request.group_name = page.name;
+      request.bypass_cache = true;
+      StatusOr<CheckReply> got = service.Check(request);
+      StatusOr<CheckReply> want = reference.Check(request);
+      ASSERT_TRUE(got.ok() && want.ok()) << page.name;
+      EXPECT_EQ(got->result->partitions, want->result->partitions)
+          << "merge " << merge << " " << page.name;
+      EXPECT_EQ(got->result->pivot, want->result->pivot)
+          << "merge " << merge << " " << page.name;
+      EXPECT_EQ(got->result->flagged_by_prefix,
+                want->result->flagged_by_prefix)
+          << "merge " << merge << " " << page.name;
+    }
+  }
+  // The stream covered the two round trips that lead back to content a
+  // base epoch already held.
+  EXPECT_GT(re_adds, 0);
+  EXPECT_GT(edits_back, 0);
+}
+
+TEST(LiveCorpusTest, DeltaMergesChainNoEpochsAndReleaseTheMapping) {
+  constexpr size_t kPages = 3;
+  constexpr int kMerges = 20;
+  const std::string snap = ::testing::TempDir() + "/live_chain.snap";
+  WriteTestSnapshot(MakeTestCorpus(kPages), snap);
+  StatusOr<LoadedSnapshot> loaded = LoadSnapshot(snap);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const std::weak_ptr<const void> mapping = loaded->backing;
+  DimeService service(CorpusFromSnapshot(std::move(loaded).value()),
+                      ServiceOptions{});
+
+  // Twenty merges, each editing page_0 alone, with no pin held between
+  // them: every superseded epoch retires at once, because the merged
+  // epoch shares groups with its base but never holds the base itself.
+  const std::string log = ::testing::TempDir() + "/live_chain.dlog";
+  for (int merge = 0; merge < kMerges; ++merge) {
+    WriteDeltaLog(log, {EditOf(*service.CurrentEpoch()->FindGroup("page_0"),
+                               static_cast<size_t>(merge))});
+    StatusOr<ReloadOutcome> outcome = service.ApplyDeltaLog(log);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_EQ(outcome->groups_prepared, 1u);
+  }
+  StatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.epochs_installed, static_cast<uint64_t>(kMerges) + 1);
+  EXPECT_EQ(stats.epochs_retired, stats.epochs_installed - 1);
+  // page_1 and page_2 are still the snapshot's, so the mapping stays.
+  EXPECT_FALSE(mapping.expired());
+
+  // Once a merge has replaced every group the mapping backed, nothing
+  // borrows from it any more and it is released.
+  std::shared_ptr<const CorpusEpoch> epoch = service.CurrentEpoch();
+  WriteDeltaLog(log, {EditOf(*epoch->FindGroup("page_1"), 0),
+                      EditOf(*epoch->FindGroup("page_2"), 0)});
+  epoch.reset();
+  StatusOr<ReloadOutcome> outcome = service.ApplyDeltaLog(log);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(outcome->groups_prepared, 2u);
+  EXPECT_TRUE(mapping.expired());
 }
 
 }  // namespace

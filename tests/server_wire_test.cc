@@ -315,6 +315,7 @@ TEST(WireResponseTest, ReloadResponseCarriesEpochAndFingerprint) {
   outcome.fingerprint_hi = 0xfedcba9876543210ULL;
   outcome.groups = 3;
   outcome.delta_records = 12;
+  outcome.groups_prepared = 2;
   std::string line = SerializeReloadResponse("r1", outcome);
   EXPECT_TRUE(StatusFromResponseLine(line).ok());
   auto parsed =
@@ -328,6 +329,10 @@ TEST(WireResponseTest, ReloadResponseCarriesEpochAndFingerprint) {
             "fedcba98765432100123456789abcdef");
   EXPECT_EQ(parsed->at("groups").number_value, 3.0);
   EXPECT_EQ(parsed->at("delta_records").number_value, 12.0);
+  // What the merge cost, next to what it applied.
+  EXPECT_EQ(parsed->at("groups_prepared").number_value, 2.0);
+  EXPECT_NE(line.find("\"delta_records\":12,\"groups_prepared\":2"),
+            std::string::npos);
   // torn_tail is emitted only when true, to keep the happy path terse.
   EXPECT_EQ(parsed->count("torn_tail"), 0u);
 

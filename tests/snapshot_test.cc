@@ -350,6 +350,11 @@ TEST_F(SnapshotTest, MappedFileRoundTripsBytes) {
                         mapped->size()),
             payload);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(mapped->data()) % 8, 0u);
+  // Dropped pages fault back in with the same bytes.
+  mapped->DropResidentPages();
+  EXPECT_EQ(std::string(reinterpret_cast<const char*>(mapped->data()),
+                        mapped->size()),
+            payload);
 
   FaultInjection::Arm(failpoints::kStoreMmap, 1);
   StatusOr<MappedFile> buffered = MappedFile::Open(path);
@@ -360,6 +365,10 @@ TEST_F(SnapshotTest, MappedFileRoundTripsBytes) {
                         buffered->size()),
             payload);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(buffered->data()) % 8, 0u);
+  buffered->DropResidentPages();  // a no-op off the mapping
+  EXPECT_EQ(std::string(reinterpret_cast<const char*>(buffered->data()),
+                        buffered->size()),
+            payload);
 }
 
 }  // namespace

@@ -30,7 +30,7 @@ ServingCorpus MakeTestCorpus() {
   gen.seed = 77;
   Group page = GenerateScholarGroup("Owner", gen);
   page.name = "page_0";
-  corpus.groups.push_back(std::move(page));
+  corpus.AddGroup(std::move(page));
   return corpus;
 }
 
@@ -81,7 +81,8 @@ TEST_F(DispatchTest, CheckPreloadedGroupTwiceSecondIsCached) {
 
 TEST_F(DispatchTest, CheckInlineGroupTsv) {
   // Round-trip an existing group through its TSV serialization.
-  std::string tsv = GroupToTsv(service_.CurrentEpoch()->corpus().groups[0]);
+  std::string tsv =
+      GroupToTsv(service_.CurrentEpoch()->corpus().groups[0]->group());
   WireRequest request;
   request.type = WireRequest::Type::kCheck;
   request.id = "inline-1";
