@@ -1,27 +1,15 @@
 #include "src/core/dime_plus.h"
 
-#include <algorithm>
-#include <memory>
+#include <utility>
 
 #include "src/common/check.h"
 #include "src/common/logging.h"
 #include "src/core/dime_plus_internal.h"
 #include "src/index/inverted_index.h"
 #include "src/index/union_find.h"
-#include "src/index/verification.h"
 #include "src/sim/set_similarity.h"
 
 namespace dime {
-namespace {
-
-struct PositiveCandidate {
-  double benefit;
-  int rule;
-  int e1;
-  int e2;
-};
-
-}  // namespace
 
 DimeResult RunDimePlus(const PreparedGroup& pg,
                        const std::vector<PositiveRule>& positive,
@@ -100,96 +88,58 @@ DimeResult RunDimePlus(const PreparedGroup& pg,
     return internal::CheckRunControl(control, "dime_plus/verify-candidates");
   };
 
-  // Two verification strategies, same result:
-  //  * small candidate sets: materialize every candidate with its exact
-  //    benefit B = P / C and verify in descending order (Section IV-C);
-  //  * large candidate sets (long inverted lists, e.g. a page owner's name
-  //    appearing in every entity): stream candidates directly off the
-  //    lists, shortest list first — rare-signature (high-probability)
-  //    pairs still go first, but without the materialization cost, so the
-  //    transitivity skip handles the flood in O(1) per pair.
-  if (options.benefit_order && candidate_volume <= options.exact_benefit_cap) {
-    std::vector<PositiveCandidate> candidates;
-    for (size_t r = 0; r < positive.size(); ++r) {
-      const InvertedIndex& index = index_for(r);
-      for (const InvertedIndex::CandidatePair& cp : index.CandidatePairs()) {
-        double prob =
-            SimilarProbability(cp.shared, index.SignatureCount(cp.e1),
-                               index.SignatureCount(cp.e2));
-        double cost =
-            RuleVerificationCost(pg, positive[r].predicates, cp.e1, cp.e2);
-        candidates.push_back(PositiveCandidate{PositiveBenefit(prob, cost),
-                                               static_cast<int>(r), cp.e1,
-                                               cp.e2});
-      }
-    }
-    std::sort(candidates.begin(), candidates.end(),
-              [](const PositiveCandidate& a, const PositiveCandidate& b) {
-                if (a.benefit != b.benefit) return a.benefit > b.benefit;
-                if (a.e1 != b.e1) return a.e1 < b.e1;
-                if (a.e2 != b.e2) return a.e2 < b.e2;
-                return a.rule < b.rule;
-              });
-    for (const PositiveCandidate& c : candidates) {
-      Status st = control_hit();
-      if (!st.ok()) return truncate_before_partitions(std::move(st));
-      if (options.transitivity_skip && uf.Connected(c.e1, c.e2)) {
-        ++result.stats.pairs_skipped_by_transitivity;
-        continue;
-      }
-      ++result.stats.positive_pair_checks;
-      if (EvalPositiveRule(pg, positive[c.rule], c.e1, c.e2)) {
-        uf.Union(c.e1, c.e2);
-      }
-    }
-  } else {
-    Status stream_status;
-    for (size_t r = 0; r < positive.size() && stream_status.ok(); ++r) {
-      index_for(r).ForEachList(
-          options.benefit_order, [&](const int* list, size_t len) {
-            // Whole-list transitivity skip: once every entity on a list
-            // shares one partition, none of its |l|(|l|-1)/2 pairs can
-            // change the components — decide that in O(|l|) instead of
-            // enumerating them. This is where the flood from stop-word-like
-            // signatures (e.g. the page owner's name on every entity) goes
-            // from ~16ns a pair to nothing.
-            if (options.transitivity_skip) {
-              bool all_connected = true;
-              for (size_t i = 1; i < len; ++i) {
-                if (!uf.Connected(list[0], list[i])) {
-                  all_connected = false;
-                  break;
-                }
-              }
-              if (all_connected) {
-                result.stats.pairs_skipped_by_transitivity +=
-                    len * (len - 1) / 2;
-                return true;
+  // Candidates stream straight off the inverted lists, shortest list
+  // first under benefit_order: pairs sharing a rare (likely similar)
+  // signature go first, the streaming stand-in for Section IV-C's exact
+  // benefit order. Nothing is materialized or priced; the order cannot
+  // change the partitions, which are the transitive closure of the
+  // verified positive edges (DESIGN.md §6 item 5).
+  Status stream_status;
+  for (size_t r = 0; r < positive.size() && stream_status.ok(); ++r) {
+    index_for(r).ForEachList(
+        options.benefit_order, [&](const int* list, size_t len) {
+          // Whole-list transitivity skip: once every entity on a list
+          // shares one partition, none of its |l|(|l|-1)/2 pairs can
+          // change the components — decide that in O(|l|) instead of
+          // enumerating them. This is where the flood from stop-word-like
+          // signatures (e.g. the page owner's name on every entity) goes
+          // from ~16ns a pair to nothing.
+          if (options.transitivity_skip) {
+            bool all_connected = true;
+            for (size_t i = 1; i < len; ++i) {
+              if (!uf.Connected(list[0], list[i])) {
+                all_connected = false;
+                break;
               }
             }
-            for (size_t i = 0; i < len; ++i) {
-              for (size_t j = i + 1; j < len; ++j) {
-                int e1 = list[i], e2 = list[j];
-                if (e1 == e2) continue;
-                if (e1 > e2) std::swap(e1, e2);
-                stream_status = control_hit();
-                if (!stream_status.ok()) return false;
-                if (options.transitivity_skip && uf.Connected(e1, e2)) {
-                  ++result.stats.pairs_skipped_by_transitivity;
-                  continue;
-                }
-                ++result.stats.positive_pair_checks;
-                if (EvalPositiveRule(pg, positive[r], e1, e2)) {
-                  uf.Union(e1, e2);
-                }
+            if (all_connected) {
+              result.stats.pairs_skipped_by_transitivity +=
+                  len * (len - 1) / 2;
+              return true;
+            }
+          }
+          for (size_t i = 0; i < len; ++i) {
+            for (size_t j = i + 1; j < len; ++j) {
+              int e1 = list[i], e2 = list[j];
+              if (e1 == e2) continue;
+              if (e1 > e2) std::swap(e1, e2);
+              stream_status = control_hit();
+              if (!stream_status.ok()) return false;
+              if (options.transitivity_skip && uf.Connected(e1, e2)) {
+                ++result.stats.pairs_skipped_by_transitivity;
+                continue;
+              }
+              ++result.stats.positive_pair_checks;
+              if (EvalPositiveRule(pg, positive[r], e1, e2)) {
+                uf.Union(e1, e2);
               }
             }
-            return true;
-          });
-    }
-    if (!stream_status.ok()) {
-      return truncate_before_partitions(std::move(stream_status));
-    }
+          }
+          return true;
+        });
+  }
+  if (!stream_status.ok()) {
+    return truncate_before_partitions(std::move(stream_status));
   }
   result.partitions = uf.Components();
 

@@ -11,8 +11,13 @@
 /// but avoids the all-pairs enumeration:
 ///
 ///  * positive rules: only pairs sharing an indexed rule signature are
-///    candidates; candidates are verified in descending benefit order
-///    B = P / C, and pairs already connected by transitivity are skipped;
+///    candidates. They stream off the inverted lists shortest list first
+///    (pairs sharing a rare signature are likely similar, so they go
+///    first), and pairs or whole lists already connected by transitivity
+///    are skipped. This stands in for Section IV-C's exact benefit order
+///    B = P / C, which would materialize and price every candidate
+///    first; the partitions are a transitive closure, so the order cannot
+///    change them (DESIGN.md §6 item 5);
 ///  * negative rules: a partition whose signature set is disjoint from the
 ///    pivot's is flagged without any verification; otherwise each member's
 ///    pivot checks run most-likely-similar-first (descending P / C), so
@@ -22,16 +27,12 @@ namespace dime {
 
 struct DimePlusOptions {
   SignatureOptions signatures;
-  /// Disable benefit ordering (ablation: verify candidates in input order).
+  /// Disable benefit ordering (ablation: positive candidates stream in
+  /// signature order instead of shortest list first, and each member's
+  /// pivot checks run in pivot order instead of descending P / C).
   bool benefit_order = true;
   /// Disable the union-find transitivity short-circuit (ablation).
   bool transitivity_skip = true;
-  /// Candidate-volume bound up to which positive-rule candidates are
-  /// materialized and verified in exact benefit order; above it they are
-  /// streamed off the inverted lists shortest-list-first (same result,
-  /// no materialization cost — important when one signature, e.g. a page
-  /// owner's name, occurs in every entity).
-  size_t exact_benefit_cap = 100000;
 };
 
 /// Runs Algorithm 2 on a prepared group. `control` bounds the run exactly

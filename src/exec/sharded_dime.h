@@ -39,8 +39,8 @@ struct ShardedOptions {
   /// result; when false, surface INTERNAL instead.
   bool serial_fallback = true;
   /// DIME+ options for RunDimePlusSharded (signatures, negative-phase
-  /// benefit order, transitivity skip). The positive phase always
-  /// streams lists; exact_benefit_cap is not consulted.
+  /// benefit order, transitivity skip). The positive phase streams
+  /// volume-balanced list slices, so benefit_order does not order it.
   DimePlusOptions plus;
 };
 

@@ -112,61 +112,6 @@ std::vector<uint32_t> InvertedIndex::EnumerationOrder(
   return order;
 }
 
-std::vector<InvertedIndex::CandidatePair> InvertedIndex::CandidatePairs()
-    const {
-  EnsureFrozen();
-  const uint64_t* starts = frozen_starts();
-  const int* ents = frozen_entities();
-  // Materialize every co-occurrence as an (e1 << 32 | e2) key, then sort
-  // and run-length encode: the keys come out grouped per pair and ordered
-  // by (e1, e2) in one shot.
-  std::vector<uint64_t> keys;
-  for (uint32_t l : EnumerationOrder(/*short_lists_first=*/false)) {
-    const size_t begin = starts[l], end = starts[l + 1];
-    for (size_t i = begin; i < end; ++i) {
-      for (size_t j = i + 1; j < end; ++j) {
-        int a = ents[i], b = ents[j];
-        if (a == b) continue;
-        if (a > b) std::swap(a, b);
-        keys.push_back((static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
-                       static_cast<uint32_t>(b));
-      }
-    }
-  }
-  std::sort(keys.begin(), keys.end());
-  std::vector<CandidatePair> pairs;
-  for (size_t i = 0; i < keys.size();) {
-    size_t j = i;
-    while (j < keys.size() && keys[j] == keys[i]) ++j;
-    CandidatePair p;
-    p.e1 = static_cast<int>(keys[i] >> 32);
-    p.e2 = static_cast<int>(keys[i] & 0xFFFFFFFFULL);
-    p.shared = static_cast<uint32_t>(j - i);
-    pairs.push_back(p);
-    i = j;
-  }
-  return pairs;
-}
-
-void InvertedIndex::ForEachCandidate(
-    bool short_lists_first,
-    const std::function<bool(int, int)>& callback) const {
-  EnsureFrozen();
-  const uint64_t* starts = frozen_starts();
-  const int* ents = frozen_entities();
-  for (uint32_t l : EnumerationOrder(short_lists_first)) {
-    const size_t begin = starts[l], end = starts[l + 1];
-    for (size_t i = begin; i < end; ++i) {
-      for (size_t j = i + 1; j < end; ++j) {
-        int a = ents[i], b = ents[j];
-        if (a == b) continue;
-        if (a > b) std::swap(a, b);
-        if (!callback(a, b)) return;
-      }
-    }
-  }
-}
-
 void InvertedIndex::ForEachList(
     bool short_lists_first,
     const std::function<bool(const int*, size_t)>& callback) const {

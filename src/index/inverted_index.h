@@ -9,9 +9,7 @@
 
 /// \file inverted_index.h
 /// Signature -> entity inverted index (Section IV-A). Every pair of
-/// entities on the same list is a candidate; the number of lists a pair
-/// co-occurs on is its shared-signature count, which approximates the
-/// similar probability used by benefit-ordered verification.
+/// entities on the same list is a candidate, once per list it shares.
 ///
 /// Postings are kept in one flat (signature, entity) arena. Add() appends;
 /// the first query freezes the index by stable-sorting the arena by
@@ -36,30 +34,14 @@ class InvertedIndex {
   /// |sigs| as the entity's signature count. Entities must be >= 0.
   void Add(int entity, const std::vector<uint64_t>& sigs);
 
-  /// Enumerates candidate pairs (e1 < e2) and their shared-signature
-  /// counts, ordered by (e1, e2). Quadratic in the longest list, which is
-  /// what the signature schemes keep short.
-  struct CandidatePair {
-    int e1;
-    int e2;
-    uint32_t shared;
-  };
-  std::vector<CandidatePair> CandidatePairs() const;
-
-  /// Streams candidate pairs (e1 < e2) without materializing them: every
-  /// pair of entities on the same list is emitted, a pair once per shared
-  /// list. With `short_lists_first`, lists are visited in ascending length
-  /// order — pairs sharing rare signatures (likely similar) come first,
-  /// which is the streaming stand-in for benefit-ordered verification.
-  /// The callback returns false to stop the enumeration early.
-  void ForEachCandidate(bool short_lists_first,
-                        const std::function<bool(int, int)>& callback) const;
-
-  /// Streams whole posting lists (only those with >= 2 entries) in the
-  /// order ForEachCandidate would visit them, handing the caller the
-  /// contiguous entity run of each list. Lets callers that can decide a
-  /// list wholesale (e.g. every member already in one partition) skip its
-  /// |l|(|l|-1)/2 pairs in O(|l|). The callback returns false to stop.
+  /// Streams whole posting lists (only those with >= 2 entries), handing
+  /// the caller the contiguous entity run of each list; every pair on a
+  /// list is a candidate. With `short_lists_first`, lists are visited in
+  /// ascending length order — pairs sharing rare signatures (likely
+  /// similar) come first; otherwise in signature order. Callers that can
+  /// decide a list wholesale (e.g. every member already in one partition)
+  /// skip its |l|(|l|-1)/2 pairs in O(|l|). The callback returns false to
+  /// stop.
   void ForEachList(
       bool short_lists_first,
       const std::function<bool(const int*, size_t)>& callback) const;

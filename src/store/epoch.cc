@@ -202,9 +202,13 @@ std::shared_ptr<const CorpusEpoch> EpochManager::Install(
   // will be retired without serving a single request.
   std::shared_ptr<const CorpusEpoch> epoch(
       new CorpusEpoch(sequence, std::move(corpus)), Retirer{control_});
+  // Declared before the lock so it is released after the unlock: when no
+  // request pins the superseded epoch, its retirement (frees, munmap)
+  // runs here and must not hold up Pin().
+  std::shared_ptr<const CorpusEpoch> superseded;
   MutexLock lock(&mu_);
   if (current_ == nullptr || current_->sequence() < sequence) {
-    current_ = std::move(epoch);
+    superseded = std::exchange(current_, std::move(epoch));
   }
   return current_;
 }

@@ -216,8 +216,8 @@ class CorpusEpoch {
 /// one reference to the current epoch; every Pin() adds another. An
 /// epoch's destructor (and with it any munmap it causes) runs on whichever
 /// thread drops the last reference — a worker finishing the final
-/// in-flight request of a superseded epoch, or Install itself when no
-/// request pinned the old one.
+/// in-flight request of a superseded epoch, or Install itself, after it
+/// released its lock, when no request pinned the old one.
 class EpochManager {
  public:
   /// `retire_hook(sequence)` fires after a retired epoch is fully

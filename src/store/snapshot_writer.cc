@@ -1,5 +1,9 @@
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -302,11 +306,26 @@ Status WriteSnapshot(const SnapshotWriteRequest& request,
                      const std::string& path) {
   StatusOr<std::string> image = SerializeSnapshot(request);
   if (!image.ok()) return image.status();
-  std::ofstream out(path, std::ios::binary);
+  // Never rewrite `path` in place: a server may be mapping it (--watch,
+  // or groups still borrowing an earlier epoch's mapping), and truncating
+  // a mapped file faults its readers. Write a sibling temporary and
+  // rename it over the target, so a mapping of the old file keeps its
+  // inode and a reader of the path sees the old image or the new one.
+  static std::atomic<uint64_t> counter{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(counter.fetch_add(1));
+  std::ofstream out(tmp, std::ios::binary);
   if (!out) return NotFoundError(path + ": cannot create");
   out.write(image->data(), static_cast<std::streamsize>(image->size()));
-  out.flush();
-  if (!out) return IoError(path + ": write failed");
+  out.close();
+  if (!out) {
+    std::remove(tmp.c_str());
+    return IoError(path + ": write failed");
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return IoError(path + ": cannot replace");
+  }
   return OkStatus();
 }
 

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -130,6 +132,38 @@ TEST(EpochTest, UnmapDelayFailpointStillRetires) {
   std::vector<uint64_t> fired = log.Snapshot();
   ASSERT_EQ(fired.size(), 1u);
   EXPECT_EQ(fired[0], 1u);
+}
+
+TEST(EpochTest, RetirementInsideInstallDoesNotBlockPin) {
+  // The retire hook of epoch 1 parks the installing thread until the test
+  // releases it, so the retirement is provably still running while the
+  // concurrent Pin() is made. Declared before the manager: epoch 2
+  // retires (and fires the hook again) when the manager is destroyed.
+  std::promise<void> retiring;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  EpochManager manager([&](uint64_t sequence) {
+    if (sequence != 1) return;
+    retiring.set_value();
+    released.wait();
+  });
+  manager.Install(MakeCorpus(1));
+  ScopedFailpoint delay(failpoints::kEpochUnmapDelay);
+  // Nothing pins epoch 1, so Install itself retires it: the failpoint
+  // sleeps, the epoch is freed, then the hook parks.
+  std::thread installer([&] { manager.Install(MakeCorpus(2)); });
+  retiring.get_future().wait();
+  std::future<std::shared_ptr<const CorpusEpoch>> pin =
+      std::async(std::launch::async, [&] { return manager.Pin(); });
+  const bool returned =
+      pin.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  release.set_value();
+  installer.join();
+  EXPECT_TRUE(returned) << "Pin() waited for the superseded epoch to retire";
+  std::shared_ptr<const CorpusEpoch> pinned = pin.get();
+  ASSERT_NE(pinned, nullptr);
+  EXPECT_EQ(pinned->sequence(), 2u);
+  EXPECT_EQ(manager.retired(), 1u);
 }
 
 TEST(EpochTest, GroupAndPreparedLookup) {

@@ -183,6 +183,11 @@ void ExpectSnapshotRoundTripIdentity(const std::vector<Group>& groups,
     EXPECT_EQ(warm_plus.stats.candidate_pairs, cold_plus.stats.candidate_pairs);
     EXPECT_EQ(warm_plus.stats.pairs_skipped_by_transitivity,
               cold_plus.stats.pairs_skipped_by_transitivity);
+    // Step 1 streams every candidate occurrence: each one is verified or
+    // skipped by transitivity, none is deduplicated away.
+    EXPECT_EQ(cold_plus.stats.positive_pair_checks +
+                  cold_plus.stats.pairs_skipped_by_transitivity,
+              cold_plus.stats.candidate_pairs);
 
     if (pins != nullptr) {
       EXPECT_EQ(DigestResult(cold_naive), pins->digest);
@@ -241,10 +246,10 @@ TEST(GoldenEqualityTest, SnapshotRoundTripAmazon10000) {
   pins.digest = 0xdd8111edfbf8d618ULL;
   pins.naive_positive_checks = 149962443;
   pins.naive_negative_checks = 23313764;
-  pins.plus_positive_checks = 5968;
+  pins.plus_positive_checks = 25579;
   pins.plus_negative_checks = 7566;
   pins.plus_candidate_pairs = 63611;
-  pins.plus_pairs_skipped_by_transitivity = 42133;
+  pins.plus_pairs_skipped_by_transitivity = 38032;
   ExpectSnapshotRoundTripIdentity(
       groups, setup.positive, setup.negative, setup.context,
       testing::TempDir() + "/golden_amazon10000.snap", &pins);

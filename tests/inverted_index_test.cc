@@ -12,23 +12,38 @@
 namespace dime {
 namespace {
 
+// Every list ForEachList hands out, copied, in visiting order.
+std::vector<std::vector<int>> Lists(const InvertedIndex& index,
+                                    bool short_lists_first) {
+  std::vector<std::vector<int>> lists;
+  index.ForEachList(short_lists_first, [&](const int* list, size_t len) {
+    lists.emplace_back(list, list + len);
+    return true;
+  });
+  return lists;
+}
+
 TEST(InvertedIndexTest, CandidatesFromSharedSignatures) {
   InvertedIndex index;
   index.Add(0, {10, 20, 30});
   index.Add(1, {20, 30, 40});
   index.Add(2, {99});
-  auto pairs = index.CandidatePairs();
-  ASSERT_EQ(pairs.size(), 1u);
-  EXPECT_EQ(pairs[0].e1, 0);
-  EXPECT_EQ(pairs[0].e2, 1);
-  EXPECT_EQ(pairs[0].shared, 2u);  // signatures 20 and 30
+  // Signatures 20 and 30 each carry the pair (0, 1); singleton lists
+  // (10, 40, 99) hold no pair and are not streamed.
+  const std::vector<std::vector<int>> expected = {{0, 1}, {0, 1}};
+  EXPECT_EQ(Lists(index, /*short_lists_first=*/false), expected);
+  EXPECT_EQ(Lists(index, /*short_lists_first=*/true), expected);
+  EXPECT_EQ(index.CandidateVolume(), 2u);
+  EXPECT_EQ(index.num_lists(), 5u);
 }
 
 TEST(InvertedIndexTest, NoSharedSignaturesNoCandidates) {
   InvertedIndex index;
   index.Add(0, {1});
   index.Add(1, {2});
-  EXPECT_TRUE(index.CandidatePairs().empty());
+  EXPECT_TRUE(Lists(index, /*short_lists_first=*/false).empty());
+  EXPECT_TRUE(Lists(index, /*short_lists_first=*/true).empty());
+  EXPECT_EQ(index.CandidateVolume(), 0u);
 }
 
 TEST(InvertedIndexTest, SignatureCounts) {
@@ -45,10 +60,33 @@ TEST(InvertedIndexTest, CandidatesAreDeterministicallyOrdered) {
   index.Add(3, {5});
   index.Add(1, {5});
   index.Add(2, {5});
-  auto pairs = index.CandidatePairs();
-  ASSERT_EQ(pairs.size(), 3u);
-  EXPECT_TRUE(pairs[0].e1 <= pairs[1].e1 && pairs[1].e1 <= pairs[2].e1);
-  for (const auto& p : pairs) EXPECT_LT(p.e1, p.e2);
+  const std::vector<std::vector<int>> expected = {{3, 1, 2}};
+  EXPECT_EQ(Lists(index, /*short_lists_first=*/false), expected);
+  EXPECT_EQ(index.CandidateVolume(), 3u);
+}
+
+TEST(InvertedIndexTest, ShortListsFirstOrdersByLengthThenFirstEntity) {
+  InvertedIndex index;
+  // sig 1 -> {0,1,2,3}, sig 2 -> {1,4}, sig 3 -> {0,5}, sig 4 -> {2,3,4}.
+  index.Add(0, {1, 3});
+  index.Add(1, {1, 2});
+  index.Add(2, {1, 4});
+  index.Add(3, {1, 4});
+  index.Add(4, {2, 4});
+  index.Add(5, {3});
+  const std::vector<std::vector<int>> by_signature = {
+      {0, 1, 2, 3}, {1, 4}, {0, 5}, {2, 3, 4}};
+  EXPECT_EQ(Lists(index, /*short_lists_first=*/false), by_signature);
+  // Equal lengths tie-break on the first entity: {0,5} before {1,4}.
+  const std::vector<std::vector<int>> short_first = {
+      {0, 5}, {1, 4}, {2, 3, 4}, {0, 1, 2, 3}};
+  EXPECT_EQ(Lists(index, /*short_lists_first=*/true), short_first);
+  EXPECT_EQ(index.CandidateVolume(), 6u + 1u + 1u + 3u);
+
+  // Returning false stops the enumeration after the current list.
+  size_t visited = 0;
+  index.ForEachList(true, [&](const int*, size_t) { return ++visited < 2; });
+  EXPECT_EQ(visited, 2u);
 }
 
 TEST(InvertedIndexTest, ListOverlapAndShareAtLeast) {

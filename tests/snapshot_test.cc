@@ -9,6 +9,7 @@
 #include "src/store/snapshot.h"
 
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "src/core/dime_plus.h"
 #include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
+#include "src/index/inverted_index.h"
 #include "src/store/mapped_file.h"
 #include "src/store/snapshot_format.h"
 
@@ -234,6 +236,91 @@ TEST_F(SnapshotTest, SerializeValidatesRequest) {
   no_groups.groups = &empty;
   EXPECT_EQ(SerializeSnapshot(no_groups).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// The frozen positive-index arrays of a loaded group, copied out of
+// whatever backs them (the mapping, for a mapped load).
+std::vector<int> IndexEntities(const PreparedGroup& pg) {
+  std::vector<int> out;
+  for (const InvertedIndex& index : pg.artifacts->positive_indexes) {
+    InvertedIndex::FrozenView view = index.FrozenData();
+    out.insert(out.end(), view.entities, view.entities + view.entities_len);
+  }
+  return out;
+}
+
+TEST_F(SnapshotTest, RewriteLeavesALiveMappingIntact) {
+  TestCorpus a = MakeTestCorpus(41, 2);
+  TestCorpus b = MakeTestCorpus(42, 1);  // a smaller file than A
+  const std::string path = TempPath("rewrite.snap");
+  ASSERT_TRUE(WriteSnapshot(a.Request(), path).ok());
+  const std::string image_a = ReadFile(path);
+
+  StatusOr<LoadedSnapshot> loaded = LoadSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_TRUE(loaded->mapped);
+  StatusOr<MappedFile> raw = MappedFile::Open(path);
+  ASSERT_TRUE(raw.ok());
+  ASSERT_TRUE(raw->mapped());
+  std::vector<DimeResult> before;
+  std::vector<std::vector<int>> arenas;
+  for (const auto& pg : loaded->prepared) {
+    before.push_back(
+        RunDimePlus(*pg, loaded->positive, loaded->negative, {}, {}));
+    arenas.push_back(IndexEntities(*pg));
+  }
+
+  // Rewrite the path with B while A is mapped, then make A fault its
+  // pages back in: an in-place rewrite would shrink the file under the
+  // mapping (SIGBUS) or hand back B's bytes.
+  ASSERT_TRUE(WriteSnapshot(b.Request(), path).ok());
+  raw->DropResidentPages();
+  EXPECT_TRUE(std::string(reinterpret_cast<const char*>(raw->data()),
+                          raw->size()) == image_a);
+  for (size_t i = 0; i < loaded->prepared.size(); ++i) {
+    const PreparedGroup& pg = *loaded->prepared[i];
+    EXPECT_EQ(IndexEntities(pg), arenas[i]);
+    DimeResult after =
+        RunDimePlus(pg, loaded->positive, loaded->negative, {}, {});
+    EXPECT_EQ(after.partitions, before[i].partitions);
+    EXPECT_EQ(after.pivot, before[i].pivot);
+    EXPECT_EQ(after.first_flagging_rule, before[i].first_flagging_rule);
+    EXPECT_EQ(after.flagged_by_prefix, before[i].flagged_by_prefix);
+  }
+
+  // A fresh load sees B.
+  StatusOr<LoadedSnapshot> fresh = LoadSnapshot(path);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ASSERT_EQ(fresh->groups.size(), 1u);
+  EXPECT_EQ(ReadFile(path), *SerializeSnapshot(b.Request()));
+  EXPECT_TRUE(fresh->fingerprint_lo != loaded->fingerprint_lo ||
+              fresh->fingerprint_hi != loaded->fingerprint_hi);
+}
+
+TEST_F(SnapshotTest, FailedRewriteLeavesNoTemporary) {
+  TestCorpus corpus = MakeTestCorpus(43, 1);
+  // A directory in the way: the write succeeds, the rename over it fails.
+  const std::filesystem::path dir =
+      std::filesystem::path(TempPath("")) / "rewrite_blocked";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir / "target.snap");
+  EXPECT_EQ(WriteSnapshot(corpus.Request(), (dir / "target.snap").string())
+                .code(),
+            StatusCode::kIoError);
+  EXPECT_TRUE(std::filesystem::is_directory(dir / "target.snap"));
+  size_t entries = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().filename(), "target.snap");
+    ++entries;
+  }
+  EXPECT_EQ(entries, 1u);
+
+  // An unwritable location fails cleanly too.
+  EXPECT_EQ(
+      WriteSnapshot(corpus.Request(), (dir / "missing" / "x.snap").string())
+          .code(),
+      StatusCode::kNotFound);
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(SnapshotTest, MissingFileIsNotFound) {
