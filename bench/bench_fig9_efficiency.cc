@@ -6,24 +6,9 @@
 // The shape to reproduce: DIME+ < DIME << CR, SVM, with the gap widening
 // with group size (the paper reports DIME+ 2-10x faster than DIME).
 //
-// A third section covers the sharded execution engine (DESIGN.md §7.9):
-// dbgen-100k (and 1M in full mode) under serial DIME+ vs
-// RunDimePlusSharded at 1 and 8 executors, with the host's core count
-// recorded next to the timings — a speedup measured on a 1-core
-// container is honestly ~1x, and the JSON says so instead of hiding it.
-//
-//   --json <path>   additionally write the rows as one JSON object
-//   --label <s>     tag for the JSON entry (default "current"); tools/
-//                   bench.sh uses it to keep pre-/post-optimization runs
-//                   apart in the repo-root BENCH_fig9.json
-//   --only <s>      run a single section: scholar, amazon, or dbgen
-//                   (CI's bench-scale job uses --only dbgen)
-//   --allow-debug   record despite a non-Release build (see bench_util.h)
+//   --allow-debug   time a non-Release build anyway (see bench_util.h)
 
-#include <algorithm>
-#include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -33,10 +18,8 @@
 #include "src/common/timer.h"
 #include "src/core/dime_plus.h"
 #include "src/datagen/amazon_gen.h"
-#include "src/datagen/dbgen_gen.h"
 #include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
-#include "src/exec/sharded_dime.h"
 
 namespace dime {
 namespace {
@@ -47,26 +30,6 @@ using bench::QuickMode;
 struct Timings {
   double dime, dime_plus, cr, svm;
 };
-
-/// One printed table line, kept for the optional --json dump.
-struct Row {
-  const char* dataset;
-  size_t entities;
-  Timings t;
-};
-
-std::vector<Row> g_rows;
-
-/// One line of the sharded-engine scale table; lands in the JSON as
-/// "scale_rows" with the host core count attached.
-struct ScaleRow {
-  size_t entities;
-  double serial_plus_s;
-  double sharded_1t_s;
-  double sharded_8t_s;
-};
-
-std::vector<ScaleRow> g_scale_rows;
 
 Timings TimeAll(const Group& group, const std::vector<PositiveRule>& pos,
                 const std::vector<NegativeRule>& neg,
@@ -135,7 +98,6 @@ void RunScholar() {
     Group group = GenerateScholarGroup("Big Page", big);
     Timings t = TimeAll(group, setup.positive, setup.negative, setup.context,
                         setup.cr, setup.features, svm);
-    g_rows.push_back(Row{"scholar", group.size(), t});
     std::printf("%-8zu | %8.3f %8.3f %8.3f %8.3f\n", group.size(), t.dime,
                 t.dime_plus, t.cr, t.svm);
   }
@@ -176,109 +138,9 @@ void RunAmazon() {
 
     Timings t = TimeAll(corpus[0], setup.positive, setup.negative,
                         setup.context, setup.cr, setup.features, svm);
-    g_rows.push_back(Row{"amazon_e40", corpus[0].size(), t});
     std::printf("%-8zu | %8.3f %8.3f %8.3f %8.3f\n", corpus[0].size(), t.dime,
                 t.dime_plus, t.cr, t.svm);
   }
-}
-
-void RunDbgenScale() {
-  PrintTitle("Sharded engine scale (DBGen): serial DIME+ vs RunDimePlusSharded");
-  const unsigned cores = std::thread::hardware_concurrency();
-  std::printf("host cores: %u (speedups beyond 1x need >1 core; the JSON "
-              "records this)\n",
-              cores);
-  std::vector<size_t> sizes = QuickMode()
-                                  ? std::vector<size_t>{100000}
-                                  : std::vector<size_t>{100000, 1000000};
-  std::printf("%-9s | %10s %12s %12s %9s\n", "#tuples", "DIME+ 1T",
-              "sharded 1T", "sharded 8T", "speedup");
-  bench::PrintRule();
-  std::vector<PositiveRule> pos = DbgenPositiveRules();
-  std::vector<NegativeRule> neg = DbgenNegativeRules();
-  for (size_t n : sizes) {
-    DbgenOptions options = n >= 1000000 ? DbgenPreset1M() : DbgenPreset100k();
-    options.num_entities = n;
-    Group group = GenerateDbgenGroup(options);
-    PreparedGroup pg = PrepareGroup(group, pos, neg, {});
-
-    ScaleRow row;
-    row.entities = group.size();
-    {
-      WallTimer timer;
-      DimeResult r = RunDimePlus(pg, pos, neg);
-      row.serial_plus_s = timer.ElapsedSeconds();
-      DIME_CHECK(r.ok());
-    }
-    {
-      exec::ShardedOptions sopts;
-      sopts.num_threads = 1;
-      WallTimer timer;
-      DimeResult r = RunDimePlusSharded(pg, pos, neg, sopts);
-      row.sharded_1t_s = timer.ElapsedSeconds();
-      DIME_CHECK(r.ok());
-    }
-    {
-      exec::ShardedOptions sopts;
-      sopts.num_threads = 8;
-      WallTimer timer;
-      DimeResult r = RunDimePlusSharded(pg, pos, neg, sopts);
-      row.sharded_8t_s = timer.ElapsedSeconds();
-      DIME_CHECK(r.ok());
-    }
-    g_scale_rows.push_back(row);
-    std::printf("%-9zu | %9.3fs %11.3fs %11.3fs %8.2fx\n", row.entities,
-                row.serial_plus_s, row.sharded_1t_s, row.sharded_8t_s,
-                row.serial_plus_s / std::max(row.sharded_8t_s, 1e-9));
-  }
-}
-
-/// One entry object: {"label": ..., "build_type": ..., "rows": [...]}.
-/// tools/bench.sh wraps entries from different builds into the repo-root
-/// BENCH_fig9.json.
-bool WriteJson(const std::string& path, const std::string& label) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"fig9_efficiency\",\n");
-  std::fprintf(f, "  \"label\": \"%s\",\n", label.c_str());
-  std::fprintf(f, "  \"build_type\": \"%s\",\n", bench::LibraryBuildType());
-  std::fprintf(f, "  \"quick\": %s,\n", QuickMode() ? "true" : "false");
-  std::fprintf(f, "  \"host_cores\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"rows\": [\n");
-  for (size_t i = 0; i < g_rows.size(); ++i) {
-    const Row& r = g_rows[i];
-    std::fprintf(f,
-                 "    {\"dataset\": \"%s\", \"entities\": %zu, "
-                 "\"dime_s\": %.3f, \"dime_plus_s\": %.3f, \"cr_s\": %.3f, "
-                 "\"svm_s\": %.3f}%s\n",
-                 r.dataset, r.entities, r.t.dime, r.t.dime_plus, r.t.cr,
-                 r.t.svm, i + 1 < g_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  // Sharded-engine scale rows (empty unless the dbgen section ran).
-  // speedup_8t is honest: on a 1-core host it hovers near 1x, and the
-  // top-level host_cores field lets readers tell that apart from a
-  // scaling regression.
-  std::fprintf(f, "  \"scale_rows\": [\n");
-  for (size_t i = 0; i < g_scale_rows.size(); ++i) {
-    const ScaleRow& r = g_scale_rows[i];
-    std::fprintf(f,
-                 "    {\"dataset\": \"dbgen\", \"entities\": %zu, "
-                 "\"dime_plus_s\": %.3f, \"sharded_1t_s\": %.3f, "
-                 "\"sharded_8t_s\": %.3f, \"speedup_8t\": %.2f}%s\n",
-                 r.entities, r.serial_plus_s, r.sharded_1t_s, r.sharded_8t_s,
-                 r.serial_plus_s / std::max(r.sharded_8t_s, 1e-9),
-                 i + 1 < g_scale_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s (%zu rows, label \"%s\")\n", path.c_str(),
-              g_rows.size(), label.c_str());
-  return true;
 }
 
 }  // namespace
@@ -286,36 +148,13 @@ bool WriteJson(const std::string& path, const std::string& label) {
 
 int main(int argc, char** argv) {
   if (!dime::bench::GuardReleaseBuild(&argc, argv)) return 1;
-  std::string json_path;
-  std::string label = "current";
-  std::string only;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) {
-      label = argv[++i];
-    } else if (std::strcmp(argv[i], "--only") == 0 && i + 1 < argc) {
-      only = argv[++i];
-      if (only != "scholar" && only != "amazon" && only != "dbgen") {
-        std::fprintf(stderr, "--only must be scholar, amazon, or dbgen\n");
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      return 2;
-    }
+  if (argc > 1) {
+    std::fprintf(stderr, "unknown flag: %s\n", argv[1]);
+    return 2;
   }
-  if (only.empty() || only == "scholar") {
-    dime::RunScholar();
-    std::printf("\n");
-  }
-  if (only.empty() || only == "amazon") {
-    dime::RunAmazon();
-    std::printf("\n");
-  }
-  if (only.empty() || only == "dbgen") {
-    dime::RunDbgenScale();
-  }
-  if (!json_path.empty() && !dime::WriteJson(json_path, label)) return 1;
+  dime::RunScholar();
+  std::printf("\n");
+  dime::RunAmazon();
+  std::printf("\n");
   return 0;
 }

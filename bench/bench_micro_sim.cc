@@ -248,7 +248,8 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   // google-benchmark's built-in context.library_build_type describes the
   // system benchmark library; this key records how the dime library
-  // itself was built. tools/bench.sh keys its debug-refusal off it.
+  // itself was built. tools/check_micro_baseline.sh refuses a frozen
+  // baseline whose value is not "release".
   benchmark::AddCustomContext("dime_library_build_type",
                               dime::bench::LibraryBuildType());
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

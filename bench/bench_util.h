@@ -42,9 +42,9 @@ inline const char* LibraryBuildType() {
   return BuiltWithAssertions() ? "debug" : "release";
 }
 
-/// Every benchmark binary calls this first. A non-Release build refuses
-/// to record numbers — a debug timing silently landing in a BENCH_*.json
-/// is worse than no timing — unless the operator explicitly passes
+/// The timing binaries (fig9, micro_sim) call this first. A non-Release
+/// build refuses to time anything — a debug timing silently landing in a
+/// frozen baseline is worse than no timing — unless the operator passes
 /// --allow-debug (which is consumed from argv either way). Returns true
 /// when the run may proceed.
 inline bool GuardReleaseBuild(int* argc, char** argv) {

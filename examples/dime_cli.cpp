@@ -75,6 +75,8 @@
 #include "src/common/deadline.h"
 #include "src/common/random.h"
 #include "src/common/exit_code.h"
+#include "src/common/string_util.h"
+#include "src/common/threads.h"
 #include "src/core/metrics.h"
 #include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
@@ -93,6 +95,17 @@ int UsageError(const char* fmt, const char* detail = nullptr) {
   std::fprintf(stderr, fmt, detail == nullptr ? "" : detail);
   std::fprintf(stderr, "\n");
   return dime::ExitCodeForStatusCode(dime::StatusCode::kInvalidArgument);
+}
+
+/// The value of numeric flag `flag`, which must be an integer in
+/// [min, max]; anything else exits INVALID_ARGUMENT.
+uint64_t FlagValue(const std::string& flag, const char* value, uint64_t min,
+                   uint64_t max) {
+  dime::StatusOr<uint64_t> parsed = dime::ParseUintFlag(flag, value, min, max);
+  if (!parsed.ok()) {
+    std::exit(UsageError("%s", parsed.status().message().c_str()));
+  }
+  return *parsed;
 }
 
 /// Runs `attempt` (one send over either protocol), retrying an
@@ -157,15 +170,16 @@ int RunClient(int argc, char** argv) {
     if (arg == "--host") {
       host = next();
     } else if (arg == "--port") {
-      port = static_cast<int>(std::strtol(next(), nullptr, 10));
+      port = static_cast<int>(FlagValue(arg, next(), 0, kMaxPort));
     } else if (arg == "--timeout-ms") {
-      timeout_ms = static_cast<int>(std::strtol(next(), nullptr, 10));
+      timeout_ms = static_cast<int>(FlagValue(arg, next(), 0, kMaxFlagMillis));
     } else if (arg == "--request") {
       request_type = next();
     } else if (arg == "--group-name") {
       request.group_name = next();
     } else if (arg == "--deadline-ms") {
-      request.deadline_ms = std::strtol(next(), nullptr, 10);
+      request.deadline_ms =
+          static_cast<int64_t>(FlagValue(arg, next(), 0, kMaxFlagMillis));
     } else if (arg == "--engine") {
       request.engine = next();
     } else if (arg == "--no-cache") {
@@ -337,12 +351,10 @@ int RunSnapshot(int argc, char** argv) {
                           EngineKindNames(", ").c_str());
       }
     } else if (arg == "--threads") {
-      threads = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+      threads = static_cast<unsigned>(FlagValue(arg, next(), 0, kMaxThreads));
     } else if (arg == "--deadline-ms") {
-      deadline_ms = std::strtol(next(), nullptr, 10);
-      if (deadline_ms <= 0) {
-        return UsageError("--deadline-ms needs a positive integer");
-      }
+      deadline_ms =
+          static_cast<long>(FlagValue(arg, next(), 1, kMaxFlagMillis));
     } else if (arg == "--stats") {
       show_stats = true;
     } else if (path.empty()) {
@@ -444,12 +456,10 @@ int main(int argc, char** argv) {
                           EngineKindNames(", ").c_str());
       }
     } else if (arg == "--threads") {
-      threads = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+      threads = static_cast<unsigned>(FlagValue(arg, next(), 0, kMaxThreads));
     } else if (arg == "--deadline-ms") {
-      deadline_ms = std::strtol(next(), nullptr, 10);
-      if (deadline_ms <= 0) {
-        return UsageError("--deadline-ms needs a positive integer");
-      }
+      deadline_ms =
+          static_cast<long>(FlagValue(arg, next(), 1, kMaxFlagMillis));
     } else if (arg == "--stats") {
       show_stats = true;
     } else {

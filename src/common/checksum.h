@@ -11,8 +11,7 @@
 /// a mismatch on load is reported as DATA_LOSS rather than handing the
 /// engines silently corrupted arenas. Software slice-by-8 implementation
 /// (~1 GB/s): the loader checksums the whole file on warm start, so CRC
-/// throughput is a direct term in the cold-start numbers
-/// (BENCH_snapshot.json).
+/// throughput is a direct term in warm-start time.
 
 namespace dime {
 

@@ -77,6 +77,21 @@ bool ParseDouble(std::string_view s, double* out) {
   return ec == std::errc() && ptr == s.data() + s.size();
 }
 
+StatusOr<uint64_t> ParseUintFlag(std::string_view flag, std::string_view value,
+                                 uint64_t min, uint64_t max) {
+  uint64_t parsed = 0;
+  auto [ptr, ec] =
+      std::from_chars(value.data(), value.data() + value.size(), parsed);
+  if (value.empty() || ec != std::errc() ||
+      ptr != value.data() + value.size() || parsed < min || parsed > max) {
+    return InvalidArgumentError(
+        std::string(flag) + ": expected an integer in [" +
+        std::to_string(min) + ", " + std::to_string(max) + "], got \"" +
+        std::string(value) + "\"");
+  }
+  return parsed;
+}
+
 std::string FormatDouble(double v, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, v);

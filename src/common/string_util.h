@@ -1,9 +1,13 @@
 #ifndef DIME_COMMON_STRING_UTIL_H_
 #define DIME_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "src/common/status.h"
 
 /// \file string_util.h
 /// Small string helpers shared by the tokenizers, dataset IO and rule
@@ -34,6 +38,19 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 
 /// Parses a double; returns false on malformed input.
 bool ParseDouble(std::string_view s, double* out);
+
+/// The largest millisecond value a numeric flag accepts (deadlines,
+/// timeouts, intervals), so that each fits the int it is held in.
+inline constexpr uint64_t kMaxFlagMillis = std::numeric_limits<int>::max();
+
+/// Parses `value`, the argument of command-line flag `flag`, as a base-10
+/// unsigned integer in [min, max]: all of it, digits only, with no sign,
+/// whitespace or suffix. Otherwise INVALID_ARGUMENT with the message
+/// `<flag>: expected an integer in [min, max], got "<value>"`. Numeric
+/// flags go through this rather than strtoul, which reads "-1" as
+/// ULONG_MAX and "abc" as 0.
+StatusOr<uint64_t> ParseUintFlag(std::string_view flag, std::string_view value,
+                                 uint64_t min, uint64_t max);
 
 /// Formats `v` with `digits` digits after the decimal point.
 std::string FormatDouble(double v, int digits);

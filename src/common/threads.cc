@@ -10,7 +10,7 @@ unsigned ResolveThreadCount(unsigned requested) {
   if (const char* env = std::getenv("DIME_THREADS")) {
     char* end = nullptr;
     unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0 && v <= 4096) {
+    if (end != env && *end == '\0' && v > 0 && v <= kMaxThreads) {
       return static_cast<unsigned>(v);
     }
   }

@@ -15,6 +15,10 @@
 
 namespace dime {
 
+/// The largest thread count accepted from outside the program: a
+/// --threads or --workers flag, or DIME_THREADS.
+inline constexpr unsigned kMaxThreads = 4096;
+
 /// Resolves a requested thread count (0 = "pick for me") to a concrete
 /// positive count using the precedence above.
 unsigned ResolveThreadCount(unsigned requested);

@@ -108,13 +108,6 @@ DbgenOptions DbgenPreset100k(uint64_t seed) {
   return options;
 }
 
-DbgenOptions DbgenPreset1M(uint64_t seed) {
-  DbgenOptions options;
-  options.num_entities = 1000000;
-  options.seed = seed;
-  return options;
-}
-
 std::vector<PositiveRule> DbgenPositiveRules() {
   Schema schema = DbgenSchema();
   std::vector<PositiveRule> rules(2);

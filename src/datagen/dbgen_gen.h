@@ -37,15 +37,13 @@ inline constexpr int kDbgenRefs = 1;
 /// Generates the group (truth marks the tail blocks as errors).
 Group GenerateDbgenGroup(const DbgenOptions& options);
 
-/// Presets for the sharded-engine scale experiments (DESIGN.md §7.9).
+/// The preset for the sharded-engine scale experiments (DESIGN.md §7.9).
 /// Per-entity structure (window, refs, name words) is the 20k default, so
 /// signature-list lengths stay bounded and the candidate volume grows
 /// linearly with n — the regime where the engine's near-linear multicore
-/// scaling is measurable. These are the canonical definitions shared by
-/// bench_fig9_efficiency --only dbgen, the ctest `scale` smoke, and CI's
-/// bench-scale job; keep them in sync with EXPERIMENTS.md.
+/// scaling is measurable. The canonical definition shared by the ctest
+/// `scale` smoke and perfbench's batch-scale workload.
 DbgenOptions DbgenPreset100k(uint64_t seed = 1);
-DbgenOptions DbgenPreset1M(uint64_t seed = 1);
 
 /// The two positive and two negative rules used by the scale experiment.
 std::vector<PositiveRule> DbgenPositiveRules();

@@ -87,6 +87,22 @@ ScholarSetup MakeScholarSetup() {
   return setup;
 }
 
+std::vector<Group> MakeScholarDemoPages(size_t pages) {
+  std::vector<Group> groups;
+  groups.reserve(pages);
+  for (size_t i = 0; i < pages; ++i) {
+    ScholarGenOptions gen;
+    gen.num_correct = 120;
+    gen.seed = 1000 + i * 17;
+    gen.garbage_pubs = 3 + i % 4;
+    gen.chem_namesake_pubs = 2 + i % 3;
+    Group page = GenerateScholarGroup("Demo Owner " + std::to_string(i), gen);
+    page.name = "page_" + std::to_string(i);
+    groups.push_back(std::move(page));
+  }
+  return groups;
+}
+
 AmazonSetup MakeAmazonSetup(const std::vector<Group>& corpus,
                             const HierarchyOptions& hierarchy) {
   AmazonSetup setup;

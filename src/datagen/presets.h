@@ -52,6 +52,12 @@ struct ScholarSetup {
 
 ScholarSetup MakeScholarSetup();
 
+/// The pages `dime_server --demo --demo-pages <pages>` serves and
+/// `dime_snapshot build --demo` writes, to be checked under
+/// MakeScholarSetup()'s rules: Scholar groups of ~130 entities named
+/// page_0..page_{pages-1}.
+std::vector<Group> MakeScholarDemoPages(size_t pages);
+
 /// Configuration for Amazon-style groups. The Description ontology is an
 /// LDA theme hierarchy fitted on the given corpus (Section VI-A:
 /// "we utilized LDA to learn a theme hierarchy structure").

@@ -48,8 +48,9 @@ struct ShardedOptions {
 /// pool-sorted postings (the inverted lists), volume-balanced candidate
 /// verification into the striped union-find, then the extracted
 /// negative-phase scan (core/dime_plus_internal.h) one partition per
-/// task against prebuilt per-rule contexts. This is the path that takes
-/// dbgen-100k .. 1M groups (see bench_fig9_efficiency --only dbgen).
+/// task against prebuilt per-rule contexts. This is the path for large
+/// groups; perfbench's batch-scale workload times it on dbgen-100k, the
+/// largest group measured.
 DimeResult RunDimePlusSharded(const PreparedGroup& pg,
                               const std::vector<PositiveRule>& positive,
                               const std::vector<NegativeRule>& negative,

@@ -43,6 +43,9 @@ StatusOr<std::string> SendRequestLine(const std::string& host, int port,
                                       const std::string& line,
                                       int timeout_ms = 30000);
 
+/// The largest TCP port number.
+inline constexpr int kMaxPort = 65535;
+
 /// Creates, binds, and listens an IPv4 TCP socket. On success returns
 /// the fd and writes the bound port (after an ephemeral port 0 bind) to
 /// *bound_port. IO_ERROR / INVALID_ARGUMENT otherwise.

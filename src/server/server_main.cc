@@ -57,6 +57,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -64,11 +65,13 @@
 
 #include "src/common/exit_code.h"
 #include "src/common/logging.h"
+#include "src/common/string_util.h"
+#include "src/common/threads.h"
 #include "src/datagen/presets.h"
 #include "src/ontology/builtin.h"
-#include "src/datagen/scholar_gen.h"
 #include "src/rules/rule_io.h"
 #include "src/server/event_loop.h"
+#include "src/server/net_util.h"
 #include "src/store/delta_log.h"
 #include "src/store/snapshot.h"
 
@@ -89,14 +92,7 @@ ServingCorpus MakeDemoCorpus(size_t pages) {
   // Moving the unique_ptr keeps the raw pointers in context.ontologies
   // valid: they point at the tree object, not at the unique_ptr.
   corpus.owned_trees.push_back(std::move(setup.venue_tree));
-  for (size_t i = 0; i < pages; ++i) {
-    ScholarGenOptions gen;
-    gen.num_correct = 120;
-    gen.seed = 1000 + i * 17;
-    gen.garbage_pubs = 3 + i % 4;
-    gen.chem_namesake_pubs = 2 + i % 3;
-    Group page = GenerateScholarGroup("Demo Owner " + std::to_string(i), gen);
-    page.name = "page_" + std::to_string(i);
+  for (Group& page : MakeScholarDemoPages(pages)) {
     corpus.AddGroup(std::move(page));
   }
   return corpus;
@@ -105,6 +101,16 @@ ServingCorpus MakeDemoCorpus(size_t pages) {
 int Usage(const char* msg) {
   std::fprintf(stderr, "dime_server: %s (run with --help for usage)\n", msg);
   return ExitCodeForStatusCode(StatusCode::kInvalidArgument);
+}
+
+constexpr uint64_t kMaxSize = std::numeric_limits<size_t>::max();
+
+/// The value of numeric flag `flag`, which must be an integer in
+/// [0, max]; anything else exits INVALID_ARGUMENT with the usage hint.
+uint64_t FlagValue(const std::string& flag, const char* value, uint64_t max) {
+  StatusOr<uint64_t> parsed = ParseUintFlag(flag, value, 0, max);
+  if (!parsed.ok()) std::exit(Usage(parsed.status().message().c_str()));
+  return *parsed;
 }
 
 /// Shared between the wire "reload" handler and the --watch poller.
@@ -247,7 +253,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--snapshot") {
       snapshot_path = next();
     } else if (arg == "--demo-pages") {
-      demo_pages = static_cast<size_t>(std::strtoul(next(), nullptr, 10));
+      demo_pages = FlagValue(arg, next(), kMaxSize);
     } else if (arg == "--group") {
       group_paths.push_back(next());
     } else if (arg == "--rules") {
@@ -265,30 +271,31 @@ int main(int argc, char** argv) {
     } else if (arg == "--watch") {
       watch = true;
     } else if (arg == "--watch-interval-ms") {
-      watch_interval_ms = static_cast<int>(std::strtol(next(), nullptr, 10));
+      watch_interval_ms =
+          static_cast<int>(FlagValue(arg, next(), kMaxFlagMillis));
       if (watch_interval_ms < 10) watch_interval_ms = 10;
     } else if (arg == "--delta-log") {
       delta_log_path = next();
     } else if (arg == "--delta-threshold-bytes") {
-      delta_threshold_bytes = std::strtoull(next(), nullptr, 10);
+      delta_threshold_bytes =
+          FlagValue(arg, next(), std::numeric_limits<uint64_t>::max());
     } else if (arg == "--host") {
       transport.host = next();
     } else if (arg == "--port") {
-      transport.port = static_cast<int>(std::strtol(next(), nullptr, 10));
+      transport.port = static_cast<int>(FlagValue(arg, next(), kMaxPort));
     } else if (arg == "--workers") {
       options.num_workers =
-          static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+          static_cast<unsigned>(FlagValue(arg, next(), kMaxThreads));
     } else if (arg == "--threads") {
       options.engine_threads =
-          static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+          static_cast<unsigned>(FlagValue(arg, next(), kMaxThreads));
     } else if (arg == "--queue-cap") {
-      options.queue_capacity =
-          static_cast<size_t>(std::strtoul(next(), nullptr, 10));
+      options.queue_capacity = FlagValue(arg, next(), kMaxSize);
     } else if (arg == "--cache-cap") {
-      options.cache_capacity =
-          static_cast<size_t>(std::strtoul(next(), nullptr, 10));
+      options.cache_capacity = FlagValue(arg, next(), kMaxSize);
     } else if (arg == "--default-deadline-ms") {
-      options.default_deadline_ms = std::strtol(next(), nullptr, 10);
+      options.default_deadline_ms =
+          static_cast<int64_t>(FlagValue(arg, next(), kMaxFlagMillis));
     } else if (arg == "--engine") {
       EngineKind kind;
       if (!EngineKindFromName(next(), &kind)) {
@@ -298,10 +305,9 @@ int main(int argc, char** argv) {
       options.default_engine = kind;
     } else if (arg == "--idle-timeout-ms") {
       transport.idle_timeout_ms =
-          static_cast<int>(std::strtol(next(), nullptr, 10));
+          static_cast<int>(FlagValue(arg, next(), kMaxFlagMillis));
     } else if (arg == "--max-connections") {
-      transport.max_connections =
-          static_cast<size_t>(std::strtoul(next(), nullptr, 10));
+      transport.max_connections = FlagValue(arg, next(), kMaxSize);
     } else if (arg == "--help") {
       std::printf(
           "dime_server --demo | --snapshot <file> | --group <tsv>... "

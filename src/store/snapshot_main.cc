@@ -20,11 +20,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/exit_code.h"
+#include "src/common/string_util.h"
 #include "src/datagen/amazon_gen.h"
 #include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
@@ -54,9 +56,7 @@ void PrintHelp() {
       "dime_snapshot verify <file> [--deep]\n");
 }
 
-/// The corpus dime_server --demo serves, reproduced exactly so a demo
-/// snapshot serves byte-identical replies (the CI round-trip check
-/// depends on this).
+/// The rules, ontologies and groups a snapshot is built from.
 struct BuiltCorpus {
   Schema schema;
   std::vector<PositiveRule> positive;
@@ -66,6 +66,9 @@ struct BuiltCorpus {
   std::vector<Group> groups;
 };
 
+/// The corpus dime_server --demo serves: the same Scholar rules and
+/// MakeScholarDemoPages, so a demo snapshot serves byte-identical replies
+/// (the CI round-trip check depends on this).
 BuiltCorpus MakeDemoCorpus(size_t pages) {
   ScholarSetup setup = MakeScholarSetup();
   BuiltCorpus corpus;
@@ -74,20 +77,11 @@ BuiltCorpus MakeDemoCorpus(size_t pages) {
   corpus.negative = std::move(setup.negative);
   corpus.context = setup.context;
   corpus.owned_trees.push_back(std::move(setup.venue_tree));
-  for (size_t i = 0; i < pages; ++i) {
-    ScholarGenOptions gen;
-    gen.num_correct = 120;
-    gen.seed = 1000 + i * 17;
-    gen.garbage_pubs = 3 + i % 4;
-    gen.chem_namesake_pubs = 2 + i % 3;
-    Group page = GenerateScholarGroup("Demo Owner " + std::to_string(i), gen);
-    page.name = "page_" + std::to_string(i);
-    corpus.groups.push_back(std::move(page));
-  }
+  corpus.groups = MakeScholarDemoPages(pages);
   return corpus;
 }
 
-/// The bench corpora (bench_snapshot_load / BENCH_snapshot.json).
+/// The --preset corpora: Fig. 9's largest Scholar and Amazon groups.
 BuiltCorpus MakeScholar2999() {
   ScholarSetup setup = MakeScholarSetup();
   BuiltCorpus corpus;
@@ -149,7 +143,10 @@ int RunBuild(int argc, char** argv) {
     } else if (arg == "--demo") {
       demo = true;
     } else if (arg == "--demo-pages") {
-      demo_pages = static_cast<size_t>(std::strtoul(next(), nullptr, 10));
+      StatusOr<uint64_t> pages = ParseUintFlag(
+          arg, next(), 0, std::numeric_limits<size_t>::max());
+      if (!pages.ok()) return Usage(pages.status().message().c_str());
+      demo_pages = *pages;
     } else if (arg == "--preset") {
       preset = next();
     } else if (arg == "--group") {

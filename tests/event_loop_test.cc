@@ -2,7 +2,8 @@
 // per-connection protocol sniffing (both protocols on ONE port),
 // pipelining with in-order responses, the pipeline-depth pause/resume
 // path, the connection-count ceiling shed, the idle sweep, partial-write
-// resumption under client backpressure — and the chaos leg: continuous
+// resumption under client backpressure, 1024 concurrent keep-alive
+// connections on both protocols — and the chaos leg: continuous
 // snapshot swaps under concurrent line + HTTP socket clients with zero
 // failed replies (the transport-level twin of chaos_swap_test, run under
 // ASan+UBSan and TSan in CI).
@@ -10,15 +11,20 @@
 #include "src/server/event_loop.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "src/common/string_util.h"
 #include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
 #include "src/server/net_util.h"
@@ -29,10 +35,8 @@ namespace {
 
 constexpr int kVariants = 3;
 
-/// Variant v of the serving corpus (chaos_swap_test's recipe): same
-/// schema and group name, per-variant content, so a cross-epoch mixup
-/// changes wire-visible decisions.
-ServingCorpus MakeVariant(int v) {
+/// The Scholar rules and ontologies with no groups yet.
+ServingCorpus ScholarCorpus() {
   ScholarSetup setup = MakeScholarSetup();
   ServingCorpus corpus;
   corpus.schema = setup.schema;
@@ -40,6 +44,14 @@ ServingCorpus MakeVariant(int v) {
   corpus.negative = std::move(setup.negative);
   corpus.context = setup.context;
   corpus.owned_trees.push_back(std::move(setup.venue_tree));
+  return corpus;
+}
+
+/// Variant v of the serving corpus (chaos_swap_test's recipe): same
+/// schema and group name, per-variant content, so a cross-epoch mixup
+/// changes wire-visible decisions.
+ServingCorpus MakeVariant(int v) {
+  ServingCorpus corpus = ScholarCorpus();
   ScholarGenOptions gen;
   gen.num_correct = 30;
   gen.seed = 500 + v * 31;
@@ -47,6 +59,16 @@ ServingCorpus MakeVariant(int v) {
   Group page = GenerateScholarGroup("Chaos Owner", gen);
   page.name = "page_0";
   corpus.AddGroup(std::move(page));
+  return corpus;
+}
+
+/// `dime_server --demo --demo-pages <pages>`'s corpus: the Scholar rules
+/// over MakeScholarDemoPages.
+ServingCorpus MakeDemoCorpus(size_t pages) {
+  ServingCorpus corpus = ScholarCorpus();
+  for (Group& page : MakeScholarDemoPages(pages)) {
+    corpus.AddGroup(std::move(page));
+  }
   return corpus;
 }
 
@@ -78,6 +100,54 @@ class LineClient {
     std::string response;
     if (!RecvLine(fd_, &response)) return "";
     return response;
+  }
+
+ private:
+  int fd_;
+};
+
+/// A keep-alive HTTP/1.1 client on a raw socket (SendHttpRequest closes
+/// its connection after one exchange).
+class HttpClient {
+ public:
+  HttpClient(int port, int timeout_ms)
+      : fd_(ConnectToHost("127.0.0.1", port, timeout_ms)) {}
+  ~HttpClient() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+
+  bool ok() const { return fd_ >= 0; }
+
+  bool SendCheck(const std::string& body) {
+    return SendAll(fd_,
+                   "POST /v1/check HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                   "Content-Type: application/json\r\nContent-Length: " +
+                       std::to_string(body.size()) + "\r\n\r\n" + body);
+  }
+
+  /// The body of the next response; empty on a transport failure or a
+  /// status other than 200.
+  std::string RecvBody() {
+    std::string head;
+    while (!EndsWith(head, "\r\n\r\n")) {
+      char c;
+      if (::recv(fd_, &c, 1, 0) != 1) return "";
+      head.push_back(c);
+    }
+    constexpr std::string_view kLengthField = "\r\ncontent-length:";
+    head = ToLower(head);
+    const size_t at = head.find(kLengthField);
+    if (!StartsWith(head, "http/1.1 200 ") || at == std::string::npos) {
+      return "";
+    }
+    const char* length = head.c_str() + at + kLengthField.size();
+    std::string body(std::strtoul(length, nullptr, 10), '\0');
+    for (size_t got = 0; got < body.size();) {
+      ssize_t n = ::recv(fd_, body.data() + got, body.size() - got, 0);
+      if (n <= 0) return "";
+      got += static_cast<size_t>(n);
+    }
+    return body;
   }
 
  private:
@@ -263,6 +333,122 @@ TEST_F(EventLoopTest, PartialWritesResumeUnderClientBackpressure) {
                 .at("status")
                 .string_value,
             "OK");
+}
+
+TEST_F(EventLoopTest, ThousandKeepAliveConnectionsOnBothProtocols) {
+  // dime_server --demo --demo-pages 4 --workers 8 at 1024 connections:
+  // half line protocol, half HTTP, all open at once. Every connection
+  // sends a cached check; every 8th also sends a no_cache check, which
+  // runs the engine. Nothing may be shed, cut or answered wrongly.
+  constexpr int kConnections = 1024;
+  constexpr int kPages = 4;
+  constexpr int kTimeoutMs = 120000;  // generous for sanitizer builds
+
+  // Each connection holds two descriptors in this process, one per end.
+  constexpr rlim_t kDescriptorsNeeded = 2 * kConnections + 150;
+  struct rlimit limit;
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &limit), 0);
+  if (limit.rlim_cur < kDescriptorsNeeded) {
+    if (limit.rlim_max != RLIM_INFINITY &&
+        limit.rlim_max < kDescriptorsNeeded) {
+      GTEST_SKIP() << "RLIMIT_NOFILE hard limit " << limit.rlim_max
+                   << " is below the " << kDescriptorsNeeded
+                   << " descriptors this test needs";
+    }
+    limit.rlim_cur = kDescriptorsNeeded;
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &limit), 0);
+  }
+
+  ServiceOptions service_options;
+  service_options.num_workers = 8;
+  service_options.queue_capacity = 8192;
+  service_options.cache_capacity = 256;
+  service_ =
+      std::make_unique<DimeService>(MakeDemoCorpus(kPages), service_options);
+  server_ = std::make_unique<EventLoopServer>(service_.get(),
+                                              EventLoopServerOptions{});
+  ASSERT_TRUE(server_->Start().ok());
+
+  auto page_of = [](int c) { return (c / 2) % kPages; };
+  auto line_check = [](int page, bool no_cache) {
+    return R"({"type":"check","group":"page_)" + std::to_string(page) +
+           (no_cache ? R"(","no_cache":true})" : R"("})");
+  };
+  auto http_check = [](int page, bool no_cache) {
+    return R"({"group":"page_)" + std::to_string(page) +
+           (no_cache ? R"(","no_cache":true})" : R"("})");
+  };
+
+  // One connection alone sets each page's expected flagged set and warms
+  // the cache, so the crowd's cached checks are hits.
+  auto reference = std::make_unique<LineClient>(port(), kTimeoutMs);
+  ASSERT_TRUE(reference->ok());
+  std::vector<std::string> flagged(kPages);
+  for (int page = 0; page < kPages; ++page) {
+    JsonObject reply =
+        MustParse(reference->RoundTrip(line_check(page, false)));
+    ASSERT_EQ(reply["status"].string_value, "OK") << "page " << page;
+    flagged[static_cast<size_t>(page)] = reply["flagged"].string_value;
+  }
+
+  std::vector<std::unique_ptr<LineClient>> line(kConnections / 2);
+  std::vector<std::unique_ptr<HttpClient>> http(kConnections / 2);
+  for (int c = 0; c < kConnections; ++c) {
+    const size_t slot = static_cast<size_t>(c / 2);
+    if (c % 2 == 0) {
+      line[slot] = std::make_unique<LineClient>(port(), kTimeoutMs);
+      ASSERT_TRUE(line[slot]->ok()) << "connection " << c;
+    } else {
+      http[slot] = std::make_unique<HttpClient>(port(), kTimeoutMs);
+      ASSERT_TRUE(http[slot]->ok()) << "connection " << c;
+    }
+  }
+
+  // Sends one check on every selected connection, then reads and checks
+  // every reply: all requests are in flight at once.
+  auto round = [&](bool no_cache, auto selected) {
+    for (int c = 0; c < kConnections; ++c) {
+      if (!selected(c)) continue;
+      const size_t slot = static_cast<size_t>(c / 2);
+      const bool sent =
+          c % 2 == 0 ? line[slot]->Send(line_check(page_of(c), no_cache))
+                     : http[slot]->SendCheck(http_check(page_of(c), no_cache));
+      ASSERT_TRUE(sent) << "connection " << c;
+    }
+    for (int c = 0; c < kConnections; ++c) {
+      if (!selected(c)) continue;
+      const size_t slot = static_cast<size_t>(c / 2);
+      std::string body;
+      if (c % 2 == 0) {
+        ASSERT_TRUE(RecvLine(line[slot]->fd(), &body)) << "connection " << c;
+      } else {
+        body = http[slot]->RecvBody();
+      }
+      ASSERT_FALSE(body.empty()) << "connection " << c;
+      JsonObject reply = MustParse(body);
+      ASSERT_EQ(reply["status"].string_value, "OK") << "connection " << c;
+      EXPECT_EQ(reply["cached"].bool_value, !no_cache) << "connection " << c;
+      EXPECT_EQ(reply["flagged"].string_value,
+                flagged[static_cast<size_t>(page_of(c))])
+          << "connection " << c;
+    }
+  };
+  ASSERT_NO_FATAL_FAILURE(round(false, [](int) { return true; }));
+  EXPECT_EQ(server_->open_connections(),
+            static_cast<size_t>(kConnections + 1));
+  // Connections 0-7, 64-71, ...: both protocols and every page.
+  ASSERT_NO_FATAL_FAILURE(round(true, [](int c) { return (c / 8) % 8 == 0; }));
+  EXPECT_EQ(server_->connections_shed(), 0u);
+
+  line.clear();
+  http.clear();
+  reference.reset();
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (server_->open_connections() > 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(server_->open_connections(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -209,7 +209,7 @@ void ExpectSnapshotRoundTripIdentity(const std::vector<Group>& groups,
 
 TEST(GoldenEqualityTest, SnapshotRoundTripScholar2999) {
   // Same generation parameters as `dime_snapshot build --preset
-  // scholar-2999` and bench_snapshot_load.
+  // scholar-2999` and the Fig. 9(a) 3000-tuple point.
   ScholarSetup setup = MakeScholarSetup();
   ScholarGenOptions gen;
   gen.num_correct = 2982;
@@ -232,7 +232,7 @@ TEST(GoldenEqualityTest, SnapshotRoundTripScholar2999) {
 
 TEST(GoldenEqualityTest, SnapshotRoundTripAmazon10000) {
   // Same generation parameters as `dime_snapshot build --preset
-  // amazon-10000` and bench_snapshot_load.
+  // amazon-10000` and the Fig. 9(b) 10000-tuple point.
   AmazonGenOptions gen;
   gen.error_rate = 0.4;
   gen.num_correct = 6000;

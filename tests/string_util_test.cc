@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
+#include "src/common/threads.h"
+#include "src/server/net_util.h"
+
 namespace dime {
 namespace {
 
@@ -56,6 +62,49 @@ TEST(StringUtilTest, ParseDouble) {
   EXPECT_FALSE(ParseDouble("abc", &v));
   EXPECT_FALSE(ParseDouble("1.5x", &v));
   EXPECT_FALSE(ParseDouble("", &v));
+}
+
+TEST(StringUtilTest, ParseUintFlagRejectsAnythingButAWholeNumberInRange) {
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  for (const char* bad : {"-1", "abc", "12x", "", "+1", " 1", "1 ", "0x10",
+                          "1.5", "4097"}) {
+    StatusOr<uint64_t> parsed = ParseUintFlag("--threads", bad, 0, kMaxThreads);
+    ASSERT_FALSE(parsed.ok()) << '"' << bad << '"';
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  EXPECT_FALSE(ParseUintFlag("--port", "70000", 0, kMaxPort).ok());
+  // 20 digits: past uint64_t even with the full range allowed.
+  EXPECT_FALSE(ParseUintFlag("--n", "99999999999999999999", 0, kMax).ok());
+  EXPECT_FALSE(ParseUintFlag("--n", "18446744073709551616", 0, kMax).ok());
+  // The message names the flag, the range and the value.
+  EXPECT_EQ(ParseUintFlag("--workers", "-1", 0, 4096).status().message(),
+            "--workers: expected an integer in [0, 4096], got \"-1\"");
+}
+
+TEST(StringUtilTest, ParseUintFlagAcceptsEachBound) {
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  EXPECT_EQ(ParseUintFlag("--n", "18446744073709551615", 0, kMax).value(),
+            kMax);
+  EXPECT_EQ(ParseUintFlag("--n", "007", 0, 10).value(), 7u);
+  EXPECT_FALSE(ParseUintFlag("--n", "0", 1, 10).ok());
+  EXPECT_EQ(ParseUintFlag("--n", "1", 1, 10).value(), 1u);
+  EXPECT_EQ(ParseUintFlag("--n", "10", 1, 10).value(), 10u);
+  EXPECT_FALSE(ParseUintFlag("--n", "11", 1, 10).ok());
+  // The bounds dime_server, dime_cli and dime_snapshot give their flags.
+  EXPECT_EQ(kMaxThreads, 4096u);
+  EXPECT_EQ(ParseUintFlag("--threads", "0", 0, kMaxThreads).value(), 0u);
+  EXPECT_EQ(ParseUintFlag("--threads", "4096", 0, kMaxThreads).value(), 4096u);
+  EXPECT_EQ(kMaxPort, 65535);
+  EXPECT_EQ(ParseUintFlag("--port", "65535", 0, kMaxPort).value(), 65535u);
+  EXPECT_EQ(ParseUintFlag("--deadline-ms", "2147483647", 1, kMaxFlagMillis)
+                .value(),
+            2147483647u);
+  EXPECT_FALSE(
+      ParseUintFlag("--deadline-ms", "2147483648", 1, kMaxFlagMillis).ok());
+  EXPECT_EQ(
+      ParseUintFlag("--delta-threshold-bytes", "1000000000000", 0, kMax)
+          .value(),
+      1000000000000u);
 }
 
 TEST(StringUtilTest, FormatDouble) {

@@ -19,7 +19,7 @@ BASE="${2:-$(dirname "$0")/../bench/baselines/micro_sim_post.json}"
 
 # The frozen baseline must come from a Release library build — a debug
 # capture would make every fresh run look implausibly fast and mask real
-# regressions (mirrors the refusal in tools/bench.sh).
+# regressions.
 BASE_BT=$(jq -r '.context.dime_library_build_type // "unknown"' "$BASE")
 if [ "$BASE_BT" != "release" ]; then
   echo "check_micro_baseline: baseline $BASE is a '$BASE_BT' capture;" \
