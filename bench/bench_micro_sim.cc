@@ -178,7 +178,7 @@ void BM_SignatureGeneration(benchmark::State& state) {
     SignatureGenerator sigs(pg, setup.positive[1].predicates, Direction::kGe,
                             1);
     // Scratch hoisted out of the entity loop, as the production indexing
-    // loops do (BuildPreparedRuleArtifacts, RunDimePlus step 1).
+    // loops do (RunDimePlus step 1, RunDimePlusSharded step 1a).
     SignatureScratch scratch;
     uint64_t total = 0;
     for (size_t e = 0; e < pg.size(); ++e) {

@@ -59,9 +59,7 @@ std::vector<DimeResult> RunCorpus(const std::vector<Group>& groups,
       if (g >= groups.size()) break;
       Status gate = internal::CheckRunControl(options.control, "corpus/group");
       if (!gate.ok()) {
-        results[g] = DimeResult{};
-        results[g].flagged_by_prefix.assign(negative.size() + 1, {});
-        results[g].status = gate;
+        results[g] = internal::NoPartitionsResult(gate, negative.size());
         progress.RecordTruncated();
         continue;
       }
@@ -73,18 +71,16 @@ std::vector<DimeResult> RunCorpus(const std::vector<Group>& groups,
                                        options.dime_plus, options.control)
                          : RunDime(pg, positive, negative, options.control);
       } catch (const std::exception& e) {
-        results[g] = DimeResult{};
-        results[g].flagged_by_prefix.assign(negative.size() + 1, {});
-        results[g].status =
+        results[g] = internal::NoPartitionsResult(
             InternalError(std::string("corpus worker fault on group ") +
-                          std::to_string(g) + ": " + e.what());
+                          std::to_string(g) + ": " + e.what()),
+            negative.size());
         progress.RecordFault(e.what());
       } catch (...) {
-        results[g] = DimeResult{};
-        results[g].flagged_by_prefix.assign(negative.size() + 1, {});
-        results[g].status =
+        results[g] = internal::NoPartitionsResult(
             InternalError(std::string("corpus worker fault on group ") +
-                          std::to_string(g) + ": unknown exception");
+                          std::to_string(g) + ": unknown exception"),
+            negative.size());
         progress.RecordFault("unknown exception");
       }
     }

@@ -42,6 +42,15 @@ std::vector<std::vector<int>> BuildScrollbar(
   return by_prefix;
 }
 
+DimeResult NoPartitionsResult(Status status, size_t num_rules,
+                              const DimeResult::Stats& stats) {
+  DimeResult result;
+  result.flagged_by_prefix.assign(num_rules, {});
+  result.stats = stats;
+  result.status = std::move(status);
+  return result;
+}
+
 void DcheckResultInvariants(const DimeResult& result, size_t group_size,
                             size_t num_rules) {
 #ifndef NDEBUG
@@ -104,22 +113,6 @@ Status CheckRunControl(const RunControl& control, const char* where) {
 
 }  // namespace internal
 
-namespace {
-
-/// A run stopped before any partition existed: no partitions, a full-width
-/// scrollbar of empty prefixes, and the explaining status.
-DimeResult TruncatedBeforePartitions(Status status, size_t num_rules,
-                                     DimeResult result) {
-  result.partitions.clear();
-  result.pivot = -1;
-  result.first_flagging_rule.clear();
-  result.flagged_by_prefix.assign(num_rules, {});
-  result.status = std::move(status);
-  return result;
-}
-
-}  // namespace
-
 DimeResult RunDime(const PreparedGroup& pg,
                    const std::vector<PositiveRule>& positive,
                    const std::vector<NegativeRule>& negative,
@@ -127,8 +120,7 @@ DimeResult RunDime(const PreparedGroup& pg,
   DimeResult result;
   const int n = static_cast<int>(pg.size());
   if (n == 0) {
-    result.flagged_by_prefix.assign(negative.size(), {});
-    return result;
+    return internal::NoPartitionsResult(OkStatus(), negative.size());
   }
   // Snapshot the thread's kernel counter so the result reports this run's
   // early exits only (the engine is single-threaded, so the delta is ours).
@@ -161,8 +153,8 @@ DimeResult RunDime(const PreparedGroup& pg,
   for (int i = 0; i < n; ++i) {
     Status st = internal::CheckRunControl(control, "dime/positive-row");
     if (!st.ok()) {
-      return TruncatedBeforePartitions(std::move(st), negative.size(),
-                                       std::move(result));
+      return internal::NoPartitionsResult(std::move(st), negative.size(),
+                                          result.stats);
     }
     for (int j = i + 1; j < n; ++j) {
       for (const RulePlan& plan : positive_plans) {

@@ -136,6 +136,13 @@ std::vector<std::vector<int>> BuildScrollbar(
     const std::vector<std::vector<int>>& partitions, int pivot,
     const std::vector<int>& first_flagging_rule, size_t num_rules);
 
+/// The result of a run that ends without partitions: an empty group (OK
+/// status), a step-1 truncation, or an engine or worker fault. No
+/// partitions, no pivot, exactly `num_rules` empty scrollbar prefixes,
+/// the given `stats` and `status`.
+DimeResult NoPartitionsResult(Status status, size_t num_rules,
+                              const DimeResult::Stats& stats = {});
+
 /// Debug-only (DIME_DCHECK) validation of the engine output contract,
 /// called by every engine at its final phase boundary:
 ///   - the pivot is a maximum-size partition (ties to the smaller index);

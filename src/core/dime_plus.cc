@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/common/logging.h"
 #include "src/core/dime_plus_internal.h"
 #include "src/index/inverted_index.h"
 #include "src/index/union_find.h"
@@ -19,62 +18,35 @@ DimeResult RunDimePlus(const PreparedGroup& pg,
   DimeResult result;
   const int n = static_cast<int>(pg.size());
   if (n == 0) {
-    result.flagged_by_prefix.assign(negative.size(), {});
-    return result;
+    return internal::NoPartitionsResult(OkStatus(), negative.size());
   }
   // Snapshot the thread's kernel counter so the result reports this run's
   // early exits only (the engine is single-threaded, so the delta is ours).
   const uint64_t kernel_exits_before = KernelEarlyExits();
 
-  // Precomputed signature artifacts (snapshot warm start) are used only
-  // when they were built for exactly this rule set and these signature
-  // options; otherwise fall back to on-demand generation — stale
-  // artifacts cost time, never correctness.
-  const PreparedRuleArtifacts* artifacts = pg.artifacts.get();
-  if (artifacts != nullptr &&
-      (artifacts->positive_indexes.size() != positive.size() ||
-       artifacts->negative_sigs.size() != negative.size() ||
-       artifacts->max_tuple_signatures !=
-           options.signatures.max_tuple_signatures)) {
-    DIME_LOG(WARNING) << "prepared rule artifacts do not match the rule "
-                         "set/options of this run; regenerating signatures";
-    artifacts = nullptr;
-  }
-
   // A deadline hit before partitioning completes discards step 1 (half
   // merged partitions are not valid output); the status explains why.
   auto truncate_before_partitions = [&](Status st) {
-    result.partitions.clear();
-    result.pivot = -1;
-    result.first_flagging_rule.clear();
-    result.flagged_by_prefix.assign(negative.size(), {});
-    result.status = std::move(st);
     result.stats.kernel_early_exits =
         KernelEarlyExits() - kernel_exits_before;
-    return result;
+    return internal::NoPartitionsResult(std::move(st), negative.size(),
+                                        result.stats);
   };
 
   // ---- Step 1: signature-filtered partitioning. -------------------------
   UnionFind uf(static_cast<size_t>(n));
-  std::vector<InvertedIndex> owned_indexes(
-      artifacts == nullptr ? positive.size() : 0);
-  auto index_for = [&](size_t r) -> const InvertedIndex& {
-    return artifacts != nullptr ? artifacts->positive_indexes[r]
-                                : owned_indexes[r];
-  };
+  std::vector<InvertedIndex> indexes(positive.size());
   size_t candidate_volume = 0;
   for (size_t r = 0; r < positive.size(); ++r) {
     Status st = internal::CheckRunControl(control, "dime_plus/index-rule");
     if (!st.ok()) return truncate_before_partitions(std::move(st));
-    if (artifacts == nullptr) {
-      SignatureGenerator gen(pg, positive[r].predicates, Direction::kGe,
-                             /*rule_tag=*/r + 1, options.signatures);
-      SignatureScratch scratch;
-      for (int e = 0; e < n; ++e) {
-        owned_indexes[r].Add(e, gen.PositiveRuleSignatures(e, &scratch));
-      }
+    SignatureGenerator gen(pg, positive[r].predicates, Direction::kGe,
+                           /*rule_tag=*/r + 1, options.signatures);
+    SignatureScratch scratch;
+    for (int e = 0; e < n; ++e) {
+      indexes[r].Add(e, gen.PositiveRuleSignatures(e, &scratch));
     }
-    candidate_volume += index_for(r).CandidateVolume();
+    candidate_volume += indexes[r].CandidateVolume();
   }
   result.stats.candidate_pairs = candidate_volume;
 
@@ -96,7 +68,7 @@ DimeResult RunDimePlus(const PreparedGroup& pg,
   // verified positive edges (DESIGN.md §6 item 5).
   Status stream_status;
   for (size_t r = 0; r < positive.size() && stream_status.ok(); ++r) {
-    index_for(r).ForEachList(
+    indexes[r].ForEachList(
         options.benefit_order, [&](const int* list, size_t len) {
           // Whole-list transitivity skip: once every entity on a list
           // shares one partition, none of its |l|(|l|-1)/2 pairs can
@@ -160,9 +132,9 @@ DimeResult RunDimePlus(const PreparedGroup& pg,
     auto rule_context =
         [&](size_t r) -> const internal::NegativeRuleContext& {
       if (!contexts[r].ready) {
-        internal::BuildNegativeRuleContext(pg, negative[r], r, artifacts,
-                                           pivot_entities, options.signatures,
-                                           &scratch.sig, &contexts[r]);
+        internal::BuildNegativeRuleContext(pg, negative[r], r, pivot_entities,
+                                           options.signatures, &scratch.sig,
+                                           &contexts[r]);
       }
       return contexts[r];
     };
@@ -179,7 +151,7 @@ DimeResult RunDimePlus(const PreparedGroup& pg,
         break;
       }
       first_flagging[p] = internal::FlagPartitionAgainstPivot(
-          pg, negative, artifacts, options.benefit_order, pivot_entities,
+          pg, negative, options.benefit_order, pivot_entities,
           result.partitions[p], rule_context, &scratch, &nstats);
     }
     result.stats.negative_pair_checks += nstats.negative_pair_checks;

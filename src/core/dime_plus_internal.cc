@@ -5,10 +5,10 @@
 namespace dime {
 namespace internal {
 
-void PivotSigMap::Build(const std::vector<SignatureSpan>& pivot_sigs) {
+void PivotSigMap::Build(const std::vector<std::vector<uint64_t>>& pivot_sigs) {
   std::vector<Entry> entries;
   size_t total = 0;
-  for (const SignatureSpan& span : pivot_sigs) total += span.size();
+  for (const std::vector<uint64_t>& sigs : pivot_sigs) total += sigs.size();
   entries.reserve(total);
   for (size_t i = 0; i < pivot_sigs.size(); ++i) {
     for (uint64_t s : pivot_sigs[i]) {
@@ -37,46 +37,35 @@ PivotSigMap::PosRun PivotSigMap::Find(uint64_t s) const {
 
 void EnsureNegativeGenerator(const PreparedGroup& pg,
                              const NegativeRule& rule, size_t r,
-                             const PreparedRuleArtifacts* artifacts,
                              const SignatureOptions& sig_options,
                              NegativeRuleContext* ctx) {
-  if (artifacts != nullptr || ctx->gen != nullptr) return;
+  if (ctx->gen != nullptr) return;
   ctx->gen = std::make_unique<SignatureGenerator>(
       pg, rule.predicates, Direction::kLe,
       /*rule_tag=*/0x1000 + r, sig_options);
 }
 
-void GeneratePivotSignatures(const PreparedRuleArtifacts* artifacts, size_t r,
-                             const std::vector<int>& pivot_entities,
+void GeneratePivotSignatures(const std::vector<int>& pivot_entities,
                              size_t begin, size_t end,
                              SignatureScratch* scratch,
                              NegativeRuleContext* ctx) {
   for (size_t i = begin; i < end; ++i) {
-    if (artifacts != nullptr) {
-      ctx->pivot_sigs[i] = artifacts->negative_sigs[r].row(pivot_entities[i]);
-    } else {
-      ctx->pivot_sigs_owned[i] =
-          ctx->gen->NegativeRuleSignatures(pivot_entities[i], scratch);
-      ctx->pivot_sigs[i] = SignatureSpan(ctx->pivot_sigs_owned[i]);
-    }
+    ctx->pivot_sigs[i] =
+        ctx->gen->NegativeRuleSignatures(pivot_entities[i], scratch);
   }
 }
 
 void BuildNegativeRuleContext(const PreparedGroup& pg,
                               const NegativeRule& rule, size_t r,
-                              const PreparedRuleArtifacts* artifacts,
                               const std::vector<int>& pivot_entities,
                               const SignatureOptions& sig_options,
                               SignatureScratch* scratch,
                               NegativeRuleContext* ctx) {
   if (ctx->ready) return;
-  EnsureNegativeGenerator(pg, rule, r, artifacts, sig_options, ctx);
-  if (artifacts == nullptr) {
-    ctx->pivot_sigs_owned.resize(pivot_entities.size());
-  }
+  EnsureNegativeGenerator(pg, rule, r, sig_options, ctx);
   ctx->pivot_sigs.resize(pivot_entities.size());
-  GeneratePivotSignatures(artifacts, r, pivot_entities, 0,
-                          pivot_entities.size(), scratch, ctx);
+  GeneratePivotSignatures(pivot_entities, 0, pivot_entities.size(), scratch,
+                          ctx);
   ctx->pivot_map.Build(ctx->pivot_sigs);
   ctx->ready = true;
 }

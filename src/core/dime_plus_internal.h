@@ -42,8 +42,8 @@ class PivotSigMap {
   using Entry = std::pair<uint64_t, uint32_t>;
 
   /// Collects one entry per (pivot position, signature) and sorts.
-  /// Deterministic for given spans.
-  void Build(const std::vector<SignatureSpan>& pivot_sigs);
+  /// Deterministic for given signatures.
+  void Build(const std::vector<std::vector<uint64_t>>& pivot_sigs);
 
   /// Takes pre-collected entries (the sharded engine gathers them in
   /// parallel and pre-sorts with the pool); `entries` must be sorted.
@@ -66,30 +66,25 @@ class PivotSigMap {
 
 /// Read-only per-negative-rule state shared by every partition scan.
 struct NegativeRuleContext {
-  /// Generator for the on-demand path (null when artifacts supply the
-  /// signature columns). Const methods only after construction, so tasks
-  /// may share it with private scratches.
+  /// The rule's signature generator. Const methods only after
+  /// construction, so tasks may share it with private scratches.
   std::unique_ptr<SignatureGenerator> gen;
-  std::vector<std::vector<uint64_t>> pivot_sigs_owned;
-  std::vector<SignatureSpan> pivot_sigs;  ///< one span per pivot position
+  /// One signature run per pivot position.
+  std::vector<std::vector<uint64_t>> pivot_sigs;
   PivotSigMap pivot_map;
   bool ready = false;
 };
 
-/// Creates the generator for rule `r` when `artifacts` is null (the
-/// artifact path reads spans straight from the columns). Idempotent.
+/// Creates the generator for rule `r`. Idempotent.
 void EnsureNegativeGenerator(const PreparedGroup& pg,
                              const NegativeRule& rule, size_t r,
-                             const PreparedRuleArtifacts* artifacts,
                              const SignatureOptions& sig_options,
                              NegativeRuleContext* ctx);
 
-/// Fills pivot_sigs[i] (and pivot_sigs_owned[i] on the on-demand path)
-/// for pivot positions [begin, end). The sharded engine calls this from
-/// per-chunk tasks with per-task scratches; the serial engine calls it
-/// once over the full range.
-void GeneratePivotSignatures(const PreparedRuleArtifacts* artifacts, size_t r,
-                             const std::vector<int>& pivot_entities,
+/// Fills pivot_sigs[i] for pivot positions [begin, end). The sharded
+/// engine calls this from per-chunk tasks with per-task scratches; the
+/// serial engine calls it once over the full range.
+void GeneratePivotSignatures(const std::vector<int>& pivot_entities,
                              size_t begin, size_t end,
                              SignatureScratch* scratch,
                              NegativeRuleContext* ctx);
@@ -98,7 +93,6 @@ void GeneratePivotSignatures(const PreparedRuleArtifacts* artifacts, size_t r,
 /// map) — the lazy ensure_rule path of RunDimePlus.
 void BuildNegativeRuleContext(const PreparedGroup& pg,
                               const NegativeRule& rule, size_t r,
-                              const PreparedRuleArtifacts* artifacts,
                               const std::vector<int>& pivot_entities,
                               const SignatureOptions& sig_options,
                               SignatureScratch* scratch,
@@ -117,8 +111,7 @@ struct NegativeCandidate {
 /// slots rely on the dirty-list reset invariant to stay zeroed).
 struct NegativeScratch {
   SignatureScratch sig;
-  std::vector<std::vector<uint64_t>> member_sigs_owned;
-  std::vector<SignatureSpan> member_sigs;
+  std::vector<std::vector<uint64_t>> member_sigs;
   std::vector<uint32_t> shared_with_pivot;  ///< dense, one per pivot position
   std::vector<uint32_t> dirty;
   std::vector<NegativeCandidate> cands;
@@ -140,7 +133,6 @@ struct NegativePhaseStats {
 template <typename RuleContextFn>
 int FlagPartitionAgainstPivot(const PreparedGroup& pg,
                               const std::vector<NegativeRule>& negative,
-                              const PreparedRuleArtifacts* artifacts,
                               bool benefit_order,
                               const std::vector<int>& pivot_entities,
                               const std::vector<int>& members,

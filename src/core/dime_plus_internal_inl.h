@@ -18,7 +18,6 @@ namespace internal {
 template <typename RuleContextFn>
 int FlagPartitionAgainstPivot(const PreparedGroup& pg,
                               const std::vector<NegativeRule>& negative,
-                              const PreparedRuleArtifacts* artifacts,
                               bool benefit_order,
                               const std::vector<int>& pivot_entities,
                               const std::vector<int>& members,
@@ -26,9 +25,6 @@ int FlagPartitionAgainstPivot(const PreparedGroup& pg,
                               NegativeScratch* scratch,
                               NegativePhaseStats* stats) {
   int flag = -1;
-  if (scratch->member_sigs_owned.size() < members.size()) {
-    scratch->member_sigs_owned.resize(members.size());
-  }
   if (scratch->member_sigs.size() < members.size()) {
     scratch->member_sigs.resize(members.size());
   }
@@ -40,7 +36,7 @@ int FlagPartitionAgainstPivot(const PreparedGroup& pg,
     scratch->shared_with_pivot.assign(pivot_entities.size(), 0);
     scratch->dirty.clear();
   }
-  std::vector<SignatureSpan>& member_sigs = scratch->member_sigs;
+  std::vector<std::vector<uint64_t>>& member_sigs = scratch->member_sigs;
   std::vector<uint32_t>& shared_with_pivot = scratch->shared_with_pivot;
   std::vector<uint32_t>& dirty = scratch->dirty;
 
@@ -52,13 +48,8 @@ int FlagPartitionAgainstPivot(const PreparedGroup& pg,
     // pivot signature.
     bool any_shared = false;
     for (size_t m = 0; m < members.size(); ++m) {
-      if (artifacts != nullptr) {
-        member_sigs[m] = artifacts->negative_sigs[r].row(members[m]);
-      } else {
-        scratch->member_sigs_owned[m] =
-            ctx.gen->NegativeRuleSignatures(members[m], &scratch->sig);
-        member_sigs[m] = SignatureSpan(scratch->member_sigs_owned[m]);
-      }
+      member_sigs[m] =
+          ctx.gen->NegativeRuleSignatures(members[m], &scratch->sig);
       if (any_shared) continue;
       for (uint64_t s : member_sigs[m]) {
         if (ctx.pivot_map.Contains(s)) {

@@ -2,7 +2,6 @@
 #define DIME_CORE_PREPROCESS_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -177,19 +176,11 @@ struct PreparedAttr {
   TokenDictionary qgram_dict;
 };
 
-struct PreparedRuleArtifacts;  // src/core/signature.h
-
 /// A Group plus everything the engines need to evaluate rules on it.
 struct PreparedGroup {
   const Group* group = nullptr;
   DimeContext context;
   std::vector<PreparedAttr> attrs;  ///< parallel to the schema
-
-  /// Optional precomputed per-rule signatures and frozen indexes (snapshot
-  /// warm start). RunDimePlus consumes these instead of regenerating when
-  /// they match its rule set and signature options; a null pointer (the
-  /// normal PrepareGroup output) means "generate on demand".
-  std::shared_ptr<const PreparedRuleArtifacts> artifacts;
 
   size_t size() const { return group->size(); }
 };

@@ -324,37 +324,4 @@ const std::vector<uint64_t>& SignatureGenerator::NegativeRuleSignatures(
   return all;
 }
 
-std::shared_ptr<const PreparedRuleArtifacts> BuildPreparedRuleArtifacts(
-    const PreparedGroup& pg, const std::vector<PositiveRule>& positive,
-    const std::vector<NegativeRule>& negative,
-    const SignatureOptions& options) {
-  auto artifacts = std::make_shared<PreparedRuleArtifacts>();
-  artifacts->max_tuple_signatures = options.max_tuple_signatures;
-  const int n = static_cast<int>(pg.size());
-  // Same generators, tags and insertion order as RunDimePlus steps 1 and
-  // 3 — a run over these artifacts must be indistinguishable from a run
-  // that generated on demand.
-  SignatureScratch scratch;
-  artifacts->positive_indexes.resize(positive.size());
-  for (size_t r = 0; r < positive.size(); ++r) {
-    SignatureGenerator gen(pg, positive[r].predicates, Direction::kGe,
-                           /*rule_tag=*/r + 1, options);
-    InvertedIndex& index = artifacts->positive_indexes[r];
-    for (int e = 0; e < n; ++e) {
-      index.Add(e, gen.PositiveRuleSignatures(e, &scratch));
-    }
-    index.FrozenData();  // freeze now: the offline step pays the sort
-  }
-  artifacts->negative_sigs.resize(negative.size());
-  for (size_t r = 0; r < negative.size(); ++r) {
-    SignatureGenerator gen(pg, negative[r].predicates, Direction::kLe,
-                           /*rule_tag=*/0x1000 + r, options);
-    SignatureColumn& column = artifacts->negative_sigs[r];
-    for (int e = 0; e < n; ++e) {
-      column.Append(gen.NegativeRuleSignatures(e, &scratch));
-    }
-  }
-  return artifacts;
-}
-
 }  // namespace dime

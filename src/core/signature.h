@@ -2,11 +2,9 @@
 #define DIME_CORE_SIGNATURE_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/core/preprocess.h"
-#include "src/index/inverted_index.h"
 #include "src/rules/predicate.h"
 
 /// \file signature.h
@@ -122,104 +120,6 @@ class SignatureGenerator {
 
 /// 64-bit mixing used to tag signatures; exposed for tests.
 uint64_t MixSignature(uint64_t a, uint64_t b);
-
-/// Borrowed run of 64-bit signatures (iterable like a vector).
-struct SignatureSpan {
-  const uint64_t* ptr = nullptr;
-  size_t len = 0;
-
-  SignatureSpan() = default;
-  SignatureSpan(const uint64_t* p, size_t n) : ptr(p), len(n) {}
-  /// Implicit view of a vector (must outlive the span).
-  SignatureSpan(const std::vector<uint64_t>& v)  // NOLINT
-      : ptr(v.data()), len(v.size()) {}
-
-  const uint64_t* begin() const { return ptr; }
-  const uint64_t* end() const { return ptr + len; }
-  size_t size() const { return len; }
-  bool empty() const { return len == 0; }
-};
-
-/// CSR column of per-entity signature runs — the u64 analogue of
-/// RankColumn, with the same owned/borrowed split so the snapshot store
-/// can map a serialized column zero-copy.
-class SignatureColumn {
- public:
-  void Reserve(size_t entities, size_t total) {
-    offsets_.reserve(entities + 1);
-    arena_.reserve(total);
-  }
-
-  /// Appends one entity's signature run. Only valid on an owned column.
-  void Append(const std::vector<uint64_t>& sigs) {
-    DIME_DCHECK(!borrowed());
-    arena_.insert(arena_.end(), sigs.begin(), sigs.end());
-    offsets_.push_back(arena_.size());
-  }
-
-  /// Points the column at external storage (see RankColumn::BorrowStorage).
-  void BorrowStorage(const uint64_t* arena, const uint64_t* offsets,
-                     size_t rows) {
-    arena_.clear();
-    offsets_.clear();
-    ext_arena_ = arena;
-    ext_offsets_ = offsets;
-    ext_rows_ = rows;
-  }
-
-  bool borrowed() const { return ext_offsets_ != nullptr; }
-
-  SignatureSpan row(size_t e) const {
-    const uint64_t* off = offsets_ptr();
-    return SignatureSpan(arena_ptr() + off[e], off[e + 1] - off[e]);
-  }
-
-  size_t num_entities() const {
-    return borrowed() ? ext_rows_ : offsets_.size() - 1;
-  }
-  size_t total() const {
-    return borrowed() ? ext_offsets_[ext_rows_] : arena_.size();
-  }
-
-  const uint64_t* arena_ptr() const {
-    return borrowed() ? ext_arena_ : arena_.data();
-  }
-  const uint64_t* offsets_ptr() const {
-    return borrowed() ? ext_offsets_ : offsets_.data();
-  }
-
- private:
-  std::vector<uint64_t> arena_;
-  std::vector<uint64_t> offsets_{0};
-  const uint64_t* ext_arena_ = nullptr;
-  const uint64_t* ext_offsets_ = nullptr;
-  size_t ext_rows_ = 0;
-};
-
-/// Precomputed per-rule filtering state for RunDimePlus: the frozen
-/// positive-rule inverted indexes (step 1) and each entity's
-/// negative-rule signature runs (step 3). PrepareGroup does not build
-/// these — they are an offline product (the snapshot store persists them
-/// and maps them back zero-copy), attached via PreparedGroup::artifacts.
-/// RunDimePlus uses them only when the rule counts and the signature
-/// options they were built under match its own; otherwise it regenerates,
-/// so stale artifacts cost time but never correctness.
-struct PreparedRuleArtifacts {
-  /// SignatureOptions::max_tuple_signatures the artifacts were built with.
-  size_t max_tuple_signatures = 0;
-  /// One frozen index per positive rule (rule_tag r + 1, Direction::kGe).
-  std::vector<InvertedIndex> positive_indexes;
-  /// One column per negative rule (rule_tag 0x1000 + r, Direction::kLe).
-  std::vector<SignatureColumn> negative_sigs;
-};
-
-/// Runs the signature generators now and freezes the result — the offline
-/// half of the filter, identical to what RunDimePlus would generate on
-/// demand for these rules and options.
-std::shared_ptr<const PreparedRuleArtifacts> BuildPreparedRuleArtifacts(
-    const PreparedGroup& pg, const std::vector<PositiveRule>& positive,
-    const std::vector<NegativeRule>& negative,
-    const SignatureOptions& options = SignatureOptions());
 
 }  // namespace dime
 

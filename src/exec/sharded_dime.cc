@@ -15,7 +15,6 @@
 #include "src/common/mutex.h"
 #include "src/core/dime_plus_internal.h"
 #include "src/exec/parallel_sort.h"
-#include "src/index/inverted_index.h"
 #include "src/index/striped_union_find.h"
 #include "src/sim/set_similarity.h"
 
@@ -51,15 +50,6 @@ void RethrowTaskFault(const TaskGroup& group) {
 
 std::string FaultText(const std::exception* e) {
   return e != nullptr ? e->what() : "worker thread failed";
-}
-
-/// Step-1 truncation / worker-fault result: no partitions (half-merged
-/// components are not valid output), empty scrollbar, explaining status.
-DimeResult AbandonedResult(size_t num_negative, Status st) {
-  DimeResult out;
-  out.flagged_by_prefix.assign(num_negative, {});
-  out.status = std::move(st);
-  return out;
 }
 
 /// Chunky-task sizing: elements per task so every executor gets several
@@ -120,15 +110,10 @@ struct ScratchFreeList {
   }
 };
 
-/// One positive rule's inverted lists, from either source: borrowed
-/// frozen artifact arrays, or postings generated and sorted this run.
+/// One positive rule's inverted lists: the entity arena in (signature,
+/// entity) sorted order, run r spanning entities[run_starts[r] ..
+/// run_starts[r + 1]).
 struct RuleLists {
-  // Frozen artifact path.
-  const uint64_t* list_starts = nullptr;
-  size_t num_lists = 0;
-  const int* list_entities = nullptr;
-  // Generated path: entity arena in (signature, entity) sorted order,
-  // run r spanning entities[run_starts[r] .. run_starts[r + 1]).
   std::vector<int> entities;
   std::vector<size_t> run_starts;
 };
@@ -144,27 +129,13 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
   const unsigned threads = pool->thread_count();
   const DimePlusOptions& plus = options.plus;
 
-  // Same artifact-compatibility gate as the serial engine: stale
-  // artifacts cost time, never correctness.
-  const PreparedRuleArtifacts* artifacts = pg.artifacts.get();
-  if (artifacts != nullptr &&
-      (artifacts->positive_indexes.size() != positive.size() ||
-       artifacts->negative_sigs.size() != negative.size() ||
-       artifacts->max_tuple_signatures !=
-           plus.signatures.max_tuple_signatures)) {
-    DIME_LOG(WARNING) << "prepared rule artifacts do not match the rule "
-                         "set/options of this run; regenerating signatures";
-    artifacts = nullptr;
-  }
-
   std::atomic<uint64_t> kernel_exits{0};
 
   // ---- Step 1a: per-rule inverted lists. ---------------------------------
-  // Artifact path: freeze on the coordinator (idempotent sort) and borrow
-  // the arrays. On-demand path: per-chunk tasks generate (sig, entity)
-  // postings with private scratches; the pool then sorts each rule's
-  // postings into lists. The sort key (sig, entity) reproduces exactly
-  // the runs InvertedIndex's stable freeze builds from ascending Add()s.
+  // Per-chunk tasks generate (sig, entity) postings with private
+  // scratches; the pool then sorts each rule's postings into lists. The
+  // sort key (sig, entity) reproduces exactly the runs InvertedIndex's
+  // stable freeze builds from ascending Add()s.
   std::vector<RuleLists> lists(positive.size());
   {
     std::vector<std::unique_ptr<SignatureGenerator>> gens(positive.size());
@@ -174,14 +145,6 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
     const size_t num_chunks = (static_cast<size_t>(n) + chunk - 1) / chunk;
     TaskGroup gen_group(pool);
     for (size_t r = 0; r < positive.size(); ++r) {
-      if (artifacts != nullptr) {
-        InvertedIndex::FrozenView fv =
-            artifacts->positive_indexes[r].FrozenData();
-        lists[r].list_starts = fv.list_starts;
-        lists[r].num_lists = fv.list_starts_len - 1;
-        lists[r].list_entities = fv.entities;
-        continue;
-      }
       gens[r] = std::make_unique<SignatureGenerator>(
           pg, positive[r].predicates, Direction::kGe,
           /*rule_tag=*/r + 1, plus.signatures);
@@ -212,10 +175,10 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
     gen_group.Wait();
     RethrowTaskFault(gen_group);
     if (!gen_group.control_status().ok()) {
-      return AbandonedResult(negative.size(), gen_group.control_status());
+      return internal::NoPartitionsResult(gen_group.control_status(),
+                                          negative.size());
     }
     for (size_t r = 0; r < positive.size(); ++r) {
-      if (artifacts != nullptr) continue;
       std::vector<std::pair<uint64_t, int>> postings;
       size_t total = 0;
       for (const auto& c : chunks[r]) total += c.size();
@@ -258,17 +221,9 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
     };
     for (size_t r = 0; r < positive.size(); ++r) {
       const RuleLists& rl = lists[r];
-      if (rl.list_starts != nullptr) {
-        for (size_t l = 0; l < rl.num_lists; ++l) {
-          add_list(r, rl.list_entities + rl.list_starts[l],
-                   static_cast<size_t>(rl.list_starts[l + 1] -
-                                       rl.list_starts[l]));
-        }
-      } else {
-        for (size_t l = 0; l + 1 < rl.run_starts.size(); ++l) {
-          add_list(r, rl.entities.data() + rl.run_starts[l],
-                   rl.run_starts[l + 1] - rl.run_starts[l]);
-        }
+      for (size_t l = 0; l + 1 < rl.run_starts.size(); ++l) {
+        add_list(r, rl.entities.data() + rl.run_starts[l],
+                 rl.run_starts[l + 1] - rl.run_starts[l]);
       }
     }
     result.stats.candidate_pairs = candidate_volume;
@@ -379,8 +334,8 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
     verify_group.Wait();
     RethrowTaskFault(verify_group);
     if (!verify_group.control_status().ok()) {
-      return AbandonedResult(negative.size(),
-                             verify_group.control_status());
+      return internal::NoPartitionsResult(verify_group.control_status(),
+                                          negative.size());
     }
   }
   result.stats.positive_pair_checks = pos_checks.load();
@@ -406,16 +361,13 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
       const size_t chunk = ChunkSize(pivot_entities.size(), threads, 256);
       for (size_t r = 0; r < negative.size(); ++r) {
         internal::NegativeRuleContext& ctx = contexts[r];
-        internal::EnsureNegativeGenerator(pg, negative[r], r, artifacts,
-                                          plus.signatures, &ctx);
-        if (artifacts == nullptr) {
-          ctx.pivot_sigs_owned.resize(pivot_entities.size());
-        }
+        internal::EnsureNegativeGenerator(pg, negative[r], r, plus.signatures,
+                                          &ctx);
         ctx.pivot_sigs.resize(pivot_entities.size());
         for (size_t b = 0; b < pivot_entities.size(); b += chunk) {
           const size_t e = std::min(pivot_entities.size(), b + chunk);
-          ctx_group.Spawn([&control, &ctx_group, &pivot_entities, &ctx,
-                           artifacts, r, b, e] {
+          ctx_group.Spawn([&control, &ctx_group, &pivot_entities, &ctx, b,
+                           e] {
             Status st = internal::CheckRunControl(
                 control, "dime_plus/negative-partition");
             if (!st.ok()) {
@@ -423,8 +375,8 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
               return;
             }
             SignatureScratch scratch;
-            internal::GeneratePivotSignatures(artifacts, r, pivot_entities,
-                                              b, e, &scratch, &ctx);
+            internal::GeneratePivotSignatures(pivot_entities, b, e, &scratch,
+                                              &ctx);
           });
         }
       }
@@ -441,8 +393,8 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
       for (size_t r = 0; r < negative.size(); ++r) {
         std::vector<internal::PivotSigMap::Entry> entries;
         size_t total = 0;
-        for (const SignatureSpan& span : contexts[r].pivot_sigs) {
-          total += span.size();
+        for (const std::vector<uint64_t>& sigs : contexts[r].pivot_sigs) {
+          total += sigs.size();
         }
         entries.reserve(total);
         for (size_t i = 0; i < contexts[r].pivot_sigs.size(); ++i) {
@@ -469,7 +421,7 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
         flag_group.Spawn([&pg, &negative, &plus, &result, &control,
                           &flag_group, &pivot_entities, &first_flagging,
                           &rule_context, &scratches, &neg_checks, &pruned,
-                          &kernel_exits, artifacts, p] {
+                          &kernel_exits, p] {
           if (DIME_FAULT_POINT(failpoints::kWorkerFault)) {
             throw std::runtime_error("injected worker fault (step 3)");
           }
@@ -483,7 +435,7 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
           internal::NegativeScratch* scratch = scratches.Acquire();
           internal::NegativePhaseStats local;
           first_flagging[p] = internal::FlagPartitionAgainstPivot(
-              pg, negative, artifacts, plus.benefit_order, pivot_entities,
+              pg, negative, plus.benefit_order, pivot_entities,
               result.partitions[p], rule_context, scratch, &local);
           scratches.Release(scratch);
           neg_checks.fetch_add(local.negative_pair_checks,
@@ -519,9 +471,7 @@ DimeResult RunDimePlusSharded(const PreparedGroup& pg,
                               const ShardedOptions& options,
                               const RunControl& control) {
   if (pg.size() == 0) {
-    DimeResult result;
-    result.flagged_by_prefix.assign(negative.size(), {});
-    return result;
+    return internal::NoPartitionsResult(OkStatus(), negative.size());
   }
   PoolRef ref(options);
   // A task fault takes the documented degradation path: serial fallback
@@ -533,9 +483,9 @@ DimeResult RunDimePlusSharded(const PreparedGroup& pg,
                         << "); falling back to the serial engine";
       return RunDimePlus(pg, positive, negative, options.plus, control);
     }
-    return AbandonedResult(
-        negative.size(),
-        InternalError("worker thread fault: " + FaultText(e)));
+    return internal::NoPartitionsResult(
+        InternalError("worker thread fault: " + FaultText(e)),
+        negative.size());
   };
   try {
     return RunDimePlusShardedInner(pg, positive, negative, options, control,

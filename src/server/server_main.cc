@@ -11,9 +11,9 @@
 //               [--ontology tree.txt --ontology-mode exact|keyword]
 //
 // --snapshot may be combined with --demo or --group/--rules: a snapshot
-// that fails to load (corrupt, truncated, newer format) logs a warning
-// and the server degrades to the TSV/demo corpus instead of crashing;
-// with no fallback source the load error is fatal.
+// that fails to load (corrupt, truncated, another format version) logs a
+// warning and the server degrades to the TSV/demo corpus instead of
+// crashing; with no fallback source the load error is fatal.
 //   common flags:
 //               [--host 127.0.0.1] [--port 0]     # port 0 = ephemeral
 //               [--workers N] [--queue-cap N] [--cache-cap N]

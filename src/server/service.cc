@@ -20,12 +20,6 @@ ServiceOptions NormalizeOptions(ServiceOptions options) {
   return options;
 }
 
-std::shared_ptr<const DimeResult> ResultWithStatus(Status status) {
-  auto result = std::make_shared<DimeResult>();
-  result->status = std::move(status);
-  return result;
-}
-
 /// The result-cache key: (engine, context key, group content key).
 Fingerprint CacheKey(EngineKind engine, const CorpusEpoch& epoch,
                      const Fingerprint& group_key) {
@@ -442,8 +436,11 @@ CheckReply DimeService::Execute(PendingCheck& pending) {
     // The deadline ran out while the request sat in the queue: answer
     // with an empty-but-valid result, exactly like RunCorpus does for
     // groups that start after expiry.
-    return CheckReply{ResultWithStatus(std::move(admitted)), false,
-                      pending.epoch, pending.group};
+    auto expired = std::make_shared<const DimeResult>(
+        internal::NoPartitionsResult(std::move(admitted),
+                                     corpus.negative.size()));
+    return CheckReply{std::move(expired), false, pending.epoch,
+                      pending.group};
   }
 
   auto result = std::make_shared<DimeResult>();
@@ -451,9 +448,8 @@ CheckReply DimeService::Execute(PendingCheck& pending) {
   // capture anything the engines throw (e.g. bad_alloc on a pathological
   // group) as an INTERNAL result instead of unwinding through the pool.
   try {
-    // Snapshot-preloaded and delta-merged groups come fully prepared
-    // (snapshot ones with rule artifacts attached) — the warm-start
-    // payoff is skipping this PrepareGroup.
+    // Snapshot-preloaded and delta-merged groups come fully prepared —
+    // the warm-start payoff is skipping this PrepareGroup.
     PreparedGroup local;
     const PreparedGroup* pg = pending.resident == nullptr
                                   ? nullptr
@@ -470,11 +466,13 @@ CheckReply DimeService::Execute(PendingCheck& pending) {
                               corpus.negative, engine_options,
                               pending.control);
   } catch (const std::exception& e) {
-    *result = DimeResult{};
-    result->status = InternalError(std::string("engine fault: ") + e.what());
+    *result = internal::NoPartitionsResult(
+        InternalError(std::string("engine fault: ") + e.what()),
+        corpus.negative.size());
   } catch (...) {
-    *result = DimeResult{};
-    result->status = InternalError("engine fault: unknown exception");
+    *result = internal::NoPartitionsResult(
+        InternalError("engine fault: unknown exception"),
+        corpus.negative.size());
   }
 
   RecordEngineStats(*result);

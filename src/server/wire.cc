@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "src/common/string_util.h"
+
 namespace dime {
 namespace {
 
@@ -383,10 +385,17 @@ StatusOr<WireRequest> RequestFromJson(const JsonObject& object,
   DIME_RETURN_IF_ERROR(get_string("fingerprint", &request.fingerprint));
 
   if (const JsonValue* v = Find(object, "deadline_ms")) {
-    if (v->kind != JsonValue::Kind::kNumber) {
-      return InvalidArgumentError("field \"deadline_ms\" must be a number");
+    // Range-check before the cast: converting an out-of-range double
+    // (1e300) to an integer is undefined behaviour. The bound is the one
+    // --default-deadline-ms takes.
+    const double ms = v->number_value;
+    if (v->kind != JsonValue::Kind::kNumber || !(ms >= 0) ||
+        ms > static_cast<double>(kMaxFlagMillis) || ms != std::floor(ms)) {
+      return InvalidArgumentError(
+          "field \"deadline_ms\" must be an integer in [0, " +
+          std::to_string(kMaxFlagMillis) + "]");
     }
-    request.deadline_ms = static_cast<int64_t>(v->number_value);
+    request.deadline_ms = static_cast<int64_t>(ms);
   }
   if (const JsonValue* v = Find(object, "no_cache")) {
     if (v->kind != JsonValue::Kind::kBool) {

@@ -24,7 +24,8 @@
 ///               -- check only:
 ///               "group"       name of a preloaded corpus group
 ///               "group_tsv"   inline group in GroupToTsv format
-///               "deadline_ms" number; 0/absent = server default
+///               "deadline_ms" integer in [0, 2^31 - 1]; 0/absent =
+///                             server default
 ///               "engine"      "naive" | "plus" | "sharded"
 ///               "no_cache"    bool; true bypasses the result cache
 ///

@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 #include "src/common/checksum.h"
@@ -361,7 +362,7 @@ StatusOr<DeltaLogContents> ReadDeltaLog(const std::string& path) {
       break;
     }
     const char* payload = bytes->data() + pos + 8;
-    uint32_t actual = Crc32(payload, length);
+    uint32_t actual = Crc32(std::string_view(payload, length));
     if (DIME_FAULT_POINT(failpoints::kStoreDeltaCorrupt)) actual = ~actual;
     if (actual != crc) {
       return DataLossError("delta log " + path + ": record " +

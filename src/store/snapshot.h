@@ -9,24 +9,24 @@
 #include "src/common/status.h"
 #include "src/entity/entity.h"
 #include "src/core/preprocess.h"
-#include "src/core/signature.h"
 #include "src/rules/rule.h"
 
 /// \file snapshot.h
 /// Versioned binary corpus snapshots: the offline/online split for
 /// serving. `WriteSnapshot` runs full preparation (rank columns, masses,
-/// signatures, frozen inverted indexes) once and persists the result;
-/// `LoadSnapshot` maps it back with the big arrays *borrowed* from the
-/// mapping — a warm start does no tokenization, no sorting, no index
-/// build, and shares its read-only pages with every other process
-/// serving the same snapshot. See snapshot_format.h for the layout and
-/// DESIGN.md §7.4 for lifetime rules.
+/// q-gram runs, ontology node maps) once and persists the result;
+/// `LoadSnapshot` maps it back with the rank arenas *borrowed* from the
+/// mapping — a warm start does no tokenization and no sorting, and
+/// shares its read-only pages with every other process serving the same
+/// snapshot. Signatures and inverted indexes are not stored: the engines
+/// build them on demand, as for any other group. See snapshot_format.h
+/// for the layout and DESIGN.md §7.4 for lifetime rules.
 ///
 /// Error taxonomy on load:
 ///   NOT_FOUND    the file cannot be opened
 ///   IO_ERROR     open succeeded, reading/mapping failed
 ///   PARSE_ERROR  not a snapshot (bad magic), truncated, endianness
-///                mismatch, or a format version newer than this binary
+///                mismatch, or a format version other than this binary's
 ///   DATA_LOSS    checksum mismatch or internally inconsistent section —
 ///                the file was a valid snapshot once and is damaged now
 /// Loaders never crash on hostile bytes: every section parse is
@@ -41,13 +41,6 @@ struct SnapshotWriteRequest {
   const std::vector<NegativeRule>* negative = nullptr;
   /// Evaluation context; ontology pointers must be live during the call.
   const DimeContext* context = nullptr;
-  /// Options the per-group rule artifacts are generated under (must match
-  /// the serving configuration for RunDimePlus to consume them).
-  SignatureOptions signature_options;
-  /// Also persist the token dictionaries (needed only by consumers that
-  /// extend a loaded group, e.g. the incremental engine; the serving path
-  /// never touches them). Costs file size.
-  bool include_dictionaries = true;
 };
 
 /// Serializes the fully prepared corpus into an in-memory snapshot image.
@@ -62,10 +55,6 @@ struct SnapshotLoadOptions {
   /// Prefer mmap; the read()-into-buffer fallback is automatic when mmap
   /// is unavailable (failpoint "store/mmap" forces it).
   bool prefer_mmap = true;
-  /// Restore token dictionaries when the snapshot carries them. Off by
-  /// default: the serving path never reads them, and skipping the restore
-  /// keeps warm starts cheap.
-  bool load_dictionaries = false;
 };
 
 /// A loaded snapshot. `prepared[i]` is parallel to `groups[i]` and
@@ -82,10 +71,11 @@ struct LoadedSnapshot {
   DimeContext context;
   std::vector<std::shared_ptr<const Ontology>> owned_trees;
   std::vector<Group> groups;
-  /// Fully prepared groups with artifacts attached, arenas borrowed from
-  /// `backing`; prepared[i]->group == &groups[i]. Owned by the caller,
-  /// which re-points `group` when it moves the groups elsewhere
-  /// (CorpusFromSnapshot does).
+  /// Fully prepared groups, rank arenas borrowed from `backing`;
+  /// prepared[i]->group == &groups[i]. Their token dictionaries are
+  /// empty: nothing on the serving path reads them, so the file does not
+  /// store them. Owned by the caller, which re-points `group` when it
+  /// moves the groups elsewhere (CorpusFromSnapshot does).
   std::vector<std::shared_ptr<PreparedGroup>> prepared;
   /// Content fingerprint from the snapshot tail (128-bit FNV-1a over the
   /// section payloads): the identity of this build of the corpus.
@@ -123,9 +113,9 @@ StatusOr<SnapshotInfo> InspectSnapshot(const std::string& path);
 
 /// Integrity check: verifies every section CRC and fully parses the file
 /// (everything LoadSnapshot would reject, this rejects). With `deep`, it
-/// additionally re-prepares every group from its embedded TSV and
-/// requires the freshly serialized prepared/artifact sections to be
-/// byte-identical to the stored ones — a behavioral round-trip proof.
+/// additionally re-prepares every group from its embedded entities and
+/// requires the freshly serialized prepared section to be byte-identical
+/// to the stored one — a behavioral round-trip proof.
 Status VerifySnapshot(const std::string& path, bool deep = false);
 
 }  // namespace dime

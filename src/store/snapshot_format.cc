@@ -14,10 +14,6 @@ const char* SnapshotSectionIdName(uint32_t id) {
       return "group";
     case SnapshotSectionId::kPrepared:
       return "prepared";
-    case SnapshotSectionId::kArtifacts:
-      return "artifacts";
-    case SnapshotSectionId::kDictionaries:
-      return "dictionaries";
   }
   return "unknown";
 }

@@ -13,8 +13,7 @@
 ///   +--------------------------------------------------------------+
 ///   | section payloads, each starting on an 8-byte file offset     |
 ///   |   kMeta, kRules, kOntologies,                                |
-///   |   then per group i: kGroup[i], kPrepared[i], kArtifacts[i],  |
-///   |   optionally kDictionaries[i]                                |
+///   |   then per group i: kGroup[i], kPrepared[i]                  |
 ///   +--------------------------------------------------------------+
 ///   | section table: section_count x 32 B entries                  |
 ///   |   u32 id | u32 index | u64 offset | u64 length | u32 crc32   |
@@ -32,9 +31,14 @@
 /// payloads in table order — the content identity that reloads report
 /// and fingerprint-gated reloads compare.
 ///
-/// Versioning policy: `version` bumps on any layout change; a loader
-/// rejects versions above its own (PARSE_ERROR, "newer than supported")
-/// and may keep read-side support for older ones. Integers are stored
+/// A snapshot holds only what serving reads. Signatures and inverted
+/// indexes are a deterministic function of the prepared group, the rules
+/// and the signature options, so the engines build them on demand.
+///
+/// Versioning policy: `version` bumps on any layout change, and a loader
+/// reads exactly its own version. Any other version, older or newer, is
+/// PARSE_ERROR naming the version; snapshots are build outputs, so the
+/// fix is to rebuild with `dime_snapshot build`. Integers are stored
 /// native-endian with an explicit marker byte; a marker mismatch is
 /// rejected rather than swapped, because the mmap zero-copy path cannot
 /// byte-swap read-only pages.
@@ -45,22 +49,23 @@ inline constexpr char kSnapshotMagic[8] = {'D', 'I', 'M', 'E',
                                            'S', 'N', 'P', '\n'};
 inline constexpr uint64_t kSnapshotTailMagic =
     0x4C494154454D4944ULL;  // "DIMETAIL" little-endian
-inline constexpr uint32_t kSnapshotFormatVersion = 1;
+inline constexpr uint32_t kSnapshotFormatVersion = 2;
 
 inline constexpr size_t kSnapshotHeaderSize = 16;
 inline constexpr size_t kSnapshotTailSize = 48;
 inline constexpr size_t kSnapshotSectionEntrySize = 32;
 
 /// Section ids (append-only; unknown ids are skipped by loaders, giving
-/// forward room for same-version additive sections).
+/// forward room for same-version additive sections). Ids 6 and 7 are
+/// retired: version 1 used them for per-group rule artifacts (frozen
+/// indexes and negative signatures) and token dictionaries. Never reuse
+/// them.
 enum class SnapshotSectionId : uint32_t {
-  kMeta = 1,          ///< counts, qgram_q, signature options, schema
-  kRules = 2,         ///< RuleSetToText of the rule set
-  kOntologies = 3,    ///< per ontology: map mode + Ontology::ToText
-  kGroup = 4,         ///< per group: name + schema + framed entities
-  kPrepared = 5,      ///< per group: PreparedAttr columns (zero-copy)
-  kArtifacts = 6,     ///< per group: frozen indexes + negative signatures
-  kDictionaries = 7,  ///< per group: token dictionaries (optional)
+  kMeta = 1,        ///< qgram_q, group count, schema
+  kRules = 2,       ///< RuleSetToText of the rule set
+  kOntologies = 3,  ///< per ontology: map mode + Ontology::ToText
+  kGroup = 4,       ///< per group: name + schema + framed entities
+  kPrepared = 5,    ///< per group: PreparedAttr columns (zero-copy)
 };
 
 const char* SnapshotSectionIdName(uint32_t id);

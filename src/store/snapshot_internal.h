@@ -37,14 +37,11 @@ const SnapshotInfo::Section* FindSection(const RawSnapshot& raw, uint32_t id,
                                          uint32_t index);
 
 /// Full parse of an already opened+checked snapshot.
-StatusOr<LoadedSnapshot> LoadFromRaw(RawSnapshot raw,
-                                     const SnapshotLoadOptions& options);
+StatusOr<LoadedSnapshot> LoadFromRaw(RawSnapshot raw);
 
-/// Deterministic section serializers (also used by deep verification:
-/// identical prepared state must yield identical bytes).
+/// Deterministic prepared-section serializer (also used by deep
+/// verification: identical prepared state must yield identical bytes).
 std::string SerializePreparedSection(const PreparedGroup& pg);
-std::string SerializeArtifactsSection(const PreparedRuleArtifacts& artifacts);
-std::string SerializeDictionariesSection(const PreparedGroup& pg);
 
 }  // namespace snapshot_internal
 }  // namespace dime

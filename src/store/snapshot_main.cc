@@ -1,8 +1,9 @@
 // dime_snapshot: build, inspect, and verify versioned binary corpus
-// snapshots (src/store/snapshot.h). A snapshot front-loads the entire
-// preparation pipeline — tokenization, rank columns, masses, signatures,
-// frozen inverted indexes — so `dime_server --snapshot` and
-// `dime_cli --snapshot` warm-start by mmap instead of re-ingesting TSV.
+// snapshots (src/store/snapshot.h). A snapshot front-loads group
+// preparation — tokenization, rank columns, masses, ontology node maps —
+// so `dime_server --snapshot` and `dime_cli --snapshot` warm-start by mmap
+// instead of re-ingesting TSV. Signatures and inverted indexes are built
+// on demand by the engines, as for any other group.
 //
 // Usage:
 //   dime_snapshot build --output corpus.snap
@@ -11,7 +12,6 @@
 //     | --group page.tsv [--group ...] --rules rules.txt
 //       [--venue-ontology]
 //       [--ontology tree.txt --ontology-mode exact|keyword]
-//     [--no-dictionaries]
 //   dime_snapshot inspect corpus.snap
 //   dime_snapshot verify corpus.snap [--deep]
 //
@@ -51,9 +51,15 @@ void PrintHelp() {
       "    --demo [--demo-pages N] | --preset scholar-2999|amazon-10000 |\n"
       "    --group <tsv>... --rules <file> [--venue-ontology]\n"
       "    [--ontology <tree> --ontology-mode exact|keyword]\n"
-      "    [--no-dictionaries]\n"
       "dime_snapshot inspect <file>\n"
-      "dime_snapshot verify <file> [--deep]\n");
+      "dime_snapshot verify <file> [--deep]\n"
+      "\n"
+      "A snapshot (format version %u) holds the rules, the ontologies and,\n"
+      "per group, its entities and prepared columns. Loaders read only\n"
+      "their own format version; rebuild a snapshot of any other version.\n"
+      "verify checks every CRC and parses the file; --deep also\n"
+      "re-prepares each group and byte-compares its prepared columns.\n",
+      kSnapshotFormatVersion);
 }
 
 /// The rules, ontologies and groups a snapshot is built from.
@@ -127,7 +133,6 @@ int RunBuild(int argc, char** argv) {
   bool use_venue_ontology = false;
   std::vector<std::string> ontology_paths;
   std::vector<std::string> ontology_modes;
-  bool include_dictionaries = true;
 
   for (int i = 0; i < argc; ++i) {
     std::string arg = argv[i];
@@ -163,8 +168,6 @@ int RunBuild(int argc, char** argv) {
         return Usage("--ontology-mode needs a preceding --ontology");
       }
       ontology_modes.back() = next();
-    } else if (arg == "--no-dictionaries") {
-      include_dictionaries = false;
     } else if (arg == "--help") {
       PrintHelp();
       return 0;
@@ -234,7 +237,6 @@ int RunBuild(int argc, char** argv) {
   request.positive = &corpus.positive;
   request.negative = &corpus.negative;
   request.context = &corpus.context;
-  request.include_dictionaries = include_dictionaries;
   Status written = WriteSnapshot(request, output);
   if (!written.ok()) return ExitWithStatus(written, "build");
 

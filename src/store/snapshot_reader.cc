@@ -8,7 +8,6 @@
 #include "src/common/checksum.h"
 #include "src/entity/entity.h"
 #include "src/core/preprocess.h"
-#include "src/core/signature.h"
 #include "src/ontology/ontology.h"
 #include "src/rules/rule_io.h"
 #include "src/store/bytes.h"
@@ -70,34 +69,13 @@ Status ParseRankColumn(ByteReader* reader, const Section& sec, uint64_t rows,
   return OkStatus();
 }
 
-Status ParseSignatureColumn(ByteReader* reader, const Section& sec,
-                            uint64_t rows, SignatureColumn* out) {
-  uint64_t stored_rows;
-  if (!reader->U64(&stored_rows)) return Malformed(sec, "truncated column");
-  if (stored_rows != rows) return Malformed(sec, "column row count");
-  const uint64_t* offsets = nullptr;
-  uint64_t offsets_len = 0;
-  const uint64_t* arena = nullptr;
-  uint64_t arena_len = 0;
-  if (!reader->BorrowArray(&offsets, &offsets_len) ||
-      !reader->BorrowArray(&arena, &arena_len)) {
-    return Malformed(sec, "truncated column arrays");
-  }
-  if (offsets_len != rows + 1 ||
-      !OffsetsWellFormed(offsets, rows, arena_len)) {
-    return Malformed(sec, "column offsets");
-  }
-  out->BorrowStorage(arena, offsets, rows);
-  return OkStatus();
-}
-
 Status ParseDoubles(ByteReader* reader, const Section& sec,
                     std::vector<double>* out) {
   if (!reader->ReadArray(out)) return Malformed(sec, "truncated doubles");
   return OkStatus();
 }
 
-/// kPrepared: everything but the group pointer, context and dictionaries.
+/// kPrepared: everything but the group pointer and context.
 Status ParsePreparedSection(const Section& sec, ByteReader reader,
                             uint64_t expected_entities, size_t schema_size,
                             size_t num_ontologies, PreparedGroup* pg) {
@@ -165,109 +143,6 @@ Status ParsePreparedSection(const Section& sec, ByteReader reader,
   return OkStatus();
 }
 
-Status ParseArtifactsSection(const Section& sec, ByteReader reader,
-                             uint64_t n_entities, size_t n_positive,
-                             size_t n_negative, size_t max_tuple_signatures,
-                             PreparedRuleArtifacts* artifacts) {
-  uint64_t stored_pos, stored_neg;
-  if (!reader.U64(&stored_pos) || !reader.U64(&stored_neg)) {
-    return Malformed(sec, "truncated header");
-  }
-  if (stored_pos != n_positive || stored_neg != n_negative) {
-    return Malformed(sec, "rule counts disagree with the rules section");
-  }
-  artifacts->max_tuple_signatures = max_tuple_signatures;
-  artifacts->positive_indexes.resize(n_positive);
-  for (InvertedIndex& index : artifacts->positive_indexes) {
-    InvertedIndex::FrozenView view;
-    const uint32_t* sig_counts = nullptr;
-    const uint64_t* list_starts = nullptr;
-    const int* entities = nullptr;
-    uint64_t n_counts = 0, n_starts = 0, n_ents = 0;
-    if (!reader.BorrowArray(&sig_counts, &n_counts) ||
-        !reader.BorrowArray(&list_starts, &n_starts) ||
-        !reader.BorrowArray(&entities, &n_ents)) {
-      return Malformed(sec, "truncated frozen index");
-    }
-    if (n_starts < 1 || n_counts > n_entities) {
-      return Malformed(sec, "frozen index shape");
-    }
-    if (list_starts[0] != 0 || list_starts[n_starts - 1] != n_ents) {
-      return Malformed(sec, "frozen index list starts");
-    }
-    for (uint64_t l = 0; l + 1 < n_starts; ++l) {
-      if (list_starts[l] > list_starts[l + 1]) {
-        return Malformed(sec, "frozen index list starts");
-      }
-    }
-    // Entity ids feed UnionFind and partition arrays untrusted otherwise.
-    for (uint64_t i = 0; i < n_ents; ++i) {
-      if (entities[i] < 0 ||
-          static_cast<uint64_t>(entities[i]) >= n_entities) {
-        return Malformed(sec, "frozen index entity out of range");
-      }
-    }
-    view.sig_counts = sig_counts;
-    view.sig_counts_len = n_counts;
-    view.list_starts = list_starts;
-    view.list_starts_len = n_starts;
-    view.entities = entities;
-    view.entities_len = n_ents;
-    index.AdoptFrozen(view);
-  }
-  artifacts->negative_sigs.resize(n_negative);
-  for (SignatureColumn& column : artifacts->negative_sigs) {
-    DIME_RETURN_IF_ERROR(
-        ParseSignatureColumn(&reader, sec, n_entities, &column));
-  }
-  if (!reader.done()) return Malformed(sec, "trailing bytes");
-  return OkStatus();
-}
-
-Status ParseDictionary(ByteReader* reader, const Section& sec,
-                       TokenDictionary* dict) {
-  uint64_t n_tokens;
-  if (!reader->U64(&n_tokens)) return Malformed(sec, "truncated dictionary");
-  std::vector<std::string> tokens(n_tokens);
-  for (std::string& t : tokens) {
-    if (!reader->String(&t)) return Malformed(sec, "truncated token");
-  }
-  if (!reader->Align8()) return Malformed(sec, "truncated padding");
-  std::vector<uint32_t> df;
-  if (!reader->ReadArray(&df)) return Malformed(sec, "truncated frequencies");
-  if (df.size() != tokens.size()) return Malformed(sec, "frequency count");
-  dict->Restore(std::move(tokens), std::move(df));
-  return OkStatus();
-}
-
-Status ParseDictionariesSection(const Section& sec, ByteReader reader,
-                                PreparedGroup* pg) {
-  uint64_t n_attrs;
-  if (!reader.U64(&n_attrs)) return Malformed(sec, "truncated header");
-  if (n_attrs != pg->attrs.size()) return Malformed(sec, "attribute count");
-  for (PreparedAttr& attr : pg->attrs) {
-    uint32_t flags, pad;
-    if (!reader.U32(&flags) || !reader.U32(&pad)) {
-      return Malformed(sec, "truncated flags");
-    }
-    if (flags != ((attr.has_value_list ? 1u : 0u) |
-                  (attr.has_words ? 2u : 0u) | (attr.has_text ? 4u : 0u))) {
-      return Malformed(sec, "flags disagree with the prepared section");
-    }
-    if (attr.has_value_list) {
-      DIME_RETURN_IF_ERROR(ParseDictionary(&reader, sec, &attr.value_dict));
-    }
-    if (attr.has_words) {
-      DIME_RETURN_IF_ERROR(ParseDictionary(&reader, sec, &attr.word_dict));
-    }
-    if (attr.has_text) {
-      DIME_RETURN_IF_ERROR(ParseDictionary(&reader, sec, &attr.qgram_dict));
-    }
-  }
-  if (!reader.done()) return Malformed(sec, "trailing bytes");
-  return OkStatus();
-}
-
 }  // namespace
 
 StatusOr<RawSnapshot> OpenRaw(const std::string& path,
@@ -291,13 +166,13 @@ StatusOr<RawSnapshot> OpenRaw(const std::string& path,
   }
   uint32_t version;
   std::memcpy(&version, data + 8, sizeof(version));
-  if (version > kSnapshotFormatVersion) {
+  if (version != kSnapshotFormatVersion) {
     return ParseError(path + ": snapshot format version " +
                       std::to_string(version) +
-                      " is newer than supported version " +
-                      std::to_string(kSnapshotFormatVersion));
+                      " is not supported (this binary reads version " +
+                      std::to_string(kSnapshotFormatVersion) +
+                      "); rebuild it with `dime_snapshot build`");
   }
-  if (version == 0) return ParseError(path + ": snapshot format version 0");
   if (data[12] != SnapshotNativeEndianMarker()) {
     return ParseError(path +
                       ": snapshot was written on a machine with different "
@@ -369,8 +244,7 @@ const Section* FindSection(const RawSnapshot& raw, uint32_t id,
   return nullptr;
 }
 
-StatusOr<LoadedSnapshot> LoadFromRaw(RawSnapshot raw,
-                                     const SnapshotLoadOptions& options) {
+StatusOr<LoadedSnapshot> LoadFromRaw(RawSnapshot raw) {
   const uint8_t* data = raw.file->data();
   auto section_reader = [&](const Section& sec) {
     return ByteReader(data + sec.offset, sec.length);
@@ -394,15 +268,15 @@ StatusOr<LoadedSnapshot> LoadFromRaw(RawSnapshot raw,
   // meta
   DIME_ASSIGN_OR_RETURN(const Section* meta_sec,
                         require(SnapshotSectionId::kMeta, 0));
-  uint32_t qgram_q, has_dicts;
-  uint64_t group_count, max_tuple_signatures, attr_count;
+  uint32_t qgram_q, pad;
+  uint64_t group_count, attr_count;
   {
     ByteReader meta = section_reader(*meta_sec);
-    if (!meta.U32(&qgram_q) || !meta.U32(&has_dicts) ||
-        !meta.U64(&group_count) || !meta.U64(&max_tuple_signatures) ||
+    if (!meta.U32(&qgram_q) || !meta.U32(&pad) || !meta.U64(&group_count) ||
         !meta.U64(&attr_count)) {
       return Malformed(*meta_sec, "truncated header");
     }
+    if (pad != 0) return Malformed(*meta_sec, "bad header padding");
     std::vector<std::string> names(attr_count);
     for (std::string& name : names) {
       if (!meta.String(&name)) return Malformed(*meta_sec, "truncated name");
@@ -451,7 +325,7 @@ StatusOr<LoadedSnapshot> LoadFromRaw(RawSnapshot raw,
     }
   }
 
-  // groups + prepared + artifacts (+ dictionaries)
+  // groups + prepared
   loaded.groups.resize(group_count);
   std::vector<std::shared_ptr<PreparedGroup>> prepared(group_count);
   for (uint64_t i = 0; i < group_count; ++i) {
@@ -527,21 +401,6 @@ StatusOr<LoadedSnapshot> LoadFromRaw(RawSnapshot raw,
     DIME_RETURN_IF_ERROR(ParsePreparedSection(
         *prep_sec, section_reader(*prep_sec), n, loaded.schema.size(),
         loaded.context.ontologies.size(), prepared[i].get()));
-
-    DIME_ASSIGN_OR_RETURN(const Section* art_sec,
-                          require(SnapshotSectionId::kArtifacts, index));
-    auto artifacts = std::make_shared<PreparedRuleArtifacts>();
-    DIME_RETURN_IF_ERROR(ParseArtifactsSection(
-        *art_sec, section_reader(*art_sec), n, loaded.positive.size(),
-        loaded.negative.size(), max_tuple_signatures, artifacts.get()));
-    prepared[i]->artifacts = std::move(artifacts);
-
-    if (has_dicts != 0 && options.load_dictionaries) {
-      DIME_ASSIGN_OR_RETURN(const Section* dict_sec,
-                            require(SnapshotSectionId::kDictionaries, index));
-      DIME_RETURN_IF_ERROR(ParseDictionariesSection(
-          *dict_sec, section_reader(*dict_sec), prepared[i].get()));
-    }
   }
 
   // The groups vector is final now: fix the back pointers and contexts.
@@ -564,7 +423,7 @@ StatusOr<LoadedSnapshot> LoadSnapshot(const std::string& path,
                                  /*check_section_crcs=*/true));
   std::shared_ptr<MappedFile> file = raw.file;
   StatusOr<LoadedSnapshot> loaded =
-      snapshot_internal::LoadFromRaw(std::move(raw), options);
+      snapshot_internal::LoadFromRaw(std::move(raw));
   // Loading read every byte for its CRC and copied the groups, rules and
   // ontologies out; only the prepared arenas stay borrowed. Dropping the
   // pages leaves resident just the arenas that serving touches again, so
@@ -588,64 +447,34 @@ StatusOr<SnapshotInfo> InspectSnapshot(const std::string& path) {
 }
 
 Status VerifySnapshot(const std::string& path, bool deep) {
-  SnapshotLoadOptions options;
-  options.load_dictionaries = true;
   DIME_ASSIGN_OR_RETURN(
       snapshot_internal::RawSnapshot raw,
-      snapshot_internal::OpenRaw(path, options,
+      snapshot_internal::OpenRaw(path, SnapshotLoadOptions(),
                                  /*check_section_crcs=*/true));
   // Full parse: everything the serving path would trust must parse.
-  std::shared_ptr<MappedFile> file = raw.file;
-  std::vector<SnapshotInfo::Section> sections = raw.sections;
   DIME_ASSIGN_OR_RETURN(LoadedSnapshot loaded,
-                        snapshot_internal::LoadFromRaw(std::move(raw),
-                                                       options));
+                        snapshot_internal::LoadFromRaw(raw));
   if (!deep) return OkStatus();
 
-  // Deep: re-prepare every group from its embedded TSV and require the
-  // freshly serialized prepared/artifact bytes to match the stored ones —
+  // Deep: re-prepare every group from its embedded entities and require
+  // the freshly serialized prepared bytes to match the stored ones —
   // preparation is deterministic, so any divergence means the snapshot
   // does not faithfully represent its own source data.
-  SignatureOptions sig_options;
-  sig_options.max_tuple_signatures =
-      loaded.prepared.empty() || loaded.prepared[0]->artifacts == nullptr
-          ? sig_options.max_tuple_signatures
-          : loaded.prepared[0]->artifacts->max_tuple_signatures;
   for (size_t i = 0; i < loaded.groups.size(); ++i) {
     PreparedGroup fresh = PrepareGroup(loaded.groups[i], loaded.positive,
                                        loaded.negative, loaded.context);
-    std::shared_ptr<const PreparedRuleArtifacts> artifacts =
-        BuildPreparedRuleArtifacts(fresh, loaded.positive, loaded.negative,
-                                   sig_options);
-    struct Expectation {
-      SnapshotSectionId id;
-      std::string bytes;
-    };
-    const Expectation expectations[] = {
-        {SnapshotSectionId::kPrepared,
-         snapshot_internal::SerializePreparedSection(fresh)},
-        {SnapshotSectionId::kArtifacts,
-         snapshot_internal::SerializeArtifactsSection(*artifacts)},
-    };
-    for (const Expectation& expect : expectations) {
-      const SnapshotInfo::Section* sec = nullptr;
-      for (const SnapshotInfo::Section& s : sections) {
-        if (s.id == static_cast<uint32_t>(expect.id) &&
-            s.index == static_cast<uint32_t>(i)) {
-          sec = &s;
-          break;
-        }
-      }
-      if (sec == nullptr || sec->length != expect.bytes.size() ||
-          std::memcmp(file->data() + sec->offset, expect.bytes.data(),
-                      expect.bytes.size()) != 0) {
-        return DataLossError(
-            "deep verification failed: stored " +
-            std::string(
-                SnapshotSectionIdName(static_cast<uint32_t>(expect.id))) +
-            " section of group '" + loaded.groups[i].name +
-            "' differs from a fresh preparation");
-      }
+    const std::string expect =
+        snapshot_internal::SerializePreparedSection(fresh);
+    const SnapshotInfo::Section* sec = snapshot_internal::FindSection(
+        raw, static_cast<uint32_t>(SnapshotSectionId::kPrepared),
+        static_cast<uint32_t>(i));
+    if (sec == nullptr || sec->length != expect.size() ||
+        std::memcmp(raw.file->data() + sec->offset, expect.data(),
+                    expect.size()) != 0) {
+      return DataLossError("deep verification failed: stored prepared "
+                           "section of group '" +
+                           loaded.groups[i].name +
+                           "' differs from a fresh preparation");
     }
   }
   return OkStatus();

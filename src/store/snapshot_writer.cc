@@ -11,7 +11,6 @@
 
 #include "src/common/checksum.h"
 #include "src/core/preprocess.h"
-#include "src/core/signature.h"
 #include "src/rules/rule_io.h"
 #include "src/store/bytes.h"
 #include "src/store/snapshot.h"
@@ -36,21 +35,6 @@ void SerializeDoubles(ByteSink* sink, const std::vector<double>& v) {
   sink->Array(v.data(), v.size());
 }
 
-uint32_t AttrFlags(const PreparedAttr& attr) {
-  return (attr.has_value_list ? 1u : 0u) | (attr.has_words ? 2u : 0u) |
-         (attr.has_text ? 4u : 0u);
-}
-
-void SerializeDictionary(ByteSink* sink, const TokenDictionary& dict) {
-  const uint64_t n = dict.size();
-  sink->U64(n);
-  for (TokenId id = 0; id < n; ++id) sink->String(dict.Token(id));
-  sink->Align8();
-  std::vector<uint32_t> df(n);
-  for (TokenId id = 0; id < n; ++id) df[id] = dict.DocumentFrequency(id);
-  sink->Array(df.data(), df.size());
-}
-
 }  // namespace
 
 std::string SerializePreparedSection(const PreparedGroup& pg) {
@@ -59,7 +43,8 @@ std::string SerializePreparedSection(const PreparedGroup& pg) {
   sink.U64(n);
   sink.U64(pg.attrs.size());
   for (const PreparedAttr& attr : pg.attrs) {
-    sink.U32(AttrFlags(attr));
+    sink.U32((attr.has_value_list ? 1u : 0u) | (attr.has_words ? 2u : 0u) |
+             (attr.has_text ? 4u : 0u));
     sink.U32(0);
     if (attr.has_value_list) {
       SerializeRankColumn(&sink, attr.value_ranks);
@@ -95,44 +80,10 @@ std::string SerializePreparedSection(const PreparedGroup& pg) {
   return sink.Take();
 }
 
-std::string SerializeArtifactsSection(const PreparedRuleArtifacts& artifacts) {
-  ByteSink sink;
-  sink.U64(artifacts.positive_indexes.size());
-  sink.U64(artifacts.negative_sigs.size());
-  for (const InvertedIndex& index : artifacts.positive_indexes) {
-    InvertedIndex::FrozenView view = index.FrozenData();
-    sink.Array(view.sig_counts, view.sig_counts_len);
-    sink.Array(view.list_starts, view.list_starts_len);
-    sink.Array(view.entities, view.entities_len);
-  }
-  for (const SignatureColumn& column : artifacts.negative_sigs) {
-    const uint64_t rows = column.num_entities();
-    sink.U64(rows);
-    sink.Array(column.offsets_ptr(), rows + 1);
-    sink.Array(column.arena_ptr(), column.total());
-  }
-  return sink.Take();
-}
-
-std::string SerializeDictionariesSection(const PreparedGroup& pg) {
-  ByteSink sink;
-  sink.U64(pg.attrs.size());
-  for (const PreparedAttr& attr : pg.attrs) {
-    sink.U32(AttrFlags(attr));
-    sink.U32(0);
-    if (attr.has_value_list) SerializeDictionary(&sink, attr.value_dict);
-    if (attr.has_words) SerializeDictionary(&sink, attr.word_dict);
-    if (attr.has_text) SerializeDictionary(&sink, attr.qgram_dict);
-  }
-  return sink.Take();
-}
-
 }  // namespace snapshot_internal
 
 namespace {
 
-using snapshot_internal::SerializeArtifactsSection;
-using snapshot_internal::SerializeDictionariesSection;
 using snapshot_internal::SerializePreparedSection;
 
 struct PendingSection {
@@ -179,9 +130,8 @@ StatusOr<std::string> SerializeSnapshot(const SnapshotWriteRequest& request) {
   {
     ByteSink meta;
     meta.U32(static_cast<uint32_t>(request.context->qgram_q));
-    meta.U32(request.include_dictionaries ? 1 : 0);
+    meta.U32(0);
     meta.U64(groups.size());
-    meta.U64(request.signature_options.max_tuple_signatures);
     meta.U64(schema.size());
     for (const std::string& name : schema.attribute_names()) {
       meta.String(name);
@@ -233,20 +183,11 @@ StatusOr<std::string> SerializeSnapshot(const SnapshotWriteRequest& request) {
       if (g.has_truth()) sec.Array(g.truth.data(), g.truth.size());
       add(SnapshotSectionId::kGroup, index, sec.Take());
     }
-    // The expensive part — full preparation plus the offline signature
-    // pass — happens here, once, so load never has to.
+    // The expensive part — full preparation — happens here, once, so
+    // load never has to.
     PreparedGroup pg = PrepareGroup(groups[i], *request.positive,
                                     *request.negative, *request.context);
-    std::shared_ptr<const PreparedRuleArtifacts> artifacts =
-        BuildPreparedRuleArtifacts(pg, *request.positive, *request.negative,
-                                   request.signature_options);
     add(SnapshotSectionId::kPrepared, index, SerializePreparedSection(pg));
-    add(SnapshotSectionId::kArtifacts, index,
-        SerializeArtifactsSection(*artifacts));
-    if (request.include_dictionaries) {
-      add(SnapshotSectionId::kDictionaries, index,
-          SerializeDictionariesSection(pg));
-    }
   }
 
   // Assemble: header, 8-aligned payloads, table, tail.

@@ -64,20 +64,6 @@ std::vector<uint32_t> TokenDictionary::DocumentFrequencyByRank() const {
   return by_rank;
 }
 
-void TokenDictionary::Restore(std::vector<std::string> tokens,
-                              std::vector<uint32_t> doc_freq) {
-  DIME_DCHECK_EQ(tokens.size(), doc_freq.size());
-  tokens_ = std::move(tokens);
-  doc_freq_ = std::move(doc_freq);
-  index_.clear();
-  index_.reserve(tokens_.size());
-  for (TokenId id = 0; id < tokens_.size(); ++id) {
-    index_.emplace(tokens_[id], id);
-  }
-  rank_.clear();
-  BuildGlobalOrder();
-}
-
 std::vector<TokenId> TokenDictionary::SortByRank(
     std::vector<TokenId> ids) const {
   if (!HasGlobalOrder()) {

@@ -61,14 +61,6 @@ class TokenDictionary {
   /// True once BuildGlobalOrder has been called.
   bool HasGlobalOrder() const { return !rank_.empty() || tokens_.empty(); }
 
-  /// Rebuilds the dictionary from serialized parts: token strings in id
-  /// order plus their document frequencies (sizes must match). Re-derives
-  /// the hash index and the global ordering — BuildGlobalOrder is
-  /// deterministic in (doc_freq, id), so a restored dictionary reproduces
-  /// the original ranks exactly. Used by the snapshot loader.
-  void Restore(std::vector<std::string> tokens,
-               std::vector<uint32_t> doc_freq);
-
   /// Sorts a token-id list by global rank ascending (rarest first) and
   /// removes duplicates. This is the canonical per-value representation
   /// used by prefix signatures and fast set-similarity verification.

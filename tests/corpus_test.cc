@@ -63,5 +63,29 @@ TEST(CorpusTest, EmptyCorpusAndMoreThreadsThanGroups) {
   EXPECT_FALSE(results[0].partitions.empty());
 }
 
+TEST(CorpusTest, ExpiredDeadlineGatesEveryGroupWithOnePrefixPerRule) {
+  ScholarSetup setup = MakeScholarSetup();
+  std::vector<Group> groups = MakePages(3, 20);
+  for (bool plus : {true, false}) {
+    CorpusOptions options;
+    options.num_threads = 2;
+    options.use_dime_plus = plus;
+    options.control.deadline = Deadline::Expired();
+    std::vector<DimeResult> results = RunCorpus(
+        groups, setup.positive, setup.negative, setup.context, options);
+    ASSERT_EQ(results.size(), groups.size());
+    for (const DimeResult& result : results) {
+      EXPECT_EQ(result.status.code(), StatusCode::kDeadlineExceeded);
+      EXPECT_TRUE(result.partitions.empty());
+      EXPECT_EQ(result.pivot, -1);
+      // The same shape an engine gives when it stops before step 1 ends.
+      ASSERT_EQ(result.flagged_by_prefix.size(), setup.negative.size());
+      for (const std::vector<int>& flagged : result.flagged_by_prefix) {
+        EXPECT_TRUE(flagged.empty());
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dime

@@ -2,11 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <iterator>
 #include <vector>
 
-#include "src/common/random.h"
 #include "src/index/verification.h"
 
 namespace dime {
@@ -46,15 +43,6 @@ TEST(InvertedIndexTest, NoSharedSignaturesNoCandidates) {
   EXPECT_EQ(index.CandidateVolume(), 0u);
 }
 
-TEST(InvertedIndexTest, SignatureCounts) {
-  InvertedIndex index;
-  index.Add(7, {1, 2, 3});
-  index.Add(8, {});
-  EXPECT_EQ(index.SignatureCount(7), 3u);
-  EXPECT_EQ(index.SignatureCount(8), 0u);
-  EXPECT_EQ(index.SignatureCount(9), 0u);
-}
-
 TEST(InvertedIndexTest, CandidatesAreDeterministicallyOrdered) {
   InvertedIndex index;
   index.Add(3, {5});
@@ -87,60 +75,6 @@ TEST(InvertedIndexTest, ShortListsFirstOrdersByLengthThenFirstEntity) {
   size_t visited = 0;
   index.ForEachList(true, [&](const int*, size_t) { return ++visited < 2; });
   EXPECT_EQ(visited, 2u);
-}
-
-TEST(InvertedIndexTest, ListOverlapAndShareAtLeast) {
-  InvertedIndex index;
-  // Entities Add()ed in ascending id order, so every frozen list is
-  // strictly ascending (the ListOverlap precondition). After freezing,
-  // lists are ordered by ascending signature: list 0 = sig 10 -> {0,1,2,3},
-  // list 1 = sig 20 -> {2,3,4}, list 2 = sig 30 -> {5}.
-  index.Add(0, {10});
-  index.Add(1, {10});
-  index.Add(2, {10, 20});
-  index.Add(3, {10, 20});
-  index.Add(4, {20});
-  index.Add(5, {30});
-  ASSERT_EQ(index.num_lists(), 3u);
-  EXPECT_EQ(index.ListOverlap(0, 1), 2u);  // entities 2 and 3
-  EXPECT_EQ(index.ListOverlap(1, 0), 2u);
-  EXPECT_EQ(index.ListOverlap(0, 0), 4u);
-  EXPECT_EQ(index.ListOverlap(0, 2), 0u);
-  EXPECT_TRUE(index.ListsShareAtLeast(0, 1, 0));
-  EXPECT_TRUE(index.ListsShareAtLeast(0, 1, 2));
-  EXPECT_FALSE(index.ListsShareAtLeast(0, 1, 3));
-  EXPECT_FALSE(index.ListsShareAtLeast(0, 2, 1));
-}
-
-TEST(InvertedIndexTest, ListKernelsMatchBruteForceOnRandomLists) {
-  Random rng(909);
-  for (int trial = 0; trial < 20; ++trial) {
-    InvertedIndex index;
-    std::vector<int> on_a, on_b;
-    for (int e = 0; e < 200; ++e) {
-      std::vector<uint64_t> sigs;
-      if (rng.Bernoulli(0.4)) {
-        sigs.push_back(1);
-        on_a.push_back(e);
-      }
-      if (rng.Bernoulli(0.3)) {
-        sigs.push_back(2);
-        on_b.push_back(e);
-      }
-      index.Add(e, sigs);
-    }
-    if (index.num_lists() < 2) continue;
-    std::vector<int> shared;
-    std::set_intersection(on_a.begin(), on_a.end(), on_b.begin(), on_b.end(),
-                          std::back_inserter(shared));
-    EXPECT_EQ(index.ListOverlap(0, 1), shared.size());
-    for (size_t required : {size_t{0}, size_t{1}, shared.size(),
-                            shared.size() + 1, size_t{200}}) {
-      EXPECT_EQ(index.ListsShareAtLeast(0, 1, required),
-                shared.size() >= required)
-          << "trial=" << trial << " required=" << required;
-    }
-  }
 }
 
 TEST(VerificationTest, SimilarProbability) {

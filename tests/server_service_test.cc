@@ -365,6 +365,9 @@ TEST(DimeServiceTest, DeadlineExpiredInQueueAnswersWithoutEngineRun) {
     // Engine never ran: empty-but-valid result, like RunCorpus on expiry.
     EXPECT_EQ(reply->result->status.code(), StatusCode::kDeadlineExceeded);
     EXPECT_TRUE(reply->result->partitions.empty());
+    // One (empty) scrollbar prefix per negative rule, as every engine.
+    EXPECT_EQ(reply->result->flagged_by_prefix.size(),
+              reply->epoch->corpus().negative.size());
   });
   ASSERT_TRUE(WaitUntil([&] { return gate.arrivals.load() == 1; }));
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -549,7 +552,7 @@ TEST(LiveCorpusTest, ReloadFromSnapshotSwapsToAPreparedEpoch) {
   StatusOr<CheckReply> reply = service.Check(request);
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->epoch->sequence(), 2u);
-  // Snapshot epochs serve warm: the group's rule artifacts came off disk.
+  // Snapshot epochs serve warm: the group came prepared off disk.
   EXPECT_NE(reply->epoch->FindPrepared(reply->group), nullptr);
 
   // A reload that cannot load anything leaves the good epoch serving.
@@ -1008,7 +1011,8 @@ TEST(LiveCorpusTest, DeltaMergeSharesUntouchedGroupsWithItsBase) {
   EXPECT_NE(merged->FindPrepared(edited), nullptr);
   EXPECT_NE(merged->GroupKey(*edited),
             base->GroupKey(*base->FindGroup("page_0")));
-  // ...and every other one is the base's own, snapshot artifacts included.
+  // ...and every other one is the base's own, still borrowing the
+  // snapshot's rank arenas.
   for (size_t i = 1; i < kPages; ++i) {
     const std::string name = "page_" + std::to_string(i);
     const Group* group = merged->FindGroup(name);
@@ -1016,7 +1020,11 @@ TEST(LiveCorpusTest, DeltaMergeSharesUntouchedGroupsWithItsBase) {
     const PreparedGroup* prepared = merged->FindPrepared(group);
     ASSERT_NE(prepared, nullptr) << name;
     EXPECT_EQ(prepared, base->FindPrepared(base->FindGroup(name))) << name;
-    EXPECT_NE(prepared->artifacts, nullptr) << name;
+    bool borrowed = false;
+    for (const PreparedAttr& attr : prepared->attrs) {
+      borrowed = borrowed || attr.value_ranks.borrowed();
+    }
+    EXPECT_TRUE(borrowed) << name;
   }
   // Same rules and ontologies: the context key carries over.
   EXPECT_EQ(merged->context_key(), base->context_key());

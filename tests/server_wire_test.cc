@@ -183,9 +183,31 @@ TEST(WireRequestTest, UnknownTypeIsInvalidArgument) {
 }
 
 TEST(WireRequestTest, WrongTypedKnownFieldIsInvalidArgument) {
-  auto parsed = ParseRequestLine(R"({"type":"check","deadline_ms":"soon"})");
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  // deadline_ms must be an integer in [0, 2^31 - 1]; anything else is
+  // refused before it is cast (1e300 would overflow the cast). The two
+  // bounds themselves are accepted.
+  struct Case {
+    const char* value;
+    bool ok;
+  };
+  for (const Case& c : {Case{"\"soon\"", false}, Case{"1e300", false},
+                        Case{"-1", false}, Case{"2.5", false},
+                        Case{"2147483648", false}, Case{"0", true},
+                        Case{"2147483647", true}}) {
+    const std::string line =
+        std::string(R"({"type":"check","deadline_ms":)") + c.value + "}";
+    auto parsed = ParseRequestLine(line);
+    if (c.ok) {
+      ASSERT_TRUE(parsed.ok()) << line << ": " << parsed.status().ToString();
+      EXPECT_EQ(std::to_string(parsed->deadline_ms), c.value);
+      continue;
+    }
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_NE(parsed.status().message().find("deadline_ms"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
 }
 
 TEST(WireRequestTest, MalformedJsonIsParseError) {

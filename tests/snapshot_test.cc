@@ -1,25 +1,27 @@
 // Tests for the snapshot store (src/store/): round-trip identity between
 // a freshly prepared corpus and its snapshot-loaded twin, the mmap /
-// read() fallback equivalence, dictionary restoration, envelope
-// validation, and the corruption matrix — a single flipped byte in ANY
-// section, and truncation at the footer, must yield a clean DATA_LOSS /
-// PARSE_ERROR status, never a crash. The corruption cases run under ASan
+// read() fallback equivalence, envelope and version validation, and the
+// corruption matrix — a single flipped byte in ANY section, and
+// truncation at the footer, must yield a clean DATA_LOSS / PARSE_ERROR
+// status, never a crash. The corruption cases run under ASan
 // in CI like every other test.
 
 #include "src/store/snapshot.h"
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/common/checksum.h"
 #include "src/common/fault_injection.h"
 #include "src/core/dime_plus.h"
 #include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
-#include "src/index/inverted_index.h"
 #include "src/store/mapped_file.h"
 #include "src/store/snapshot_format.h"
 
@@ -57,8 +59,14 @@ TestCorpus MakeTestCorpus(uint64_t seed = 77, size_t pages = 2) {
   return corpus;
 }
 
+/// A scratch path private to the running test. ctest runs each test as
+/// its own process, in parallel, so a path shared between tests would let
+/// one test read another's half-written file.
 std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/" + name;
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "/" + test->test_suite_name() + "." +
+         test->name() + "." + name;
 }
 
 void WriteFile(const std::string& path, const std::string& bytes) {
@@ -95,10 +103,12 @@ TEST_F(SnapshotTest, RoundTripRunsIdentically) {
   for (size_t i = 0; i < corpus.groups.size(); ++i) {
     const PreparedGroup& warm = *loaded->prepared[i];
     ASSERT_EQ(warm.group, &loaded->groups[i]);
-    ASSERT_NE(warm.artifacts, nullptr);
-    EXPECT_EQ(warm.artifacts->positive_indexes.size(),
-              loaded->positive.size());
-    EXPECT_EQ(warm.artifacts->negative_sigs.size(), loaded->negative.size());
+    // The rank columns borrow the loaded bytes instead of copying them.
+    for (const PreparedAttr& attr : warm.attrs) {
+      if (attr.has_value_list) {
+        EXPECT_TRUE(attr.value_ranks.borrowed());
+      }
+    }
 
     PreparedGroup cold = PrepareGroup(corpus.groups[i], corpus.setup.positive,
                                       corpus.setup.negative,
@@ -149,37 +159,6 @@ TEST_F(SnapshotTest, PreferMmapFalseUsesFallback) {
   EXPECT_FALSE(loaded->mapped);
 }
 
-TEST_F(SnapshotTest, DictionariesRestoreOnRequest) {
-  TestCorpus corpus = MakeTestCorpus(9, 1);
-  const std::string path = TempPath("dicts.snap");
-  ASSERT_TRUE(WriteSnapshot(corpus.Request(), path).ok());
-
-  // Default load skips them; opting in restores tokens, ids AND ranks.
-  StatusOr<LoadedSnapshot> lean = LoadSnapshot(path);
-  ASSERT_TRUE(lean.ok());
-  SnapshotLoadOptions options;
-  options.load_dictionaries = true;
-  StatusOr<LoadedSnapshot> full = LoadSnapshot(path, options);
-  ASSERT_TRUE(full.ok());
-
-  PreparedGroup cold =
-      PrepareGroup(corpus.groups[0], corpus.setup.positive,
-                   corpus.setup.negative, corpus.setup.context);
-  for (size_t a = 0; a < cold.attrs.size(); ++a) {
-    const TokenDictionary& fresh = cold.attrs[a].value_dict;
-    const TokenDictionary& lean_dict = lean->prepared[0]->attrs[a].value_dict;
-    const TokenDictionary& restored =
-        full->prepared[0]->attrs[a].value_dict;
-    EXPECT_EQ(lean_dict.size(), 0u);
-    ASSERT_EQ(restored.size(), fresh.size());
-    for (TokenId id = 0; id < fresh.size(); ++id) {
-      EXPECT_EQ(restored.Token(id), fresh.Token(id));
-      EXPECT_EQ(restored.DocumentFrequency(id), fresh.DocumentFrequency(id));
-      EXPECT_EQ(restored.GlobalRank(id), fresh.GlobalRank(id));
-    }
-  }
-}
-
 TEST_F(SnapshotTest, InspectReportsEnvelope) {
   TestCorpus corpus = MakeTestCorpus(3, 2);
   const std::string path = TempPath("inspect.snap");
@@ -188,14 +167,13 @@ TEST_F(SnapshotTest, InspectReportsEnvelope) {
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->version, kSnapshotFormatVersion);
   EXPECT_TRUE(info->fingerprint_lo != 0 || info->fingerprint_hi != 0);
-  // meta + rules + ontologies + per group (group, prepared, artifacts,
-  // dictionaries).
-  EXPECT_EQ(info->sections.size(), 3u + 4u * corpus.groups.size());
-  // Every mandatory section id is present.
+  // meta + rules + ontologies + per group (group, prepared).
+  EXPECT_EQ(info->sections.size(), 3u + 2u * corpus.groups.size());
+  // Every section id is present.
   for (SnapshotSectionId id :
        {SnapshotSectionId::kMeta, SnapshotSectionId::kRules,
         SnapshotSectionId::kOntologies, SnapshotSectionId::kGroup,
-        SnapshotSectionId::kPrepared, SnapshotSectionId::kArtifacts}) {
+        SnapshotSectionId::kPrepared}) {
     bool found = false;
     for (const SnapshotInfo::Section& sec : info->sections) {
       found = found || sec.id == static_cast<uint32_t>(id);
@@ -238,13 +216,16 @@ TEST_F(SnapshotTest, SerializeValidatesRequest) {
             StatusCode::kInvalidArgument);
 }
 
-// The frozen positive-index arrays of a loaded group, copied out of
-// whatever backs them (the mapping, for a mapped load).
-std::vector<int> IndexEntities(const PreparedGroup& pg) {
-  std::vector<int> out;
-  for (const InvertedIndex& index : pg.artifacts->positive_indexes) {
-    InvertedIndex::FrozenView view = index.FrozenData();
-    out.insert(out.end(), view.entities, view.entities + view.entities_len);
+// The rank arenas of a loaded group, copied out of whatever backs them
+// (the mapping, for a mapped load).
+std::vector<uint32_t> RankArenas(const PreparedGroup& pg) {
+  std::vector<uint32_t> out;
+  for (const PreparedAttr& attr : pg.attrs) {
+    for (const RankColumn* column :
+         {&attr.value_ranks, &attr.word_ranks, &attr.qgram_ranks}) {
+      out.insert(out.end(), column->arena_ptr(),
+                 column->arena_ptr() + column->total_ranks());
+    }
   }
   return out;
 }
@@ -263,11 +244,12 @@ TEST_F(SnapshotTest, RewriteLeavesALiveMappingIntact) {
   ASSERT_TRUE(raw.ok());
   ASSERT_TRUE(raw->mapped());
   std::vector<DimeResult> before;
-  std::vector<std::vector<int>> arenas;
+  std::vector<std::vector<uint32_t>> arenas;
   for (const auto& pg : loaded->prepared) {
     before.push_back(
         RunDimePlus(*pg, loaded->positive, loaded->negative, {}, {}));
-    arenas.push_back(IndexEntities(*pg));
+    arenas.push_back(RankArenas(*pg));
+    ASSERT_FALSE(arenas.back().empty());
   }
 
   // Rewrite the path with B while A is mapped, then make A fault its
@@ -279,7 +261,7 @@ TEST_F(SnapshotTest, RewriteLeavesALiveMappingIntact) {
                           raw->size()) == image_a);
   for (size_t i = 0; i < loaded->prepared.size(); ++i) {
     const PreparedGroup& pg = *loaded->prepared[i];
-    EXPECT_EQ(IndexEntities(pg), arenas[i]);
+    EXPECT_EQ(RankArenas(pg), arenas[i]);
     DimeResult after =
         RunDimePlus(pg, loaded->positive, loaded->negative, {}, {});
     EXPECT_EQ(after.partitions, before[i].partitions);
@@ -300,8 +282,7 @@ TEST_F(SnapshotTest, RewriteLeavesALiveMappingIntact) {
 TEST_F(SnapshotTest, FailedRewriteLeavesNoTemporary) {
   TestCorpus corpus = MakeTestCorpus(43, 1);
   // A directory in the way: the write succeeds, the rename over it fails.
-  const std::filesystem::path dir =
-      std::filesystem::path(TempPath("")) / "rewrite_blocked";
+  const std::filesystem::path dir = TempPath("rewrite_blocked");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir / "target.snap");
   EXPECT_EQ(WriteSnapshot(corpus.Request(), (dir / "target.snap").string())
@@ -400,12 +381,44 @@ TEST_F(SnapshotCorruptionTest, BadMagicIsParseError) {
 }
 
 TEST_F(SnapshotCorruptionTest, FutureVersionIsParseError) {
+  // A newer version in the header alone, and an older one patched
+  // consistently into header and tail (tail_crc recomputed), so that
+  // only the version itself is wrong. Every entry point refuses both
+  // and says how to fix it.
   std::string future = image_;
   future[8] = 99;  // little-endian low byte of the header version field
-  Status status = LoadStatusOf(future);
-  EXPECT_EQ(status.code(), StatusCode::kParseError);
-  EXPECT_NE(status.message().find("newer"), std::string::npos)
-      << status.ToString();
+  std::string older = image_;
+  const uint32_t v1 = 1;
+  std::memcpy(&older[8], &v1, sizeof(v1));
+  const size_t tail = older.size() - kSnapshotTailSize;
+  std::memcpy(&older[tail + 12], &v1, sizeof(v1));
+  uint64_t table_offset;
+  std::memcpy(&table_offset, &older[tail], sizeof(table_offset));
+  const uint32_t tail_crc = Crc32(
+      std::string_view(older).substr(table_offset, tail + 32 - table_offset));
+  std::memcpy(&older[tail + 32], &tail_crc, sizeof(tail_crc));
+
+  struct Case {
+    uint32_t version;
+    std::string bytes;
+  };
+  for (const Case& c : {Case{99, future}, Case{1, older}}) {
+    const std::string path = TempPath("version_variant.snap");
+    WriteFile(path, c.bytes);
+    for (const Status& status :
+         {LoadSnapshot(path).status(), InspectSnapshot(path).status(),
+          VerifySnapshot(path)}) {
+      EXPECT_EQ(status.code(), StatusCode::kParseError)
+          << c.version << ": " << status.ToString();
+      EXPECT_NE(
+          status.message().find("version " + std::to_string(c.version)),
+                std::string::npos)
+          << status.ToString();
+      EXPECT_NE(status.message().find("dime_snapshot build"),
+                std::string::npos)
+          << status.ToString();
+    }
+  }
 }
 
 TEST_F(SnapshotCorruptionTest, WrongEndianMarkerIsParseError) {

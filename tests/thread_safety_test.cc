@@ -157,10 +157,10 @@ TEST_F(ThreadSafetyTest, CorpusUnderConcurrentCancellationAndFaults) {
 
     ASSERT_EQ(results.size(), groups.size());
     for (size_t g = 0; g < results.size(); ++g) {
-      // Gated groups carry num_rules+1 prefixes (corpus convention);
-      // engine-run groups carry num_rules.
       EXPECT_TRUE(IsExpectedEngineStatus(results[g].status))
           << results[g].status.ToString();
+      // Gated and engine-run groups alike carry one prefix per rule.
+      EXPECT_EQ(results[g].flagged_by_prefix.size(), setup.negative.size());
       for (const std::vector<int>& flagged : results[g].flagged_by_prefix) {
         for (int e : flagged) {
           EXPECT_GE(e, 0);
