@@ -7,11 +7,17 @@
 namespace dime {
 
 std::string ToLower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
+  std::string out;
+  ToLowerInto(s, &out);
   return out;
+}
+
+void ToLowerInto(std::string_view s, std::string* out) {
+  out->resize(s.size());
+  for (size_t i = 0; i < s.size(); ++i) {
+    (*out)[i] =
+        static_cast<char>(std::tolower(static_cast<unsigned char>(s[i])));
+  }
 }
 
 std::string_view Trim(std::string_view s) {

@@ -18,6 +18,11 @@ namespace dime {
 /// Returns `s` with ASCII letters lower-cased.
 std::string ToLower(std::string_view s);
 
+/// Overwrites `*out` with ToLower(s), reusing its capacity: a loop that
+/// lower-cases into one buffer allocates only when a string outgrows it.
+/// `s` must not point into `*out`.
+void ToLowerInto(std::string_view s, std::string* out);
+
 /// Returns `s` without leading/trailing ASCII whitespace.
 std::string_view Trim(std::string_view s);
 

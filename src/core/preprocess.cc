@@ -1,9 +1,15 @@
 #include "src/core/preprocess.h"
 
 #include <algorithm>
+#include <cctype>
+#include <exception>
+#include <memory>
+#include <string_view>
 
 #include "src/common/logging.h"
 #include "src/common/string_util.h"
+// lint: include-layering-ok(large groups prepare on a private pool; pool.h needs only common)
+#include "src/exec/pool.h"
 #include "src/sim/edit_distance.h"
 #include "src/sim/set_similarity.h"
 #include "src/sim/weighted_similarity.h"
@@ -37,12 +43,18 @@ std::vector<AttrRequirements> ComputeAttrRequirements(
 }
 
 std::string JoinAttributeText(const AttributeValue& value) {
+  size_t length = value.empty() ? 0 : value.size() - 1;
+  for (const std::string& element : value) length += element.size();
   std::string joined;
+  joined.reserve(length);
   for (size_t i = 0; i < value.size(); ++i) {
     if (i > 0) joined.push_back(' ');
     joined.append(value[i]);
   }
-  return ToLower(joined);
+  for (char& c : joined) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  return joined;
 }
 
 /// For kExactName we first try the full joined value, then each list
@@ -94,11 +106,12 @@ int MapAttributeToNode(const Ontology& tree, MapMode mode,
     if (best == kNoNode || tree.Depth(node) > tree.Depth(best)) best = node;
   };
   consider(tree.FindByName(JoinAttributeText(value)));
+  std::string span;  // reused by every span probe
   for (const std::string& element : value) {
     consider(tree.FindByName(element));
     std::vector<std::string> tokens = WhitespaceTokenize(element);
     for (size_t i = 0; i < tokens.size(); ++i) {
-      std::string span;
+      span.clear();
       for (size_t j = i; j < tokens.size(); ++j) {
         if (j > i) span.push_back(' ');
         span += tokens[j];
@@ -114,39 +127,187 @@ int MapAttributeToNode(const Ontology& tree, MapMode mode,
 
 namespace {
 
-/// Translates interned documents to sorted unique global-rank runs and
-/// packs them into the column's arena, one entity per row.
-void FlattenRanks(const std::vector<std::vector<TokenId>>& ids,
-                  const TokenDictionary& dict, RankColumn* column) {
-  size_t total = 0;
-  for (const auto& doc : ids) total += doc.size();
-  column->Reserve(ids.size(), total);
-  std::vector<uint32_t> ranks;  // scratch, reused across entities
-  for (const auto& doc : ids) {
-    ranks.clear();
-    ranks.reserve(doc.size());
-    for (TokenId id : doc) ranks.push_back(dict.GlobalRank(id));
-    std::sort(ranks.begin(), ranks.end());
-    ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
-    column->Append(ranks);
+/// The caller sizes every chunk buffer before the interning tasks run:
+/// ids and offsets exactly, the chunk dictionary for the chunk's raw token
+/// count up to this cap (8 distinct tokens per entity), past which it
+/// grows as usual. Buffers grown inside tasks made the allocator grow and
+/// trim its per-thread heaps, whose page-table updates serialized the pool
+/// (on a 4-vCPU host a 100k-entity group prepared no faster on four
+/// threads than on one), and memory freed into those heaps stayed resident
+/// after the threads exited, raising the process's peak.
+constexpr size_t kChunkDictionaryTokens = 8 * kPrepareChunkEntities;
+
+/// The token columns an attribute can carry.
+enum class TokenColumn { kValues, kWords, kQGrams };
+
+/// One chunk's share of a token column: a dictionary of the chunk's own
+/// tokens and, per entity of the chunk, the ascending distinct local ids
+/// of its tokens (CSR: row r is ids[offsets[r] .. offsets[r + 1])).
+struct ChunkTokens {
+  TokenDictionary dict;
+  std::vector<TokenId> ids;
+  std::vector<uint64_t> offsets{0};
+  /// Tokens the chunk interns, duplicates included, and their bytes: the
+  /// sizes its buffers are reserved for.
+  size_t tokens = 0;
+  size_t chars = 0;
+};
+
+/// A token column under construction, and the PreparedAttr fields it fills
+/// (the weight fields are null for q-grams).
+struct ColumnBuild {
+  int attr = 0;
+  TokenColumn column = TokenColumn::kValues;
+  std::vector<std::string>* text = nullptr;  ///< q-grams only
+  TokenDictionary* dict = nullptr;
+  RankColumn* ranks = nullptr;
+  std::vector<double>* weights = nullptr;
+  std::vector<double>* mass = nullptr;
+  std::vector<double>* sqnorm = nullptr;
+
+  std::vector<ChunkTokens> chunks;
+  /// Per chunk: local id -> merged id (empty for chunk 0, whose ids are
+  /// the merged ones).
+  std::vector<std::vector<TokenId>> remaps;
+  /// Where each chunk's ids start in the arena (one more entry than
+  /// chunks: the last is the arena's size).
+  std::vector<uint64_t> chunk_base;
+  std::vector<uint32_t> arena;
+  std::vector<uint64_t> offsets;
+};
+
+ColumnBuild MakeColumn(int a, TokenColumn column, PreparedAttr* attr) {
+  ColumnBuild b;
+  b.attr = a;
+  b.column = column;
+  switch (column) {
+    case TokenColumn::kValues:
+      b.dict = &attr->value_dict;
+      b.ranks = &attr->value_ranks;
+      b.weights = &attr->value_weights;
+      b.mass = &attr->value_mass;
+      b.sqnorm = &attr->value_sqnorm;
+      break;
+    case TokenColumn::kWords:
+      b.dict = &attr->word_dict;
+      b.ranks = &attr->word_ranks;
+      b.weights = &attr->word_weights;
+      b.mass = &attr->word_mass;
+      b.sqnorm = &attr->word_sqnorm;
+      break;
+    case TokenColumn::kQGrams:
+      b.text = &attr->text;
+      b.dict = &attr->qgram_dict;
+      b.ranks = &attr->qgram_ranks;
+      break;
+  }
+  return b;
+}
+
+/// Adds to `*tokens` and `*chars` the number of tokens AppendRow interns
+/// for one entity (duplicates included) and their bytes.
+void CountTokens(TokenColumn column, const AttributeValue& value,
+                 std::string_view text, int q, size_t* tokens,
+                 size_t* chars) {
+  switch (column) {
+    case TokenColumn::kValues:
+      *tokens += value.size();
+      for (const std::string& element : value) *chars += element.size();
+      break;
+    case TokenColumn::kWords:
+      for (const std::string& element : value) {
+        bool in_word = false;
+        for (char c : element) {
+          const bool alnum = std::isalnum(static_cast<unsigned char>(c)) != 0;
+          *tokens += alnum && !in_word;
+          *chars += alnum;
+          in_word = alnum;
+        }
+      }
+      break;
+    case TokenColumn::kQGrams:
+      ForEachQGram(text, q, [&](std::string_view gram) {
+        ++*tokens;
+        *chars += gram.size();
+      });
+      break;
   }
 }
 
-/// Precomputes per-entity total weight and squared weight norm so the
-/// threshold-aware weighted kernels never re-scan a side for its mass.
-void ComputeMasses(const RankColumn& column,
-                   const std::vector<double>& weights,
-                   std::vector<double>* mass, std::vector<double>* sqnorm) {
-  const size_t n = column.num_entities();
-  mass->resize(n);
-  sqnorm->resize(n);
-  for (size_t e = 0; e < n; ++e) {
-    RankSpan v = column.view(e);
-    (*mass)[e] = TotalWeight(v, weights);
-    (*sqnorm)[e] = SquaredWeightNorm(v, weights);
+/// Interns one entity's tokens into `out->dict` and appends them as the
+/// entity's row: ascending distinct ids, each counted once toward its
+/// document frequency. The tokens are ToLower(Trim(element)) per element
+/// for value lists, WordTokenize(JoinAttributeText(value)) for words and
+/// QGrams(text, q) for q-grams. `scratch` is a reused lower-case buffer.
+void AppendRow(TokenColumn column, const AttributeValue& value,
+               std::string_view text, int q, std::string* scratch,
+               ChunkTokens* out) {
+  const size_t row = out->ids.size();
+  auto intern = [out](std::string_view token) {
+    out->ids.push_back(out->dict.Intern(token));
+  };
+  switch (column) {
+    case TokenColumn::kValues:
+      for (const std::string& element : value) {
+        ToLowerInto(Trim(element), scratch);
+        intern(*scratch);
+      }
+      break;
+    case TokenColumn::kWords:
+      // The joining space ends an alphanumeric run, so the words of the
+      // joined text are those of each element on its own.
+      for (const std::string& element : value) {
+        ForEachWord(element, scratch, intern);
+      }
+      break;
+    case TokenColumn::kQGrams:
+      ForEachQGram(text, q, intern);
+      break;
   }
+  const auto begin = out->ids.begin() + static_cast<ptrdiff_t>(row);
+  std::sort(begin, out->ids.end());
+  out->ids.erase(std::unique(begin, out->ids.end()), out->ids.end());
+  out->dict.CountDocument(out->ids.data() + row, out->ids.size() - row);
+  out->offsets.push_back(out->ids.size());
 }
 
+/// Runs fn(0) .. fn(count - 1): in order on the caller without a pool,
+/// else as tasks on `pool`, rethrowing the first task's exception.
+template <typename Fn>
+void ForEachIndex(exec::WorkStealingPool* pool, size_t count, const Fn& fn) {
+  if (pool == nullptr) {
+    for (size_t i = 0; i < count; ++i) fn(i);
+    return;
+  }
+  exec::TaskGroup tasks(pool);
+  for (size_t i = 0; i < count; ++i) tasks.Spawn([&fn, i] { fn(i); });
+  tasks.Wait();
+  if (std::exception_ptr e = tasks.exception()) std::rethrow_exception(e);
+}
+
+/// One ontology mapping to fill: attribute `attr` onto `ref`'s tree.
+struct OntologyJob {
+  int attr = 0;
+  const OntologyRef* ref = nullptr;
+  std::vector<int>* nodes = nullptr;
+};
+
+/// Builds every requested representation over fixed chunks of
+/// kPrepareChunkEntities entities:
+///
+///  1. per chunk: count each token column's tokens (joining the q-gram
+///     text); the caller then sizes every chunk buffer;
+///  2. per chunk: intern each token column into a chunk-local dictionary
+///     and map the ontology columns;
+///  3. on the caller, per column: merge the chunk dictionaries in chunk
+///     order, each in local-id order (a token's merged id is its serial
+///     first-seen id, and summed frequencies are the serial ones, since
+///     each entity is in one chunk), then rank and weight;
+///  4. per chunk: translate local ids to ranks, sort each row into the
+///     column's arena, and compute the weighted masses.
+///
+/// A single chunk runs everything on the caller; more chunks run the
+/// per-chunk passes on a private pool.
 PreparedGroup PrepareImpl(const Group& group,
                           const std::vector<Predicate>& predicates,
                           const DimeContext& context) {
@@ -155,63 +316,35 @@ PreparedGroup PrepareImpl(const Group& group,
   pg.context = context;
   pg.attrs.resize(group.schema.size());
 
-  std::vector<AttrRequirements> needs =
+  const std::vector<AttrRequirements> needs =
       ComputeAttrRequirements(group.schema.size(), predicates);
 
   const size_t n = group.size();
+  const size_t num_chunks = std::max<size_t>(
+      1, (n + kPrepareChunkEntities - 1) / kPrepareChunkEntities);
+  auto chunk_begin = [n](size_t c) {
+    return std::min(n, c * kPrepareChunkEntities);
+  };
+
+  std::vector<ColumnBuild> columns;
+  std::vector<OntologyJob> ontology_jobs;
   for (size_t a = 0; a < pg.attrs.size(); ++a) {
     PreparedAttr& attr = pg.attrs[a];
     const AttrRequirements& need = needs[a];
-
+    const int ai = static_cast<int>(a);
+    attr.has_value_list = need.value_list;
+    attr.has_words = need.words;
+    attr.has_text = need.text;
     if (need.value_list) {
-      attr.has_value_list = true;
-      std::vector<std::vector<TokenId>> ids(n);
-      for (size_t e = 0; e < n; ++e) {
-        std::vector<std::string> tokens;
-        tokens.reserve(group.entities[e].value(static_cast<int>(a)).size());
-        for (const std::string& v :
-             group.entities[e].value(static_cast<int>(a))) {
-          tokens.push_back(ToLower(std::string(Trim(v))));
-        }
-        ids[e] = attr.value_dict.InternDocument(tokens);
-      }
-      attr.value_dict.BuildGlobalOrder();
-      attr.value_weights =
-          IdfWeightsByRank(attr.value_dict.DocumentFrequencyByRank(), n);
-      FlattenRanks(ids, attr.value_dict, &attr.value_ranks);
-      ComputeMasses(attr.value_ranks, attr.value_weights, &attr.value_mass,
-                    &attr.value_sqnorm);
+      columns.push_back(MakeColumn(ai, TokenColumn::kValues, &attr));
     }
-
     if (need.words) {
-      attr.has_words = true;
-      std::vector<std::vector<TokenId>> ids(n);
-      for (size_t e = 0; e < n; ++e) {
-        ids[e] = attr.word_dict.InternDocument(WordTokenizeUnique(
-            JoinAttributeText(group.entities[e].value(static_cast<int>(a)))));
-      }
-      attr.word_dict.BuildGlobalOrder();
-      attr.word_weights =
-          IdfWeightsByRank(attr.word_dict.DocumentFrequencyByRank(), n);
-      FlattenRanks(ids, attr.word_dict, &attr.word_ranks);
-      ComputeMasses(attr.word_ranks, attr.word_weights, &attr.word_mass,
-                    &attr.word_sqnorm);
+      columns.push_back(MakeColumn(ai, TokenColumn::kWords, &attr));
     }
-
     if (need.text) {
-      attr.has_text = true;
       attr.text.resize(n);
-      std::vector<std::vector<TokenId>> ids(n);
-      for (size_t e = 0; e < n; ++e) {
-        attr.text[e] =
-            JoinAttributeText(group.entities[e].value(static_cast<int>(a)));
-        ids[e] = attr.qgram_dict.InternDocument(
-            QGrams(attr.text[e], context.qgram_q));
-      }
-      attr.qgram_dict.BuildGlobalOrder();
-      FlattenRanks(ids, attr.qgram_dict, &attr.qgram_ranks);
+      columns.push_back(MakeColumn(ai, TokenColumn::kQGrams, &attr));
     }
-
     for (int oi : need.ontology_indexes) {
       DIME_CHECK_GE(oi, 0);
       DIME_CHECK_LT(static_cast<size_t>(oi), context.ontologies.size())
@@ -221,12 +354,113 @@ PreparedGroup PrepareImpl(const Group& group,
       DIME_CHECK(ref.tree != nullptr);
       std::vector<int>& nodes = attr.nodes[oi];
       nodes.resize(n);
-      for (size_t e = 0; e < n; ++e) {
-        nodes[e] = MapAttributeToNode(
-            *ref.tree, ref.mode,
-            group.entities[e].value(static_cast<int>(a)));
+      ontology_jobs.push_back({ai, &ref, &nodes});
+    }
+  }
+  for (ColumnBuild& col : columns) col.chunks.resize(num_chunks);
+
+  std::unique_ptr<exec::WorkStealingPool> pool;
+  if (num_chunks > 1) pool = std::make_unique<exec::WorkStealingPool>();
+
+  ForEachIndex(pool.get(), num_chunks, [&](size_t c) {
+    for (ColumnBuild& col : columns) {
+      ChunkTokens& out = col.chunks[c];
+      for (size_t e = chunk_begin(c); e < chunk_begin(c + 1); ++e) {
+        const AttributeValue& value = group.entities[e].value(col.attr);
+        std::string_view text;
+        if (col.text != nullptr) {
+          text = (*col.text)[e] = JoinAttributeText(value);
+        }
+        CountTokens(col.column, value, text, context.qgram_q, &out.tokens,
+                    &out.chars);
       }
     }
+  });
+  // Sized on the caller's thread (see kChunkDictionaryTokens). A lone
+  // chunk's dictionary grows on the caller as it interns: reserving it
+  // for the raw token count would only raise the peak.
+  for (ColumnBuild& col : columns) {
+    for (size_t c = 0; c < num_chunks; ++c) {
+      ChunkTokens& out = col.chunks[c];
+      if (pool != nullptr) {
+        out.dict.Reserve(std::min(out.tokens, kChunkDictionaryTokens),
+                         out.chars);
+      }
+      out.ids.reserve(out.tokens);
+      out.offsets.reserve(chunk_begin(c + 1) - chunk_begin(c) + 1);
+    }
+  }
+
+  ForEachIndex(pool.get(), num_chunks, [&](size_t c) {
+    const size_t begin = chunk_begin(c);
+    const size_t end = chunk_begin(c + 1);
+    std::string scratch;
+    for (ColumnBuild& col : columns) {
+      for (size_t e = begin; e < end; ++e) {
+        AppendRow(col.column, group.entities[e].value(col.attr),
+                  col.text == nullptr ? std::string_view() : (*col.text)[e],
+                  context.qgram_q, &scratch, &col.chunks[c]);
+      }
+    }
+    for (const OntologyJob& job : ontology_jobs) {
+      for (size_t e = begin; e < end; ++e) {
+        (*job.nodes)[e] = MapAttributeToNode(
+            *job.ref->tree, job.ref->mode, group.entities[e].value(job.attr));
+      }
+    }
+  });
+
+  for (ColumnBuild& col : columns) {
+    // Chunk 0's ids are already the merged ones: its dictionary starts
+    // the merge and its remap stays empty.
+    *col.dict = std::move(col.chunks[0].dict);
+    col.remaps.resize(num_chunks);
+    for (size_t c = 1; c < num_chunks; ++c) {
+      col.dict->Merge(col.chunks[c].dict, &col.remaps[c]);
+      col.chunks[c].dict = TokenDictionary();
+    }
+    col.dict->BuildGlobalOrder();
+    if (col.weights != nullptr) {
+      *col.weights = IdfWeightsByRank(col.dict->DocumentFrequencyByRank(), n);
+      col.mass->resize(n);
+      col.sqnorm->resize(n);
+    }
+    col.chunk_base.assign(num_chunks + 1, 0);
+    for (size_t c = 0; c < num_chunks; ++c) {
+      col.chunk_base[c + 1] = col.chunk_base[c] + col.chunks[c].ids.size();
+    }
+    col.arena.resize(col.chunk_base.back());
+    col.offsets.assign(n + 1, 0);
+  }
+
+  ForEachIndex(pool.get(), num_chunks, [&](size_t c) {
+    const size_t begin = chunk_begin(c);
+    for (ColumnBuild& col : columns) {
+      const ChunkTokens& chunk = col.chunks[c];
+      const std::vector<TokenId>* remap = c == 0 ? nullptr : &col.remaps[c];
+      const uint64_t base = col.chunk_base[c];
+      uint32_t* ranks = col.arena.data() + base;
+      for (size_t i = 0; i < chunk.ids.size(); ++i) {
+        const TokenId id =
+            remap == nullptr ? chunk.ids[i] : (*remap)[chunk.ids[i]];
+        ranks[i] = col.dict->GlobalRank(id);
+      }
+      for (size_t r = 0; r + 1 < chunk.offsets.size(); ++r) {
+        uint32_t* row = ranks + chunk.offsets[r];
+        const size_t len = chunk.offsets[r + 1] - chunk.offsets[r];
+        std::sort(row, row + len);
+        col.offsets[begin + r + 1] = base + chunk.offsets[r + 1];
+        if (col.weights != nullptr) {
+          const RankSpan span(row, len);
+          (*col.mass)[begin + r] = TotalWeight(span, *col.weights);
+          (*col.sqnorm)[begin + r] = SquaredWeightNorm(span, *col.weights);
+        }
+      }
+    }
+  });
+
+  for (ColumnBuild& col : columns) {
+    col.ranks->Adopt(std::move(col.arena), std::move(col.offsets));
   }
   return pg;
 }

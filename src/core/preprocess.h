@@ -1,9 +1,11 @@
 #ifndef DIME_CORE_PREPROCESS_H_
 #define DIME_CORE_PREPROCESS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/check.h"
@@ -34,8 +36,19 @@
 /// pointer chases to independently heap-allocated vectors, and building
 /// the group does one allocation per attribute/mode instead of one per
 /// entity.
+///
+/// Preparation splits a group into fixed chunks of kPrepareChunkEntities
+/// entities. A group of one chunk is prepared on the caller's thread; a
+/// larger one on a private work-stealing pool, each chunk interning into
+/// its own dictionary. The chunk dictionaries merge in chunk order, so the
+/// output is byte-identical to a one-chunk build whatever the thread
+/// count (DESIGN.md §7.3, "Preparation in chunks").
 
 namespace dime {
+
+/// Entities per preparation chunk. The split depends on the group size
+/// alone, never on the thread count.
+inline constexpr size_t kPrepareChunkEntities = 8192;
 
 /// One attribute/mode's rank vectors for every entity, flattened CSR-style:
 /// entity e's strictly ascending ranks live at arena[offsets[e] ..
@@ -53,10 +66,17 @@ namespace dime {
 /// copy.
 class RankColumn {
  public:
-  /// Pre-sizes for `entities` rows totalling `total_ranks` elements.
-  void Reserve(size_t entities, size_t total_ranks) {
-    offsets_.reserve(entities + 1);
-    arena_.reserve(total_ranks);
+  /// Takes a fully built owned layout: `offsets` has `rows + 1` monotone
+  /// entries with offsets[0] == 0, `arena` holds offsets[rows] elements.
+  /// Replaces any content (owned or borrowed).
+  void Adopt(std::vector<uint32_t> arena, std::vector<uint64_t> offsets) {
+    DIME_DCHECK(!offsets.empty() && offsets.front() == 0 &&
+                offsets.back() == arena.size());
+    arena_ = std::move(arena);
+    offsets_ = std::move(offsets);
+    ext_arena_ = nullptr;
+    ext_offsets_ = nullptr;
+    ext_rows_ = 0;
   }
 
   /// Appends one entity's rank run (must be strictly ascending). Only

@@ -43,16 +43,22 @@ void Ontology::AddKeyword(std::string_view keyword, int node) {
   keyword_to_node_.emplace(ToLower(keyword), node);
 }
 
+int Ontology::FindLowered(const LowerMap& map, std::string_view key) {
+  thread_local std::string lowered;
+  ToLowerInto(key, &lowered);
+  auto it = map.find(std::string_view(lowered));
+  return it == map.end() ? kNoNode : it->second;
+}
+
 int Ontology::FindByName(std::string_view name) const {
-  auto it = by_name_.find(ToLower(name));
-  return it == by_name_.end() ? kNoNode : it->second;
+  return FindLowered(by_name_, name);
 }
 
 int Ontology::MapByKeywords(const std::vector<std::string>& tokens) const {
   std::unordered_map<int, int> votes;
   for (const std::string& t : tokens) {
-    auto it = keyword_to_node_.find(ToLower(t));
-    if (it != keyword_to_node_.end()) ++votes[it->second];
+    const int node = FindLowered(keyword_to_node_, t);
+    if (node != kNoNode) ++votes[node];
   }
   int best = kNoNode;
   int best_votes = 0;

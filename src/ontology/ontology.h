@@ -1,6 +1,7 @@
 #ifndef DIME_ONTOLOGY_ONTOLOGY_H_
 #define DIME_ONTOLOGY_ONTOLOGY_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -41,12 +42,14 @@ class Ontology {
   void AddKeyword(std::string_view keyword, int node);
 
   /// Exact (case-insensitive) name lookup. Returns kNoNode if absent.
+  /// Lower-cases into a per-thread buffer, so a probe allocates nothing
+  /// once the buffer has grown to the longest name probed.
   int FindByName(std::string_view name) const;
 
   /// Maps tokenized text to the node with the most keyword votes. Votes for
   /// a node are counted per occurrence. Returns kNoNode when no token is a
   /// registered keyword. Ties are broken toward the deeper node, then the
-  /// smaller id (deterministic).
+  /// smaller id (deterministic). Tokens are probed like FindByName's names.
   int MapByKeywords(const std::vector<std::string>& tokens) const;
 
   int NumNodes() const { return static_cast<int>(parent_.size()); }
@@ -86,11 +89,24 @@ class Ontology {
   static bool LoadFromFile(const std::string& path, Ontology* out);
 
  private:
+  /// Lets the lower-cased maps be probed by string_view (no key copy).
+  struct StringHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  using LowerMap =
+      std::unordered_map<std::string, int, StringHash, std::equal_to<>>;
+
+  /// The value of the lower-cased `key` in `map`, or kNoNode.
+  static int FindLowered(const LowerMap& map, std::string_view key);
+
   std::vector<int> parent_;
   std::vector<int> depth_;
   std::vector<std::string> name_;
-  std::unordered_map<std::string, int> by_name_;
-  std::unordered_map<std::string, int> keyword_to_node_;
+  LowerMap by_name_;
+  LowerMap keyword_to_node_;
   int max_depth_ = 0;
 };
 

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 /// \file token_dictionary.h
@@ -15,6 +14,11 @@
 /// keeps the rarest tokens of each value, so candidate lists stay short.
 /// TokenDictionary provides that ordering via `GlobalRank`, where rank 0 is
 /// the rarest token (ties broken by token id for determinism).
+///
+/// The index is an open-addressing table probed by `string_view`: a slot
+/// holds `id + 1` (0 = empty), each id keeps its token's hash, and token
+/// bytes live in one character arena. A probe allocates nothing, and a
+/// rehash never re-reads a token.
 
 namespace dime {
 
@@ -24,7 +28,8 @@ class TokenDictionary {
  public:
   TokenDictionary() = default;
 
-  /// Interns `token`, returning its stable id. Does not affect frequencies.
+  /// Interns `token`, returning its stable id. Ids are dense and assigned
+  /// in first-seen order. Does not affect frequencies.
   TokenId Intern(std::string_view token);
 
   /// Returns the id of `token` or `kNoToken` if absent.
@@ -36,11 +41,29 @@ class TokenDictionary {
   /// input order (duplicates preserved).
   std::vector<TokenId> InternDocument(const std::vector<std::string>& tokens);
 
-  /// Number of distinct tokens.
-  size_t size() const { return tokens_.size(); }
+  /// Bumps the document frequency of each of the `n` ids once: one
+  /// document's tokens, already deduplicated by the caller.
+  void CountDocument(const TokenId* distinct, size_t n);
 
-  /// The token string for `id`.
-  const std::string& Token(TokenId id) const { return tokens_[id]; }
+  /// Interns every token of `other` in `other`'s id order, adds its
+  /// document frequencies to this dictionary's, and sets `(*remap)[id]` to
+  /// this dictionary's id for each of `other`'s ids. Merging the
+  /// dictionaries of consecutive document ranges in range order yields the
+  /// ids and frequencies one pass over all the documents would.
+  void Merge(const TokenDictionary& other, std::vector<TokenId>* remap);
+
+  /// Pre-sizes for `tokens` distinct tokens of `chars` bytes in total, so
+  /// interning up to that many allocates nothing.
+  void Reserve(size_t tokens, size_t chars);
+
+  /// Number of distinct tokens.
+  size_t size() const { return hashes_.size(); }
+
+  /// The token string for `id`; valid until the next Intern or Merge.
+  std::string_view Token(TokenId id) const {
+    return std::string_view(chars_).substr(starts_[id],
+                                           starts_[id + 1] - starts_[id]);
+  }
 
   /// Document frequency of `id`.
   uint32_t DocumentFrequency(TokenId id) const { return doc_freq_[id]; }
@@ -59,16 +82,23 @@ class TokenDictionary {
   std::vector<uint32_t> DocumentFrequencyByRank() const;
 
   /// True once BuildGlobalOrder has been called.
-  bool HasGlobalOrder() const { return !rank_.empty() || tokens_.empty(); }
-
-  /// Sorts a token-id list by global rank ascending (rarest first) and
-  /// removes duplicates. This is the canonical per-value representation
-  /// used by prefix signatures and fast set-similarity verification.
-  std::vector<TokenId> SortByRank(std::vector<TokenId> ids) const;
+  bool HasGlobalOrder() const { return !rank_.empty() || size() == 0; }
 
  private:
-  std::unordered_map<std::string, TokenId> index_;
-  std::vector<std::string> tokens_;
+  /// The id of the token equal to `token` (whose hash is `hash`), or the
+  /// empty slot where it would go, as a slot index.
+  size_t Probe(std::string_view token, size_t hash) const;
+  /// Interns `token` whose hash is already known.
+  TokenId InternHashed(std::string_view token, size_t hash);
+  /// Resizes the slot table to `slots` (a power of two, more than twice
+  /// the size) and re-places every id by its stored hash.
+  void Rehash(size_t slots);
+
+  std::string chars_;              ///< all token bytes, in id order
+  std::vector<size_t> starts_{0};  ///< token id spans chars_[starts_[id],
+                                   ///< starts_[id + 1])
+  std::vector<size_t> hashes_;     ///< per id
+  std::vector<uint32_t> slots_;    ///< id + 1, 0 = empty; power-of-two size
   std::vector<uint32_t> doc_freq_;
   std::vector<uint32_t> rank_;
 };

@@ -25,17 +25,9 @@ std::vector<std::string> WhitespaceTokenize(std::string_view text) {
 
 std::vector<std::string> WordTokenize(std::string_view text) {
   std::vector<std::string> tokens;
-  std::string current;
-  for (char c : text) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      current.push_back(
-          static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-    } else if (!current.empty()) {
-      tokens.push_back(std::move(current));
-      current.clear();
-    }
-  }
-  if (!current.empty()) tokens.push_back(std::move(current));
+  std::string scratch;
+  ForEachWord(text, &scratch,
+              [&tokens](std::string_view t) { tokens.emplace_back(t); });
   return tokens;
 }
 
@@ -52,15 +44,7 @@ std::vector<std::string> WordTokenizeUnique(std::string_view text) {
 
 std::vector<std::string> QGrams(std::string_view text, int q) {
   std::vector<std::string> grams;
-  if (text.empty() || q <= 0) return grams;
-  if (text.size() <= static_cast<size_t>(q)) {
-    grams.emplace_back(text);
-    return grams;
-  }
-  grams.reserve(text.size() - q + 1);
-  for (size_t i = 0; i + q <= text.size(); ++i) {
-    grams.emplace_back(text.substr(i, q));
-  }
+  ForEachQGram(text, q, [&grams](std::string_view g) { grams.emplace_back(g); });
   return grams;
 }
 

@@ -151,7 +151,7 @@ std::vector<std::string> LdaModel::TopWords(int topic, size_t k) const {
                     });
   std::vector<std::string> words;
   words.reserve(take);
-  for (size_t i = 0; i < take; ++i) words.push_back(dict_.Token(ids[i]));
+  for (size_t i = 0; i < take; ++i) words.emplace_back(dict_.Token(ids[i]));
   return words;
 }
 
