@@ -8,14 +8,12 @@
 // the mechanism behind each speedup is visible, and verifies that every
 // variant returns the identical result.
 
-#include <algorithm>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/baselines/kmeans.h"
 #include "src/common/timer.h"
 #include "src/core/dime_plus.h"
-#include "src/core/incremental.h"
 #include "src/datagen/dbgen_gen.h"
 #include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
@@ -101,50 +99,6 @@ int main() {
     PreparedGroup pg = PrepareGroup(group, pos, neg, {});
     RunOn("DBGen (" + std::to_string(group.size()) + " entities)", pg, pos,
           neg);
-  }
-
-  std::printf("\n");
-
-  // Incremental maintenance vs re-running the batch engine per arrival.
-  {
-    bench::PrintTitle("Incremental arrivals vs batch re-runs (Scholar)");
-    ScholarSetup setup = MakeScholarSetup();
-    ScholarGenOptions gen;
-    gen.num_correct = bench::QuickMode() ? 150 : 400;
-    gen.seed = 23;
-    Group page = GenerateScholarGroup("Stream Page", gen);
-
-    WallTimer t_inc;
-    IncrementalDime engine(setup.schema, setup.positive, setup.negative,
-                           setup.context);
-    engine.AddGroup(page);
-    // lint: unchecked-status-ok(keep-alive so the timed work is not elided)
-    (void)engine.Result();
-    double inc_s = t_inc.ElapsedSeconds();
-
-    // Batch re-run after every arrival (what a non-incremental system
-    // pays); quadratic, so only a prefix is replayed and extrapolated.
-    size_t replay = std::min<size_t>(page.size(), 120);
-    WallTimer t_batch;
-    Group so_far;
-    so_far.schema = page.schema;
-    for (size_t i = 0; i < replay; ++i) {
-      so_far.entities.push_back(page.entities[i]);
-      PreparedGroup pg =
-          PrepareGroup(so_far, setup.positive, setup.negative, setup.context);
-      DimeResult r = RunDime(pg, setup.positive, setup.negative);
-      (void)r;
-    }
-    double batch_prefix_s = t_batch.ElapsedSeconds();
-    // Sum of i^2 scaling from the replayed prefix to the full page.
-    double scale = static_cast<double>(page.size() * page.size() *
-                                       page.size()) /
-                   static_cast<double>(replay * replay * replay);
-    std::printf("%-38s %8.3fs (all %zu arrivals)\n",
-                "IncrementalDime (exact)", inc_s, page.size());
-    std::printf("%-38s %8.3fs measured on first %zu, ~%.1fs extrapolated\n",
-                "batch re-run per arrival", batch_prefix_s, replay,
-                batch_prefix_s * scale);
   }
 
   std::printf("\n");

@@ -54,8 +54,7 @@ inline constexpr size_t kPrepareChunkEntities = 8192;
 /// entity e's strictly ascending ranks live at arena[offsets[e] ..
 /// offsets[e+1]). Two storage modes share the read API:
 ///
-///  * owned    — built by preparation (append-only; the incremental engine
-///               appends entities at the tail), backed by vectors;
+///  * owned    — built by preparation (Adopt), backed by vectors;
 ///  * borrowed — BorrowStorage() points the column at externally owned
 ///               arrays (the snapshot store maps these straight off disk,
 ///               zero-copy). A borrowed column is immutable; the caller
@@ -79,15 +78,6 @@ class RankColumn {
     ext_rows_ = 0;
   }
 
-  /// Appends one entity's rank run (must be strictly ascending). Only
-  /// valid on an owned column.
-  void Append(const uint32_t* data, size_t len) {
-    DIME_DCHECK(!borrowed());
-    arena_.insert(arena_.end(), data, data + len);
-    offsets_.push_back(arena_.size());
-  }
-  void Append(const std::vector<uint32_t>& v) { Append(v.data(), v.size()); }
-
   /// Points the column at external storage: `offsets` has `rows + 1`
   /// monotone entries with offsets[0] == 0; `arena` holds
   /// offsets[rows] elements. Replaces any owned content.
@@ -102,9 +92,9 @@ class RankColumn {
 
   bool borrowed() const { return ext_offsets_ != nullptr; }
 
-  /// Borrowed view of entity e's ranks. Stable across Append (offsets are
-  /// resolved on each call), but not across destruction of the column (or
-  /// of the external backing, in borrowed mode).
+  /// Borrowed view of entity e's ranks. Valid until the column is
+  /// destroyed or re-adopted (or, in borrowed mode, until the external
+  /// backing goes away).
   RankSpan view(size_t e) const {
     const uint64_t* off = offsets_ptr();
     return RankSpan(arena_ptr() + off[e], off[e + 1] - off[e]);
@@ -206,7 +196,7 @@ struct PreparedGroup {
 };
 
 /// Which representations an attribute needs for a set of predicates
-/// (exposed for the incremental engine).
+/// (exposed so tests can build a per-entity preparation reference).
 struct AttrRequirements {
   bool value_list = false;
   bool words = false;
@@ -277,8 +267,8 @@ bool EvalNegativeRule(const PreparedGroup& pg, const NegativeRule& rule,
 /// PredicateHolds(pg, pred, dir, e1, e2) with a single switch.
 ///
 /// A plan borrows storage from the PreparedGroup it was built against and
-/// is invalidated by any mutation of the group (e.g. the incremental
-/// engine appending entities) — build it, run the pair loops, drop it.
+/// is invalidated by any mutation of the group — build it, run the pair
+/// loops, drop it.
 struct PredicatePlan {
   enum class Kind : uint8_t { kSet, kWeighted, kEditSim, kOntology };
   Kind kind = Kind::kSet;

@@ -49,15 +49,6 @@ class UnionFind {
   /// Size of the component containing `x`.
   size_t ComponentSize(int x) { return size_[Find(x)]; }
 
-  /// Appends a new singleton element and returns its index (used by the
-  /// incremental engine as entities arrive).
-  int Add() {
-    int id = static_cast<int>(parent_.size());
-    parent_.push_back(id);
-    size_.push_back(1);
-    return id;
-  }
-
   size_t size() const { return parent_.size(); }
 
   /// Materializes the components as entity-index lists. Each component's

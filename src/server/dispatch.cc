@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/common/mutex.h"
-#include "src/core/corpus.h"
 
 namespace dime {
 namespace {

@@ -243,9 +243,7 @@ StatusOr<ReloadOutcome> DimeService::ApplyDeltaLogAttempt(
   // group, the rules and the ontologies), so a group no record names
   // cannot change: the merged epoch shares it as it is. Only the named
   // groups are copied, edited and re-prepared, so the merged epoch serves
-  // fully warm, exactly like a snapshot load (this is the bulk-recompute
-  // half of the incremental split; the per-request IncrementalDime path
-  // stays for small deltas).
+  // fully warm, exactly like a snapshot load.
   std::unordered_set<std::string_view> touched;
   for (const DeltaRecord& record : log->records) touched.insert(record.group);
   size_t applied_total = 0;
@@ -434,8 +432,8 @@ CheckReply DimeService::Execute(PendingCheck& pending) {
   Status admitted = pending.control.Check("server/worker-start");
   if (!admitted.ok()) {
     // The deadline ran out while the request sat in the queue: answer
-    // with an empty-but-valid result, exactly like RunCorpus does for
-    // groups that start after expiry.
+    // with an empty-but-valid result, one empty scrollbar prefix per
+    // negative rule, as an engine that expires before step 1 does.
     auto expired = std::make_shared<const DimeResult>(
         internal::NoPartitionsResult(std::move(admitted),
                                      corpus.negative.size()));

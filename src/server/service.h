@@ -13,7 +13,6 @@
 #include "src/common/deadline.h"
 #include "src/common/mutex.h"
 #include "src/common/status.h"
-#include "src/core/corpus.h"
 #include "src/core/dime_plus.h"
 #include "src/exec/engine.h"
 #include "src/exec/pool.h"
@@ -249,15 +248,14 @@ class DimeService {
       const std::string& path, const std::string& expected_fingerprint = "");
 
   /// Reads the delta log at `path` and installs the current epoch with its
-  /// records applied as the next epoch (the "recompute in bulk" half of
-  /// the incremental split — see delta_log.h). Only the groups a record
-  /// names are copied, edited and re-prepared; every other prepared group
-  /// is shared with the current epoch as it is (ResidentGroup), prepared
-  /// form, content key and snapshot storage included. A corpus ingested
-  /// without preparation is prepared in full by its first merge. On any
-  /// error — unreadable or corrupt log (DATA_LOSS), a record naming an
-  /// unknown group or entity — nothing is installed and the current
-  /// epoch keeps serving.
+  /// records applied as the next epoch (see delta_log.h). Only the groups
+  /// a record names are copied, edited and re-prepared; every other
+  /// prepared group is shared with the current epoch as it is
+  /// (ResidentGroup), prepared form, content key and snapshot storage
+  /// included. A corpus ingested without preparation is prepared in full
+  /// by its first merge. On any error — unreadable or corrupt log
+  /// (DATA_LOSS), a record naming an unknown group or entity — nothing is
+  /// installed and the current epoch keeps serving.
   ///
   /// With `rotate_applied`, the applied log is renamed aside to
   /// `<path>.applied.<sequence>` so its records are never merged twice —

@@ -437,46 +437,4 @@ Status ApplyDeltaRecords(const std::vector<DeltaRecord>& records,
   return OkStatus();
 }
 
-bool DeltaIsAppendOnly(const std::vector<DeltaRecord>& records,
-                       std::string_view group_name) {
-  for (const DeltaRecord& record : records) {
-    if (record.group == group_name && record.op != DeltaRecord::Op::kAdd) {
-      return false;
-    }
-  }
-  return true;
-}
-
-StatusOr<std::unique_ptr<IncrementalDime>> ReplayDeltaThroughIncremental(
-    const Group& base, const std::vector<DeltaRecord>& records,
-    const std::vector<PositiveRule>& positive,
-    const std::vector<NegativeRule>& negative, const DimeContext& context) {
-  auto engine = std::make_unique<IncrementalDime>(base.schema, positive,
-                                                  negative, context);
-  engine->AddGroup(base);
-  // `merged` shadows the engine's group so a remove/edit (which union-find
-  // cannot absorb) can rebuild from the merged state.
-  Group merged = base;
-  for (size_t r = 0; r < records.size(); ++r) {
-    const DeltaRecord& record = records[r];
-    if (record.group != merged.name) continue;
-    std::vector<DeltaRecord> one{record};
-    Status applied = ApplyDeltaRecords(one, &merged);
-    if (!applied.ok()) {
-      return Status(applied.code(),
-                    "replay stopped at record " + std::to_string(r) + ": " +
-                        applied.message());
-    }
-    if (record.op == DeltaRecord::Op::kAdd) {
-      engine->AddEntity(merged.entities.back());
-    } else {
-      // The slow path the header documents: one rebuild per non-append.
-      engine = std::make_unique<IncrementalDime>(base.schema, positive,
-                                                 negative, context);
-      engine->AddGroup(merged);
-    }
-  }
-  return engine;
-}
-
 }  // namespace dime

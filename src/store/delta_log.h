@@ -5,23 +5,23 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
 #include "src/entity/entity.h"
-#include "src/core/incremental.h"
 
 /// \file delta_log.h
 /// The between-snapshots mutation stream: an append-only, CRC-framed log
 /// of entity add/remove/edit events against a named group. A live
 /// categorization system emits these continuously; the snapshot store
 /// (snapshot.h) freezes a corpus at a point in time, and the delta log is
-/// everything that happened since. The split follows the incremental-ER
-/// playbook: run *small* deltas incrementally (IncrementalDime appends),
-/// recompute *in bulk* when the log grows past a threshold (the serving
-/// layer re-prepares the groups the log touched, shares every other group
-/// with the serving epoch, and swaps the result in as a new epoch — see
-/// epoch.h and DimeService::ApplyDeltaLog).
+/// everything that happened since. A merge applies the records in bulk:
+/// the serving layer re-prepares the groups the log touched, shares every
+/// other group with the serving epoch, and swaps the result in as a new
+/// epoch (see epoch.h and DimeService::ApplyDeltaLog). `dime_delta replay`
+/// does the same for one group offline.
 ///
 /// On-disk layout (native-endian, like the snapshot format):
 ///
@@ -185,22 +185,6 @@ StatusOr<DeltaLogContents> ReadDeltaLog(const std::string& path);
 /// `applied`, when non-null, counts the records that touched the group.
 Status ApplyDeltaRecords(const std::vector<DeltaRecord>& records,
                          Group* group, size_t* applied = nullptr);
-
-/// True iff every record touching `group_name` is a kAdd — the fast path
-/// IncrementalDime can absorb without a rebuild.
-bool DeltaIsAppendOnly(const std::vector<DeltaRecord>& records,
-                       std::string_view group_name);
-
-/// Replays `base` plus the records targeting it through the incremental
-/// engine: appends stream through IncrementalDime::AddEntity (O(n) rule
-/// checks per arrival); a remove/edit forces one rebuild of the engine
-/// from the merged group (union-find cannot split — see incremental.h).
-/// The returned engine's Result() is bit-identical to a batch re-prepare
-/// of the merged group (the golden differential test pins this).
-StatusOr<std::unique_ptr<IncrementalDime>> ReplayDeltaThroughIncremental(
-    const Group& base, const std::vector<DeltaRecord>& records,
-    const std::vector<PositiveRule>& positive,
-    const std::vector<NegativeRule>& negative, const DimeContext& context);
 
 }  // namespace dime
 

@@ -9,8 +9,8 @@
 //                                   # '|' separating multi-values
 //   dime_delta inspect <log>        # header, per-record listing, tail state
 //   dime_delta replay <log> --base group.tsv
-//       [--rules rules.txt [--venue-ontology]]  # run the merged group
-//                                               # through IncrementalDime
+//       [--rules rules.txt [--venue-ontology]]  # run DIME+ on the
+//                                               # merged group
 //       [--output merged.tsv]       # write the merged group
 //
 // Exit codes follow src/common/exit_code.h: a torn tail (crash
@@ -25,6 +25,8 @@
 
 #include "src/common/exit_code.h"
 #include "src/common/string_util.h"
+#include "src/core/dime_plus.h"
+#include "src/core/preprocess.h"
 #include "src/ontology/builtin.h"
 #include "src/rules/rule_io.h"
 #include "src/store/delta_log.h"
@@ -203,12 +205,9 @@ int RunReplay(int argc, char** argv) {
   Status status = ApplyDeltaRecords(contents->records, &merged, &applied);
   if (!status.ok()) return ExitWithStatus(status, "replay");
   std::printf("dime_delta: %zu of %zu record(s) applied to '%s' (%zu -> %zu "
-              "entities)%s\n",
+              "entities)\n",
               applied, contents->records.size(), base.name.c_str(),
-              base.size(), merged.size(),
-              DeltaIsAppendOnly(contents->records, base.name)
-                  ? " [append-only: incremental fast path]"
-                  : "");
+              base.size(), merged.size());
 
   if (!rules_path.empty()) {
     std::vector<PositiveRule> positive;
@@ -227,16 +226,21 @@ int RunReplay(int argc, char** argv) {
       context.ontologies.push_back(
           OntologyRef{&VenueOntology(), MapMode::kKeyword});
     }
-    StatusOr<std::unique_ptr<IncrementalDime>> engine =
-        ReplayDeltaThroughIncremental(base, contents->records, positive,
-                                      negative, context);
-    if (!engine.ok()) return ExitWithStatus(engine.status(), "replay");
-    const DimeResult& result = (*engine)->Result();
-    std::printf("dime_delta: incremental replay: %zu partition(s), %zu "
-                "entity(ies) flagged\n",
+    std::string invalid =
+        ValidateRules(merged.schema, positive, negative, context);
+    if (!invalid.empty()) {
+      return ExitWithStatus(
+          InvalidArgumentError("invalid rules in " + rules_path + ": " +
+                               invalid),
+          "replay");
+    }
+    PreparedGroup pg = PrepareGroup(merged, positive, negative, context);
+    DimeResult result = RunDimePlus(pg, positive, negative);
+    std::printf("dime_delta: replay: %zu partition(s), %zu entity(ies) "
+                "flagged\n",
                 result.partitions.size(), result.flagged().size());
     for (int e : result.flagged()) {
-      std::printf("  flagged: %s\n", (*engine)->group().entities[e].id.c_str());
+      std::printf("  flagged: %s\n", merged.entities[e].id.c_str());
     }
   }
 

@@ -6,18 +6,29 @@
 //
 // The test exports a scholar-2999-scale page through the real TSV/rule
 // codecs and spawns the real binary, so it covers the whole path a user
-// sees: load → prepare → engine → print.
+// sees: load → prepare → engine → print. `dime_delta replay --rules`
+// runs the same page through its merge-then-DIME+ path and must flag
+// exactly what Algorithm 1 flags on the merged group.
 //
-// DIME_CLI_BINARY is injected by CMake.
+// DIME_CLI_BINARY and DIME_DELTA_BINARY are injected by CMake.
 
 #include <sys/wait.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
+#include "src/common/exit_code.h"
+#include "src/core/dime.h"
 #include "src/datagen/export.h"
+#include "src/ontology/builtin.h"
+#include "src/rules/rule_io.h"
+#include "src/store/delta_log.h"
 
 namespace dime {
 namespace {
@@ -79,6 +90,94 @@ class CliDeterminismTest : public ::testing::Test {
     return RunCommand(cmd);
   }
 
+  /// Writes a delta log against the exported page, its records named by
+  /// the page's path as `dime_delta replay --base` names the group: three
+  /// adds, one remove and one edit. Returns the log's path.
+  static std::string WriteReplayLog(const Group& base) {
+    std::vector<DeltaRecord> records;
+    for (int i = 0; i < 3; ++i) {
+      DeltaRecord add;
+      add.op = DeltaRecord::Op::kAdd;
+      add.group = base.name;
+      add.entity_id = "delta_add_" + std::to_string(i);
+      add.values = base.entities[10 + i].values;
+      add.values[1] = {"Delta Arrival " + std::to_string(i)};  // Authors
+      records.push_back(std::move(add));
+    }
+    DeltaRecord remove;
+    remove.op = DeltaRecord::Op::kRemove;
+    remove.group = base.name;
+    remove.entity_id = base.entities[1].id;
+    records.push_back(std::move(remove));
+    DeltaRecord edit;
+    edit.op = DeltaRecord::Op::kEdit;
+    edit.group = base.name;
+    edit.entity_id = base.entities[2].id;
+    edit.values = base.entities[3].values;
+    records.push_back(std::move(edit));
+
+    std::string path = *dir_ + "/replay.dlog";
+    std::remove(path.c_str());
+    StatusOr<DeltaLogWriter> writer = DeltaLogWriter::Open(path);
+    EXPECT_TRUE(writer.ok()) << writer.status().ToString();
+    for (const DeltaRecord& record : records) {
+      EXPECT_TRUE(writer->Append(record).ok());
+    }
+    return path;
+  }
+
+  /// The ids `dime_delta replay` printed on its "  flagged: " lines.
+  static std::vector<std::string> PrintedFlags(const std::string& output) {
+    std::vector<std::string> ids;
+    std::istringstream lines(output);
+    std::string line;
+    const std::string prefix = "  flagged: ";
+    while (std::getline(lines, line)) {
+      if (line.rfind(prefix, 0) == 0) ids.push_back(line.substr(prefix.size()));
+    }
+    return ids;
+  }
+
+  /// Replays a fixed log over the exported page under `rules_path` and
+  /// checks the printed flags against Algorithm 1 on the merged group.
+  static void ExpectReplayFlagsLikeRunDime(const std::string& rules_path) {
+    Group base;
+    ASSERT_TRUE(LoadGroup(*page_, *page_, &base).ok());
+    const std::string log = WriteReplayLog(base);
+    CliResult replay = RunCommand(std::string(DIME_DELTA_BINARY) +
+                                  " replay '" + log + "' --base '" + *page_ +
+                                  "' --rules '" + rules_path +
+                                  "' --venue-ontology");
+    ASSERT_EQ(replay.exit_code, 0) << replay.output;
+    EXPECT_NE(replay.output.find("5 of 5 record(s) applied"),
+              std::string::npos)
+        << replay.output;
+
+    StatusOr<DeltaLogContents> contents = ReadDeltaLog(log);
+    ASSERT_TRUE(contents.ok()) << contents.status().ToString();
+    Group merged = base;
+    ASSERT_TRUE(ApplyDeltaRecords(contents->records, &merged).ok());
+    std::vector<PositiveRule> positive;
+    std::vector<NegativeRule> negative;
+    std::string error;
+    ASSERT_TRUE(
+        LoadRuleSet(rules_path, merged.schema, &positive, &negative, &error))
+        << error;
+    DimeContext context;
+    context.ontologies.push_back(
+        OntologyRef{&VenueOntology(), MapMode::kExactName});
+    context.ontologies.push_back(
+        OntologyRef{&VenueOntology(), MapMode::kKeyword});
+    DimeResult expected = RunDime(merged, positive, negative, context);
+    ASSERT_TRUE(expected.ok());
+    std::vector<std::string> expected_ids;
+    for (int e : expected.flagged()) {
+      expected_ids.push_back(merged.entities[e].id);
+    }
+    EXPECT_FALSE(expected_ids.empty());
+    EXPECT_EQ(PrintedFlags(replay.output), expected_ids) << replay.output;
+  }
+
   static std::string* dir_;
   static std::string* page_;
   static std::string* rules_;
@@ -106,6 +205,44 @@ TEST_F(CliDeterminismTest, ShardedEngineMatchesSerialPlusOutput) {
   CliResult sharded = RunCli("sharded", 8);
   ASSERT_EQ(sharded.exit_code, 0) << sharded.output;
   EXPECT_EQ(sharded.output, plus.output);
+}
+
+TEST_F(CliDeterminismTest, DeltaReplayFlagsLikeAlgorithm1) {
+  ExpectReplayFlagsLikeRunDime(*rules_);
+}
+
+TEST_F(CliDeterminismTest, DeltaReplayAcceptsIdfWeightedRules) {
+  // An IDF-weighted predicate is valid rule-file input: replay must run
+  // it, not abort on it.
+  std::ifstream in(*rules_);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::string rules = text.str();
+  const std::string plain = "positive: overlap(Authors) >= 2";
+  size_t at = rules.find(plain);
+  ASSERT_NE(at, std::string::npos) << rules;
+  rules.replace(at, plain.size(), "positive: wjaccard(Authors) >= 0.2");
+  const std::string weighted = *dir_ + "/weighted_rules.txt";
+  std::ofstream(weighted) << rules;
+  ExpectReplayFlagsLikeRunDime(weighted);
+}
+
+TEST_F(CliDeterminismTest, DeltaReplayRefusesRulesItsContextCannotEvaluate) {
+  // The exported rules use ontology predicates; without --venue-ontology
+  // there is no ontology to evaluate them against. That is bad input
+  // (INVALID_ARGUMENT), not a crash.
+  Group base;
+  ASSERT_TRUE(LoadGroup(*page_, *page_, &base).ok());
+  const std::string log = WriteReplayLog(base);
+  CliResult replay = RunCommand(std::string(DIME_DELTA_BINARY) + " replay '" +
+                                log + "' --base '" + *page_ + "' --rules '" +
+                                *rules_ + "'");
+  EXPECT_EQ(replay.exit_code,
+            ExitCodeForStatusCode(StatusCode::kInvalidArgument))
+      << replay.output;
+  EXPECT_NE(replay.output.find("ontology index 0 not provided"),
+            std::string::npos)
+      << replay.output;
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // The delta log's contract (store/delta_log.h): an append-only CRC-framed
 // mutation stream where a torn tail (crash mid-append) is survivable —
 // the acknowledged prefix replays intact — while mid-stream corruption is
-// DATA_LOSS, never a crash and never silently wrong data. The replay
-// paths are pinned by golden differentials: applying a log to a base
-// group, or streaming it through IncrementalDime, must equal a batch run
-// over the merged corpus.
+// DATA_LOSS, never a crash and never silently wrong data. Applying a log
+// to a base group must land on exactly the merged group; the live-corpus
+// tests (server_service_test.cc) pin that a merged epoch's decisions
+// equal a batch run over it.
 
 #include "src/store/delta_log.h"
 
@@ -17,9 +17,6 @@
 #include <vector>
 
 #include "src/common/fault_injection.h"
-#include "src/core/dime_plus.h"
-#include "src/datagen/presets.h"
-#include "src/datagen/scholar_gen.h"
 
 namespace dime {
 namespace {
@@ -335,69 +332,6 @@ TEST(DeltaLogTest, ApplySemanticsAddRemoveEdit) {
       ApplyDeltaRecords({AddRecord("page_0", "p3", {{"only-one"}})}, &group)
           .code(),
       StatusCode::kSchemaMismatch);
-}
-
-TEST(DeltaLogTest, AppendOnlyDetectionIsPerGroup) {
-  std::vector<DeltaRecord> records = SampleRecords();
-  EXPECT_FALSE(DeltaIsAppendOnly(records, "page_0"));  // has a remove
-  EXPECT_TRUE(DeltaIsAppendOnly(records, "page_1"));   // untouched group
-  records.pop_back();
-  EXPECT_TRUE(DeltaIsAppendOnly(records, "page_0"));
-}
-
-void ExpectSameResult(const DimeResult& a, const DimeResult& b) {
-  EXPECT_EQ(a.partitions, b.partitions);
-  EXPECT_EQ(a.pivot, b.pivot);
-  EXPECT_EQ(a.flagged_by_prefix, b.flagged_by_prefix);
-}
-
-/// The golden differential the live-corpus design rests on: streaming the
-/// delta log through IncrementalDime must land on exactly the result of
-/// re-preparing the merged corpus in batch — at the bench scale the
-/// snapshot presets pin (scholar-2999).
-TEST(DeltaLogTest, GoldenDifferentialReplayEqualsBatchOnScholar2999) {
-  ScholarSetup setup = MakeScholarSetup();
-  ScholarGenOptions gen;
-  gen.num_correct = 2982;
-  gen.coauthor_pool = 190;
-  gen.seed = 6000;
-  Group full = GenerateScholarGroup("Big Page", gen);
-  full.truth.clear();  // deltas have no ground truth channel
-
-  // Base = the snapshot generation; the delta log carries the 10 entities
-  // that "arrived since", one remove and one edit.
-  constexpr size_t kArrivals = 10;
-  Group base = full;
-  base.entities.resize(full.size() - kArrivals);
-  std::vector<DeltaRecord> records;
-  for (size_t i = full.size() - kArrivals; i < full.size(); ++i) {
-    records.push_back(AddRecord(full.name, full.entities[i].id,
-                                full.entities[i].values));
-  }
-  DeltaRecord remove;
-  remove.op = DeltaRecord::Op::kRemove;
-  remove.group = full.name;
-  remove.entity_id = full.entities[3].id;
-  records.push_back(remove);
-  DeltaRecord edit;
-  edit.op = DeltaRecord::Op::kEdit;
-  edit.group = full.name;
-  edit.entity_id = full.entities[5].id;
-  edit.values = full.entities[5].values;
-  edit.values[0] = {"Completely Different Author"};
-  records.push_back(edit);
-
-  StatusOr<std::unique_ptr<IncrementalDime>> engine =
-      ReplayDeltaThroughIncremental(base, records, setup.positive,
-                                    setup.negative, setup.context);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-
-  Group merged = base;
-  ASSERT_TRUE(ApplyDeltaRecords(records, &merged).ok());
-  ASSERT_EQ(merged.size(), full.size() - 1);  // 10 adds, 1 remove
-  DimeResult batch = RunDimePlus(merged, setup.positive, setup.negative,
-                                 setup.context);
-  ExpectSameResult(batch, (*engine)->Result());
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 
 #include "src/common/fault_injection.h"
 #include "src/common/mutex.h"
+#include "src/core/dime.h"
 #include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
 #include "src/rules/rule.h"
@@ -362,7 +363,8 @@ TEST(DimeServiceTest, DeadlineExpiredInQueueAnswersWithoutEngineRun) {
   std::thread checker([&] {
     StatusOr<CheckReply> reply = service.Check(request);
     ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-    // Engine never ran: empty-but-valid result, like RunCorpus on expiry.
+    // Engine never ran: empty-but-valid result, as on an engine's expiry
+    // before step 1.
     EXPECT_EQ(reply->result->status.code(), StatusCode::kDeadlineExceeded);
     EXPECT_TRUE(reply->result->partitions.empty());
     // One (empty) scrollbar prefix per negative rule, as every engine.
@@ -1219,6 +1221,74 @@ TEST(LiveCorpusTest, DeltaMergesChainNoEpochsAndReleaseTheMapping) {
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->groups_prepared, 2u);
   EXPECT_TRUE(mapping.expired());
+}
+
+/// The golden differential the live-corpus design rests on: a merged
+/// epoch must decide exactly like Algorithm 1 run from scratch on the
+/// merged group, at the bench scale the snapshot presets pin
+/// (scholar-2999).
+TEST(LiveCorpusTest, GoldenDifferentialMergedEpochEqualsBatchOnScholar2999) {
+  ScholarGenOptions gen;
+  gen.num_correct = 2982;
+  gen.coauthor_pool = 190;
+  gen.seed = 6000;
+  Group full = GenerateScholarGroup("Big Page", gen);
+  full.truth.clear();  // deltas have no ground truth channel
+
+  // Base = the snapshot generation; the delta log carries the 10 entities
+  // that "arrived since", one remove and one edit.
+  constexpr size_t kArrivals = 10;
+  Group base = full;
+  base.entities.resize(full.size() - kArrivals);
+  std::vector<DeltaRecord> records;
+  for (size_t i = full.size() - kArrivals; i < full.size(); ++i) {
+    DeltaRecord add;
+    add.op = DeltaRecord::Op::kAdd;
+    add.group = full.name;
+    add.entity_id = full.entities[i].id;
+    add.values = full.entities[i].values;
+    records.push_back(std::move(add));
+  }
+  DeltaRecord remove;
+  remove.op = DeltaRecord::Op::kRemove;
+  remove.group = full.name;
+  remove.entity_id = full.entities[3].id;
+  records.push_back(remove);
+  DeltaRecord edit;
+  edit.op = DeltaRecord::Op::kEdit;
+  edit.group = full.name;
+  edit.entity_id = full.entities[5].id;
+  edit.values = full.entities[5].values;
+  edit.values[0] = {"Completely Different Author"};
+  records.push_back(edit);
+
+  Group merged = base;
+  ASSERT_TRUE(ApplyDeltaRecords(records, &merged).ok());
+  ASSERT_EQ(merged.size(), full.size() - 1);  // 10 adds, 1 remove
+
+  const std::string log = ::testing::TempDir() + "/live_golden.dlog";
+  WriteDeltaLog(log, records);
+  DimeService service(TestCorpusOf({base}), ServiceOptions{});
+  StatusOr<ReloadOutcome> outcome = service.ApplyDeltaLog(log);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(outcome->delta_records, records.size());
+
+  CheckRequest request;
+  request.group_name = full.name;
+  StatusOr<CheckReply> reply = service.Check(request);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_TRUE(reply->result->status.ok()) << reply->result->status.ToString();
+  ASSERT_EQ(reply->group->size(), merged.size());
+  for (size_t e = 0; e < merged.size(); ++e) {
+    ASSERT_EQ(reply->group->entities[e].id, merged.entities[e].id) << e;
+  }
+
+  const ServingCorpus& corpus = reply->epoch->corpus();
+  DimeResult batch =
+      RunDime(merged, corpus.positive, corpus.negative, corpus.context);
+  EXPECT_EQ(reply->result->partitions, batch.partitions);
+  EXPECT_EQ(reply->result->pivot, batch.pivot);
+  EXPECT_EQ(reply->result->flagged_by_prefix, batch.flagged_by_prefix);
 }
 
 }  // namespace

@@ -2,31 +2,33 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/fault_injection.h"
 #include "src/common/logging.h"
 #include "src/common/random.h"
-#include "src/core/corpus.h"
 #include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
 #include "src/exec/sharded_dime.h"
 #include "src/index/striped_union_find.h"
 #include "src/index/union_find.h"
+#include "src/server/service.h"
 
 /// \file thread_safety_test.cc
-/// Concurrency stress for the parallel engines: RunDimePlusSharded and
-/// RunCorpus hammered while another thread arms/disarms failpoints,
-/// expires deadlines, and flips cancellation tokens. The assertions are
-/// the engine output contract (status coded, flagged ⊆ group, scrollbar
-/// monotone); the real payoff is running this binary under TSan (build
-/// with -DDIME_SANITIZE=thread, or just `tools/analyze.sh --tsan`), where
-/// any lock-discipline slip in WorkerFailures, CorpusProgress, the
-/// failpoint registry, or the log sink becomes a hard failure.
+/// Concurrency stress for the parallel engines and the service that runs
+/// them: RunDimePlusSharded hammered while another thread arms/disarms
+/// failpoints, expires deadlines, and flips cancellation tokens, and
+/// DimeService taking concurrent checks under deadline faults. The
+/// assertions are the engine output contract (status coded, flagged ⊆
+/// group, scrollbar monotone); the real payoff is running this binary
+/// under TSan (build with -DDIME_SANITIZE=thread, or just
+/// `tools/analyze.sh --tsan`), where any lock-discipline slip in
+/// WorkerFailures, the service's queue and counters, the failpoint
+/// registry, or the log sink becomes a hard failure.
 ///
 /// Labeled `tsan_heavy` in tests/CMakeLists.txt: quick loops may skip it
 /// with `ctest -LE tsan_heavy`; the TSan CI leg always runs it.
@@ -124,6 +126,10 @@ TEST_F(ThreadSafetyTest, ParallelEngineUnderFailpointAndDeadlineChurn) {
 }
 
 TEST_F(ThreadSafetyTest, CorpusUnderConcurrentCancellationAndFaults) {
+  // The serving topology: client threads send concurrent inline-group
+  // checks through DimeService's worker pool while injected deadline
+  // faults and 1 ms request deadlines cut engine runs short. Engines
+  // alternate naive / plus / sharded across requests.
   ScholarSetup setup = MakeScholarSetup();
   std::vector<Group> groups;
   for (int i = 0; i < 12; ++i) {
@@ -133,43 +139,52 @@ TEST_F(ThreadSafetyTest, CorpusUnderConcurrentCancellationAndFaults) {
     groups.push_back(
         GenerateScholarGroup("Stress Owner " + std::to_string(i), gen));
   }
+  ServingCorpus corpus;
+  corpus.schema = setup.schema;
+  corpus.positive = setup.positive;
+  corpus.negative = setup.negative;
+  corpus.context = setup.context;
+  ServiceOptions service_options;
+  service_options.num_workers = 4;
+  DimeService service(std::move(corpus), service_options);
 
+  constexpr EngineKind kEngines[] = {EngineKind::kNaive, EngineKind::kPlus,
+                                     EngineKind::kSharded};
+  constexpr size_t kClients = 4;
+  size_t truncated = 0;
   for (int iter = 0; iter < 25; ++iter) {
-    CancellationToken token;
-    CorpusOptions options;
-    options.num_threads = 4;
-    options.use_dime_plus = (iter % 2 == 0);
-    options.control.cancel = &token;
-    if (iter % 3 == 1) {
-      options.control.deadline = Deadline::AfterMillis(1);
+    // Fault a bounded number of engine runs mid-round.
+    FaultInjection::Arm(failpoints::kEngineDeadline, /*count=*/2,
+                        /*skip=*/iter % 7);
+    std::vector<StatusOr<CheckReply>> replies(
+        groups.size(), Status(StatusCode::kInternal, "not sent"));
+    std::vector<std::thread> clients;
+    clients.reserve(kClients);
+    for (size_t c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c]() {
+        for (size_t g = c; g < groups.size(); g += kClients) {
+          CheckRequest request;
+          request.group = &groups[g];
+          request.engine = kEngines[(iter + g) % 3];
+          request.bypass_cache = true;
+          if (iter % 3 == 1) request.deadline_ms = 1;
+          replies[g] = service.Check(request);
+        }
+      });
     }
-    // Fault a bounded number of groups mid-corpus; cancellation races the
-    // pool from outside.
-    FaultInjection::Arm(failpoints::kEngineDeadline, /*count=*/2, /*skip=*/iter % 7);
-    std::thread canceller([&token]() {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      token.Cancel();
-    });
-    std::vector<DimeResult> results = RunCorpus(
-        groups, setup.positive, setup.negative, setup.context, options);
-    canceller.join();
+    for (std::thread& client : clients) client.join();
     FaultInjection::DisarmAll();
 
-    ASSERT_EQ(results.size(), groups.size());
-    for (size_t g = 0; g < results.size(); ++g) {
-      EXPECT_TRUE(IsExpectedEngineStatus(results[g].status))
-          << results[g].status.ToString();
-      // Gated and engine-run groups alike carry one prefix per rule.
-      EXPECT_EQ(results[g].flagged_by_prefix.size(), setup.negative.size());
-      for (const std::vector<int>& flagged : results[g].flagged_by_prefix) {
-        for (int e : flagged) {
-          EXPECT_GE(e, 0);
-          EXPECT_LT(static_cast<size_t>(e),
-                    groups[g].entities.size());
-        }
-      }
+    for (size_t g = 0; g < groups.size(); ++g) {
+      ASSERT_TRUE(replies[g].ok()) << replies[g].status().ToString();
+      // Gated and engine-run requests alike carry one prefix per rule.
+      ExpectResultContract(*replies[g]->result, groups[g].size(),
+                           setup.negative.size());
+      if (!replies[g]->result->ok()) ++truncated;
     }
   }
+  // The injected faults did cut runs short: the stress is not vacuous.
+  EXPECT_GT(truncated, 0u);
 }
 
 TEST_F(ThreadSafetyTest, FailpointRegistryArmDisarmChurn) {
