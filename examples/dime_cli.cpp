@@ -13,9 +13,10 @@
 //   dime_cli --snapshot <corpus.snap> [--group-name <name>]
 //            [--engine naive|plus|sharded] [--threads <n>]
 //            [--deadline-ms <n>] [--stats]
-// Loads the corpus with zero preparation (the snapshot already holds rank
-// columns, masses, signatures and frozen indexes) and checks the named
-// group (default: the first one).
+// Loads the corpus without re-running PrepareGroup (the snapshot holds
+// the meta, rules, ontologies, groups and each group's prepared columns;
+// the engine generates signatures and builds its indexes per run) and
+// checks the named group (default: the first one).
 //
 // Client mode — one request to a running dime_server, then exit:
 //   dime_cli --client --port <n> [--host 127.0.0.1] [group.tsv]

@@ -1,6 +1,9 @@
 // generate_datasets: materialize the synthetic benchmark suite to disk.
 //
 // Usage: generate_datasets [output_dir]   (default: ./dime_datasets)
+//        generate_datasets --help           (prints the usage line)
+// Any other argument starting with '-' is refused with exit code 2
+// (INVALID_ARGUMENT) before anything is written.
 //
 // Writes Scholar pages and Amazon categories as TSV files with ground
 // truth, the preset rule sets, and the ontologies (the built-in venue tree
@@ -13,12 +16,35 @@
 //       --ontology-mode keyword
 
 #include <cstdio>
+#include <string>
 
+#include "src/common/exit_code.h"
 #include "src/datagen/export.h"
+
+namespace {
+
+constexpr char kUsage[] = "usage: generate_datasets [output_dir]\n";
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace dime;
-  std::string dir = argc > 1 ? argv[1] : "./dime_datasets";
+  std::string dir = "./dime_datasets";
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      std::printf("%s", kUsage);
+      return 0;
+    }
+    // A flag is never taken as the output directory, and nothing is
+    // written when the command line is refused.
+    if (arg.starts_with("-") || i > 1) {
+      std::fprintf(stderr, "generate_datasets: unexpected argument %s\n%s",
+                   arg.c_str(), kUsage);
+      return ExitCodeForStatusCode(StatusCode::kInvalidArgument);
+    }
+    dir = arg;
+  }
 
   ExportOptions options;
   options.scholar_pages = 4;

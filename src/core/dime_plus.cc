@@ -4,6 +4,7 @@
 
 #include "src/common/check.h"
 #include "src/core/dime_plus_internal.h"
+#include "src/core/signature.h"
 #include "src/index/inverted_index.h"
 #include "src/index/union_find.h"
 #include "src/sim/set_similarity.h"
@@ -13,7 +14,6 @@ namespace dime {
 DimeResult RunDimePlus(const PreparedGroup& pg,
                        const std::vector<PositiveRule>& positive,
                        const std::vector<NegativeRule>& negative,
-                       const DimePlusOptions& options,
                        const RunControl& control) {
   DimeResult result;
   const int n = static_cast<int>(pg.size());
@@ -41,7 +41,7 @@ DimeResult RunDimePlus(const PreparedGroup& pg,
     Status st = internal::CheckRunControl(control, "dime_plus/index-rule");
     if (!st.ok()) return truncate_before_partitions(std::move(st));
     SignatureGenerator gen(pg, positive[r].predicates, Direction::kGe,
-                           /*rule_tag=*/r + 1, options.signatures);
+                           /*rule_tag=*/r + 1);
     SignatureScratch scratch;
     for (int e = 0; e < n; ++e) {
       indexes[r].Add(e, gen.PositiveRuleSignatures(e, &scratch));
@@ -61,54 +61,50 @@ DimeResult RunDimePlus(const PreparedGroup& pg,
   };
 
   // Candidates stream straight off the inverted lists, shortest list
-  // first under benefit_order: pairs sharing a rare (likely similar)
-  // signature go first, the streaming stand-in for Section IV-C's exact
-  // benefit order. Nothing is materialized or priced; the order cannot
-  // change the partitions, which are the transitive closure of the
-  // verified positive edges (DESIGN.md §6 item 5).
+  // first: pairs sharing a rare (likely similar) signature go first, the
+  // streaming stand-in for Section IV-C's exact benefit order. Nothing is
+  // materialized or priced; the order cannot change the partitions, which
+  // are the transitive closure of the verified positive edges (DESIGN.md
+  // §6 item 5).
   Status stream_status;
   for (size_t r = 0; r < positive.size() && stream_status.ok(); ++r) {
-    indexes[r].ForEachList(
-        options.benefit_order, [&](const int* list, size_t len) {
-          // Whole-list transitivity skip: once every entity on a list
-          // shares one partition, none of its |l|(|l|-1)/2 pairs can
-          // change the components — decide that in O(|l|) instead of
-          // enumerating them. This is where the flood from stop-word-like
-          // signatures (e.g. the page owner's name on every entity) goes
-          // from ~16ns a pair to nothing.
-          if (options.transitivity_skip) {
-            bool all_connected = true;
-            for (size_t i = 1; i < len; ++i) {
-              if (!uf.Connected(list[0], list[i])) {
-                all_connected = false;
-                break;
-              }
-            }
-            if (all_connected) {
-              result.stats.pairs_skipped_by_transitivity +=
-                  len * (len - 1) / 2;
-              return true;
-            }
+    indexes[r].ForEachList([&](const int* list, size_t len) {
+      // Whole-list transitivity skip: once every entity on a list shares
+      // one partition, none of its |l|(|l|-1)/2 pairs can change the
+      // components — decide that in O(|l|) instead of enumerating them.
+      // This is where the flood from stop-word-like signatures (e.g. the
+      // page owner's name on every entity) goes from ~16ns a pair to
+      // nothing.
+      bool all_connected = true;
+      for (size_t i = 1; i < len; ++i) {
+        if (!uf.Connected(list[0], list[i])) {
+          all_connected = false;
+          break;
+        }
+      }
+      if (all_connected) {
+        result.stats.pairs_skipped_by_transitivity += len * (len - 1) / 2;
+        return true;
+      }
+      for (size_t i = 0; i < len; ++i) {
+        for (size_t j = i + 1; j < len; ++j) {
+          int e1 = list[i], e2 = list[j];
+          if (e1 == e2) continue;
+          if (e1 > e2) std::swap(e1, e2);
+          stream_status = control_hit();
+          if (!stream_status.ok()) return false;
+          if (uf.Connected(e1, e2)) {
+            ++result.stats.pairs_skipped_by_transitivity;
+            continue;
           }
-          for (size_t i = 0; i < len; ++i) {
-            for (size_t j = i + 1; j < len; ++j) {
-              int e1 = list[i], e2 = list[j];
-              if (e1 == e2) continue;
-              if (e1 > e2) std::swap(e1, e2);
-              stream_status = control_hit();
-              if (!stream_status.ok()) return false;
-              if (options.transitivity_skip && uf.Connected(e1, e2)) {
-                ++result.stats.pairs_skipped_by_transitivity;
-                continue;
-              }
-              ++result.stats.positive_pair_checks;
-              if (EvalPositiveRule(pg, positive[r], e1, e2)) {
-                uf.Union(e1, e2);
-              }
-            }
+          ++result.stats.positive_pair_checks;
+          if (EvalPositiveRule(pg, positive[r], e1, e2)) {
+            uf.Union(e1, e2);
           }
-          return true;
-        });
+        }
+      }
+      return true;
+    });
   }
   if (!stream_status.ok()) {
     return truncate_before_partitions(std::move(stream_status));
@@ -133,8 +129,7 @@ DimeResult RunDimePlus(const PreparedGroup& pg,
         [&](size_t r) -> const internal::NegativeRuleContext& {
       if (!contexts[r].ready) {
         internal::BuildNegativeRuleContext(pg, negative[r], r, pivot_entities,
-                                           options.signatures, &scratch.sig,
-                                           &contexts[r]);
+                                           &scratch.sig, &contexts[r]);
       }
       return contexts[r];
     };
@@ -151,8 +146,8 @@ DimeResult RunDimePlus(const PreparedGroup& pg,
         break;
       }
       first_flagging[p] = internal::FlagPartitionAgainstPivot(
-          pg, negative, options.benefit_order, pivot_entities,
-          result.partitions[p], rule_context, &scratch, &nstats);
+          pg, negative, pivot_entities, result.partitions[p], rule_context,
+          &scratch, &nstats);
     }
     result.stats.negative_pair_checks += nstats.negative_pair_checks;
     result.stats.partitions_pruned_by_filter +=
@@ -168,18 +163,16 @@ DimeResult RunDimePlus(const PreparedGroup& pg,
 
 DimeResult RunDimePlus(const PreparedGroup& pg,
                        const std::vector<PositiveRule>& positive,
-                       const std::vector<NegativeRule>& negative,
-                       const DimePlusOptions& options) {
-  return RunDimePlus(pg, positive, negative, options, RunControl{});
+                       const std::vector<NegativeRule>& negative) {
+  return RunDimePlus(pg, positive, negative, RunControl{});
 }
 
 DimeResult RunDimePlus(const Group& group,
                        const std::vector<PositiveRule>& positive,
                        const std::vector<NegativeRule>& negative,
-                       const DimeContext& context,
-                       const DimePlusOptions& options) {
+                       const DimeContext& context) {
   PreparedGroup pg = PrepareGroup(group, positive, negative, context);
-  return RunDimePlus(pg, positive, negative, options);
+  return RunDimePlus(pg, positive, negative);
 }
 
 }  // namespace dime

@@ -2,7 +2,6 @@
 #define DIME_CORE_DIME_PLUS_H_
 
 #include "src/core/dime.h"
-#include "src/core/signature.h"
 
 /// \file dime_plus.h
 /// DIME+ (Algorithm 2): the signature-based filter-verification framework.
@@ -25,16 +24,6 @@
 
 namespace dime {
 
-struct DimePlusOptions {
-  SignatureOptions signatures;
-  /// Disable benefit ordering (ablation: positive candidates stream in
-  /// signature order instead of shortest list first, and each member's
-  /// pivot checks run in pivot order instead of descending P / C).
-  bool benefit_order = true;
-  /// Disable the union-find transitivity short-circuit (ablation).
-  bool transitivity_skip = true;
-};
-
 /// Runs Algorithm 2 on a prepared group. `control` bounds the run exactly
 /// as in RunDime: checks at candidate-batch and partition boundaries; on
 /// expiry the partial result's flagged sets are subsets of the untruncated
@@ -42,20 +31,17 @@ struct DimePlusOptions {
 DimeResult RunDimePlus(const PreparedGroup& pg,
                        const std::vector<PositiveRule>& positive,
                        const std::vector<NegativeRule>& negative,
-                       const DimePlusOptions& options,
                        const RunControl& control);
 
 DimeResult RunDimePlus(const PreparedGroup& pg,
                        const std::vector<PositiveRule>& positive,
-                       const std::vector<NegativeRule>& negative,
-                       const DimePlusOptions& options = DimePlusOptions());
+                       const std::vector<NegativeRule>& negative);
 
 /// Convenience wrapper: prepares `group` and runs Algorithm 2.
 DimeResult RunDimePlus(const Group& group,
                        const std::vector<PositiveRule>& positive,
                        const std::vector<NegativeRule>& negative,
-                       const DimeContext& context,
-                       const DimePlusOptions& options = DimePlusOptions());
+                       const DimeContext& context);
 
 }  // namespace dime
 

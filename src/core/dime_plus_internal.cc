@@ -37,12 +37,11 @@ PivotSigMap::PosRun PivotSigMap::Find(uint64_t s) const {
 
 void EnsureNegativeGenerator(const PreparedGroup& pg,
                              const NegativeRule& rule, size_t r,
-                             const SignatureOptions& sig_options,
                              NegativeRuleContext* ctx) {
   if (ctx->gen != nullptr) return;
   ctx->gen = std::make_unique<SignatureGenerator>(
       pg, rule.predicates, Direction::kLe,
-      /*rule_tag=*/0x1000 + r, sig_options);
+      /*rule_tag=*/0x1000 + r);
 }
 
 void GeneratePivotSignatures(const std::vector<int>& pivot_entities,
@@ -58,11 +57,10 @@ void GeneratePivotSignatures(const std::vector<int>& pivot_entities,
 void BuildNegativeRuleContext(const PreparedGroup& pg,
                               const NegativeRule& rule, size_t r,
                               const std::vector<int>& pivot_entities,
-                              const SignatureOptions& sig_options,
                               SignatureScratch* scratch,
                               NegativeRuleContext* ctx) {
   if (ctx->ready) return;
-  EnsureNegativeGenerator(pg, rule, r, sig_options, ctx);
+  EnsureNegativeGenerator(pg, rule, r, ctx);
   ctx->pivot_sigs.resize(pivot_entities.size());
   GeneratePivotSignatures(pivot_entities, 0, pivot_entities.size(), scratch,
                           ctx);

@@ -23,7 +23,7 @@
 ///                         dense shared-count slots + dirty list);
 ///  * FlagPartitionAgainstPivot  the scan of one partition against the
 ///                         pivot: signature filter, then benefit-ordered
-///                         (or pivot-ordered) pair verification.
+///                         pair verification.
 ///
 /// The sig -> pivot-positions map is a flat sorted array instead of the
 /// hash map RunDimePlus used to build inline: same contents, same
@@ -78,7 +78,6 @@ struct NegativeRuleContext {
 /// Creates the generator for rule `r`. Idempotent.
 void EnsureNegativeGenerator(const PreparedGroup& pg,
                              const NegativeRule& rule, size_t r,
-                             const SignatureOptions& sig_options,
                              NegativeRuleContext* ctx);
 
 /// Fills pivot_sigs[i] for pivot positions [begin, end). The sharded
@@ -94,7 +93,6 @@ void GeneratePivotSignatures(const std::vector<int>& pivot_entities,
 void BuildNegativeRuleContext(const PreparedGroup& pg,
                               const NegativeRule& rule, size_t r,
                               const std::vector<int>& pivot_entities,
-                              const SignatureOptions& sig_options,
                               SignatureScratch* scratch,
                               NegativeRuleContext* ctx);
 
@@ -133,7 +131,6 @@ struct NegativePhaseStats {
 template <typename RuleContextFn>
 int FlagPartitionAgainstPivot(const PreparedGroup& pg,
                               const std::vector<NegativeRule>& negative,
-                              bool benefit_order,
                               const std::vector<int>& pivot_entities,
                               const std::vector<int>& members,
                               const RuleContextFn& rule_context,

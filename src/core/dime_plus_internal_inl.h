@@ -18,7 +18,6 @@ namespace internal {
 template <typename RuleContextFn>
 int FlagPartitionAgainstPivot(const PreparedGroup& pg,
                               const std::vector<NegativeRule>& negative,
-                              bool benefit_order,
                               const std::vector<int>& pivot_entities,
                               const std::vector<int>& members,
                               const RuleContextFn& rule_context,
@@ -96,47 +95,32 @@ int FlagPartitionAgainstPivot(const PreparedGroup& pg,
         }
       }
       bool all_dissimilar = true;
-      if (benefit_order) {
-        cands.clear();
-        cands.reserve(dirty.size());
-        for (uint32_t i : dirty) {
-          double prob = SimilarProbability(shared_with_pivot[i],
-                                           member_sigs[m].size(),
-                                           ctx.pivot_sigs[i].size());
-          double cost = RuleVerificationCost(
-              pg, negative[r].predicates, members[m], pivot_entities[i]);
-          cands.push_back(NegativeCandidate{PositiveBenefit(prob, cost),
-                                            members[m], pivot_entities[i]});
+      cands.clear();
+      cands.reserve(dirty.size());
+      for (uint32_t i : dirty) {
+        double prob = SimilarProbability(shared_with_pivot[i],
+                                         member_sigs[m].size(),
+                                         ctx.pivot_sigs[i].size());
+        double cost = RuleVerificationCost(pg, negative[r].predicates,
+                                           members[m], pivot_entities[i]);
+        cands.push_back(NegativeCandidate{PositiveBenefit(prob, cost),
+                                          members[m], pivot_entities[i]});
+      }
+      std::sort(cands.begin(), cands.end(),
+                [](const NegativeCandidate& a, const NegativeCandidate& b) {
+                  if (a.benefit != b.benefit) return a.benefit > b.benefit;
+                  return a.e_star < b.e_star;
+                });
+      for (const NegativeCandidate& c : cands) {
+        ++stats->negative_pair_checks;
+        if (!EvalNegativeRule(pg, negative[r], c.e, c.e_star)) {
+          all_dissimilar = false;
+          break;
         }
-        std::sort(cands.begin(), cands.end(),
-                  [](const NegativeCandidate& a, const NegativeCandidate& b) {
-                    if (a.benefit != b.benefit) {
-                      return a.benefit > b.benefit;
-                    }
-                    return a.e_star < b.e_star;
-                  });
-        for (const NegativeCandidate& c : cands) {
-          ++stats->negative_pair_checks;
-          if (!EvalNegativeRule(pg, negative[r], c.e, c.e_star)) {
-            all_dissimilar = false;
-            break;
-          }
-        }
-        if (all_dissimilar) {
-          for (size_t i = 0; i < pivot_entities.size(); ++i) {
-            if (shared_with_pivot[i] != 0) continue;  // verified above
-            ++stats->negative_pair_checks;
-            if (!EvalNegativeRule(pg, negative[r], members[m],
-                                  pivot_entities[i])) {
-              all_dissimilar = false;
-              break;
-            }
-          }
-        }
-      } else {
-        // Without benefit ordering the old materialized order was just
-        // pivot order; scan it directly.
+      }
+      if (all_dissimilar) {
         for (size_t i = 0; i < pivot_entities.size(); ++i) {
+          if (shared_with_pivot[i] != 0) continue;  // verified above
           ++stats->negative_pair_checks;
           if (!EvalNegativeRule(pg, negative[r], members[m],
                                 pivot_entities[i])) {

@@ -27,13 +27,8 @@ uint64_t MixSignature(uint64_t a, uint64_t b) {
 
 SignatureGenerator::SignatureGenerator(const PreparedGroup& pg,
                                        const std::vector<Predicate>& predicates,
-                                       Direction dir, uint64_t rule_tag,
-                                       const SignatureOptions& options)
-    : pg_(pg),
-      predicates_(predicates),
-      dir_(dir),
-      rule_tag_(rule_tag),
-      options_(options) {
+                                       Direction dir, uint64_t rule_tag)
+    : pg_(pg), predicates_(predicates), dir_(dir), rule_tag_(rule_tag) {
   const size_t n = pg.size();
   ontology_tau_min_.assign(predicates.size(), -1);
   for (size_t i = 0; i < predicates.size(); ++i) {
@@ -97,7 +92,7 @@ SignatureGenerator::SignatureGenerator(const PreparedGroup& pg,
   }
   double product = 1.0;
   for (double c : avg_sig_count_) product *= std::max(c, 1.0);
-  if (product > static_cast<double>(options_.max_tuple_signatures) &&
+  if (product > static_cast<double>(kMaxTupleSignatures) &&
       predicates.size() > 1) {
     anchor_only_ = true;
     anchor_ = 0;

@@ -1,6 +1,7 @@
 #ifndef DIME_CORE_SIGNATURE_H_
 #define DIME_CORE_SIGNATURE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -33,13 +34,11 @@
 
 namespace dime {
 
-struct SignatureOptions {
-  /// Cap on tuple signatures per entity for a positive rule. When the
-  /// expected cross-product across predicates exceeds the cap, the
-  /// generator falls back to indexing only the most selective predicate
-  /// (smallest average signature count), which is still complete.
-  size_t max_tuple_signatures = 64;
-};
+/// Cap on tuple signatures per entity for a positive rule. When the
+/// expected cross-product across predicates exceeds the cap, the
+/// generator falls back to indexing only the most selective predicate
+/// (smallest average signature count), which is still complete.
+constexpr size_t kMaxTupleSignatures = 64;
 
 /// Reusable buffers for the scratch overloads of SignatureGenerator:
 /// hoist one instance out of a per-entity loop and the generator stops
@@ -57,8 +56,7 @@ class SignatureGenerator {
  public:
   SignatureGenerator(const PreparedGroup& pg,
                      const std::vector<Predicate>& predicates, Direction dir,
-                     uint64_t rule_tag,
-                     const SignatureOptions& options = SignatureOptions());
+                     uint64_t rule_tag);
 
   /// Per-predicate signatures of `entity` (tagged with the predicate index
   /// and `rule_tag`). Empty when the entity cannot reach the effective
@@ -105,7 +103,6 @@ class SignatureGenerator {
   const std::vector<Predicate>& predicates_;
   Direction dir_;
   uint64_t rule_tag_;
-  SignatureOptions options_;
   std::vector<int> ontology_tau_min_;  ///< per predicate (-1 if not ontology)
   /// Per predicate: true when q-gram prefix filtering gives no guarantee
   /// for SOME entity of the group (its whole string fits in the edit

@@ -1,5 +1,7 @@
 #include "src/exec/engine.h"
 
+#include "src/core/dime_plus.h"
+
 namespace dime {
 namespace {
 
@@ -49,11 +51,11 @@ DimeResult RunEngine(EngineKind kind, const PreparedGroup& pg,
     case EngineKind::kNaive:
       return RunDime(pg, positive, negative, control);
     case EngineKind::kPlus:
-      return RunDimePlus(pg, positive, negative, options.plus, control);
+      return RunDimePlus(pg, positive, negative, control);
     case EngineKind::kSharded:
       return RunDimePlusSharded(pg, positive, negative, options, control);
   }
-  return RunDimePlus(pg, positive, negative, options.plus, control);
+  return RunDimePlus(pg, positive, negative, control);
 }
 
 }  // namespace exec

@@ -30,8 +30,8 @@ std::string EngineKindNames(std::string_view separator);
 
 namespace exec {
 
-/// Runs `pg` through `kind`: RunDime, RunDimePlus with `options.plus`, or
-/// RunDimePlusSharded with `options`.
+/// Runs `pg` through `kind`: RunDime, RunDimePlus, or RunDimePlusSharded
+/// with `options`.
 DimeResult RunEngine(EngineKind kind, const PreparedGroup& pg,
                      const std::vector<PositiveRule>& positive,
                      const std::vector<NegativeRule>& negative,

@@ -13,7 +13,9 @@
 #include "src/common/fault_injection.h"
 #include "src/common/logging.h"
 #include "src/common/mutex.h"
+#include "src/core/dime_plus.h"
 #include "src/core/dime_plus_internal.h"
+#include "src/core/signature.h"
 #include "src/exec/parallel_sort.h"
 #include "src/index/striped_union_find.h"
 #include "src/sim/set_similarity.h"
@@ -40,9 +42,8 @@ struct PoolRef {
 };
 
 /// Rethrows the group's first task exception, if any. The engine calls
-/// this right after Wait(); the catch site in RunDimePlusSharded maps the
-/// exception to the documented degradation path (serial fallback or
-/// INTERNAL).
+/// this right after Wait(); the catch site in RunDimePlusSharded falls
+/// back to the serial engine.
 void RethrowTaskFault(const TaskGroup& group) {
   std::exception_ptr e = group.exception();
   if (e != nullptr) std::rethrow_exception(e);
@@ -121,13 +122,11 @@ struct RuleLists {
 DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
                                    const std::vector<PositiveRule>& positive,
                                    const std::vector<NegativeRule>& negative,
-                                   const ShardedOptions& options,
                                    const RunControl& control,
                                    WorkStealingPool* pool) {
   DimeResult result;
   const int n = static_cast<int>(pg.size());
   const unsigned threads = pool->thread_count();
-  const DimePlusOptions& plus = options.plus;
 
   std::atomic<uint64_t> kernel_exits{0};
 
@@ -147,7 +146,7 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
     for (size_t r = 0; r < positive.size(); ++r) {
       gens[r] = std::make_unique<SignatureGenerator>(
           pg, positive[r].predicates, Direction::kGe,
-          /*rule_tag=*/r + 1, plus.signatures);
+          /*rule_tag=*/r + 1);
       chunks[r].resize(num_chunks);
       for (size_t c = 0; c < num_chunks; ++c) {
         gen_group.Spawn([&pg, &gens, &chunks, &control, &gen_group, chunk, r,
@@ -257,7 +256,7 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
     size_t batch_begin = 0, batch_volume = 0;
     auto spawn_batch = [&](size_t batch_end) {
       if (batch_end == batch_begin) return;
-      verify_group.Spawn([&pg, &positive, &plus, &uf, &control, &verify_group,
+      verify_group.Spawn([&pg, &positive, &uf, &control, &verify_group,
                           &balanced, &pos_checks, &trans_skips, &kernel_exits,
                           batch_begin, batch_end] {
         if (DIME_FAULT_POINT(failpoints::kWorkerFault)) {
@@ -273,8 +272,7 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
           // covers the full list. Connected() never reports falsely
           // true, so a concurrent merge can only turn a pair skip into
           // a (redundant but harmless) verification.
-          if (plus.transitivity_skip && s.row_begin == 0 &&
-              s.row_end == s.len) {
+          if (s.row_begin == 0 && s.row_end == s.len) {
             bool all_connected = true;
             for (size_t i = 1; i < s.len; ++i) {
               if (!uf.Connected(s.list[0], s.list[i])) {
@@ -307,7 +305,7 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
                   return;
                 }
               }
-              if (plus.transitivity_skip && uf.Connected(e1, e2)) {
+              if (uf.Connected(e1, e2)) {
                 ++local_skips;
                 continue;
               }
@@ -361,8 +359,7 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
       const size_t chunk = ChunkSize(pivot_entities.size(), threads, 256);
       for (size_t r = 0; r < negative.size(); ++r) {
         internal::NegativeRuleContext& ctx = contexts[r];
-        internal::EnsureNegativeGenerator(pg, negative[r], r, plus.signatures,
-                                          &ctx);
+        internal::EnsureNegativeGenerator(pg, negative[r], r, &ctx);
         ctx.pivot_sigs.resize(pivot_entities.size());
         for (size_t b = 0; b < pivot_entities.size(); b += chunk) {
           const size_t e = std::min(pivot_entities.size(), b + chunk);
@@ -418,7 +415,7 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
       TaskGroup flag_group(pool);
       for (size_t p = 0; p < result.partitions.size(); ++p) {
         if (static_cast<int>(p) == result.pivot) continue;
-        flag_group.Spawn([&pg, &negative, &plus, &result, &control,
+        flag_group.Spawn([&pg, &negative, &result, &control,
                           &flag_group, &pivot_entities, &first_flagging,
                           &rule_context, &scratches, &neg_checks, &pruned,
                           &kernel_exits, p] {
@@ -435,8 +432,8 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
           internal::NegativeScratch* scratch = scratches.Acquire();
           internal::NegativePhaseStats local;
           first_flagging[p] = internal::FlagPartitionAgainstPivot(
-              pg, negative, plus.benefit_order, pivot_entities,
-              result.partitions[p], rule_context, scratch, &local);
+              pg, negative, pivot_entities, result.partitions[p],
+              rule_context, scratch, &local);
           scratches.Release(scratch);
           neg_checks.fetch_add(local.negative_pair_checks,
                                std::memory_order_relaxed);
@@ -474,22 +471,14 @@ DimeResult RunDimePlusSharded(const PreparedGroup& pg,
     return internal::NoPartitionsResult(OkStatus(), negative.size());
   }
   PoolRef ref(options);
-  // A task fault takes the documented degradation path: serial fallback
-  // with a WARNING, or an INTERNAL status carrying the task's message.
+  // A task fault reruns the group on the serial engine, with a WARNING.
   auto degrade = [&](const std::exception* e) {
-    if (options.serial_fallback) {
-      DIME_LOG(WARNING) << "RunDimePlusSharded worker fault ("
-                        << FaultText(e)
-                        << "); falling back to the serial engine";
-      return RunDimePlus(pg, positive, negative, options.plus, control);
-    }
-    return internal::NoPartitionsResult(
-        InternalError("worker thread fault: " + FaultText(e)),
-        negative.size());
+    DIME_LOG(WARNING) << "RunDimePlusSharded worker fault (" << FaultText(e)
+                      << "); falling back to the serial engine";
+    return RunDimePlus(pg, positive, negative, control);
   };
   try {
-    return RunDimePlusShardedInner(pg, positive, negative, options, control,
-                                   ref.pool);
+    return RunDimePlusShardedInner(pg, positive, negative, control, ref.pool);
   } catch (const std::exception& e) {
     return degrade(&e);
   } catch (...) {

@@ -2,7 +2,6 @@
 #define DIME_EXEC_SHARDED_DIME_H_
 
 #include "src/core/dime.h"
-#include "src/core/dime_plus.h"
 #include "src/exec/pool.h"
 
 /// \file sharded_dime.h
@@ -18,8 +17,8 @@
 /// deterministic candidate volume.
 ///
 /// Failure contract:
-///  * a task that throws → serial fallback (bit-identical result) or,
-///    with serial_fallback = false, an INTERNAL status and no partitions;
+///  * a task that throws → a WARNING and the serial RunDimePlus run of
+///    the same group under the same control (bit-identical decisions);
 ///  * deadline/cancellation during step 1 → no partitions, empty
 ///    scrollbar, explaining status;
 ///  * during step 3 → partitions kept, the flags computed so far kept
@@ -35,13 +34,6 @@ struct ShardedOptions {
   /// Borrowed scheduler; null = build a pool for this call. DimeService
   /// shares one pool across its serving workers through this.
   WorkStealingPool* pool = nullptr;
-  /// When a task throws, rerun the group serially and return that
-  /// result; when false, surface INTERNAL instead.
-  bool serial_fallback = true;
-  /// DIME+ options for RunDimePlusSharded (signatures, negative-phase
-  /// benefit order, transitivity skip). The positive phase streams
-  /// volume-balanced list slices, so benefit_order does not order it.
-  DimePlusOptions plus;
 };
 
 /// Sharded counterpart of RunDimePlus: parallel signature generation,

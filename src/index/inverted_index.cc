@@ -36,8 +36,7 @@ void InvertedIndex::EnsureFrozen() const {
   postings_.shrink_to_fit();
 }
 
-std::vector<uint32_t> InvertedIndex::EnumerationOrder(
-    bool short_lists_first) const {
+std::vector<uint32_t> InvertedIndex::EnumerationOrder() const {
   const uint64_t* starts = list_starts_.data();
   const int* ents = entities_.data();
   std::vector<uint32_t> order;
@@ -47,26 +46,23 @@ std::vector<uint32_t> InvertedIndex::EnumerationOrder(
       order.push_back(static_cast<uint32_t>(l));
     }
   }
-  if (short_lists_first) {
-    std::sort(order.begin(), order.end(),
-              [starts, ents](uint32_t a, uint32_t b) {
-                uint64_t la = starts[a + 1] - starts[a];
-                uint64_t lb = starts[b + 1] - starts[b];
-                if (la != lb) return la < lb;
-                int fa = ents[starts[a]];
-                int fb = ents[starts[b]];
-                if (fa != fb) return fa < fb;  // deterministic tie-break
-                return a < b;  // then signature-sorted position
-              });
-  }
+  std::sort(order.begin(), order.end(),
+            [starts, ents](uint32_t a, uint32_t b) {
+              uint64_t la = starts[a + 1] - starts[a];
+              uint64_t lb = starts[b + 1] - starts[b];
+              if (la != lb) return la < lb;
+              int fa = ents[starts[a]];
+              int fb = ents[starts[b]];
+              if (fa != fb) return fa < fb;  // deterministic tie-break
+              return a < b;  // then signature-sorted position
+            });
   return order;
 }
 
 void InvertedIndex::ForEachList(
-    bool short_lists_first,
     const std::function<bool(const int*, size_t)>& callback) const {
   EnsureFrozen();
-  for (uint32_t l : EnumerationOrder(short_lists_first)) {
+  for (uint32_t l : EnumerationOrder()) {
     const size_t begin = list_starts_[l], end = list_starts_[l + 1];
     if (!callback(entities_.data() + begin, end - begin)) return;
   }

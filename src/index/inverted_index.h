@@ -30,14 +30,12 @@ class InvertedIndex {
 
   /// Streams whole posting lists (only those with >= 2 entries), handing
   /// the caller the contiguous entity run of each list; every pair on a
-  /// list is a candidate. With `short_lists_first`, lists are visited in
-  /// ascending length order — pairs sharing rare signatures (likely
-  /// similar) come first; otherwise in signature order. Callers that can
-  /// decide a list wholesale (e.g. every member already in one partition)
-  /// skip its |l|(|l|-1)/2 pairs in O(|l|). The callback returns false to
-  /// stop.
+  /// list is a candidate. Lists are visited in ascending length order
+  /// (ties by first entity, then signature) — pairs sharing rare
+  /// signatures (likely similar) come first. Callers that can decide a
+  /// list wholesale (e.g. every member already in one partition) skip its
+  /// |l|(|l|-1)/2 pairs in O(|l|). The callback returns false to stop.
   void ForEachList(
-      bool short_lists_first,
       const std::function<bool(const int*, size_t)>& callback) const;
 
   /// Total candidate-pair instances (sum over lists of |list| choose 2).
@@ -51,7 +49,7 @@ class InvertedIndex {
   void EnsureFrozen() const;
   /// Indexes (into the frozen run table) of lists with >= 2 entries, in
   /// enumeration order.
-  std::vector<uint32_t> EnumerationOrder(bool short_lists_first) const;
+  std::vector<uint32_t> EnumerationOrder() const;
 
   // Build side: (signature, entity) in insertion order. Cleared on freeze.
   mutable std::vector<std::pair<uint64_t, int>> postings_;

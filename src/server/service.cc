@@ -459,7 +459,6 @@ CheckReply DimeService::Execute(PendingCheck& pending) {
     }
     exec::ShardedOptions engine_options;
     engine_options.pool = engine_pool_.get();
-    engine_options.plus = options_.dime_plus;
     *result = exec::RunEngine(pending.engine, *pg, corpus.positive,
                               corpus.negative, engine_options,
                               pending.control);

@@ -13,7 +13,6 @@
 #include "src/common/deadline.h"
 #include "src/common/mutex.h"
 #include "src/common/status.h"
-#include "src/core/dime_plus.h"
 #include "src/exec/engine.h"
 #include "src/exec/pool.h"
 #include "src/server/latency_histogram.h"
@@ -76,7 +75,6 @@ struct ServiceOptions {
   /// Deadline applied when a request does not carry one. <= 0: unbounded.
   int64_t default_deadline_ms = 0;
   EngineKind default_engine = EngineKind::kPlus;
-  DimePlusOptions dime_plus;
   /// Executors of the shared scheduler pool the sharded engine runs on
   /// (one pool for the whole service — serving workers spawn task groups
   /// into it and help execute while they wait, so concurrent requests

@@ -10,12 +10,17 @@
 // runs the same page through its merge-then-DIME+ path and must flag
 // exactly what Algorithm 1 flags on the merged group.
 //
-// DIME_CLI_BINARY and DIME_DELTA_BINARY are injected by CMake.
+// The last test spawns generate_datasets with flags and checks it never
+// takes one as its output directory.
+//
+// DIME_CLI_BINARY, DIME_DELTA_BINARY and DIME_GENERATE_DATASETS_BINARY are
+// injected by CMake.
 
 #include <sys/wait.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -243,6 +248,31 @@ TEST_F(CliDeterminismTest, DeltaReplayRefusesRulesItsContextCannotEvaluate) {
   EXPECT_NE(replay.output.find("ontology index 0 not provided"),
             std::string::npos)
       << replay.output;
+}
+
+// generate_datasets takes its one argument as the output directory, so a
+// flag must never be mistaken for one: --help / -h print the usage and
+// exit 0, any other flag exits INVALID_ARGUMENT, and neither writes.
+TEST(GenerateDatasetsCliTest, FlagsAreNeverTakenAsTheOutputDirectory) {
+  char tmpl[] = "/tmp/dime_gen_cli_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  auto run_in_dir = [&](const std::string& arg) {
+    return RunCommand("cd '" + dir + "' && " +
+                      std::string(DIME_GENERATE_DATASETS_BINARY) + " " + arg);
+  };
+  for (const char* help : {"--help", "-h"}) {
+    CliResult r = run_in_dir(help);
+    EXPECT_EQ(r.exit_code, 0) << help << ": " << r.output;
+    EXPECT_NE(r.output.find("usage: generate_datasets"), std::string::npos)
+        << r.output;
+  }
+  CliResult bad = run_in_dir("--output");
+  EXPECT_EQ(bad.exit_code, ExitCodeForStatusCode(StatusCode::kInvalidArgument))
+      << bad.output;
+  EXPECT_TRUE(std::filesystem::is_empty(dir))
+      << "a refused or --help run wrote into " << dir;
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

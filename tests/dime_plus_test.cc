@@ -1,8 +1,7 @@
 // The central correctness property of DIME+ (Algorithm 2): it must produce
 // exactly the same result as the naive Algorithm 1 on any input — the
 // signature filters are complete and verification computes the same
-// similarities. Exercised across the scholar, amazon and dbgen generators
-// and across engine option ablations.
+// similarities. Exercised across the scholar, amazon and dbgen generators.
 
 #include "src/core/dime_plus.h"
 
@@ -118,34 +117,6 @@ TEST(DimePlusTest, EveryCandidateIsVerifiedOrSkipped) {
   }
 }
 
-TEST(DimePlusOptionsTest, AblationsPreserveTheResult) {
-  ScholarSetup setup = MakeScholarSetup();
-  ScholarGenOptions options;
-  options.num_correct = 60;
-  options.seed = 99;
-  Group group = GenerateScholarGroup("Owner", options);
-  PreparedGroup pg =
-      PrepareGroup(group, setup.positive, setup.negative, setup.context);
-  DimeResult reference = RunDimePlus(pg, setup.positive, setup.negative);
-
-  DimePlusOptions no_benefit;
-  no_benefit.benefit_order = false;
-  ExpectSameResult(reference,
-                   RunDimePlus(pg, setup.positive, setup.negative, no_benefit));
-
-  DimePlusOptions no_transitivity;
-  no_transitivity.transitivity_skip = false;
-  ExpectSameResult(
-      reference,
-      RunDimePlus(pg, setup.positive, setup.negative, no_transitivity));
-
-  DimePlusOptions tiny_tuples;
-  tiny_tuples.signatures.max_tuple_signatures = 1;
-  ExpectSameResult(
-      reference,
-      RunDimePlus(pg, setup.positive, setup.negative, tiny_tuples));
-}
-
 TEST(DimePlusOptionsTest, TransitivitySkipReducesVerifications) {
   ScholarSetup setup = MakeScholarSetup();
   ScholarGenOptions options;
@@ -155,13 +126,13 @@ TEST(DimePlusOptionsTest, TransitivitySkipReducesVerifications) {
   PreparedGroup pg =
       PrepareGroup(group, setup.positive, setup.negative, setup.context);
 
-  DimePlusOptions with_skip;  // default
-  DimePlusOptions without_skip;
-  without_skip.transitivity_skip = false;
-  DimeResult a = RunDimePlus(pg, setup.positive, setup.negative, with_skip);
-  DimeResult b =
-      RunDimePlus(pg, setup.positive, setup.negative, without_skip);
-  EXPECT_LT(a.stats.positive_pair_checks, b.stats.positive_pair_checks);
+  // The skip fires on this page, and every candidate it does not verify
+  // is one it skipped: fewer verifications than candidates, none lost.
+  DimeResult r = RunDimePlus(pg, setup.positive, setup.negative);
+  EXPECT_GT(r.stats.pairs_skipped_by_transitivity, 0u);
+  EXPECT_EQ(r.stats.positive_pair_checks +
+                r.stats.pairs_skipped_by_transitivity,
+            r.stats.candidate_pairs);
 }
 
 TEST(DimePlusTest, EmptyGroup) {

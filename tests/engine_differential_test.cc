@@ -1,11 +1,11 @@
 // Randomized engine differential: on seeded random Scholar and Amazon
-// groups, the naive oracle (RunDime), serial DIME+ with and without
-// benefit ordering, and the sharded engine at 1, 2 and 4 threads must
-// produce identical decisions — partitions, pivot, first flagging rule
-// and every scrollbar prefix. Group sizes and error rates are drawn per
-// seed so the candidate volumes span both sides of 100 000 pairs: small
-// serving pages and large cold groups both stream step 1 off the
-// inverted lists, and no group size may change a decision.
+// groups, the naive oracle (RunDime), serial DIME+ and the sharded
+// engine at 1, 2 and 4 threads must produce identical decisions —
+// partitions, pivot, first flagging rule and every scrollbar prefix.
+// Group sizes and error rates are drawn per seed so the candidate volumes
+// span both sides of 100 000 pairs: small serving pages and large cold
+// groups both stream step 1 off the inverted lists, and no group size may
+// change a decision.
 //
 // The same groups check that deadline truncation is monotone: with the
 // engine/deadline failpoint firing from a seeded check onwards, as a
@@ -61,11 +61,6 @@ void ExpectEnginesAgree(const PreparedGroup& pg,
 
   ExpectSameDecisions(oracle, RunDimePlus(pg, positive, negative),
                       "RunDimePlus");
-  DimePlusOptions input_order;
-  input_order.benefit_order = false;
-  ExpectSameDecisions(oracle,
-                      RunDimePlus(pg, positive, negative, input_order),
-                      "RunDimePlus benefit_order=false");
   for (unsigned threads : {1u, 2u, 4u}) {
     exec::ShardedOptions options;
     options.num_threads = threads;

@@ -304,33 +304,6 @@ TEST(ShardedDimePlusTest, MatchesSerialOnScholarCorpus) {
   ExpectSameDecisions(serial, sharded);
 }
 
-TEST(ShardedDimePlusTest, AblationOptionsAreHonoredIdentically) {
-  DbgenFixture f(800);
-  for (bool benefit : {true, false}) {
-    for (bool transitivity : {true, false}) {
-      DimePlusOptions plus;
-      plus.benefit_order = benefit;
-      plus.transitivity_skip = transitivity;
-      DimeResult serial = RunDimePlus(f.pg, f.positive, f.negative, plus);
-      ShardedOptions options;
-      options.num_threads = 4;
-      options.plus = plus;
-      DimeResult sharded =
-          RunDimePlusSharded(f.pg, f.positive, f.negative, options);
-      ASSERT_TRUE(sharded.ok())
-          << "benefit=" << benefit << " transitivity=" << transitivity;
-      ExpectSameDecisions(serial, sharded);
-      if (!transitivity) {
-        // With the skip disabled, effort is deterministic too: every
-        // candidate instance is verified.
-        EXPECT_EQ(sharded.stats.positive_pair_checks,
-                  serial.stats.candidate_pairs);
-        EXPECT_EQ(sharded.stats.pairs_skipped_by_transitivity, 0u);
-      }
-    }
-  }
-}
-
 TEST(ShardedDimeTest, EmptyGroupShortCircuits) {
   Group group;
   group.schema = DbgenSchema();
@@ -370,21 +343,6 @@ TEST(ShardedDimePlusTest, WorkerFaultFallsBackToSerialBitIdentical) {
   FaultInjection::DisarmAll();
   ASSERT_TRUE(sharded.ok());
   ExpectSameDecisions(serial, sharded);
-}
-
-TEST(ShardedDimePlusTest, WorkerFaultWithoutFallbackIsInternal) {
-  DbgenFixture f(400);
-  FaultInjection::Arm(failpoints::kWorkerFault, /*count=*/1);
-  ShardedOptions options;
-  options.num_threads = 2;
-  options.serial_fallback = false;
-  DimeResult sharded =
-      RunDimePlusSharded(f.pg, f.positive, f.negative, options);
-  FaultInjection::DisarmAll();
-  EXPECT_FALSE(sharded.ok());
-  EXPECT_EQ(sharded.status.code(), StatusCode::kInternal);
-  EXPECT_TRUE(sharded.partitions.empty());
-  ASSERT_EQ(sharded.flagged_by_prefix.size(), f.negative.size());
 }
 
 TEST(ShardedDimePlusTest, ExpiredDeadlineDiscardsPartitions) {

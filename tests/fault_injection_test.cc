@@ -1,8 +1,8 @@
 // Tests for the failpoint harness and the degradation paths it proves:
 // injected IO failures surface as distinct Status codes (not crashes),
-// injected worker-thread faults fall back to the serial engine or surface
-// INTERNAL, and injected deadline pressure truncates the engines into
-// partial-but-valid results.
+// injected worker-thread faults fall back to the serial engine, and
+// injected deadline pressure truncates the engines into partial-but-valid
+// results.
 
 #include "src/common/fault_injection.h"
 
@@ -207,7 +207,6 @@ TEST_F(FaultInjectionTest, WorkerFaultFallsBackToSerialBitIdentical) {
   ScopedFailpoint fp(failpoints::kWorkerFault);
   exec::ShardedOptions options;
   options.num_threads = 2;
-  options.serial_fallback = true;
   DimeResult parallel =
       exec::RunDimePlusSharded(pg, positive, negative, options);
 
@@ -216,24 +215,6 @@ TEST_F(FaultInjectionTest, WorkerFaultFallsBackToSerialBitIdentical) {
   EXPECT_EQ(parallel.pivot, serial.pivot);
   EXPECT_EQ(parallel.first_flagging_rule, serial.first_flagging_rule);
   EXPECT_EQ(parallel.flagged_by_prefix, serial.flagged_by_prefix);
-}
-
-TEST_F(FaultInjectionTest, WorkerFaultWithoutFallbackIsInternal) {
-  Group g = ExampleGroup();
-  std::vector<PositiveRule> positive = OverlapPositive(2);
-  std::vector<NegativeRule> negative = OverlapNegative({0, 1});
-  PreparedGroup pg = PrepareGroup(g, positive, negative, {});
-
-  ScopedFailpoint fp(failpoints::kWorkerFault);
-  exec::ShardedOptions options;
-  options.num_threads = 2;
-  options.serial_fallback = false;
-  DimeResult r = exec::RunDimePlusSharded(pg, positive, negative, options);
-
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status.code(), StatusCode::kInternal);
-  EXPECT_TRUE(r.partitions.empty());
-  EXPECT_TRUE(r.flagged().empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -301,11 +282,11 @@ TEST_F(FaultInjectionTest, DeadlinePressureTruncatesDimePlus) {
   std::vector<NegativeRule> negative = OverlapNegative({0, 1});
   PreparedGroup pg = PrepareGroup(g, positive, negative, {});
 
-  DimeResult full = RunDimePlus(pg, positive, negative, {});
+  DimeResult full = RunDimePlus(pg, positive, negative);
   ASSERT_TRUE(full.ok());
 
   ScopedFailpoint fp(failpoints::kEngineDeadline, /*count=*/1000);
-  DimeResult r = RunDimePlus(pg, positive, negative, {});
+  DimeResult r = RunDimePlus(pg, positive, negative);
   EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded);
   ASSERT_EQ(r.flagged_by_prefix.size(), full.flagged_by_prefix.size());
   for (size_t k = 0; k < full.flagged_by_prefix.size(); ++k) {

@@ -10,10 +10,9 @@ namespace dime {
 namespace {
 
 // Every list ForEachList hands out, copied, in visiting order.
-std::vector<std::vector<int>> Lists(const InvertedIndex& index,
-                                    bool short_lists_first) {
+std::vector<std::vector<int>> Lists(const InvertedIndex& index) {
   std::vector<std::vector<int>> lists;
-  index.ForEachList(short_lists_first, [&](const int* list, size_t len) {
+  index.ForEachList([&](const int* list, size_t len) {
     lists.emplace_back(list, list + len);
     return true;
   });
@@ -28,8 +27,7 @@ TEST(InvertedIndexTest, CandidatesFromSharedSignatures) {
   // Signatures 20 and 30 each carry the pair (0, 1); singleton lists
   // (10, 40, 99) hold no pair and are not streamed.
   const std::vector<std::vector<int>> expected = {{0, 1}, {0, 1}};
-  EXPECT_EQ(Lists(index, /*short_lists_first=*/false), expected);
-  EXPECT_EQ(Lists(index, /*short_lists_first=*/true), expected);
+  EXPECT_EQ(Lists(index), expected);
   EXPECT_EQ(index.CandidateVolume(), 2u);
   EXPECT_EQ(index.num_lists(), 5u);
 }
@@ -38,8 +36,7 @@ TEST(InvertedIndexTest, NoSharedSignaturesNoCandidates) {
   InvertedIndex index;
   index.Add(0, {1});
   index.Add(1, {2});
-  EXPECT_TRUE(Lists(index, /*short_lists_first=*/false).empty());
-  EXPECT_TRUE(Lists(index, /*short_lists_first=*/true).empty());
+  EXPECT_TRUE(Lists(index).empty());
   EXPECT_EQ(index.CandidateVolume(), 0u);
 }
 
@@ -49,7 +46,7 @@ TEST(InvertedIndexTest, CandidatesAreDeterministicallyOrdered) {
   index.Add(1, {5});
   index.Add(2, {5});
   const std::vector<std::vector<int>> expected = {{3, 1, 2}};
-  EXPECT_EQ(Lists(index, /*short_lists_first=*/false), expected);
+  EXPECT_EQ(Lists(index), expected);
   EXPECT_EQ(index.CandidateVolume(), 3u);
 }
 
@@ -62,18 +59,16 @@ TEST(InvertedIndexTest, ShortListsFirstOrdersByLengthThenFirstEntity) {
   index.Add(3, {1, 4});
   index.Add(4, {2, 4});
   index.Add(5, {3});
-  const std::vector<std::vector<int>> by_signature = {
-      {0, 1, 2, 3}, {1, 4}, {0, 5}, {2, 3, 4}};
-  EXPECT_EQ(Lists(index, /*short_lists_first=*/false), by_signature);
-  // Equal lengths tie-break on the first entity: {0,5} before {1,4}.
+  // Equal lengths tie-break on the first entity: {0,5} before {1,4},
+  // although signature order puts sig 2 before sig 3.
   const std::vector<std::vector<int>> short_first = {
       {0, 5}, {1, 4}, {2, 3, 4}, {0, 1, 2, 3}};
-  EXPECT_EQ(Lists(index, /*short_lists_first=*/true), short_first);
+  EXPECT_EQ(Lists(index), short_first);
   EXPECT_EQ(index.CandidateVolume(), 6u + 1u + 1u + 3u);
 
   // Returning false stops the enumeration after the current list.
   size_t visited = 0;
-  index.ForEachList(true, [&](const int*, size_t) { return ++visited < 2; });
+  index.ForEachList([&](const int*, size_t) { return ++visited < 2; });
   EXPECT_EQ(visited, 2u);
 }
 

@@ -151,8 +151,7 @@ TEST(RobustnessTest, ExpiredDeadlineTruncatesEveryEngine) {
   EXPECT_EQ(naive.status.code(), StatusCode::kDeadlineExceeded);
   ExpectTruncatedButValid(naive, full);
 
-  DimeResult fast =
-      RunDimePlus(pg, setup.positive, setup.negative, {}, expired);
+  DimeResult fast = RunDimePlus(pg, setup.positive, setup.negative, expired);
   EXPECT_EQ(fast.status.code(), StatusCode::kDeadlineExceeded);
   ExpectTruncatedButValid(fast, full);
 

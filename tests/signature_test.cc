@@ -190,14 +190,15 @@ TEST(SignatureGeneratorTest, AnchorFallbackOnExplosiveCrossProduct) {
   DimeContext ctx = MakeContext();
   Group g = RandomGroup(6, 20);
   std::vector<PositiveRule> pos(1);
-  // Two low-threshold word predicates: the tuple cross-product explodes.
+  // Four low-threshold predicates over the 4-word titles: each indexes
+  // about every title word, so the tuple cross-product (~4^4) exceeds
+  // kMaxTupleSignatures.
   ASSERT_TRUE(ParsePositiveRule(
-      "jaccard(Title:words) >= 0.1 ^ dice(Title:words) >= 0.1", g.schema,
-      &pos[0]));
+      "jaccard(Title:words) >= 0.1 ^ dice(Title:words) >= 0.1 ^ "
+      "cosine(Title:words) >= 0.1 ^ overlap(Title:words) >= 1",
+      g.schema, &pos[0]));
   PreparedGroup pg = PrepareGroup(g, pos, {}, ctx);
-  SignatureOptions options;
-  options.max_tuple_signatures = 4;
-  SignatureGenerator gen(pg, pos[0].predicates, Direction::kGe, 1, options);
+  SignatureGenerator gen(pg, pos[0].predicates, Direction::kGe, 1);
   EXPECT_TRUE(gen.anchor_only());
   // Completeness still holds through the anchor predicate.
   std::vector<std::vector<uint64_t>> sigs(g.size());

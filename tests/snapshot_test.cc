@@ -114,9 +114,9 @@ TEST_F(SnapshotTest, RoundTripRunsIdentically) {
                                       corpus.setup.negative,
                                       corpus.setup.context);
     DimeResult from_cold = RunDimePlus(cold, corpus.setup.positive,
-                                       corpus.setup.negative, {}, {});
+                                       corpus.setup.negative);
     DimeResult from_warm =
-        RunDimePlus(warm, loaded->positive, loaded->negative, {}, {});
+        RunDimePlus(warm, loaded->positive, loaded->negative);
     EXPECT_EQ(from_cold.partitions, from_warm.partitions);
     EXPECT_EQ(from_cold.pivot, from_warm.pivot);
     EXPECT_EQ(from_cold.flagged_by_prefix, from_warm.flagged_by_prefix);
@@ -139,9 +139,9 @@ TEST_F(SnapshotTest, ReadFallbackMatchesMmap) {
   EXPECT_FALSE(buffered->mapped);
 
   DimeResult a = RunDimePlus(*mapped->prepared[0], mapped->positive,
-                             mapped->negative, {}, {});
+                             mapped->negative);
   DimeResult b = RunDimePlus(*buffered->prepared[0], buffered->positive,
-                             buffered->negative, {}, {});
+                             buffered->negative);
   EXPECT_EQ(a.partitions, b.partitions);
   EXPECT_EQ(a.flagged_by_prefix, b.flagged_by_prefix);
   EXPECT_EQ(mapped->fingerprint_lo, buffered->fingerprint_lo);
@@ -247,7 +247,7 @@ TEST_F(SnapshotTest, RewriteLeavesALiveMappingIntact) {
   std::vector<std::vector<uint32_t>> arenas;
   for (const auto& pg : loaded->prepared) {
     before.push_back(
-        RunDimePlus(*pg, loaded->positive, loaded->negative, {}, {}));
+        RunDimePlus(*pg, loaded->positive, loaded->negative));
     arenas.push_back(RankArenas(*pg));
     ASSERT_FALSE(arenas.back().empty());
   }
@@ -263,7 +263,7 @@ TEST_F(SnapshotTest, RewriteLeavesALiveMappingIntact) {
     const PreparedGroup& pg = *loaded->prepared[i];
     EXPECT_EQ(RankArenas(pg), arenas[i]);
     DimeResult after =
-        RunDimePlus(pg, loaded->positive, loaded->negative, {}, {});
+        RunDimePlus(pg, loaded->positive, loaded->negative);
     EXPECT_EQ(after.partitions, before[i].partitions);
     EXPECT_EQ(after.pivot, before[i].pivot);
     EXPECT_EQ(after.first_flagging_rule, before[i].first_flagging_rule);

@@ -105,7 +105,6 @@ TEST_F(ThreadSafetyTest, ParallelEngineUnderFailpointAndDeadlineChurn) {
   for (int iter = 0; iter < 150; ++iter) {
     exec::ShardedOptions options;
     options.num_threads = 4;
-    options.serial_fallback = (iter % 2 == 0);
     CancellationToken token;
     RunControl control;
     control.cancel = &token;
@@ -308,7 +307,6 @@ TEST_F(ThreadSafetyTest, ShardedEngineUnderFailpointAndDeadlineChurn) {
 
   for (int iter = 0; iter < 100; ++iter) {
     exec::ShardedOptions options;
-    options.serial_fallback = (iter % 2 == 0);
     if (iter % 3 != 0) options.pool = &pool;  // else a private pool
     CancellationToken token;
     RunControl control;
