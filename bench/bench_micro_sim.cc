@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the hand-rolled primitives the
 // engines are built from: set-similarity kernels, banded edit distance,
-// ontology LCA similarity, signature generation and LDA inference. These
-// are the building blocks whose costs the paper's verification cost model
+// ontology LCA similarity, signature generation, group preparation and
+// the signature grouping under the inverted lists. These are the
+// building blocks whose costs the paper's verification cost model
 // (Section IV-C) approximates.
 
 #include <benchmark/benchmark.h>
@@ -14,6 +15,7 @@
 #include "src/datagen/scholar_gen.h"
 #include "src/datagen/presets.h"
 #include "src/core/signature.h"
+#include "src/index/group_by_signature.h"
 #include "src/ontology/builtin.h"
 #include "src/sim/edit_distance.h"
 #include "src/sim/set_similarity.h"
@@ -236,6 +238,38 @@ void BM_PrepareGroup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PrepareGroup)->Arg(100)->Arg(400);
+
+// One serial GroupBySignature run, the grouping under both DIME+ steps
+// (InvertedIndex's freeze in step 1, the pivot signature map in step 3):
+// n postings in ascending entity order whose uniform signatures come from
+// a pool of n / 4, so lists average four entities.
+void BM_SortPostings(benchmark::State& state) {
+  Random rng(7);
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<uint64_t> pool(n / 4 + 1);
+  for (uint64_t& sig : pool) sig = rng.NextUint64();
+  std::vector<std::pair<uint64_t, int>> postings;
+  postings.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    postings.emplace_back(pool[rng.Uniform(pool.size())],
+                          static_cast<int>(i / 8));
+  }
+  std::vector<std::pair<uint64_t, int>> grouped;
+  for (auto _ : state) {
+    GroupBySignature<int>(
+        n,
+        [&postings](const auto& emit) {
+          for (const std::pair<uint64_t, int>& p : postings) {
+            emit(p.first, p.second);
+          }
+        },
+        &grouped);
+    benchmark::DoNotOptimize(grouped.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_SortPostings)->Arg(8192)->Arg(1048576);
 
 }  // namespace
 }  // namespace dime

@@ -3,7 +3,9 @@
 // Usage: generate_datasets [output_dir]   (default: ./dime_datasets)
 //        generate_datasets --help           (prints the usage line)
 // Any other argument starting with '-' is refused with exit code 2
-// (INVALID_ARGUMENT) before anything is written.
+// (INVALID_ARGUMENT) before anything is written. A failed export exits
+// with its Status code (src/common/exit_code.h): 3 (NOT_FOUND) when the
+// output path cannot hold a directory, 4 (IO_ERROR) when a write fails.
 //
 // Writes Scholar pages and Amazon categories as TSV files with ground
 // truth, the preset rule sets, and the ontologies (the built-in venue tree
@@ -53,10 +55,8 @@ int main(int argc, char** argv) {
   options.amazon_products = 120;
 
   ExportManifest manifest;
-  if (!ExportBenchmarkSuite(dir, options, &manifest)) {
-    std::fprintf(stderr, "export to %s failed\n", dir.c_str());
-    return 1;
-  }
+  const Status exported = ExportBenchmarkSuite(dir, options, &manifest);
+  if (!exported.ok()) return ExitWithStatus(exported, "generate_datasets");
   std::printf("Exported benchmark suite to %s:\n", dir.c_str());
   for (const std::string& p : manifest.scholar_groups) {
     std::printf("  %s\n", p.c_str());

@@ -2,21 +2,22 @@
 
 #include <algorithm>
 
+#include "src/index/group_by_signature.h"
+
 namespace dime {
 namespace internal {
 
 void PivotSigMap::Build(const std::vector<std::vector<uint64_t>>& pivot_sigs) {
-  std::vector<Entry> entries;
   size_t total = 0;
   for (const std::vector<uint64_t>& sigs : pivot_sigs) total += sigs.size();
-  entries.reserve(total);
-  for (size_t i = 0; i < pivot_sigs.size(); ++i) {
-    for (uint64_t s : pivot_sigs[i]) {
-      entries.emplace_back(s, static_cast<uint32_t>(i));
-    }
-  }
-  std::sort(entries.begin(), entries.end());
-  AdoptSorted(std::move(entries));
+  GroupBySignature<uint32_t>(
+      total,
+      [&pivot_sigs](const auto& emit) {
+        for (size_t i = 0; i < pivot_sigs.size(); ++i) {
+          for (uint64_t s : pivot_sigs[i]) emit(s, static_cast<uint32_t>(i));
+        }
+      },
+      &entries_);
 }
 
 void PivotSigMap::AdoptSorted(std::vector<Entry> entries) {

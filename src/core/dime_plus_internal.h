@@ -25,28 +25,29 @@
 ///                         pivot: signature filter, then benefit-ordered
 ///                         pair verification.
 ///
-/// The sig -> pivot-positions map is a flat sorted array instead of the
-/// hash map RunDimePlus used to build inline: same contents, same
-/// ascending-position iteration order (so verification order and counts
-/// are unchanged), but buildable with a parallel sort and ~2x faster to
-/// probe on large pivots.
+/// The sig -> pivot-positions map is a flat array grouped by signature
+/// instead of the hash map RunDimePlus used to build inline: same
+/// contents, same ascending-position iteration order (so verification
+/// order and counts are unchanged), but built in linear time by
+/// GroupBySignature (index/group_by_signature.h, pooled in the sharded
+/// engine) and ~2x faster to probe on large pivots.
 
 namespace dime {
 namespace internal {
 
-/// Sorted (signature, pivot position) entries; the positions of one
-/// signature form a contiguous ascending run, exactly the iteration
-/// order of the hash-map-of-vectors it replaces.
+/// (signature, pivot position) entries sorted by signature; the positions
+/// of one signature form a contiguous ascending run, exactly the
+/// iteration order of the hash-map-of-vectors it replaces.
 class PivotSigMap {
  public:
   using Entry = std::pair<uint64_t, uint32_t>;
 
-  /// Collects one entry per (pivot position, signature) and sorts.
+  /// Groups one entry per (pivot position, signature) by signature.
   /// Deterministic for given signatures.
   void Build(const std::vector<std::vector<uint64_t>>& pivot_sigs);
 
-  /// Takes pre-collected entries (the sharded engine gathers them in
-  /// parallel and pre-sorts with the pool); `entries` must be sorted.
+  /// Takes entries the sharded engine grouped on its pool; `entries`
+  /// must be what Build would produce.
   void AdoptSorted(std::vector<Entry> entries);
 
   /// The ascending pivot positions sharing signature `s` (len 0 if none).

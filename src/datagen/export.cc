@@ -1,6 +1,8 @@
 #include "src/datagen/export.h"
 
 #include <filesystem>
+#include <fstream>
+#include <system_error>
 
 #include "src/datagen/amazon_gen.h"
 #include "src/datagen/names.h"
@@ -14,23 +16,42 @@ namespace {
 
 namespace fs = std::filesystem;
 
-bool EnsureDirectory(const std::string& path) {
+/// A path that does not lead to a directory (a missing or non-directory
+/// component) is NOT_FOUND; any other failure is IO_ERROR.
+Status EnsureDirectory(const std::string& path) {
   std::error_code ec;
   fs::create_directories(path, ec);
-  return !ec;
+  if (!ec) return OkStatus();
+  const std::string message =
+      path + ": cannot create directory (" + ec.message() + ")";
+  if (ec == std::errc::no_such_file_or_directory ||
+      ec == std::errc::not_a_directory) {
+    return NotFoundError(message);
+  }
+  return IoError(message);
+}
+
+/// Writes `text` to `path` with WriteTsv's codes: NOT_FOUND when the file
+/// cannot be created, IO_ERROR when the write fails.
+Status WriteTextFile(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) return NotFoundError(path + ": cannot create");
+  out << text;
+  out.flush();
+  if (!out) return IoError(path + ": write failed");
+  return OkStatus();
 }
 
 }  // namespace
 
-bool ExportBenchmarkSuite(const std::string& directory,
-                          const ExportOptions& options,
-                          ExportManifest* manifest) {
+Status ExportBenchmarkSuite(const std::string& directory,
+                            const ExportOptions& options,
+                            ExportManifest* manifest) {
   ExportManifest local;
   const std::string scholar_dir = directory + "/scholar";
   const std::string amazon_dir = directory + "/amazon";
-  if (!EnsureDirectory(scholar_dir) || !EnsureDirectory(amazon_dir)) {
-    return false;
-  }
+  DIME_RETURN_IF_ERROR(EnsureDirectory(scholar_dir));
+  DIME_RETURN_IF_ERROR(EnsureDirectory(amazon_dir));
 
   // --- Scholar pages + preset rules + venue tree. -------------------------
   ScholarSetup scholar = MakeScholarSetup();
@@ -41,16 +62,16 @@ bool ExportBenchmarkSuite(const std::string& directory,
     Group page = GenerateScholarGroup(
         "Exported Owner " + std::to_string(i), gen);
     std::string path = scholar_dir + "/page_" + std::to_string(i) + ".tsv";
-    if (!SaveGroupTsv(page, path)) return false;
+    DIME_RETURN_IF_ERROR(SaveGroup(page, path));
     local.scholar_groups.push_back(path);
   }
   local.scholar_rules = scholar_dir + "/rules.txt";
-  if (!SaveRuleSet(local.scholar_rules, scholar.schema, scholar.positive,
-                   scholar.negative)) {
-    return false;
-  }
+  DIME_RETURN_IF_ERROR(WriteTextFile(
+      local.scholar_rules,
+      RuleSetToText(scholar.schema, scholar.positive, scholar.negative)));
   local.venue_ontology = scholar_dir + "/venues.ontology";
-  if (!scholar.venue_tree->SaveToFile(local.venue_ontology)) return false;
+  DIME_RETURN_IF_ERROR(
+      WriteTextFile(local.venue_ontology, scholar.venue_tree->ToText()));
 
   // --- Amazon categories + preset rules + fitted theme tree. --------------
   std::vector<Group> corpus;
@@ -67,19 +88,19 @@ bool ExportBenchmarkSuite(const std::string& directory,
   for (size_t i = 0; i < corpus.size(); ++i) {
     std::string path = amazon_dir + "/" + corpus[i].name + "_" +
                        std::to_string(i) + ".tsv";
-    if (!SaveGroupTsv(corpus[i], path)) return false;
+    DIME_RETURN_IF_ERROR(SaveGroup(corpus[i], path));
     local.amazon_groups.push_back(path);
   }
   local.amazon_rules = amazon_dir + "/rules.txt";
-  if (!SaveRuleSet(local.amazon_rules, amazon.schema, amazon.positive,
-                   amazon.negative)) {
-    return false;
-  }
+  DIME_RETURN_IF_ERROR(WriteTextFile(
+      local.amazon_rules,
+      RuleSetToText(amazon.schema, amazon.positive, amazon.negative)));
   local.theme_ontology = amazon_dir + "/themes.ontology";
-  if (!amazon.theme_tree->SaveToFile(local.theme_ontology)) return false;
+  DIME_RETURN_IF_ERROR(
+      WriteTextFile(local.theme_ontology, amazon.theme_tree->ToText()));
 
   if (manifest != nullptr) *manifest = std::move(local);
-  return true;
+  return OkStatus();
 }
 
 }  // namespace dime

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/entity/entity.h"
 
 /// \file export.h
@@ -42,11 +43,14 @@ struct ExportManifest {
   std::string theme_ontology;
 };
 
-/// Writes the suite under `directory` (created if missing). Returns false
-/// on any IO failure; `manifest`, if non-null, lists what was written.
-bool ExportBenchmarkSuite(const std::string& directory,
-                          const ExportOptions& options,
-                          ExportManifest* manifest = nullptr);
+/// Writes the suite under `directory` (created if missing); `manifest`,
+/// if non-null, lists what was written. A failure names the path:
+/// NOT_FOUND when a directory or file cannot be created there (a missing
+/// or non-directory path component), IO_ERROR when creating or writing
+/// fails otherwise.
+Status ExportBenchmarkSuite(const std::string& directory,
+                            const ExportOptions& options,
+                            ExportManifest* manifest = nullptr);
 
 }  // namespace dime
 

@@ -16,7 +16,7 @@
 #include "src/core/dime_plus.h"
 #include "src/core/dime_plus_internal.h"
 #include "src/core/signature.h"
-#include "src/exec/parallel_sort.h"
+#include "src/exec/group_by_signature.h"
 #include "src/index/striped_union_find.h"
 #include "src/sim/set_similarity.h"
 
@@ -62,7 +62,7 @@ size_t ChunkSize(size_t total, unsigned threads, size_t floor_size) {
 
 // ---------------------------------------------------------------------------
 // RunDimePlusSharded: Algorithm 2 — parallel signature postings, pooled
-// sort into inverted lists, volume-balanced verification, prebuilt
+// grouping into inverted lists, volume-balanced verification, prebuilt
 // negative contexts, one partition scan per task.
 // ---------------------------------------------------------------------------
 
@@ -111,14 +111,6 @@ struct ScratchFreeList {
   }
 };
 
-/// One positive rule's inverted lists: the entity arena in (signature,
-/// entity) sorted order, run r spanning entities[run_starts[r] ..
-/// run_starts[r + 1]).
-struct RuleLists {
-  std::vector<int> entities;
-  std::vector<size_t> run_starts;
-};
-
 DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
                                    const std::vector<PositiveRule>& positive,
                                    const std::vector<NegativeRule>& negative,
@@ -132,10 +124,15 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
 
   // ---- Step 1a: per-rule inverted lists. ---------------------------------
   // Per-chunk tasks generate (sig, entity) postings with private
-  // scratches; the pool then sorts each rule's postings into lists. The
-  // sort key (sig, entity) reproduces exactly the runs InvertedIndex's
-  // stable freeze builds from ascending Add()s.
-  std::vector<RuleLists> lists(positive.size());
+  // scratches; the pool then groups each rule's postings by signature
+  // into lists. Chunks hold ascending entities and are read in order, so
+  // the stable grouping reproduces exactly the runs InvertedIndex's
+  // freeze builds from ascending Add()s. Every list of two or more
+  // entities becomes a verify slice; a single entity holds no pair.
+  // arenas[r] holds rule r's lists back to back, in signature order;
+  // `lists` holds the slices of each rule's bucket ranges in turn.
+  std::vector<std::vector<int>> arenas(positive.size());
+  std::vector<std::vector<VerifySlice>> lists;
   {
     std::vector<std::unique_ptr<SignatureGenerator>> gens(positive.size());
     std::vector<std::vector<std::vector<std::pair<uint64_t, int>>>> chunks(
@@ -178,27 +175,44 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
                                           negative.size());
     }
     for (size_t r = 0; r < positive.size(); ++r) {
-      std::vector<std::pair<uint64_t, int>> postings;
+      std::vector<std::vector<std::pair<uint64_t, int>>>& parts = chunks[r];
       size_t total = 0;
-      for (const auto& c : chunks[r]) total += c.size();
-      postings.reserve(total);
-      for (auto& c : chunks[r]) {
-        postings.insert(postings.end(), c.begin(), c.end());
-        c.clear();
-        c.shrink_to_fit();
+      for (const auto& c : parts) total += c.size();
+      // Each chunk is freed once scattered; each bucket-range task copies
+      // its entities into the arena and returns its lists as slices.
+      std::vector<std::pair<uint64_t, int>> postings;
+      arenas[r].resize(total);
+      int* arena = arenas[r].data();
+      std::vector<std::vector<VerifySlice>> range_lists =
+          GroupBySignature<int>(
+              pool, total, parts.size(),
+              [&parts](size_t p, const auto& emit) {
+                for (const std::pair<uint64_t, int>& e : parts[p]) {
+                  emit(e.first, e.second);
+                }
+              },
+              [&parts](size_t p) {
+                std::vector<std::pair<uint64_t, int>>().swap(parts[p]);
+              },
+              &postings,
+              [&postings, arena, r](size_t begin, size_t end) {
+                const std::pair<uint64_t, int>* in = postings.data();
+                std::vector<VerifySlice> found;
+                size_t run = begin;
+                for (size_t i = begin; i < end; ++i) {
+                  arena[i] = in[i].second;
+                  if (i + 1 < end && in[i + 1].first == in[i].first) continue;
+                  const size_t len = i + 1 - run;
+                  if (len >= 2) {
+                    found.push_back(VerifySlice{r, arena + run, len, 0, len});
+                  }
+                  run = i + 1;
+                }
+                return found;
+              });
+      for (std::vector<VerifySlice>& range : range_lists) {
+        lists.push_back(std::move(range));
       }
-      ParallelSort(pool, &postings,
-                   std::less<std::pair<uint64_t, int>>());
-      // Collapse sorted postings into the entity arena + run table.
-      RuleLists& rl = lists[r];
-      rl.entities.resize(postings.size());
-      for (size_t i = 0; i < postings.size(); ++i) {
-        rl.entities[i] = postings[i].second;
-        if (i == 0 || postings[i].first != postings[i - 1].first) {
-          rl.run_starts.push_back(i);
-        }
-      }
-      rl.run_starts.push_back(postings.size());
     }
   }
 
@@ -206,51 +220,42 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
   StripedUnionFind uf(static_cast<size_t>(n));
   std::atomic<size_t> pos_checks{0};
   std::atomic<size_t> trans_skips{0};
-  size_t candidate_volume = 0;
   {
-    // Collect every list (len >= 2) as one or more row slices, then pack
-    // slices into near-equal-volume tasks.
-    std::vector<VerifySlice> slices;
-    size_t total_volume = 0;
-    auto add_list = [&](size_t rule, const int* list, size_t len) {
-      candidate_volume += len * (len - 1) / 2;
-      if (len < 2) return;
-      total_volume += len * (len - 1) / 2;
-      slices.push_back(VerifySlice{rule, list, len, 0, len});
-    };
-    for (size_t r = 0; r < positive.size(); ++r) {
-      const RuleLists& rl = lists[r];
-      for (size_t l = 0; l + 1 < rl.run_starts.size(); ++l) {
-        add_list(r, rl.entities.data() + rl.run_starts[l],
-                 rl.run_starts[l + 1] - rl.run_starts[l]);
-      }
+    // Pack the lists' row slices into near-equal-volume tasks.
+    size_t total_volume = 0, num_lists = 0;
+    for (const std::vector<VerifySlice>& range : lists) {
+      for (const VerifySlice& s : range) total_volume += s.volume();
+      num_lists += range.size();
     }
-    result.stats.candidate_pairs = candidate_volume;
+    result.stats.candidate_pairs = total_volume;
 
     const size_t target_volume =
         std::max<size_t>(1 << 12, ChunkSize(total_volume, threads, 1));
     // Split oversized lists (the stop-word flood) by rows so no single
     // slice dominates the schedule.
     std::vector<VerifySlice> balanced;
-    balanced.reserve(slices.size());
-    for (const VerifySlice& s : slices) {
-      if (s.volume() <= 2 * target_volume) {
-        balanced.push_back(s);
-        continue;
-      }
-      size_t row = 0;
-      while (row < s.len) {
-        VerifySlice part = s;
-        part.row_begin = row;
-        size_t vol = 0;
-        while (row < s.len && vol < target_volume) {
-          vol += s.len - 1 - row;
-          ++row;
+    balanced.reserve(num_lists);
+    for (const std::vector<VerifySlice>& range : lists) {
+      for (const VerifySlice& s : range) {
+        if (s.volume() <= 2 * target_volume) {
+          balanced.push_back(s);
+          continue;
         }
-        part.row_end = row;
-        balanced.push_back(part);
+        size_t row = 0;
+        while (row < s.len) {
+          VerifySlice part = s;
+          part.row_begin = row;
+          size_t vol = 0;
+          while (row < s.len && vol < target_volume) {
+            vol += s.len - 1 - row;
+            ++row;
+          }
+          part.row_end = row;
+          balanced.push_back(part);
+        }
       }
     }
+    std::vector<std::vector<VerifySlice>>().swap(lists);
 
     TaskGroup verify_group(pool);
     size_t batch_begin = 0, batch_volume = 0;
@@ -349,14 +354,15 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
     const std::vector<int>& pivot_entities = result.partitions[result.pivot];
 
     // Build every rule's context eagerly (pivot signatures in chunk
-    // tasks, map entries pool-sorted): the serial engine builds lazily
-    // because a rule may never be consulted, but here the partition
-    // scans run concurrently and all share the read-only contexts.
+    // tasks, then the map grouped on the pool straight from those
+    // chunks): the serial engine builds lazily because a rule may never
+    // be consulted, but here the partition scans run concurrently and all
+    // share the read-only contexts.
     std::vector<internal::NegativeRuleContext> contexts(negative.size());
     bool contexts_ready = true;
+    const size_t chunk = ChunkSize(pivot_entities.size(), threads, 256);
     {
       TaskGroup ctx_group(pool);
-      const size_t chunk = ChunkSize(pivot_entities.size(), threads, 256);
       for (size_t r = 0; r < negative.size(); ++r) {
         internal::NegativeRuleContext& ctx = contexts[r];
         internal::EnsureNegativeGenerator(pg, negative[r], r, &ctx);
@@ -388,19 +394,22 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
     }
     if (contexts_ready) {
       for (size_t r = 0; r < negative.size(); ++r) {
-        std::vector<internal::PivotSigMap::Entry> entries;
+        const std::vector<std::vector<uint64_t>>& sigs =
+            contexts[r].pivot_sigs;
         size_t total = 0;
-        for (const std::vector<uint64_t>& sigs : contexts[r].pivot_sigs) {
-          total += sigs.size();
-        }
-        entries.reserve(total);
-        for (size_t i = 0; i < contexts[r].pivot_sigs.size(); ++i) {
-          for (uint64_t s : contexts[r].pivot_sigs[i]) {
-            entries.emplace_back(s, static_cast<uint32_t>(i));
-          }
-        }
-        ParallelSort(pool, &entries,
-                     std::less<internal::PivotSigMap::Entry>());
+        for (const std::vector<uint64_t>& s : sigs) total += s.size();
+        std::vector<internal::PivotSigMap::Entry> entries;
+        GroupBySignature<uint32_t>(
+            pool, total, (sigs.size() + chunk - 1) / chunk,
+            [&sigs, chunk](size_t p, const auto& emit) {
+              const size_t end = std::min(sigs.size(), (p + 1) * chunk);
+              for (size_t i = p * chunk; i < end; ++i) {
+                for (uint64_t s : sigs[i]) {
+                  emit(s, static_cast<uint32_t>(i));
+                }
+              }
+            },
+            &entries);
         contexts[r].pivot_map.AdoptSorted(std::move(entries));
         contexts[r].ready = true;
       }

@@ -37,7 +37,8 @@ struct ShardedOptions {
 };
 
 /// Sharded counterpart of RunDimePlus: parallel signature generation,
-/// pool-sorted postings (the inverted lists), volume-balanced candidate
+/// postings grouped by signature on the pool (the inverted lists, see
+/// exec/group_by_signature.h), volume-balanced candidate
 /// verification into the striped union-find, then the extracted
 /// negative-phase scan (core/dime_plus_internal.h) one partition per
 /// task against prebuilt per-rule contexts. This is the path for large

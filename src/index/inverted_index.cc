@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/check.h"
+#include "src/index/group_by_signature.h"
 
 namespace dime {
 
@@ -18,22 +19,25 @@ void InvertedIndex::EnsureFrozen() const {
   // Stable: postings with the same signature keep insertion order, i.e.
   // each run reads exactly like the per-list append order of a hash-map
   // build, so enumeration order is deterministic.
-  std::stable_sort(postings_.begin(), postings_.end(),
-                   [](const std::pair<uint64_t, int>& a,
-                      const std::pair<uint64_t, int>& b) {
-                     return a.first < b.first;
-                   });
-  entities_.reserve(postings_.size());
+  std::vector<std::pair<uint64_t, int>> grouped;
+  GroupBySignature<int>(
+      postings_.size(),
+      [this](const auto& emit) {
+        for (const std::pair<uint64_t, int>& p : postings_) {
+          emit(p.first, p.second);
+        }
+      },
+      &grouped);
+  std::vector<std::pair<uint64_t, int>>().swap(postings_);
+  entities_.reserve(grouped.size());
   list_starts_.push_back(0);
-  for (size_t i = 0; i < postings_.size(); ++i) {
-    if (i > 0 && postings_[i].first != postings_[i - 1].first) {
+  for (size_t i = 0; i < grouped.size(); ++i) {
+    if (i > 0 && grouped[i].first != grouped[i - 1].first) {
       list_starts_.push_back(i);
     }
-    entities_.push_back(postings_[i].second);
+    entities_.push_back(grouped[i].second);
   }
-  if (!postings_.empty()) list_starts_.push_back(postings_.size());
-  postings_.clear();
-  postings_.shrink_to_fit();
+  if (!grouped.empty()) list_starts_.push_back(grouped.size());
 }
 
 std::vector<uint32_t> InvertedIndex::EnumerationOrder() const {

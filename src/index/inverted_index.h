@@ -12,11 +12,11 @@
 /// entities on the same list is a candidate, once per list it shares.
 ///
 /// Postings are kept in one flat (signature, entity) arena. Add() appends;
-/// the first query freezes the index by stable-sorting the arena by
-/// signature, after which each list is a contiguous run enumerated with
-/// sequential reads — no hash-map nodes, no per-list allocations. The
-/// stable sort preserves insertion order within each list. Add() after a
-/// query is a programming error (checked).
+/// the first query freezes the index by grouping the arena by signature
+/// (GroupBySignature, a linear-time bucket scatter), after which each list
+/// is a contiguous run enumerated with sequential reads — no hash-map
+/// nodes, no per-list allocations. The grouping is stable: each list keeps
+/// insertion order. Add() after a query is a programming error (checked).
 
 namespace dime {
 
@@ -45,7 +45,7 @@ class InvertedIndex {
   size_t num_lists() const;
 
  private:
-  /// Sorts the arena into per-signature runs; idempotent.
+  /// Groups the arena into per-signature runs; idempotent.
   void EnsureFrozen() const;
   /// Indexes (into the frozen run table) of lists with >= 2 entries, in
   /// enumeration order.

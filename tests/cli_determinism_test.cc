@@ -10,8 +10,8 @@
 // runs the same page through its merge-then-DIME+ path and must flag
 // exactly what Algorithm 1 flags on the merged group.
 //
-// The last test spawns generate_datasets with flags and checks it never
-// takes one as its output directory.
+// The last tests spawn generate_datasets: it never takes a flag as its
+// output directory, and a failed export exits with its Status code.
 //
 // DIME_CLI_BINARY, DIME_DELTA_BINARY and DIME_GENERATE_DATASETS_BINARY are
 // injected by CMake.
@@ -72,7 +72,8 @@ class CliDeterminismTest : public ::testing::Test {
     options.amazon_products = 20;
     options.seed = 6000;
     ExportManifest manifest;
-    ASSERT_TRUE(ExportBenchmarkSuite(*dir_, options, &manifest));
+    const Status exported = ExportBenchmarkSuite(*dir_, options, &manifest);
+    ASSERT_TRUE(exported.ok()) << exported.ToString();
     ASSERT_EQ(manifest.scholar_groups.size(), 1u);
     page_ = new std::string(manifest.scholar_groups[0]);
     rules_ = new std::string(manifest.scholar_rules);
@@ -273,6 +274,19 @@ TEST(GenerateDatasetsCliTest, FlagsAreNeverTakenAsTheOutputDirectory) {
   EXPECT_TRUE(std::filesystem::is_empty(dir))
       << "a refused or --help run wrote into " << dir;
   std::filesystem::remove_all(dir);
+}
+
+// A failed export exits with its Status code, never the reserved 1: an
+// output path through a regular file is NOT_FOUND, and the message names
+// the path.
+TEST(GenerateDatasetsCliTest, FailedExportExitsWithItsStatusCode) {
+  CliResult r = RunCommand(std::string(DIME_GENERATE_DATASETS_BINARY) +
+                           " /dev/null/x");
+  EXPECT_EQ(r.exit_code, ExitCodeForStatusCode(StatusCode::kNotFound))
+      << r.output;
+  EXPECT_NE(r.exit_code, kExitCodeNoStatus);
+  EXPECT_NE(r.output.find("/dev/null/x/scholar"), std::string::npos)
+      << r.output;
 }
 
 }  // namespace

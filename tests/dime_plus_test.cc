@@ -7,6 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <vector>
+
+#include "src/common/random.h"
+#include "src/core/dime_plus_internal.h"
 #include "src/datagen/amazon_gen.h"
 #include "src/datagen/dbgen_gen.h"
 #include "src/datagen/presets.h"
@@ -133,6 +139,42 @@ TEST(DimePlusOptionsTest, TransitivitySkipReducesVerifications) {
   EXPECT_EQ(r.stats.positive_pair_checks +
                 r.stats.pairs_skipped_by_transitivity,
             r.stats.candidate_pairs);
+}
+
+TEST(PivotSigMapTest, FindReturnsTheSortedReferenceRuns) {
+  // Random pivot signatures from a shared pool plus one flood signature
+  // on every pivot position; a few positions have no signature at all.
+  for (size_t positions : {size_t{30}, size_t{5000}}) {
+    Random rng(41 + positions);
+    const uint64_t flood = 0x0123456789abcdefULL;
+    std::vector<uint64_t> pool;
+    for (int k = 0; k < 700; ++k) pool.push_back(rng.NextUint64());
+    std::vector<std::vector<uint64_t>> pivot_sigs(positions);
+    std::map<uint64_t, std::vector<uint32_t>> reference;
+    for (size_t i = 0; i < positions; ++i) {
+      if (i % 97 == 3) continue;
+      pivot_sigs[i].push_back(flood);
+      for (int k = 0; k < 3; ++k) {
+        pivot_sigs[i].push_back(pool[rng.Uniform(pool.size())]);
+      }
+      for (uint64_t s : pivot_sigs[i]) {
+        reference[s].push_back(static_cast<uint32_t>(i));
+      }
+    }
+    internal::PivotSigMap map;
+    map.Build(pivot_sigs);
+    for (const auto& [sig, expected] : reference) {
+      std::vector<uint32_t> got;
+      for (const internal::PivotSigMap::Entry& e : map.Find(sig)) {
+        EXPECT_EQ(e.first, sig);
+        got.push_back(e.second);
+      }
+      EXPECT_EQ(got, expected) << "signature " << sig;
+    }
+    EXPECT_EQ(map.Find(flood).len, positions - (positions + 93) / 97);
+    EXPECT_FALSE(map.Contains(rng.NextUint64()));
+    EXPECT_FALSE(map.Contains(0));
+  }
 }
 
 TEST(DimePlusTest, EmptyGroup) {

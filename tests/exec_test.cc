@@ -13,7 +13,7 @@
 #include "src/datagen/dbgen_gen.h"
 #include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
-#include "src/exec/parallel_sort.h"
+#include "src/exec/group_by_signature.h"
 #include "src/exec/pool.h"
 #include "src/exec/sharded_dime.h"
 
@@ -142,32 +142,132 @@ TEST(PoolTest, ExecTaskFaultFailpointThrowsInsideTheRunner) {
 }
 
 // ---------------------------------------------------------------------------
-// ParallelSort.
+// GroupBySignature: the serial form and the pooled form at 1, 2 and 4
+// threads must equal std::stable_sort by signature on every input.
 
-TEST(ParallelSortTest, SmallInputTakesSerialPathAndSorts) {
-  WorkStealingPool pool(PoolOptions{4});
-  Random rng(11);
-  std::vector<uint64_t> v;
-  for (int i = 0; i < 1000; ++i) v.push_back(rng.Uniform(1u << 20));
-  std::vector<uint64_t> expected = v;
-  std::sort(expected.begin(), expected.end());
-  ParallelSort(&pool, &v, std::less<uint64_t>());
-  EXPECT_EQ(v, expected);
+using Posting = std::pair<uint64_t, int>;
+
+std::vector<Posting> StableSortedBySignature(std::vector<Posting> v) {
+  std::stable_sort(v.begin(), v.end(),
+                   [](const Posting& a, const Posting& b) {
+                     return a.first < b.first;
+                   });
+  return v;
 }
 
-TEST(ParallelSortTest, LargeInputMatchesStdSort) {
-  WorkStealingPool pool(PoolOptions{4});
-  Random rng(12);
-  std::vector<std::pair<uint64_t, int>> v;
-  const size_t n = (1u << 16) + 377;  // above the serial cutoff, odd size
-  v.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    v.emplace_back(rng.Uniform(1u << 10), static_cast<int>(i));
+std::vector<Posting> GroupSerially(const std::vector<Posting>& input) {
+  std::vector<Posting> out;
+  dime::GroupBySignature<int>(
+      input.size(),
+      [&input](const auto& emit) {
+        for (const Posting& e : input) emit(e.first, e.second);
+      },
+      &out);
+  return out;
+}
+
+// Splits the input into 7 uneven parts (some empty) read in place, and
+// checks the part and range callbacks' contracts along the way.
+std::vector<Posting> GroupOnPool(const std::vector<Posting>& input,
+                                 unsigned threads) {
+  WorkStealingPool pool(PoolOptions{threads});
+  const size_t n = input.size();
+  const std::vector<size_t> bounds = {
+      0, 0, n / 9, n / 3, n / 3, std::min(n, n / 2 + 1), n - n / 7, n};
+  const size_t num_parts = bounds.size() - 1;
+  std::vector<std::atomic<int>> released(num_parts);
+  std::vector<Posting> out;
+  const std::vector<std::pair<size_t, size_t>> ranges = GroupBySignature<int>(
+      &pool, n, num_parts,
+      [&](size_t p, const auto& emit) {
+        EXPECT_EQ(released[p].load(), 0) << "part " << p << " read late";
+        for (size_t i = bounds[p]; i < bounds[p + 1]; ++i) {
+          emit(input[i].first, input[i].second);
+        }
+      },
+      [&released](size_t p) { released[p].fetch_add(1); },
+      &out,
+      [](size_t begin, size_t end) { return std::make_pair(begin, end); });
+  for (size_t p = 0; p < num_parts; ++p) {
+    EXPECT_EQ(released[p].load(), 1) << "part " << p;
   }
-  std::vector<std::pair<uint64_t, int>> expected = v;
-  std::sort(expected.begin(), expected.end());
-  ParallelSort(&pool, &v, std::less<std::pair<uint64_t, int>>());
-  EXPECT_EQ(v, expected);
+  // The ranges tile [0, n) in order and never split a signature's run.
+  size_t next = 0;
+  for (const auto& [begin, end] : ranges) {
+    EXPECT_EQ(begin, next);
+    EXPECT_LE(begin, end);
+    if (begin > 0 && begin < n) {
+      EXPECT_NE(out[begin - 1].first, out[begin].first) << "at " << begin;
+    }
+    next = end;
+  }
+  EXPECT_EQ(next, n);
+  return out;
+}
+
+void ExpectGroupsLikeStableSort(const std::vector<Posting>& input,
+                                const std::string& what) {
+  const std::vector<Posting> expected = StableSortedBySignature(input);
+  EXPECT_EQ(GroupSerially(input), expected) << what << ", serial";
+  for (unsigned threads : {1u, 2u, 4u}) {
+    EXPECT_EQ(GroupOnPool(input, threads), expected)
+        << what << ", pooled at " << threads << " threads";
+  }
+}
+
+TEST(GroupBySignatureTest, RandomKeysAtEverySize) {
+  const size_t sizes[] = {0,  1,  2,  63, 64, 65, (1u << 15) - 1,
+                          1u << 15, (1u << 15) + 1, 300000};
+  for (size_t n : sizes) {
+    Random rng(17 + n);
+    std::vector<Posting> input;
+    input.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      input.emplace_back(rng.NextUint64(), static_cast<int>(i));
+    }
+    ExpectGroupsLikeStableSort(input, "random keys, n=" + std::to_string(n));
+  }
+}
+
+TEST(GroupBySignatureTest, EveryKeyEqual) {
+  for (size_t n : {size_t{40}, size_t{1} << 16}) {
+    std::vector<Posting> input;
+    for (size_t i = 0; i < n; ++i) {
+      input.emplace_back(0x9e3779b97f4a7c15ULL, static_cast<int>(i));
+    }
+    ExpectGroupsLikeStableSort(input, "equal keys, n=" + std::to_string(n));
+  }
+}
+
+TEST(GroupBySignatureTest, KeysSharingTheirTopBitsFallInOneBucket) {
+  // Keys below 2^20 have zero top bits at every bucket width, so the
+  // whole input is one crowded bucket with many repeated keys.
+  for (size_t n : {size_t{1000}, (size_t{1} << 15) + 3}) {
+    Random rng(23 + n);
+    std::vector<Posting> input;
+    for (size_t i = 0; i < n; ++i) {
+      input.emplace_back(rng.Uniform(1u << 20) % (n / 4),
+                         static_cast<int>(i));
+    }
+    ExpectGroupsLikeStableSort(input, "low keys, n=" + std::to_string(n));
+  }
+}
+
+TEST(GroupBySignatureTest, TiesKeepInputOrderWithDescendingPayloads) {
+  // Few distinct keys, payloads descending: a sort by (key, payload)
+  // would reverse every run, a stable grouping must not.
+  for (size_t n : {size_t{500}, size_t{100000}}) {
+    Random rng(29 + n);
+    std::vector<uint64_t> keys;
+    for (int k = 0; k < 37; ++k) keys.push_back(rng.NextUint64());
+    std::vector<Posting> input;
+    for (size_t i = 0; i < n; ++i) {
+      input.emplace_back(keys[rng.Uniform(keys.size())],
+                         static_cast<int>(n - i));
+    }
+    ExpectGroupsLikeStableSort(input,
+                               "descending payloads, n=" + std::to_string(n));
+  }
 }
 
 // ---------------------------------------------------------------------------

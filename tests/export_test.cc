@@ -18,7 +18,8 @@ TEST(ExportTest, SuiteRoundTripsThroughTheCodecs) {
   options.amazon_categories = 2;
   options.amazon_products = 40;
   ExportManifest manifest;
-  ASSERT_TRUE(ExportBenchmarkSuite(dir, options, &manifest));
+  const Status exported = ExportBenchmarkSuite(dir, options, &manifest);
+  ASSERT_TRUE(exported.ok()) << exported.ToString();
   ASSERT_EQ(manifest.scholar_groups.size(), 2u);
   ASSERT_EQ(manifest.amazon_groups.size(), 2u);
 
@@ -63,7 +64,8 @@ TEST(ExportTest, AmazonArtifactsRunFromDisk) {
   options.amazon_categories = 2;
   options.amazon_products = 50;
   ExportManifest manifest;
-  ASSERT_TRUE(ExportBenchmarkSuite(dir, options, &manifest));
+  const Status exported = ExportBenchmarkSuite(dir, options, &manifest);
+  ASSERT_TRUE(exported.ok()) << exported.ToString();
 
   Group category;
   ASSERT_TRUE(LoadGroupTsv(manifest.amazon_groups[0], "cat", &category));
@@ -84,8 +86,16 @@ TEST(ExportTest, AmazonArtifactsRunFromDisk) {
 TEST(ExportTest, FailsOnUnwritableDirectory) {
   ExportOptions options;
   options.scholar_pages = 1;
-  EXPECT_FALSE(ExportBenchmarkSuite("/proc/definitely/not/writable",
-                                    options));
+  const Status missing =
+      ExportBenchmarkSuite("/proc/definitely/not/writable", options);
+  EXPECT_EQ(missing.code(), StatusCode::kNotFound) << missing.ToString();
+  EXPECT_NE(missing.message().find("/proc/definitely/not/writable/scholar"),
+            std::string::npos)
+      << missing.ToString();
+  // A path through a regular file cannot hold a directory either.
+  const Status through_file = ExportBenchmarkSuite("/dev/null/x", options);
+  EXPECT_EQ(through_file.code(), StatusCode::kNotFound)
+      << through_file.ToString();
 }
 
 }  // namespace

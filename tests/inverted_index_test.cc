@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "src/common/random.h"
 #include "src/index/verification.h"
 
 namespace dime {
@@ -70,6 +75,59 @@ TEST(InvertedIndexTest, ShortListsFirstOrdersByLengthThenFirstEntity) {
   size_t visited = 0;
   index.ForEachList([&](const int*, size_t) { return ++visited < 2; });
   EXPECT_EQ(visited, 2u);
+}
+
+TEST(InvertedIndexTest, ListsMatchAStableSortReference) {
+  // Entities added in shuffled order, sharing signatures drawn from a
+  // small pool (uniform hashes, low keys that share their top bits, and
+  // one signature on every entity): each list must hold its entities in
+  // insertion order, as a stable sort of the postings by signature gives.
+  Random rng(5);
+  std::vector<uint64_t> pool = {0xfeedfacecafebeefULL};  // on every entity
+  for (int k = 0; k < 400; ++k) pool.push_back(rng.NextUint64());
+  for (uint64_t k = 1; k <= 40; ++k) pool.push_back(k);
+  std::vector<int> order;
+  for (int e = 0; e < 3000; ++e) order.push_back(e);
+  rng.Shuffle(&order);
+
+  InvertedIndex index;
+  std::vector<std::pair<uint64_t, int>> postings;
+  for (int e : order) {
+    std::vector<uint64_t> sigs = {pool[0]};
+    for (int k = 0; k < 4; ++k) sigs.push_back(pool[rng.Uniform(pool.size())]);
+    index.Add(e, sigs);
+    for (uint64_t s : sigs) postings.emplace_back(s, e);
+  }
+  std::stable_sort(postings.begin(), postings.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  // Reference lists in signature order, then the streaming order
+  // ForEachList documents: length, first entity, signature position.
+  std::vector<std::vector<int>> by_signature;
+  for (size_t i = 0; i < postings.size(); ++i) {
+    if (i == 0 || postings[i].first != postings[i - 1].first) {
+      by_signature.emplace_back();
+    }
+    by_signature.back().push_back(postings[i].second);
+  }
+  std::vector<size_t> streamed;
+  for (size_t l = 0; l < by_signature.size(); ++l) {
+    if (by_signature[l].size() > 1) streamed.push_back(l);
+  }
+  std::sort(streamed.begin(), streamed.end(), [&](size_t a, size_t b) {
+    return std::make_tuple(by_signature[a].size(), by_signature[a][0], a) <
+           std::make_tuple(by_signature[b].size(), by_signature[b][0], b);
+  });
+  std::vector<std::vector<int>> expected;
+  size_t volume = 0;
+  for (size_t l : streamed) {
+    expected.push_back(by_signature[l]);
+    volume += by_signature[l].size() * (by_signature[l].size() - 1) / 2;
+  }
+  EXPECT_EQ(Lists(index), expected);
+  EXPECT_EQ(index.num_lists(), by_signature.size());
+  EXPECT_EQ(index.CandidateVolume(), volume);
 }
 
 TEST(VerificationTest, SimilarProbability) {
