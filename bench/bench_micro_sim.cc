@@ -240,7 +240,7 @@ void BM_PrepareGroup(benchmark::State& state) {
 BENCHMARK(BM_PrepareGroup)->Arg(100)->Arg(400);
 
 // One serial GroupBySignature run, the grouping under both DIME+ steps
-// (InvertedIndex's freeze in step 1, the pivot signature map in step 3):
+// (the inverted lists of step 1, the pivot signature map of step 3):
 // n postings in ascending entity order whose uniform signatures come from
 // a pool of n / 4, so lists average four entities.
 void BM_SortPostings(benchmark::State& state) {

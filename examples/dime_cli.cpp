@@ -4,14 +4,14 @@
 //   dime_cli <group.tsv> --positive "<rule>" [--positive ...]
 //                        --negative "<rule>" [--negative ...]
 //                        [--rules <ruleset.txt>]
-//                        [--engine naive|plus|sharded]
+//                        [--engine naive|plus]
 //                        [--threads <n>] [--venue-ontology]
 //                        [--ontology <tree.txt> --ontology-mode exact|keyword]
 //                        [--deadline-ms <n>] [--stats]
 //
 // Snapshot mode — run over a prepared binary snapshot (dime_snapshot):
 //   dime_cli --snapshot <corpus.snap> [--group-name <name>]
-//            [--engine naive|plus|sharded] [--threads <n>]
+//            [--engine naive|plus] [--threads <n>]
 //            [--deadline-ms <n>] [--stats]
 // Loads the corpus without re-running PrepareGroup (the snapshot holds
 // the meta, rules, ontologies, groups and each group's prepared columns;
@@ -46,6 +46,11 @@
 // scrollbar — pair checks, filter survivors, transitivity skips and
 // kernel early exits — so rule and engine choices can be compared without
 // a profiler.
+//
+// --engine plus runs DIME+ on one executor below 8192 entities and on a
+// pool of --threads executors from there up; the decisions never depend
+// on the thread count, but on a pool of several threads the split of
+// step-1 work between pair checks and transitivity skips does.
 //
 // All exit codes follow the single mapping in src/common/exit_code.h.
 //

@@ -16,7 +16,8 @@
 ///
 /// Failpoint registry (every name in the tree, machine-checked):
 ///   "io/read"                TSV/file reads fail with IO_ERROR
-///   "parallel/worker-fault"  a RunDimePlusSharded worker task throws
+///   "parallel/worker-fault"  a DIME+ verification or partition task
+///                            throws
 ///   "engine/deadline"        engines behave as if the deadline expired
 ///   "store/mmap"             snapshot loads take the read() fallback
 ///   "store/swap"             ReloadFromSnapshot fails (UNAVAILABLE)

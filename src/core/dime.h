@@ -92,8 +92,8 @@ struct DimeResult {
   /// RunControl stopped the engine early: the result is then partial but
   /// valid — every flagged set is a subset of what the untruncated run
   /// would flag, and the scrollbar prefixes stay monotone. INTERNAL when
-  /// RunDimePlusSharded captured a worker fault and serial fallback was
-  /// disabled (the result carries no partitions in that case).
+  /// a DIME+ task faulted and so did the group's rerun on one executor
+  /// (exec/sharded_dime.h); the result carries no partitions then.
   Status status;
 
   bool ok() const { return status.ok(); }

@@ -2,23 +2,10 @@
 
 #include <algorithm>
 
-#include "src/index/group_by_signature.h"
+#include "src/index/verification.h"
 
 namespace dime {
 namespace internal {
-
-void PivotSigMap::Build(const std::vector<std::vector<uint64_t>>& pivot_sigs) {
-  size_t total = 0;
-  for (const std::vector<uint64_t>& sigs : pivot_sigs) total += sigs.size();
-  GroupBySignature<uint32_t>(
-      total,
-      [&pivot_sigs](const auto& emit) {
-        for (size_t i = 0; i < pivot_sigs.size(); ++i) {
-          for (uint64_t s : pivot_sigs[i]) emit(s, static_cast<uint32_t>(i));
-        }
-      },
-      &entries_);
-}
 
 void PivotSigMap::AdoptSorted(std::vector<Entry> entries) {
   entries_ = std::move(entries);
@@ -36,37 +23,125 @@ PivotSigMap::PosRun PivotSigMap::Find(uint64_t s) const {
   return run;
 }
 
-void EnsureNegativeGenerator(const PreparedGroup& pg,
-                             const NegativeRule& rule, size_t r,
-                             NegativeRuleContext* ctx) {
-  if (ctx->gen != nullptr) return;
-  ctx->gen = std::make_unique<SignatureGenerator>(
-      pg, rule.predicates, Direction::kLe,
-      /*rule_tag=*/0x1000 + r);
-}
-
-void GeneratePivotSignatures(const std::vector<int>& pivot_entities,
-                             size_t begin, size_t end,
-                             SignatureScratch* scratch,
-                             NegativeRuleContext* ctx) {
-  for (size_t i = begin; i < end; ++i) {
-    ctx->pivot_sigs[i] =
-        ctx->gen->NegativeRuleSignatures(pivot_entities[i], scratch);
-  }
-}
-
-void BuildNegativeRuleContext(const PreparedGroup& pg,
-                              const NegativeRule& rule, size_t r,
+int FlagPartitionAgainstPivot(const PreparedGroup& pg,
+                              const std::vector<NegativeRule>& negative,
                               const std::vector<int>& pivot_entities,
-                              SignatureScratch* scratch,
-                              NegativeRuleContext* ctx) {
-  if (ctx->ready) return;
-  EnsureNegativeGenerator(pg, rule, r, ctx);
-  ctx->pivot_sigs.resize(pivot_entities.size());
-  GeneratePivotSignatures(pivot_entities, 0, pivot_entities.size(), scratch,
-                          ctx);
-  ctx->pivot_map.Build(ctx->pivot_sigs);
-  ctx->ready = true;
+                              const std::vector<int>& members,
+                              const std::vector<NegativeRuleContext>& contexts,
+                              NegativeScratch* scratch,
+                              NegativePhaseStats* stats) {
+  int flag = -1;
+  if (scratch->member_sigs.size() < members.size()) {
+    scratch->member_sigs.resize(members.size());
+  }
+  // Dense per-member shared-signature counter: one slot per pivot
+  // position, reset between members through the dirty list — the
+  // hash-map pair counter this replaces spent more time hashing
+  // (member, pivot) keys than verifying rules on large pivots.
+  if (scratch->shared_with_pivot.size() != pivot_entities.size()) {
+    scratch->shared_with_pivot.assign(pivot_entities.size(), 0);
+    scratch->dirty.clear();
+  }
+  std::vector<std::vector<uint64_t>>& member_sigs = scratch->member_sigs;
+  std::vector<uint32_t>& shared_with_pivot = scratch->shared_with_pivot;
+  std::vector<uint32_t>& dirty = scratch->dirty;
+
+  for (size_t r = 0; r < negative.size() && flag < 0; ++r) {
+    const NegativeRuleContext& ctx = contexts[r];
+
+    // Filter: generate each member's signatures once (they are reused
+    // for the shared counts below) and test whether any matches a
+    // pivot signature.
+    bool any_shared = false;
+    for (size_t m = 0; m < members.size(); ++m) {
+      member_sigs[m] =
+          ctx.gen->NegativeRuleSignatures(members[m], &scratch->sig);
+      if (any_shared) continue;
+      for (uint64_t s : member_sigs[m]) {
+        if (ctx.pivot_map.Contains(s)) {
+          any_shared = true;
+          break;
+        }
+      }
+    }
+    if (!any_shared) {
+      // No signature of P matches any signature of P*: every cross pair
+      // satisfies the rule, so every member of P is dissimilar from the
+      // whole pivot — flag without verification.
+      flag = static_cast<int>(r);
+      ++stats->partitions_pruned_by_filter;
+      break;
+    }
+
+    // Verification: a member flags the partition if it is dissimilar
+    // from EVERY pivot entity. For each member, pivot entities are
+    // checked most-likely-similar first (shared signatures up, cost
+    // down), so a violating pair — which ends this member's scan — is
+    // found as early as possible.
+    //
+    // Only the dirty positions (shared > 0) can have positive benefit:
+    // SimilarProbability(0, ·, ·) is 0 and the cost clamp keeps shared
+    // benefits strictly above it, so the zero-shared majority forms a
+    // tied block that the full sort would place last, ordered by
+    // ascending e_star — which is pivot order, because Components()
+    // emits each partition sorted by entity id. Building and sorting
+    // candidates for the dirty list alone and then scanning the
+    // zero-shared remainder in pivot order therefore verifies pairs in
+    // exactly the order the full materialization did, without the
+    // O(|pivot|) probability/cost computations and sort per member.
+    std::vector<NegativeCandidate>& cands = scratch->cands;
+    for (size_t m = 0; m < members.size() && flag < 0; ++m) {
+      // Scatter this member's shared counts into the dense slots.
+      for (uint64_t s : member_sigs[m]) {
+        PivotSigMap::PosRun run = ctx.pivot_map.Find(s);
+        for (const PivotSigMap::Entry& ent : run) {
+          const uint32_t i = ent.second;
+          if (shared_with_pivot[i]++ == 0) {
+            dirty.push_back(i);
+          }
+        }
+      }
+      bool all_dissimilar = true;
+      cands.clear();
+      cands.reserve(dirty.size());
+      for (uint32_t i : dirty) {
+        double prob = SimilarProbability(shared_with_pivot[i],
+                                         member_sigs[m].size(),
+                                         ctx.pivot_sigs[i].size());
+        double cost = RuleVerificationCost(pg, negative[r].predicates,
+                                           members[m], pivot_entities[i]);
+        cands.push_back(NegativeCandidate{PositiveBenefit(prob, cost),
+                                          members[m], pivot_entities[i]});
+      }
+      std::sort(cands.begin(), cands.end(),
+                [](const NegativeCandidate& a, const NegativeCandidate& b) {
+                  if (a.benefit != b.benefit) return a.benefit > b.benefit;
+                  return a.e_star < b.e_star;
+                });
+      for (const NegativeCandidate& c : cands) {
+        ++stats->negative_pair_checks;
+        if (!EvalNegativeRule(pg, negative[r], c.e, c.e_star)) {
+          all_dissimilar = false;
+          break;
+        }
+      }
+      if (all_dissimilar) {
+        for (size_t i = 0; i < pivot_entities.size(); ++i) {
+          if (shared_with_pivot[i] != 0) continue;  // verified above
+          ++stats->negative_pair_checks;
+          if (!EvalNegativeRule(pg, negative[r], members[m],
+                                pivot_entities[i])) {
+            all_dissimilar = false;
+            break;
+          }
+        }
+      }
+      for (uint32_t d : dirty) shared_with_pivot[d] = 0;
+      dirty.clear();
+      if (all_dissimilar) flag = static_cast<int>(r);
+    }
+  }
+  return flag;
 }
 
 }  // namespace internal

@@ -1,12 +1,12 @@
 #include "src/exec/engine.h"
 
 #include "src/core/dime_plus.h"
+#include "src/core/preprocess.h"
 
 namespace dime {
 namespace {
 
-constexpr EngineKind kEngineKinds[] = {EngineKind::kNaive, EngineKind::kPlus,
-                                       EngineKind::kSharded};
+constexpr EngineKind kEngineKinds[] = {EngineKind::kNaive, EngineKind::kPlus};
 
 }  // namespace
 
@@ -16,8 +16,6 @@ const char* EngineKindName(EngineKind kind) {
       return "naive";
     case EngineKind::kPlus:
       return "plus";
-    case EngineKind::kSharded:
-      return "sharded";
   }
   return "unknown";
 }
@@ -47,15 +45,13 @@ DimeResult RunEngine(EngineKind kind, const PreparedGroup& pg,
                      const std::vector<PositiveRule>& positive,
                      const std::vector<NegativeRule>& negative,
                      const ShardedOptions& options, const RunControl& control) {
-  switch (kind) {
-    case EngineKind::kNaive:
-      return RunDime(pg, positive, negative, control);
-    case EngineKind::kPlus:
-      return RunDimePlus(pg, positive, negative, control);
-    case EngineKind::kSharded:
-      return RunDimePlusSharded(pg, positive, negative, options, control);
+  if (kind == EngineKind::kNaive) {
+    return RunDime(pg, positive, negative, control);
   }
-  return RunDimePlus(pg, positive, negative, control);
+  if (pg.size() < kPrepareChunkEntities) {
+    return RunDimePlus(pg, positive, negative, control);
+  }
+  return RunDimePlusSharded(pg, positive, negative, options, control);
 }
 
 }  // namespace exec

@@ -12,15 +12,15 @@
 /// \file engine.h
 /// The engine choice every front end offers (dime_server, the wire
 /// "engine" field, dime_cli --engine): Algorithm 1 as the reference
-/// oracle, Algorithm 2 serial, and Algorithm 2 on the sharded executor.
-/// All three give bit-identical decisions; they differ in speed only.
+/// oracle and Algorithm 2 as the fast path. Both give bit-identical
+/// decisions; they differ in speed only.
 
 namespace dime {
 
 /// Which engine executes a check.
-enum class EngineKind { kNaive, kPlus, kSharded };
+enum class EngineKind { kNaive, kPlus };
 
-/// "naive" / "plus" / "sharded".
+/// "naive" / "plus".
 const char* EngineKindName(EngineKind kind);
 /// False (and *kind untouched) for any other name.
 bool EngineKindFromName(std::string_view name, EngineKind* kind);
@@ -30,8 +30,10 @@ std::string EngineKindNames(std::string_view separator);
 
 namespace exec {
 
-/// Runs `pg` through `kind`: RunDime, RunDimePlus, or RunDimePlusSharded
-/// with `options`.
+/// Runs `pg` through `kind`. kPlus runs RunDimePlus, on one executor,
+/// below kPrepareChunkEntities entities (the size at which PrepareGroup
+/// goes parallel too), and RunDimePlusSharded with `options` from there
+/// up.
 DimeResult RunEngine(EngineKind kind, const PreparedGroup& pg,
                      const std::vector<PositiveRule>& positive,
                      const std::vector<NegativeRule>& negative,

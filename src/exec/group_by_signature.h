@@ -15,7 +15,7 @@
 
 /// \file group_by_signature.h
 /// Pooled form of GroupBySignature (index/group_by_signature.h) for the
-/// sharded engine: the same output, byte for byte, from the same three
+/// DIME+ engine: the same output, byte for byte, from the same three
 /// steps run as tasks. The input is a sequence of parts (per-chunk
 /// posting vectors in step 1, ranges of pivot signatures in step 3),
 /// read in place. Consecutive parts form one slice per executor:
@@ -26,6 +26,8 @@
 ///  3. one task per range of buckets (ranges of near-equal entry counts)
 ///     sorts its buckets and runs the caller's `on_range` on them.
 /// Below kPooledGroupingMin entries it runs the serial form inline.
+/// SortByKey, a counting sort by small integer keys, orders step 1's
+/// lists (exec/inverted_lists.h) with the same per-slice tasks.
 
 namespace dime {
 namespace exec {
@@ -166,6 +168,49 @@ auto GroupBySignature(WorkStealingPool* pool, size_t n, size_t num_parts,
                           bucket_begin(first_bucket[r + 1]));
   });
   return results;
+}
+
+/// Fills `*out` with the elements of `in` sorted by key(x), a value in
+/// [0, num_keys), ties in input order: a counting sort whose counting and
+/// scatter passes run as one task per slice of `in`, as in
+/// GroupBySignature. A slice gets at least max(num_keys, 2^14) elements,
+/// which keeps the per-slice histograms no larger than the input.
+template <typename T, typename Key>
+void SortByKey(WorkStealingPool* pool, const std::vector<T>& in,
+               size_t num_keys, const Key& key, std::vector<T>* out) {
+  const size_t n = in.size();
+  DIME_CHECK_LE(n, std::numeric_limits<uint32_t>::max());
+  const size_t num_slices = std::clamp<size_t>(
+      n / std::max<size_t>(num_keys, size_t{1} << 14), 1,
+      pool->thread_count());
+  auto slice_begin = [n, num_slices](size_t s) { return n * s / num_slices; };
+  // cursors[s * num_keys + k] counts slice s's elements of key k, then
+  // becomes their write cursor: key k holds slice 0's elements, then
+  // slice 1's, and so on.
+  std::vector<uint32_t> cursors(num_slices * num_keys, 0);
+  internal_grouping::RunTasks(pool, num_slices, [&](size_t s) {
+    uint32_t* count = cursors.data() + s * num_keys;
+    for (size_t i = slice_begin(s); i < slice_begin(s + 1); ++i) {
+      ++count[key(in[i])];
+    }
+  });
+  uint32_t offset = 0;
+  for (size_t k = 0; k < num_keys; ++k) {
+    for (size_t s = 0; s < num_slices; ++s) {
+      uint32_t& c = cursors[s * num_keys + k];
+      const uint32_t count = c;
+      c = offset;
+      offset += count;
+    }
+  }
+  out->resize(n);
+  T* dst = out->data();
+  internal_grouping::RunTasks(pool, num_slices, [&](size_t s) {
+    uint32_t* cursor = cursors.data() + s * num_keys;
+    for (size_t i = slice_begin(s); i < slice_begin(s + 1); ++i) {
+      dst[cursor[key(in[i])]++] = in[i];
+    }
+  });
 }
 
 /// GroupBySignature with nothing to release or run per range.

@@ -15,8 +15,8 @@
 #include "src/common/thread_annotations.h"
 
 /// \file pool.h
-/// The work-stealing task scheduler of the sharded execution engine
-/// (DESIGN.md §7.9). A WorkStealingPool owns a fixed set of worker
+/// The work-stealing task scheduler the DIME+ engine runs on (DESIGN.md
+/// §7.9). A WorkStealingPool owns a fixed set of worker
 /// threads; engines spawn chunky tasks (thousands of pair verifications
 /// each) into a TaskGroup and then Wait(), which makes the calling thread
 /// the pool's n-th executor — so a pool built for `num_threads = 1` has
@@ -32,10 +32,10 @@
 /// Failure model: a task that throws never escapes the pool. The first
 /// exception is captured on its TaskGroup, the group is cancelled
 /// (unstarted tasks are skipped), and the engine maps the captured
-/// exception to its documented degradation path (serial fallback or an
-/// INTERNAL status). Deadlines/cancellation are cooperative: task bodies
-/// poll their RunControl and call TaskGroup::RecordControl, which also
-/// cancels the group. The "exec/task-fault" failpoint fires inside the
+/// exception to its documented degradation path (one rerun on one
+/// executor, then an INTERNAL status). Deadlines/cancellation are
+/// cooperative: task bodies poll their RunControl and call
+/// TaskGroup::RecordControl, which also cancels the group. The "exec/task-fault" failpoint fires inside the
 /// task runner so every engine built on the pool inherits a tested
 /// fault path.
 

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -17,6 +18,7 @@
 #include "src/core/dime_plus_internal.h"
 #include "src/core/signature.h"
 #include "src/exec/group_by_signature.h"
+#include "src/exec/inverted_lists.h"
 #include "src/index/striped_union_find.h"
 #include "src/sim/set_similarity.h"
 
@@ -42,47 +44,45 @@ struct PoolRef {
 };
 
 /// Rethrows the group's first task exception, if any. The engine calls
-/// this right after Wait(); the catch site in RunDimePlusSharded falls
-/// back to the serial engine.
+/// this right after Wait(); RunWithRerun catches it.
 void RethrowTaskFault(const TaskGroup& group) {
   std::exception_ptr e = group.exception();
   if (e != nullptr) std::rethrow_exception(e);
 }
 
-std::string FaultText(const std::exception* e) {
-  return e != nullptr ? e->what() : "worker thread failed";
-}
-
 /// Chunky-task sizing: elements per task so every executor gets several
 /// tasks (for stealing to balance) without drowning in scheduling noise.
+/// One executor has nothing to balance and takes each phase whole.
 size_t ChunkSize(size_t total, unsigned threads, size_t floor_size) {
+  if (threads == 1) return std::max<size_t>(total, 1);
   const size_t chunks = static_cast<size_t>(threads) * 4;
   return std::max(floor_size, (total + chunks - 1) / chunks);
 }
 
 // ---------------------------------------------------------------------------
-// RunDimePlusSharded: Algorithm 2 — parallel signature postings, pooled
-// grouping into inverted lists, volume-balanced verification, prebuilt
-// negative contexts, one partition scan per task.
+// Algorithm 2 on a pool: parallel signature postings, pooled inverted
+// lists, volume-balanced verification in list order, prebuilt negative
+// contexts, one partition scan per task.
 // ---------------------------------------------------------------------------
 
-/// A slice of one inverted list to verify: rows [row_begin, row_end) of
-/// `list` against every later element. Slicing rows keeps a stop-word
-/// flood list (one signature on every entity) from serializing the run.
-struct VerifySlice {
-  size_t rule = 0;
-  const int* list = nullptr;
-  size_t len = 0;
-  size_t row_begin = 0;
-  size_t row_end = 0;
+/// Pairs of rows [row_begin, row_end) of a list of `len` entities, each
+/// row against every later entity: the sum over rows i of (len - 1 - i).
+size_t RowsVolume(size_t len, size_t row_begin, size_t row_end) {
+  const size_t rows = row_end - row_begin;
+  return rows * ((len - 1 - row_begin) + (len - row_end)) / 2;
+}
 
-  size_t volume() const {
-    // sum over rows i of (len - 1 - i)
-    const size_t rows = row_end - row_begin;
-    const size_t first = len - 1 - row_begin;
-    const size_t last = len - row_end;
-    return rows * (first + last) / 2;
-  }
+/// One verification task: lists [first, last) of rule `rule`'s visiting
+/// order, rows [row_begin, row_end) of each (clamped to its length).
+/// Batches of short lists take every row; a list too long for one task
+/// (the stop-word flood) is cut into row slices, one task each, so it
+/// cannot serialize the run.
+struct VerifyTask {
+  size_t rule = 0;
+  size_t first = 0;
+  size_t last = 0;
+  size_t row_begin = 0;
+  size_t row_end = SIZE_MAX;
 };
 
 /// Per-run freelist of negative-phase scratches. Tasks borrow one for a
@@ -111,11 +111,10 @@ struct ScratchFreeList {
   }
 };
 
-DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
-                                   const std::vector<PositiveRule>& positive,
-                                   const std::vector<NegativeRule>& negative,
-                                   const RunControl& control,
-                                   WorkStealingPool* pool) {
+DimeResult RunOnPool(const PreparedGroup& pg,
+                     const std::vector<PositiveRule>& positive,
+                     const std::vector<NegativeRule>& negative,
+                     const RunControl& control, WorkStealingPool* pool) {
   DimeResult result;
   const int n = static_cast<int>(pg.size());
   const unsigned threads = pool->thread_count();
@@ -123,50 +122,35 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
   std::atomic<uint64_t> kernel_exits{0};
 
   // ---- Step 1a: per-rule inverted lists. ---------------------------------
-  // Per-chunk tasks generate (sig, entity) postings with private
-  // scratches; the pool then groups each rule's postings by signature
-  // into lists. Chunks hold ascending entities and are read in order, so
-  // the stable grouping reproduces exactly the runs InvertedIndex's
-  // freeze builds from ascending Add()s. Every list of two or more
-  // entities becomes a verify slice; a single entity holds no pair.
-  // arenas[r] holds rule r's lists back to back, in signature order;
-  // `lists` holds the slices of each rule's bucket ranges in turn.
-  std::vector<std::vector<int>> arenas(positive.size());
-  std::vector<std::vector<VerifySlice>> lists;
-  {
-    std::vector<std::unique_ptr<SignatureGenerator>> gens(positive.size());
-    std::vector<std::vector<std::vector<std::pair<uint64_t, int>>>> chunks(
-        positive.size());
-    const size_t chunk = ChunkSize(static_cast<size_t>(n), threads, 512);
-    const size_t num_chunks = (static_cast<size_t>(n) + chunk - 1) / chunk;
+  // One rule at a time, so only one rule's postings are alive: per-chunk
+  // tasks generate (sig, entity) postings with private scratches,
+  // ascending entities in each chunk; the pool then groups them into
+  // lists and orders those (inverted_lists.h).
+  std::vector<InvertedLists> lists(positive.size());
+  const size_t chunk = ChunkSize(static_cast<size_t>(n), threads, 512);
+  const size_t num_chunks = (static_cast<size_t>(n) + chunk - 1) / chunk;
+  for (size_t r = 0; r < positive.size(); ++r) {
+    const SignatureGenerator gen(pg, positive[r].predicates, Direction::kGe,
+                                 /*rule_tag=*/r + 1);
+    std::vector<std::vector<std::pair<uint64_t, int>>> chunks(num_chunks);
     TaskGroup gen_group(pool);
-    for (size_t r = 0; r < positive.size(); ++r) {
-      gens[r] = std::make_unique<SignatureGenerator>(
-          pg, positive[r].predicates, Direction::kGe,
-          /*rule_tag=*/r + 1);
-      chunks[r].resize(num_chunks);
-      for (size_t c = 0; c < num_chunks; ++c) {
-        gen_group.Spawn([&pg, &gens, &chunks, &control, &gen_group, chunk, r,
-                         c, n] {
-          Status st =
-              internal::CheckRunControl(control, "dime_plus/index-rule");
-          if (!st.ok()) {
-            gen_group.RecordControl(std::move(st));
-            return;
+    for (size_t c = 0; c < num_chunks; ++c) {
+      gen_group.Spawn([&gen, &chunks, &control, &gen_group, chunk, c, n] {
+        Status st = internal::CheckRunControl(control, "dime_plus/index-rule");
+        if (!st.ok()) {
+          gen_group.RecordControl(std::move(st));
+          return;
+        }
+        SignatureScratch scratch;
+        std::vector<std::pair<uint64_t, int>>& out = chunks[c];
+        const size_t end = std::min(static_cast<size_t>(n), (c + 1) * chunk);
+        for (size_t e = c * chunk; e < end; ++e) {
+          for (uint64_t s :
+               gen.PositiveRuleSignatures(static_cast<int>(e), &scratch)) {
+            out.emplace_back(s, static_cast<int>(e));
           }
-          SignatureScratch scratch;
-          std::vector<std::pair<uint64_t, int>>& out = chunks[r][c];
-          const size_t end =
-              std::min(static_cast<size_t>(n), (c + 1) * chunk);
-          for (size_t e = c * chunk; e < end; ++e) {
-            const std::vector<uint64_t>& sigs = gens[r]->PositiveRuleSignatures(
-                static_cast<int>(e), &scratch);
-            for (uint64_t s : sigs) {
-              out.emplace_back(s, static_cast<int>(e));
-            }
-          }
-        });
-      }
+        }
+      });
     }
     gen_group.Wait();
     RethrowTaskFault(gen_group);
@@ -174,125 +158,72 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
       return internal::NoPartitionsResult(gen_group.control_status(),
                                           negative.size());
     }
-    for (size_t r = 0; r < positive.size(); ++r) {
-      std::vector<std::vector<std::pair<uint64_t, int>>>& parts = chunks[r];
-      size_t total = 0;
-      for (const auto& c : parts) total += c.size();
-      // Each chunk is freed once scattered; each bucket-range task copies
-      // its entities into the arena and returns its lists as slices.
-      std::vector<std::pair<uint64_t, int>> postings;
-      arenas[r].resize(total);
-      int* arena = arenas[r].data();
-      std::vector<std::vector<VerifySlice>> range_lists =
-          GroupBySignature<int>(
-              pool, total, parts.size(),
-              [&parts](size_t p, const auto& emit) {
-                for (const std::pair<uint64_t, int>& e : parts[p]) {
-                  emit(e.first, e.second);
-                }
-              },
-              [&parts](size_t p) {
-                std::vector<std::pair<uint64_t, int>>().swap(parts[p]);
-              },
-              &postings,
-              [&postings, arena, r](size_t begin, size_t end) {
-                const std::pair<uint64_t, int>* in = postings.data();
-                std::vector<VerifySlice> found;
-                size_t run = begin;
-                for (size_t i = begin; i < end; ++i) {
-                  arena[i] = in[i].second;
-                  if (i + 1 < end && in[i + 1].first == in[i].first) continue;
-                  const size_t len = i + 1 - run;
-                  if (len >= 2) {
-                    found.push_back(VerifySlice{r, arena + run, len, 0, len});
-                  }
-                  run = i + 1;
-                }
-                return found;
-              });
-      for (std::vector<VerifySlice>& range : range_lists) {
-        lists.push_back(std::move(range));
-      }
-    }
+    lists[r] = BuildInvertedLists(pool, static_cast<size_t>(n), &chunks);
   }
 
   // ---- Step 1b: volume-balanced candidate verification. ------------------
+  // Rules in turn, each rule's lists in visiting order. With one executor
+  // the tasks run in spawn order, so the pairs are verified and skipped
+  // in exactly that order.
   StripedUnionFind uf(static_cast<size_t>(n));
   std::atomic<size_t> pos_checks{0};
   std::atomic<size_t> trans_skips{0};
   {
-    // Pack the lists' row slices into near-equal-volume tasks.
-    size_t total_volume = 0, num_lists = 0;
-    for (const std::vector<VerifySlice>& range : lists) {
-      for (const VerifySlice& s : range) total_volume += s.volume();
-      num_lists += range.size();
-    }
-    result.stats.candidate_pairs = total_volume;
-
-    const size_t target_volume =
-        std::max<size_t>(1 << 12, ChunkSize(total_volume, threads, 1));
-    // Split oversized lists (the stop-word flood) by rows so no single
-    // slice dominates the schedule.
-    std::vector<VerifySlice> balanced;
-    balanced.reserve(num_lists);
-    for (const std::vector<VerifySlice>& range : lists) {
-      for (const VerifySlice& s : range) {
-        if (s.volume() <= 2 * target_volume) {
-          balanced.push_back(s);
-          continue;
-        }
-        size_t row = 0;
-        while (row < s.len) {
-          VerifySlice part = s;
-          part.row_begin = row;
-          size_t vol = 0;
-          while (row < s.len && vol < target_volume) {
-            vol += s.len - 1 - row;
-            ++row;
-          }
-          part.row_end = row;
-          balanced.push_back(part);
-        }
+    size_t total_volume = 0;
+    for (const InvertedLists& rule_lists : lists) {
+      for (const ListRun& l : rule_lists.order) {
+        total_volume += RowsVolume(l.len, 0, l.len);
       }
     }
-    std::vector<std::vector<VerifySlice>>().swap(lists);
+    result.stats.candidate_pairs = total_volume;
+    const size_t target_volume =
+        std::max<size_t>(1 << 12, ChunkSize(total_volume, threads, 1));
 
     TaskGroup verify_group(pool);
-    size_t batch_begin = 0, batch_volume = 0;
-    auto spawn_batch = [&](size_t batch_end) {
-      if (batch_end == batch_begin) return;
-      verify_group.Spawn([&pg, &positive, &uf, &control, &verify_group,
-                          &balanced, &pos_checks, &trans_skips, &kernel_exits,
-                          batch_begin, batch_end] {
+    auto spawn = [&](const VerifyTask& task) {
+      if (task.first == task.last) return;
+      verify_group.Spawn([&pg, &positive, &lists, &uf, &control,
+                          &verify_group, &pos_checks, &trans_skips,
+                          &kernel_exits, task] {
         if (DIME_FAULT_POINT(failpoints::kWorkerFault)) {
           throw std::runtime_error("injected worker fault (step 1)");
         }
         const uint64_t exits_before = KernelEarlyExits();
         size_t local_checks = 0, local_skips = 0;
+        auto publish = [&] {
+          pos_checks.fetch_add(local_checks, std::memory_order_relaxed);
+          trans_skips.fetch_add(local_skips, std::memory_order_relaxed);
+          kernel_exits.fetch_add(KernelEarlyExits() - exits_before,
+                                 std::memory_order_relaxed);
+        };
         constexpr size_t kCheckStride = 256;
         size_t until_check = kCheckStride;
-        for (size_t b = batch_begin; b < batch_end; ++b) {
-          const VerifySlice& s = balanced[b];
-          // Whole-list transitivity skip, valid only when the slice
-          // covers the full list. Connected() never reports falsely
-          // true, so a concurrent merge can only turn a pair skip into
-          // a (redundant but harmless) verification.
-          if (s.row_begin == 0 && s.row_end == s.len) {
-            bool all_connected = true;
-            for (size_t i = 1; i < s.len; ++i) {
-              if (!uf.Connected(s.list[0], s.list[i])) {
-                all_connected = false;
-                break;
-              }
-            }
-            if (all_connected) {
-              local_skips += s.len * (s.len - 1) / 2;
-              continue;
+        const InvertedLists& rule_lists = lists[task.rule];
+        for (size_t k = task.first; k < task.last; ++k) {
+          const ListRun run = rule_lists.order[k];
+          const int* list = rule_lists.entities.data() + run.begin;
+          const size_t len = run.len;
+          const size_t row_end = std::min<size_t>(task.row_end, len);
+          // Whole-list transitivity skip: once every entity on the list
+          // shares one partition, none of its pairs can change the
+          // components, so any slice of its rows is decided in O(|l|).
+          // Connected() never reports falsely true, so a concurrent merge
+          // can only turn a skip into a (redundant but harmless)
+          // verification.
+          bool all_connected = true;
+          for (size_t i = 1; i < len; ++i) {
+            if (!uf.Connected(list[0], list[i])) {
+              all_connected = false;
+              break;
             }
           }
-          for (size_t i = s.row_begin; i < s.row_end; ++i) {
-            for (size_t j = i + 1; j < s.len; ++j) {
-              int e1 = s.list[i], e2 = s.list[j];
+          if (all_connected) {
+            local_skips += RowsVolume(len, task.row_begin, row_end);
+            continue;
+          }
+          for (size_t i = task.row_begin; i < row_end; ++i) {
+            for (size_t j = i + 1; j < len; ++j) {
+              int e1 = list[i], e2 = list[j];
               if (e1 == e2) continue;
               if (e1 > e2) std::swap(e1, e2);
               if (--until_check == 0) {
@@ -301,12 +232,7 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
                     control, "dime_plus/verify-candidates");
                 if (!st.ok()) {
                   verify_group.RecordControl(std::move(st));
-                  pos_checks.fetch_add(local_checks,
-                                       std::memory_order_relaxed);
-                  trans_skips.fetch_add(local_skips,
-                                        std::memory_order_relaxed);
-                  kernel_exits.fetch_add(KernelEarlyExits() - exits_before,
-                                         std::memory_order_relaxed);
+                  publish();
                   return;
                 }
               }
@@ -315,25 +241,46 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
                 continue;
               }
               ++local_checks;
-              if (EvalPositiveRule(pg, positive[s.rule], e1, e2)) {
+              if (EvalPositiveRule(pg, positive[task.rule], e1, e2)) {
                 uf.Union(e1, e2);
               }
             }
           }
         }
-        pos_checks.fetch_add(local_checks, std::memory_order_relaxed);
-        trans_skips.fetch_add(local_skips, std::memory_order_relaxed);
-        kernel_exits.fetch_add(KernelEarlyExits() - exits_before,
-                               std::memory_order_relaxed);
+        publish();
       });
-      batch_begin = batch_end;
-      batch_volume = 0;
     };
-    for (size_t b = 0; b < balanced.size(); ++b) {
-      batch_volume += balanced[b].volume();
-      if (batch_volume >= target_volume) spawn_batch(b + 1);
+    for (size_t r = 0; r < lists.size(); ++r) {
+      const std::vector<ListRun>& order = lists[r].order;
+      size_t batch_begin = 0, batch_volume = 0;
+      for (size_t k = 0; k < order.size(); ++k) {
+        const size_t len = order[k].len;
+        const size_t volume = RowsVolume(len, 0, len);
+        if (volume <= 2 * target_volume) {
+          batch_volume += volume;
+          if (batch_volume >= target_volume) {
+            spawn(VerifyTask{r, batch_begin, k + 1});
+            batch_begin = k + 1;
+            batch_volume = 0;
+          }
+          continue;
+        }
+        spawn(VerifyTask{r, batch_begin, k});
+        size_t row = 0;
+        while (row < len) {
+          const size_t row_begin = row;
+          size_t rows_volume = 0;
+          while (row < len && rows_volume < target_volume) {
+            rows_volume += len - 1 - row;
+            ++row;
+          }
+          spawn(VerifyTask{r, k, k + 1, row_begin, row});
+        }
+        batch_begin = k + 1;
+        batch_volume = 0;
+      }
+      spawn(VerifyTask{r, batch_begin, order.size()});
     }
-    spawn_batch(balanced.size());
     verify_group.Wait();
     RethrowTaskFault(verify_group);
     if (!verify_group.control_status().ok()) {
@@ -341,6 +288,7 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
                                           negative.size());
     }
   }
+  std::vector<InvertedLists>().swap(lists);
   result.stats.positive_pair_checks = pos_checks.load();
   result.stats.pairs_skipped_by_transitivity = trans_skips.load();
   result.partitions = uf.Components();
@@ -353,11 +301,10 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
   if (result.pivot >= 0 && !negative.empty()) {
     const std::vector<int>& pivot_entities = result.partitions[result.pivot];
 
-    // Build every rule's context eagerly (pivot signatures in chunk
+    // Build every rule's context up front (pivot signatures in chunk
     // tasks, then the map grouped on the pool straight from those
-    // chunks): the serial engine builds lazily because a rule may never
-    // be consulted, but here the partition scans run concurrently and all
-    // share the read-only contexts.
+    // chunks): the partition scans run concurrently and all share the
+    // read-only contexts.
     std::vector<internal::NegativeRuleContext> contexts(negative.size());
     bool contexts_ready = true;
     const size_t chunk = ChunkSize(pivot_entities.size(), threads, 256);
@@ -365,7 +312,9 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
       TaskGroup ctx_group(pool);
       for (size_t r = 0; r < negative.size(); ++r) {
         internal::NegativeRuleContext& ctx = contexts[r];
-        internal::EnsureNegativeGenerator(pg, negative[r], r, &ctx);
+        ctx.gen = std::make_unique<SignatureGenerator>(
+            pg, negative[r].predicates, Direction::kLe,
+            /*rule_tag=*/0x1000 + r);
         ctx.pivot_sigs.resize(pivot_entities.size());
         for (size_t b = 0; b < pivot_entities.size(); b += chunk) {
           const size_t e = std::min(pivot_entities.size(), b + chunk);
@@ -378,8 +327,10 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
               return;
             }
             SignatureScratch scratch;
-            internal::GeneratePivotSignatures(pivot_entities, b, e, &scratch,
-                                              &ctx);
+            for (size_t i = b; i < e; ++i) {
+              ctx.pivot_sigs[i] =
+                  ctx.gen->NegativeRuleSignatures(pivot_entities[i], &scratch);
+            }
           });
         }
       }
@@ -411,13 +362,8 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
             },
             &entries);
         contexts[r].pivot_map.AdoptSorted(std::move(entries));
-        contexts[r].ready = true;
       }
 
-      auto rule_context =
-          [&contexts](size_t r) -> const internal::NegativeRuleContext& {
-        return contexts[r];
-      };
       std::atomic<size_t> neg_checks{0};
       std::atomic<size_t> pruned{0};
       ScratchFreeList scratches;
@@ -426,7 +372,7 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
         if (static_cast<int>(p) == result.pivot) continue;
         flag_group.Spawn([&pg, &negative, &result, &control,
                           &flag_group, &pivot_entities, &first_flagging,
-                          &rule_context, &scratches, &neg_checks, &pruned,
+                          &contexts, &scratches, &neg_checks, &pruned,
                           &kernel_exits, p] {
           if (DIME_FAULT_POINT(failpoints::kWorkerFault)) {
             throw std::runtime_error("injected worker fault (step 3)");
@@ -442,7 +388,7 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
           internal::NegativePhaseStats local;
           first_flagging[p] = internal::FlagPartitionAgainstPivot(
               pg, negative, pivot_entities, result.partitions[p],
-              rule_context, scratch, &local);
+              contexts, scratch, &local);
           scratches.Release(scratch);
           neg_checks.fetch_add(local.negative_pair_checks,
                                std::memory_order_relaxed);
@@ -469,6 +415,42 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
   return result;
 }
 
+/// Runs the body on `pool`; on a task fault, records its text in
+/// `*fault` and returns nothing.
+std::optional<DimeResult> TryRunOnPool(
+    const PreparedGroup& pg, const std::vector<PositiveRule>& positive,
+    const std::vector<NegativeRule>& negative, const RunControl& control,
+    WorkStealingPool* pool, std::string* fault) {
+  try {
+    return RunOnPool(pg, positive, negative, control, pool);
+  } catch (const std::exception& e) {
+    *fault = e.what();
+  } catch (...) {
+    *fault = "unknown exception";
+  }
+  return std::nullopt;
+}
+
+/// The failure contract of sharded_dime.h: a task fault reruns the group
+/// once, inline on the caller, and a fault in that rerun is INTERNAL.
+DimeResult RunWithRerun(const PreparedGroup& pg,
+                        const std::vector<PositiveRule>& positive,
+                        const std::vector<NegativeRule>& negative,
+                        const RunControl& control, WorkStealingPool* pool) {
+  std::string fault;
+  std::optional<DimeResult> result =
+      TryRunOnPool(pg, positive, negative, control, pool, &fault);
+  if (result.has_value()) return std::move(*result);
+  DIME_LOG(WARNING) << "DIME+ task fault (" << fault
+                    << "); rerunning the group on one executor";
+  WorkStealingPool inline_pool(PoolOptions{1});
+  result = TryRunOnPool(pg, positive, negative, control, &inline_pool, &fault);
+  if (result.has_value()) return std::move(*result);
+  return internal::NoPartitionsResult(
+      InternalError("DIME+ task fault on the rerun: " + fault),
+      negative.size());
+}
+
 }  // namespace
 
 DimeResult RunDimePlusSharded(const PreparedGroup& pg,
@@ -480,19 +462,7 @@ DimeResult RunDimePlusSharded(const PreparedGroup& pg,
     return internal::NoPartitionsResult(OkStatus(), negative.size());
   }
   PoolRef ref(options);
-  // A task fault reruns the group on the serial engine, with a WARNING.
-  auto degrade = [&](const std::exception* e) {
-    DIME_LOG(WARNING) << "RunDimePlusSharded worker fault (" << FaultText(e)
-                      << "); falling back to the serial engine";
-    return RunDimePlus(pg, positive, negative, control);
-  };
-  try {
-    return RunDimePlusShardedInner(pg, positive, negative, control, ref.pool);
-  } catch (const std::exception& e) {
-    return degrade(&e);
-  } catch (...) {
-    return degrade(nullptr);
-  }
+  return RunWithRerun(pg, positive, negative, control, ref.pool);
 }
 
 DimeResult RunDimePlusSharded(const PreparedGroup& pg,
@@ -503,4 +473,29 @@ DimeResult RunDimePlusSharded(const PreparedGroup& pg,
 }
 
 }  // namespace exec
+
+DimeResult RunDimePlus(const PreparedGroup& pg,
+                       const std::vector<PositiveRule>& positive,
+                       const std::vector<NegativeRule>& negative,
+                       const RunControl& control) {
+  exec::ShardedOptions one_executor;
+  one_executor.num_threads = 1;
+  return exec::RunDimePlusSharded(pg, positive, negative, one_executor,
+                                  control);
+}
+
+DimeResult RunDimePlus(const PreparedGroup& pg,
+                       const std::vector<PositiveRule>& positive,
+                       const std::vector<NegativeRule>& negative) {
+  return RunDimePlus(pg, positive, negative, RunControl{});
+}
+
+DimeResult RunDimePlus(const Group& group,
+                       const std::vector<PositiveRule>& positive,
+                       const std::vector<NegativeRule>& negative,
+                       const DimeContext& context) {
+  PreparedGroup pg = PrepareGroup(group, positive, negative, context);
+  return RunDimePlus(pg, positive, negative);
+}
+
 }  // namespace dime

@@ -5,20 +5,22 @@
 #include "src/exec/pool.h"
 
 /// \file sharded_dime.h
-/// The sharded streaming execution engine (DESIGN.md §7.9): DIME+
-/// (Algorithm 2) decomposed into chunky tasks on a WorkStealingPool,
-/// with the positive-phase merges going through a striped concurrent
-/// union-find. Decisions (partitions, pivot, flags) are bit-identical to
-/// serial RunDimePlus, and so to the RunDime oracle, for any thread
-/// count — the partitions are the transitive closure of the verified
-/// positive edges, which no schedule can change, and the negative phase
-/// is per-partition deterministic. Step-1 effort stats (pair checks /
-/// transitivity skips) are schedule-dependent; their sum equals the
-/// deterministic candidate volume.
+/// DIME+ (Algorithm 2) as chunky tasks on a WorkStealingPool (DESIGN.md
+/// §7.9), the one body behind RunDimePlus (core/dime_plus.h, one
+/// executor) and RunDimePlusSharded (any pool). Positive-phase merges go
+/// through a striped concurrent union-find. Decisions (partitions, pivot,
+/// flags) are bit-identical to the RunDime oracle for any thread count:
+/// the partitions are the transitive closure of the verified positive
+/// edges, which no schedule can change, and the negative phase is
+/// per-partition deterministic. With one executor the tasks run in spawn
+/// order, so every effort stat is deterministic too; with more, step 1's
+/// split between pair checks and transitivity skips depends on the
+/// schedule, and their sum is always the candidate volume.
 ///
 /// Failure contract:
-///  * a task that throws → a WARNING and the serial RunDimePlus run of
-///    the same group under the same control (bit-identical decisions);
+///  * a task that throws → a WARNING, then the group reruns once on a
+///    private one-executor pool (inline on the caller); a fault in that
+///    rerun → no partitions, empty scrollbar, INTERNAL status;
 ///  * deadline/cancellation during step 1 → no partitions, empty
 ///    scrollbar, explaining status;
 ///  * during step 3 → partitions kept, the flags computed so far kept
@@ -36,14 +38,14 @@ struct ShardedOptions {
   WorkStealingPool* pool = nullptr;
 };
 
-/// Sharded counterpart of RunDimePlus: parallel signature generation,
-/// postings grouped by signature on the pool (the inverted lists, see
-/// exec/group_by_signature.h), volume-balanced candidate
-/// verification into the striped union-find, then the extracted
-/// negative-phase scan (core/dime_plus_internal.h) one partition per
-/// task against prebuilt per-rule contexts. This is the path for large
-/// groups; perfbench's batch-scale workload times it on dbgen-100k, the
-/// largest group measured.
+/// Runs Algorithm 2 on the pool of `options`: parallel signature
+/// generation, the inverted lists grouped and ordered on the pool
+/// (exec/inverted_lists.h), volume-balanced candidate verification in
+/// list order into the striped union-find, then the negative-phase scan
+/// (core/dime_plus_internal.h) one partition per task against prebuilt
+/// per-rule contexts. exec::RunEngine takes this path for groups of
+/// kPrepareChunkEntities entities or more; perfbench's batch-scale
+/// workload times it on dbgen-100k, the largest group measured.
 DimeResult RunDimePlusSharded(const PreparedGroup& pg,
                               const std::vector<PositiveRule>& positive,
                               const std::vector<NegativeRule>& negative,

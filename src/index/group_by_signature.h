@@ -13,8 +13,8 @@
 /// Groups (signature, id) postings by signature: every entry sorted by
 /// signature, ties in input order, i.e. what std::stable_sort by
 /// signature gives, but in linear time. Both DIME+ steps run on these
-/// groupings: the inverted lists of step 1 (InvertedIndex) and the pivot
-/// signature map of step 3 (internal::PivotSigMap).
+/// groupings: the inverted lists of step 1 (exec/inverted_lists.h) and
+/// the pivot signature map of step 3 (internal::PivotSigMap).
 ///
 /// Signatures are uniform 64-bit hashes (MixSignature), so their top bits
 /// spread them evenly over buckets:

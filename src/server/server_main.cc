@@ -18,9 +18,10 @@
 //               [--host 127.0.0.1] [--port 0]     # port 0 = ephemeral
 //               [--workers N] [--queue-cap N] [--cache-cap N]
 //               [--threads N]  # engine pool size (default: DIME_THREADS
-//                              # env, then hardware concurrency)
+//                              # env, then hardware concurrency); "plus"
+//                              # runs groups of 8192+ entities on it
 //               [--default-deadline-ms N]
-//               [--engine naive|plus|sharded]
+//               [--engine naive|plus]
 //               [--idle-timeout-ms N]
 //   live corpus (see DESIGN.md "Live corpus & epochs"):
 //               [--watch] [--watch-interval-ms N]  # poll --snapshot for a

@@ -75,11 +75,13 @@ struct ServiceOptions {
   /// Deadline applied when a request does not carry one. <= 0: unbounded.
   int64_t default_deadline_ms = 0;
   EngineKind default_engine = EngineKind::kPlus;
-  /// Executors of the shared scheduler pool the sharded engine runs on
-  /// (one pool for the whole service — serving workers spawn task groups
-  /// into it and help execute while they wait, so concurrent requests
-  /// time-share the same threads instead of oversubscribing). 0 = the --threads / DIME_THREADS /
-  /// hardware_concurrency precedence of exec::ResolveThreadCount.
+  /// Executors of the shared scheduler pool DIME+ runs groups of
+  /// kPrepareChunkEntities entities or more on (exec::RunEngine; one
+  /// pool for the whole service — serving workers spawn task groups into
+  /// it and help execute while they wait, so concurrent requests
+  /// time-share the same threads instead of oversubscribing). 0 = the
+  /// --threads / DIME_THREADS / hardware_concurrency precedence of
+  /// exec::ResolveThreadCount.
   unsigned engine_threads = 0;
   /// Test-only: invoked by a worker before executing each admitted
   /// request. Lets tests hold the pool at a barrier to fill the queue

@@ -26,7 +26,8 @@
 ///               "group_tsv"   inline group in GroupToTsv format
 ///               "deadline_ms" integer in [0, 2^31 - 1]; 0/absent =
 ///                             server default
-///               "engine"      "naive" | "plus" | "sharded"
+///               "engine"      "naive" | "plus" (the server runs "plus"
+///                             on its engine pool from 8192 entities)
 ///               "no_cache"    bool; true bypasses the result cache
 ///
 /// "reload" asks the server to re-read its corpus source (the snapshot

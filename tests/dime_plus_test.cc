@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "src/common/random.h"
@@ -17,6 +18,7 @@
 #include "src/datagen/dbgen_gen.h"
 #include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
+#include "src/exec/group_by_signature.h"
 
 namespace dime {
 namespace {
@@ -161,8 +163,18 @@ TEST(PivotSigMapTest, FindReturnsTheSortedReferenceRuns) {
         reference[s].push_back(static_cast<uint32_t>(i));
       }
     }
+    size_t total = 0;
+    for (const std::vector<uint64_t>& sigs : pivot_sigs) total += sigs.size();
+    exec::WorkStealingPool executors(exec::PoolOptions{2});
+    std::vector<internal::PivotSigMap::Entry> entries;
+    exec::GroupBySignature<uint32_t>(
+        &executors, total, positions,
+        [&pivot_sigs](size_t i, const auto& emit) {
+          for (uint64_t s : pivot_sigs[i]) emit(s, static_cast<uint32_t>(i));
+        },
+        &entries);
     internal::PivotSigMap map;
-    map.Build(pivot_sigs);
+    map.AdoptSorted(std::move(entries));
     for (const auto& [sig, expected] : reference) {
       std::vector<uint32_t> got;
       for (const internal::PivotSigMap::Entry& e : map.Find(sig)) {

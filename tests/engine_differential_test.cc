@@ -1,7 +1,11 @@
-// Randomized engine differential: on seeded random Scholar and Amazon
-// groups, the naive oracle (RunDime), serial DIME+ and the sharded
-// engine at 1, 2 and 4 threads must produce identical decisions —
-// partitions, pivot, first flagging rule and every scrollbar prefix.
+// Randomized engine differential: on seeded random Scholar, Amazon and
+// dbgen groups, the naive oracle (RunDime), RunDimePlus (the DIME+ body
+// on one executor) and RunDimePlusSharded on pools of 1, 2 and 4
+// threads must produce identical decisions — partitions, pivot, first
+// flagging rule and every scrollbar prefix. The dbgen groups have the
+// shape of perfbench's batch-scale groups at a size the oracle finishes
+// quickly, so the body that workload times is checked against Algorithm
+// 1 and not only against itself.
 // Group sizes and error rates are drawn per seed so the candidate volumes
 // span both sides of 100 000 pairs: small serving pages and large cold
 // groups both stream step 1 off the inverted lists, and no group size may
@@ -30,6 +34,7 @@
 #include "src/core/dime.h"
 #include "src/core/dime_plus.h"
 #include "src/datagen/amazon_gen.h"
+#include "src/datagen/dbgen_gen.h"
 #include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
 #include "src/exec/sharded_dime.h"
@@ -162,6 +167,19 @@ std::unique_ptr<RandomCase> MakeAmazonCase(uint64_t seed) {
   return c;
 }
 
+std::unique_ptr<RandomCase> MakeDbgenCase(uint64_t seed) {
+  Random rng(seed * 6271);
+  DbgenOptions options;
+  options.num_entities = static_cast<size_t>(rng.UniformInt(2000, 4000));
+  options.seed = rng.NextUint64();
+  auto c = std::make_unique<RandomCase>();
+  c->group = GenerateDbgenGroup(options);
+  c->positive = DbgenPositiveRules();
+  c->negative = DbgenNegativeRules();
+  c->pg = PrepareGroup(c->group, c->positive, c->negative, c->context);
+  return c;
+}
+
 /// Runs every engine configuration on `c` twice: untruncated, then with
 /// the deadline failpoint passing `skip` checks and firing on all later
 /// ones.
@@ -242,6 +260,17 @@ TEST_P(AmazonEngineDifferentialTest, DeadlineTruncationIsMonotone) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AmazonEngineDifferentialTest,
                          ::testing::Range(kFirstSeed, kEndSeed));
+
+class DbgenEngineDifferentialTest
+    : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(DbgenEngineDifferentialTest, EnginesAgree) {
+  std::unique_ptr<RandomCase> c = MakeDbgenCase(GetParam());
+  ExpectEnginesAgree(c->pg, c->positive, c->negative);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DbgenEngineDifferentialTest,
+                         ::testing::Range(kFirstSeed, kFirstSeed + 4));
 
 // The seeds above must keep covering both sides of kVolumeSplit for each
 // generator, or the differential stops testing what it claims to.

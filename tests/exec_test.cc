@@ -4,6 +4,7 @@
 #include <atomic>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/fault_injection.h"
@@ -253,6 +254,32 @@ TEST(GroupBySignatureTest, KeysSharingTheirTopBitsFallInOneBucket) {
   }
 }
 
+TEST(SortByKeyTest, MatchesAStableSortAtEveryThreadCount) {
+  // Few keys and many elements give every executor a slice; payloads
+  // record input order, so an unstable scatter shows.
+  for (const auto& [n, num_keys] :
+       {std::pair<size_t, size_t>{0, 5}, std::pair<size_t, size_t>{1000, 7},
+        std::pair<size_t, size_t>{200000, 50},
+        std::pair<size_t, size_t>{200000, 150000}}) {
+    Random rng(31 + n + num_keys);
+    std::vector<std::pair<size_t, size_t>> input;
+    for (size_t i = 0; i < n; ++i) input.emplace_back(rng.Uniform(num_keys), i);
+    std::vector<std::pair<size_t, size_t>> expected = input;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    for (unsigned threads : {1u, 2u, 4u}) {
+      WorkStealingPool pool(PoolOptions{threads});
+      std::vector<std::pair<size_t, size_t>> out;
+      SortByKey(
+          &pool, input, num_keys, [](const auto& x) { return x.first; }, &out);
+      EXPECT_EQ(out, expected)
+          << "n=" << n << " keys=" << num_keys << " threads=" << threads;
+    }
+  }
+}
+
 TEST(GroupBySignatureTest, TiesKeepInputOrderWithDescendingPayloads) {
   // Few distinct keys, payloads descending: a sort by (key, payload)
   // would reverse every run, a stable grouping must not.
@@ -271,7 +298,8 @@ TEST(GroupBySignatureTest, TiesKeepInputOrderWithDescendingPayloads) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded engines vs their serial counterparts.
+// The DIME+ body on pools of every size against RunDimePlus (one
+// executor) and the RunDime oracle.
 
 struct DbgenFixture {
   Group group;
@@ -322,6 +350,14 @@ TEST(ShardedDimePlusTest, MatchesSerialPlusAcrossThreadCounts) {
                   sharded.stats.pairs_skipped_by_transitivity,
               sharded.stats.candidate_pairs)
         << "threads=" << threads;
+    if (threads == 1) {
+      // One executor runs the tasks in spawn order: every stat is
+      // RunDimePlus's.
+      EXPECT_EQ(sharded.stats.positive_pair_checks,
+                serial.stats.positive_pair_checks);
+      EXPECT_EQ(sharded.stats.pairs_skipped_by_transitivity,
+                serial.stats.pairs_skipped_by_transitivity);
+    }
   }
 }
 
@@ -443,6 +479,30 @@ TEST(ShardedDimePlusTest, WorkerFaultFallsBackToSerialBitIdentical) {
   FaultInjection::DisarmAll();
   ASSERT_TRUE(sharded.ok());
   ExpectSameDecisions(serial, sharded);
+}
+
+TEST(ShardedDimePlusTest, FaultInTheRerunIsInternal) {
+  // On one executor a task fault cancels the rest of its group, so the
+  // first trigger fails the run and the second fails its rerun.
+  DbgenFixture f(400);
+  ShardedOptions options;
+  options.num_threads = 1;
+  for (bool sharded_entry : {false, true}) {
+    FaultInjection::Arm(failpoints::kWorkerFault, /*count=*/2);
+    DimeResult r =
+        sharded_entry
+            ? RunDimePlusSharded(f.pg, f.positive, f.negative, options)
+            : RunDimePlus(f.pg, f.positive, f.negative);
+    EXPECT_EQ(FaultInjection::Remaining(failpoints::kWorkerFault), 0);
+    FaultInjection::DisarmAll();
+    EXPECT_EQ(r.status.code(), StatusCode::kInternal) << r.status.ToString();
+    EXPECT_TRUE(r.partitions.empty());
+    EXPECT_EQ(r.pivot, -1);
+    ASSERT_EQ(r.flagged_by_prefix.size(), f.negative.size());
+    for (const std::vector<int>& flagged : r.flagged_by_prefix) {
+      EXPECT_TRUE(flagged.empty());
+    }
+  }
 }
 
 TEST(ShardedDimePlusTest, ExpiredDeadlineDiscardsPartitions) {

@@ -1,6 +1,6 @@
 // Tests for the failpoint harness and the degradation paths it proves:
 // injected IO failures surface as distinct Status codes (not crashes),
-// injected worker-thread faults fall back to the serial engine, and
+// an injected DIME+ task fault reruns the group on one executor, and
 // injected deadline pressure truncates the engines into partial-but-valid
 // results.
 

@@ -1,8 +1,8 @@
-// Scale smoke for the sharded execution engine (DESIGN.md §7.9): the
-// dbgen-100k preset must complete under RunDimePlusSharded and come out
-// bit-identical to the serial RunDimePlus — pinned by a golden digest so
-// a silent decision drift at scale cannot hide behind "serial and
-// sharded agree with each other".
+// Scale smoke for the DIME+ engine (DESIGN.md §7.9): the dbgen-100k
+// preset must complete under RunDimePlus (one executor) and under
+// RunDimePlusSharded on pools of 1 and 8 threads, each run pinned to a
+// golden digest so a silent decision drift at scale cannot hide behind
+// "the runs agree with each other".
 //
 // Labeled `scale` in tests/CMakeLists.txt: the plain Release CI leg runs
 // it; sanitizer legs exclude it (`ctest -LE scale`) because a 100k-row
@@ -25,7 +25,7 @@ namespace {
 
 // FNV-1a over the decision fields (the golden_equality_test convention:
 // partitions, pivot, first flagging rules, scrollbar — never the effort
-// stats, which are schedule-dependent for the sharded engine).
+// stats, which are schedule-dependent on a pool of several threads).
 uint64_t Fnv(uint64_t h, uint64_t v) {
   h ^= v;
   return h * 1099511628211ull;

@@ -17,6 +17,9 @@
 #include "src/common/fault_injection.h"
 #include "src/common/mutex.h"
 #include "src/core/dime.h"
+#include "src/core/dime_plus.h"
+#include "src/core/preprocess.h"
+#include "src/datagen/dbgen_gen.h"
 #include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
 #include "src/rules/rule.h"
@@ -130,6 +133,40 @@ TEST(DimeServiceTest, CheckPreloadedGroupByName) {
             reply->result->stats.pairs_skipped_by_transitivity);
   EXPECT_EQ(stats.kernel_early_exits,
             reply->result->stats.kernel_early_exits);
+}
+
+TEST(DimeServiceTest, LargeGroupRunsOnTheEnginePoolLikeRunDimePlus) {
+  // From kPrepareChunkEntities entities "plus" runs on the service's
+  // shared engine pool; its decisions are RunDimePlus's on one executor.
+  DbgenOptions gen;
+  gen.num_entities = kPrepareChunkEntities;
+  gen.seed = 19;
+  const Group group = GenerateDbgenGroup(gen);
+  ServingCorpus corpus;
+  corpus.schema = DbgenSchema();
+  corpus.positive = DbgenPositiveRules();
+  corpus.negative = DbgenNegativeRules();
+  const DimeResult expected = RunDimePlus(
+      PrepareGroup(group, corpus.positive, corpus.negative, {}),
+      corpus.positive, corpus.negative);
+  ASSERT_TRUE(expected.ok());
+  ServiceOptions options;
+  options.engine_threads = 4;
+  DimeService service(std::move(corpus), options);
+  CheckRequest request;
+  request.group = &group;
+  request.engine = EngineKind::kPlus;
+  StatusOr<CheckReply> reply = service.Check(request);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  const DimeResult& got = *reply->result;
+  ASSERT_TRUE(got.ok()) << got.status.ToString();
+  EXPECT_EQ(got.partitions, expected.partitions);
+  EXPECT_EQ(got.pivot, expected.pivot);
+  EXPECT_EQ(got.first_flagging_rule, expected.first_flagging_rule);
+  EXPECT_EQ(got.flagged_by_prefix, expected.flagged_by_prefix);
+  EXPECT_EQ(got.stats.candidate_pairs, expected.stats.candidate_pairs);
+  EXPECT_EQ(got.stats.negative_pair_checks,
+            expected.stats.negative_pair_checks);
 }
 
 TEST(DimeServiceTest, SecondIdenticalCheckIsACacheHit) {

@@ -129,7 +129,7 @@ TEST(WireRequestTest, SerializeParseRoundTrip) {
   request.id = "req-1";
   request.group_name = "page_0";
   request.deadline_ms = 250;
-  request.engine = "sharded";
+  request.engine = "naive";
   request.no_cache = true;
   auto parsed = ParseRequestLine(SerializeRequest(request));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -137,7 +137,7 @@ TEST(WireRequestTest, SerializeParseRoundTrip) {
   EXPECT_EQ(parsed->id, "req-1");
   EXPECT_EQ(parsed->group_name, "page_0");
   EXPECT_EQ(parsed->deadline_ms, 250);
-  EXPECT_EQ(parsed->engine, "sharded");
+  EXPECT_EQ(parsed->engine, "naive");
   EXPECT_TRUE(parsed->no_cache);
 }
 

@@ -11,6 +11,9 @@
 #include "src/common/fault_injection.h"
 #include "src/common/logging.h"
 #include "src/common/random.h"
+#include "src/core/dime_plus.h"
+#include "src/core/preprocess.h"
+#include "src/datagen/dbgen_gen.h"
 #include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
 #include "src/exec/sharded_dime.h"
@@ -22,7 +25,8 @@
 /// Concurrency stress for the parallel engines and the service that runs
 /// them: RunDimePlusSharded hammered while another thread arms/disarms
 /// failpoints, expires deadlines, and flips cancellation tokens, and
-/// DimeService taking concurrent checks under deadline faults. The
+/// DimeService taking concurrent checks under deadline faults and on its
+/// shared engine pool. The
 /// assertions are the engine output contract (status coded, flagged ⊆
 /// group, scrollbar monotone); the real payoff is running this binary
 /// under TSan (build with -DDIME_SANITIZE=thread, or just
@@ -128,7 +132,7 @@ TEST_F(ThreadSafetyTest, CorpusUnderConcurrentCancellationAndFaults) {
   // The serving topology: client threads send concurrent inline-group
   // checks through DimeService's worker pool while injected deadline
   // faults and 1 ms request deadlines cut engine runs short. Engines
-  // alternate naive / plus / sharded across requests.
+  // alternate naive / plus across requests.
   ScholarSetup setup = MakeScholarSetup();
   std::vector<Group> groups;
   for (int i = 0; i < 12; ++i) {
@@ -147,8 +151,7 @@ TEST_F(ThreadSafetyTest, CorpusUnderConcurrentCancellationAndFaults) {
   service_options.num_workers = 4;
   DimeService service(std::move(corpus), service_options);
 
-  constexpr EngineKind kEngines[] = {EngineKind::kNaive, EngineKind::kPlus,
-                                     EngineKind::kSharded};
+  constexpr EngineKind kEngines[] = {EngineKind::kNaive, EngineKind::kPlus};
   constexpr size_t kClients = 4;
   size_t truncated = 0;
   for (int iter = 0; iter < 25; ++iter) {
@@ -164,7 +167,7 @@ TEST_F(ThreadSafetyTest, CorpusUnderConcurrentCancellationAndFaults) {
         for (size_t g = c; g < groups.size(); g += kClients) {
           CheckRequest request;
           request.group = &groups[g];
-          request.engine = kEngines[(iter + g) % 3];
+          request.engine = kEngines[(iter + g) % 2];
           request.bypass_cache = true;
           if (iter % 3 == 1) request.deadline_ms = 1;
           replies[g] = service.Check(request);
@@ -184,6 +187,53 @@ TEST_F(ThreadSafetyTest, CorpusUnderConcurrentCancellationAndFaults) {
   }
   // The injected faults did cut runs short: the stress is not vacuous.
   EXPECT_GT(truncated, 0u);
+}
+
+TEST_F(ThreadSafetyTest, ServicePooledRouteUnderConcurrentChecks) {
+  // A group at the size from which "plus" runs on the service's shared
+  // engine pool: concurrent clients check it through DimeService, their
+  // task groups interleaving on the same executors, and every reply
+  // equals RunDimePlus on one executor.
+  DbgenOptions gen;
+  gen.num_entities = kPrepareChunkEntities;
+  gen.seed = 21;
+  const Group group = GenerateDbgenGroup(gen);
+  ServingCorpus corpus;
+  corpus.schema = DbgenSchema();
+  corpus.positive = DbgenPositiveRules();
+  corpus.negative = DbgenNegativeRules();
+  const DimeResult expected = RunDimePlus(
+      PrepareGroup(group, corpus.positive, corpus.negative, {}),
+      corpus.positive, corpus.negative);
+  ASSERT_TRUE(expected.ok());
+  ServiceOptions options;
+  options.num_workers = 3;
+  options.engine_threads = 4;
+  DimeService service(std::move(corpus), options);
+
+  constexpr size_t kClients = 3;
+  std::vector<StatusOr<CheckReply>> replies(
+      kClients, Status(StatusCode::kInternal, "not sent"));
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c]() {
+      CheckRequest request;
+      request.group = &group;
+      request.engine = EngineKind::kPlus;
+      request.bypass_cache = true;
+      replies[c] = service.Check(request);
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  for (const StatusOr<CheckReply>& reply : replies) {
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    const DimeResult& got = *reply->result;
+    ASSERT_TRUE(got.ok()) << got.status.ToString();
+    EXPECT_EQ(got.partitions, expected.partitions);
+    EXPECT_EQ(got.pivot, expected.pivot);
+    EXPECT_EQ(got.first_flagging_rule, expected.first_flagging_rule);
+    EXPECT_EQ(got.flagged_by_prefix, expected.flagged_by_prefix);
+  }
 }
 
 TEST_F(ThreadSafetyTest, FailpointRegistryArmDisarmChurn) {

@@ -109,8 +109,8 @@ TEST_F(DispatchTest, UnknownGroupIsNotFound) {
 }
 
 TEST_F(DispatchTest, BadEngineNameIsInvalidArgument) {
-  // "parallel" named an engine that no longer exists.
-  for (const char* engine : {"warp", "parallel"}) {
+  // "parallel" and "sharded" named engines that no longer exist.
+  for (const char* engine : {"warp", "parallel", "sharded"}) {
     const std::string line =
         std::string(R"({"type":"check","group":"page_0","engine":")") +
         engine + "\"}";

@@ -5,7 +5,7 @@
 #include "src/common/status.h"
 #include "src/core/other.h"
 #include "src/entity/entity.h"
-#include "src/index/inverted_index.h"
+#include "src/index/union_find.h"
 #include "src/ontology/ontology.h"
 #include "src/rules/rule.h"
 #include "src/sim/similarity.h"
