@@ -206,9 +206,9 @@ void BM_WeightedJaccard(benchmark::State& state) {
 }
 BENCHMARK(BM_WeightedJaccard)->Arg(8)->Arg(64);
 
-// Thresholded weighted Jaccard with precomputed per-entity mass, as
-// PredicateHolds calls it: the running upper bound rejects theta=0.9
-// pairs without draining both rank lists.
+// Thresholded weighted Jaccard with precomputed per-entity mass, as a
+// rule plan (PlanPredicateHolds) calls it: the running upper bound
+// rejects theta=0.9 pairs without draining both rank lists.
 void BM_WeightedJaccardAtLeast(benchmark::State& state) {
   Random rng(5);
   size_t size = static_cast<size_t>(state.range(0));

@@ -130,8 +130,7 @@ DimeResult RunDime(const PreparedGroup& pg,
   // per-predicate ceremony (attribute indexing, token-mode selection, the
   // ontology node-map lookup) runs once per rule here instead of once per
   // pair, and each check dispatches straight into the flat threshold-aware
-  // kernels. Short-circuit order is unchanged, so the pair-check counters
-  // are identical to the unplanned path.
+  // kernels. Short-circuit order follows each rule's predicate order.
   std::vector<RulePlan> positive_plans;
   positive_plans.reserve(positive.size());
   for (const PositiveRule& rule : positive) {

@@ -18,9 +18,11 @@
 ///    candidate first; the partitions are a transitive closure, so the
 ///    order cannot change them (DESIGN.md §6 item 5);
 ///  * negative rules: a partition whose signature set is disjoint from the
-///    pivot's is flagged without any verification; otherwise each member's
-///    pivot checks run most-likely-similar-first (descending P / C), so
-///    the violating pair that disqualifies a member is found early.
+///    pivot's is flagged without any verification; otherwise each member
+///    is checked against the pivot entities it shares a signature with
+///    (the others satisfy the rule by the dual guarantee of signature.h),
+///    most-likely-similar first (descending P / C), so the violating pair
+///    that disqualifies a member is found early.
 ///
 /// The one body of Algorithm 2 runs on the exec scheduler and is defined
 /// in src/exec/sharded_dime.cc; RunDimePlus runs it on one executor,

@@ -23,9 +23,7 @@ PivotSigMap::PosRun PivotSigMap::Find(uint64_t s) const {
   return run;
 }
 
-int FlagPartitionAgainstPivot(const PreparedGroup& pg,
-                              const std::vector<NegativeRule>& negative,
-                              const std::vector<int>& pivot_entities,
+int FlagPartitionAgainstPivot(const std::vector<int>& pivot_entities,
                               const std::vector<int>& members,
                               const std::vector<NegativeRuleContext>& contexts,
                               NegativeScratch* scratch,
@@ -46,7 +44,7 @@ int FlagPartitionAgainstPivot(const PreparedGroup& pg,
   std::vector<uint32_t>& shared_with_pivot = scratch->shared_with_pivot;
   std::vector<uint32_t>& dirty = scratch->dirty;
 
-  for (size_t r = 0; r < negative.size() && flag < 0; ++r) {
+  for (size_t r = 0; r < contexts.size() && flag < 0; ++r) {
     const NegativeRuleContext& ctx = contexts[r];
 
     // Filter: generate each member's signatures once (they are reused
@@ -74,21 +72,12 @@ int FlagPartitionAgainstPivot(const PreparedGroup& pg,
     }
 
     // Verification: a member flags the partition if it is dissimilar
-    // from EVERY pivot entity. For each member, pivot entities are
+    // from EVERY pivot entity. Only the pivot entities sharing a
+    // signature with the member need checking: by the dual guarantee
+    // (signature.h) a pair sharing none satisfies the rule. They are
     // checked most-likely-similar first (shared signatures up, cost
     // down), so a violating pair — which ends this member's scan — is
     // found as early as possible.
-    //
-    // Only the dirty positions (shared > 0) can have positive benefit:
-    // SimilarProbability(0, ·, ·) is 0 and the cost clamp keeps shared
-    // benefits strictly above it, so the zero-shared majority forms a
-    // tied block that the full sort would place last, ordered by
-    // ascending e_star — which is pivot order, because Components()
-    // emits each partition sorted by entity id. Building and sorting
-    // candidates for the dirty list alone and then scanning the
-    // zero-shared remainder in pivot order therefore verifies pairs in
-    // exactly the order the full materialization did, without the
-    // O(|pivot|) probability/cost computations and sort per member.
     std::vector<NegativeCandidate>& cands = scratch->cands;
     for (size_t m = 0; m < members.size() && flag < 0; ++m) {
       // Scatter this member's shared counts into the dense slots.
@@ -108,8 +97,8 @@ int FlagPartitionAgainstPivot(const PreparedGroup& pg,
         double prob = SimilarProbability(shared_with_pivot[i],
                                          member_sigs[m].size(),
                                          ctx.pivot_sigs[i].size());
-        double cost = RuleVerificationCost(pg, negative[r].predicates,
-                                           members[m], pivot_entities[i]);
+        double cost =
+            RuleVerificationCost(ctx.plan, members[m], pivot_entities[i]);
         cands.push_back(NegativeCandidate{PositiveBenefit(prob, cost),
                                           members[m], pivot_entities[i]});
       }
@@ -120,20 +109,9 @@ int FlagPartitionAgainstPivot(const PreparedGroup& pg,
                 });
       for (const NegativeCandidate& c : cands) {
         ++stats->negative_pair_checks;
-        if (!EvalNegativeRule(pg, negative[r], c.e, c.e_star)) {
+        if (!EvalRulePlan(ctx.plan, c.e, c.e_star)) {
           all_dissimilar = false;
           break;
-        }
-      }
-      if (all_dissimilar) {
-        for (size_t i = 0; i < pivot_entities.size(); ++i) {
-          if (shared_with_pivot[i] != 0) continue;  // verified above
-          ++stats->negative_pair_checks;
-          if (!EvalNegativeRule(pg, negative[r], members[m],
-                                pivot_entities[i])) {
-            all_dissimilar = false;
-            break;
-          }
         }
       }
       for (uint32_t d : dirty) shared_with_pivot[d] = 0;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/core/dime.h"
+#include "src/core/preprocess.h"
 #include "src/core/signature.h"
 
 /// \file dime_plus_internal.h
@@ -16,14 +17,16 @@
 /// verification order and pair-check counts of a scan are pinned by
 /// golden tests and must not drift:
 ///
-///  * NegativeRuleContext  per-rule read-only state (pivot signatures and
-///                         the signature -> pivot-position map), shared by
-///                         every partition scan;
+///  * NegativeRuleContext  per-rule read-only state (the rule's plan,
+///                         pivot signatures and the signature ->
+///                         pivot-position map), shared by every
+///                         partition scan;
 ///  * NegativeScratch      per-thread buffers (member signatures, the
 ///                         dense shared-count slots + dirty list);
 ///  * FlagPartitionAgainstPivot  the scan of one partition against the
 ///                         pivot: signature filter, then benefit-ordered
-///                         pair verification.
+///                         verification of the pairs sharing a
+///                         signature, through the rule's plan.
 ///
 /// The sig -> pivot-positions map is a flat array grouped by signature
 /// (exec/group_by_signature.h), probed by binary search.
@@ -58,6 +61,9 @@ class PivotSigMap {
 
 /// Read-only per-negative-rule state shared by every partition scan.
 struct NegativeRuleContext {
+  /// The rule resolved against the group (Direction::kLe): verifies and
+  /// prices candidate pairs.
+  RulePlan plan;
   /// The rule's signature generator. Const methods only after
   /// construction, so tasks may share it with private scratches.
   std::unique_ptr<SignatureGenerator> gen;
@@ -94,10 +100,8 @@ struct NegativePhaseStats {
 
 /// Scans one partition against the pivot and returns the index of the
 /// first negative rule that flags it (-1 = never flagged). `contexts`
-/// holds one context per negative rule.
-int FlagPartitionAgainstPivot(const PreparedGroup& pg,
-                              const std::vector<NegativeRule>& negative,
-                              const std::vector<int>& pivot_entities,
+/// holds one context per negative rule, in rule order.
+int FlagPartitionAgainstPivot(const std::vector<int>& pivot_entities,
                               const std::vector<int>& members,
                               const std::vector<NegativeRuleContext>& contexts,
                               NegativeScratch* scratch,

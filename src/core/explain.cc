@@ -14,10 +14,11 @@ namespace {
 int FindWitness(const PreparedGroup& pg, const NegativeRule& rule,
                 const std::vector<int>& partition,
                 const std::vector<int>& pivot) {
+  const RulePlan plan = BuildRulePlan(pg, rule.predicates, Direction::kLe);
   for (int e : partition) {
     bool all = true;
     for (int e_star : pivot) {
-      if (!EvalNegativeRule(pg, rule, e, e_star)) {
+      if (!EvalRulePlan(plan, e, e_star)) {
         all = false;
         break;
       }

@@ -69,6 +69,9 @@ int FuzzyNodeMatch(const Ontology& tree, const AttributeValue& value,
                    double min_similarity) {
   int best = kNoNode;
   double best_sim = min_similarity - 1e-9;
+  // What the next hit must reach: min_similarity, then more than the best
+  // so far (by more than the epsilon EditSimilarityAtLeast allows).
+  double need = min_similarity;
   auto consider = [&](const std::string& text) {
     for (int node = 0; node < tree.NumNodes(); ++node) {
       std::string name = ToLower(tree.Name(node));
@@ -79,8 +82,9 @@ int FuzzyNodeMatch(const Ontology& tree, const AttributeValue& value,
       if (static_cast<double>(max_len - diff) / max_len <= best_sim) {
         continue;
       }
-      if (EditSimilarityAtLeast(text, name, best_sim + 1e-9)) {
+      if (EditSimilarityAtLeast(text, name, need)) {
         best_sim = EditSimilarity(text, name);
+        need = best_sim + 2 * kSimCompareEps;
         best = node;
       }
     }
@@ -582,64 +586,6 @@ double PredicateSimilarity(const PreparedGroup& pg, const Predicate& pred,
   return tree.Similarity(it->second[e1], it->second[e2]);
 }
 
-bool PredicateHolds(const PreparedGroup& pg, const Predicate& pred,
-                    Direction dir, int e1, int e2) {
-  const PreparedAttr& attr = pg.attrs[pred.attr];
-  if (IsSetBased(pred.func)) {
-    const RankColumn& ranks =
-        pred.mode == TokenMode::kValueList ? attr.value_ranks : attr.word_ranks;
-    return dir == Direction::kGe
-               ? SetSimilarityAtLeast(pred.func, ranks.view(e1),
-                                      ranks.view(e2), pred.threshold)
-               : SetSimilarityAtMost(pred.func, ranks.view(e1),
-                                     ranks.view(e2), pred.threshold);
-  }
-  if (IsWeightedSetBased(pred.func)) {
-    const bool values = pred.mode == TokenMode::kValueList;
-    const RankColumn& ranks = values ? attr.value_ranks : attr.word_ranks;
-    const auto& weights = values ? attr.value_weights : attr.word_weights;
-    // Per-side mass: total weight for wjaccard, squared norm for wcosine.
-    const auto& mass = pred.func == SimFunc::kWeightedJaccard
-                           ? (values ? attr.value_mass : attr.word_mass)
-                           : (values ? attr.value_sqnorm : attr.word_sqnorm);
-    return dir == Direction::kGe
-               ? WeightedSimilarityAtLeast(pred.func, ranks.view(e1),
-                                           ranks.view(e2), weights, mass[e1],
-                                           mass[e2], pred.threshold)
-               : WeightedSimilarityAtMost(pred.func, ranks.view(e1),
-                                          ranks.view(e2), weights, mass[e1],
-                                          mass[e2], pred.threshold);
-  }
-  if (pred.func == SimFunc::kEditSim) {
-    // Both directions decide through the banded bit-parallel kernel: the
-    // kGe path bounds the distance from the threshold, the kLe path from
-    // its complement (EditSimilarityAtMost), so neither computes the full
-    // distance matrix.
-    return dir == Direction::kGe
-               ? EditSimilarityAtLeast(attr.text[e1], attr.text[e2],
-                                       pred.threshold)
-               : EditSimilarityAtMost(attr.text[e1], attr.text[e2],
-                                      pred.threshold);
-  }
-  return pred.Compare(PredicateSimilarity(pg, pred, e1, e2), dir);
-}
-
-bool EvalPositiveRule(const PreparedGroup& pg, const PositiveRule& rule,
-                      int e1, int e2) {
-  for (const Predicate& p : rule.predicates) {
-    if (!PredicateHolds(pg, p, Direction::kGe, e1, e2)) return false;
-  }
-  return true;
-}
-
-bool EvalNegativeRule(const PreparedGroup& pg, const NegativeRule& rule,
-                      int e1, int e2) {
-  for (const Predicate& p : rule.predicates) {
-    if (!PredicateHolds(pg, p, Direction::kLe, e1, e2)) return false;
-  }
-  return true;
-}
-
 RulePlan BuildRulePlan(const PreparedGroup& pg,
                        const std::vector<Predicate>& predicates,
                        Direction dir) {
@@ -703,37 +649,37 @@ bool PlanPredicateHolds(const PredicatePlan& p, int e1, int e2) {
                  ? EditSimilarityAtLeast(p.text[e1], p.text[e2], p.threshold)
                  : EditSimilarityAtMost(p.text[e1], p.text[e2], p.threshold);
     case PredicatePlan::Kind::kOntology: {
-      // Same epsilon as Predicate::Compare.
-      constexpr double kEps = 1e-9;
       const double sim = p.tree->Similarity(p.nodes[e1], p.nodes[e2]);
-      return p.dir == Direction::kGe ? sim >= p.threshold - kEps
-                                     : sim <= p.threshold + kEps;
+      return p.dir == Direction::kGe ? sim >= p.threshold - kSimCompareEps
+                                     : sim <= p.threshold + kSimCompareEps;
     }
   }
   return false;  // unreachable: all kinds handled above
 }
 
-double RuleVerificationCost(const PreparedGroup& pg,
-                            const std::vector<Predicate>& predicates, int e1,
-                            int e2) {
+double RuleVerificationCost(const RulePlan& plan, int e1, int e2) {
   double cost = 0.0;
-  for (const Predicate& p : predicates) {
-    const PreparedAttr& attr = pg.attrs[p.attr];
-    if (IsSetBased(p.func) || IsWeightedSetBased(p.func)) {
-      const RankColumn& ranks =
-          p.mode == TokenMode::kValueList ? attr.value_ranks : attr.word_ranks;
-      cost += static_cast<double>(ranks.size(e1) + ranks.size(e2));
-    } else if (p.func == SimFunc::kEditSim) {
-      size_t min_len = std::min(attr.text[e1].size(), attr.text[e2].size());
-      size_t band = MaxEditDistanceForSim(
-          std::max(attr.text[e1].size(), attr.text[e2].size()), p.threshold);
-      cost += static_cast<double>(std::max<size_t>(1, band) * min_len);
-    } else {  // ontology
-      const auto it = attr.nodes.find(p.ontology_index);
-      const Ontology& tree = *pg.context.ontologies[p.ontology_index].tree;
-      int d1 = it->second[e1] == kNoNode ? 1 : tree.Depth(it->second[e1]);
-      int d2 = it->second[e2] == kNoNode ? 1 : tree.Depth(it->second[e2]);
-      cost += static_cast<double>(d1 + d2);
+  for (const PredicatePlan& p : plan) {
+    switch (p.kind) {
+      case PredicatePlan::Kind::kSet:
+      case PredicatePlan::Kind::kWeighted:
+        cost += static_cast<double>(p.ranks->size(e1) + p.ranks->size(e2));
+        break;
+      case PredicatePlan::Kind::kEditSim: {
+        const size_t len1 = p.text[e1].size(), len2 = p.text[e2].size();
+        const size_t band =
+            MaxEditDistanceForSim(std::max(len1, len2), p.threshold);
+        cost += static_cast<double>(std::max<size_t>(1, band) *
+                                    std::min(len1, len2));
+        break;
+      }
+      case PredicatePlan::Kind::kOntology: {
+        const int n1 = p.nodes[e1], n2 = p.nodes[e2];
+        const int d1 = n1 == kNoNode ? 1 : p.tree->Depth(n1);
+        const int d2 = n2 == kNoNode ? 1 : p.tree->Depth(n2);
+        cost += static_cast<double>(d1 + d2);
+        break;
+      }
     }
   }
   return std::max(cost, 1.0);

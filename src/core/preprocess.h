@@ -240,31 +240,22 @@ PreparedGroup PrepareGroupForPredicates(const Group& group,
                                         const std::vector<Predicate>& preds,
                                         const DimeContext& context);
 
-/// Exact similarity of `pred` between entities e1 and e2.
+/// Exact similarity of `pred` between entities e1 and e2: the reference
+/// every threshold decision must agree with (rule generation, the
+/// baselines and explanations read the value itself).
 double PredicateSimilarity(const PreparedGroup& pg, const Predicate& pred,
                            int e1, int e2);
 
-/// Threshold-aware check: routes set-based predicates through
-/// IntersectionAtLeast-derived kernels, weighted predicates through the
-/// bounded merge, and kGe edit similarity through the banded verifier —
-/// each stops at the decision point instead of computing the exact value,
-/// while deciding bit-identically to `Compare(PredicateSimilarity(...))`.
-bool PredicateHolds(const PreparedGroup& pg, const Predicate& pred,
-                    Direction dir, int e1, int e2);
-
-/// True iff every predicate of the rule holds.
-bool EvalPositiveRule(const PreparedGroup& pg, const PositiveRule& rule,
-                      int e1, int e2);
-bool EvalNegativeRule(const PreparedGroup& pg, const NegativeRule& rule,
-                      int e1, int e2);
-
 /// One predicate resolved against a PreparedGroup: the kernel kind, the
 /// column pointers and the threshold, hoisted out of the O(n^2) pair
-/// loops. PredicateHolds re-derives all of this on every call (attribute
-/// indexing, token-mode selection, an unordered_map lookup for ontology
-/// predicates); a plan does it once per rule per run, and
-/// PlanPredicateHolds decides bit-identically to
-/// PredicateHolds(pg, pred, dir, e1, e2) with a single switch.
+/// loops. Rules are evaluated only through plans: attribute indexing,
+/// token-mode selection and the ontology node-map lookup run once per
+/// rule per run, and each check is a single switch into the
+/// threshold-aware kernels (set-based predicates through the
+/// IntersectionAtLeast-derived kernels, weighted ones through the bounded
+/// merge, edit similarity through the banded verifier). Each stops at the
+/// decision point instead of computing the exact value, while deciding
+/// bit-identically to `pred.Compare(PredicateSimilarity(...), dir)`.
 ///
 /// A plan borrows storage from the PreparedGroup it was built against and
 /// is invalidated by any mutation of the group — build it, run the pair
@@ -283,21 +274,19 @@ struct PredicatePlan {
   const Ontology* tree = nullptr;                ///< kOntology
 };
 
-/// A rule's predicates resolved in evaluation order (short-circuit order
-/// is preserved, so pair-check counting and kernel early-exit behaviour
-/// match the unplanned path exactly).
+/// A rule's predicates resolved in the rule's order (the short-circuit
+/// order, which pair-check counters and kernel early exits depend on).
 using RulePlan = std::vector<PredicatePlan>;
 
 /// Resolves `predicates` against `pg` for evaluation under `dir`.
 RulePlan BuildRulePlan(const PreparedGroup& pg,
                        const std::vector<Predicate>& predicates, Direction dir);
 
-/// Threshold-aware check through a resolved plan; decides bit-identically
-/// to PredicateHolds on the predicate the plan was built from.
+/// Threshold-aware check of one resolved predicate on (e1, e2).
 bool PlanPredicateHolds(const PredicatePlan& p, int e1, int e2);
 
-/// True iff every predicate of the plan holds (same short-circuit order
-/// as EvalPositiveRule/EvalNegativeRule).
+/// True iff every predicate of the plan holds, in plan order,
+/// short-circuiting on the first that fails.
 inline bool EvalRulePlan(const RulePlan& plan, int e1, int e2) {
   for (const PredicatePlan& p : plan) {
     if (!PlanPredicateHolds(p, e1, e2)) return false;
@@ -306,11 +295,10 @@ inline bool EvalRulePlan(const RulePlan& plan, int e1, int e2) {
 }
 
 /// Estimated verification cost C(e1, e2) of a rule, per Section IV-C:
-/// O(|a|+|b|) for set functions, O(theta * min) for edit similarity,
-/// O(depth_a + depth_b) for ontology similarity.
-double RuleVerificationCost(const PreparedGroup& pg,
-                            const std::vector<Predicate>& predicates, int e1,
-                            int e2);
+/// O(|a|+|b|) for set functions, O(band * min) for edit similarity,
+/// O(depth_a + depth_b) for ontology similarity (an unmapped entity
+/// counts depth 1). At least 1.
+double RuleVerificationCost(const RulePlan& plan, int e1, int e2);
 
 }  // namespace dime
 

@@ -19,6 +19,13 @@ constexpr uint64_t kUniversalPayload = 0xFFFFFFFFFFFFFFFFULL;
 /// each other through the index.
 constexpr uint64_t kEmptySetPayload = 0xFFFFFFFFFFFFFFFEULL;
 
+/// The threshold `p`'s signatures are generated for under `dir`: theta for
+/// positive rules, just above sigma for negative ones. The lift is
+/// Predicate::Compare's epsilon, which gives the dual guarantee.
+double FilterThreshold(const Predicate& p, Direction dir) {
+  return dir == Direction::kGe ? p.threshold : p.threshold + kSimCompareEps;
+}
+
 }  // namespace
 
 uint64_t MixSignature(uint64_t a, uint64_t b) {
@@ -35,7 +42,7 @@ SignatureGenerator::SignatureGenerator(const PreparedGroup& pg,
     const Predicate& p = predicates[i];
     if (p.func != SimFunc::kOntology) continue;
     // Effective threshold: just above sigma for negative rules.
-    double theta = dir == Direction::kGe ? p.threshold : p.threshold + 1e-9;
+    double theta = FilterThreshold(p, dir);
     if (theta <= 0.0) continue;  // universal signatures; tau unused
     const PreparedAttr& attr = pg.attrs[p.attr];
     auto it = attr.nodes.find(p.ontology_index);
@@ -59,7 +66,7 @@ SignatureGenerator::SignatureGenerator(const PreparedGroup& pg,
   for (size_t i = 0; i < predicates.size(); ++i) {
     const Predicate& p = predicates[i];
     if (p.func != SimFunc::kEditSim) continue;
-    double tau = dir == Direction::kGe ? p.threshold : p.threshold + 1e-9;
+    double tau = FilterThreshold(p, dir);
     if (tau <= 0.0) {
       editsim_universal_[i] = true;
       continue;
@@ -120,10 +127,10 @@ size_t SignatureGenerator::PredicateSignatureCount(size_t pred_idx,
     if (p.func == SimFunc::kOverlap) {
       theta = dir_ == Direction::kGe
                   ? p.threshold
-                  : std::floor(p.threshold + 1e-9) + 1.0;
+                  : std::floor(p.threshold + kSimCompareEps) + 1.0;
       if (theta < 1.0) return 1;  // universal
     } else {
-      theta = dir_ == Direction::kGe ? p.threshold : p.threshold + 1e-9;
+      theta = FilterThreshold(p, dir_);
       if (theta <= 0.0) return 1;  // universal
       if (theta > 1.0) return 0;   // unsatisfiable
       if (size == 0) return 1;     // empty-set marker
@@ -135,7 +142,7 @@ size_t SignatureGenerator::PredicateSignatureCount(size_t pred_idx,
     const bool values = p.mode == TokenMode::kValueList;
     const RankSpan ranks =
         values ? attr.value_ranks.view(entity) : attr.word_ranks.view(entity);
-    double theta = dir_ == Direction::kGe ? p.threshold : p.threshold + 1e-9;
+    double theta = FilterThreshold(p, dir_);
     if (theta <= 0.0) return 1;
     if (theta > 1.0) return 0;
     if (ranks.empty()) return 1;
@@ -145,14 +152,14 @@ size_t SignatureGenerator::PredicateSignatureCount(size_t pred_idx,
 
   if (p.func == SimFunc::kEditSim) {
     if (editsim_universal_[pred_idx]) return 1;
-    double tau = dir_ == Direction::kGe ? p.threshold : p.threshold + 1e-9;
+    double tau = FilterThreshold(p, dir_);
     if (tau > 1.0) return 0;
     size_t d = MaxEditDistanceForSim(attr.text[entity].size(), tau);
     return static_cast<size_t>(pg_.context.qgram_q) * d + 1;
   }
 
   DIME_CHECK(p.func == SimFunc::kOntology);
-  double theta = dir_ == Direction::kGe ? p.threshold : p.threshold + 1e-9;
+  double theta = FilterThreshold(p, dir_);
   if (theta <= 0.0) return 1;
   if (theta > 1.0) return 0;
   auto it = attr.nodes.find(p.ontology_index);
@@ -183,13 +190,13 @@ void SignatureGenerator::PredicateSignatures(
     if (p.func == SimFunc::kOverlap) {
       theta = dir_ == Direction::kGe
                   ? p.threshold
-                  : std::floor(p.threshold + 1e-9) + 1.0;
+                  : std::floor(p.threshold + kSimCompareEps) + 1.0;
       if (theta < 1.0) {  // any pair qualifies: filtering impossible
         sigs.push_back(MixSignature(tag, kUniversalPayload));
         return;
       }
     } else {
-      theta = dir_ == Direction::kGe ? p.threshold : p.threshold + 1e-9;
+      theta = FilterThreshold(p, dir_);
       if (theta <= 0.0) {
         sigs.push_back(MixSignature(tag, kUniversalPayload));
         return;
@@ -212,7 +219,7 @@ void SignatureGenerator::PredicateSignatures(
     const RankSpan ranks =
         values ? attr.value_ranks.view(entity) : attr.word_ranks.view(entity);
     const auto& weights = values ? attr.value_weights : attr.word_weights;
-    double theta = dir_ == Direction::kGe ? p.threshold : p.threshold + 1e-9;
+    double theta = FilterThreshold(p, dir_);
     if (theta <= 0.0) {
       sigs.push_back(MixSignature(tag, kUniversalPayload));
       return;
@@ -233,7 +240,7 @@ void SignatureGenerator::PredicateSignatures(
       sigs.push_back(MixSignature(tag, kUniversalPayload));
       return;
     }
-    double tau = dir_ == Direction::kGe ? p.threshold : p.threshold + 1e-9;
+    double tau = FilterThreshold(p, dir_);
     if (tau > 1.0) return;  // unsatisfiable with any partner
     const RankSpan grams = attr.qgram_ranks.view(entity);
     size_t d = MaxEditDistanceForSim(attr.text[entity].size(), tau);
@@ -245,7 +252,7 @@ void SignatureGenerator::PredicateSignatures(
   }
 
   DIME_CHECK(p.func == SimFunc::kOntology);
-  double theta = dir_ == Direction::kGe ? p.threshold : p.threshold + 1e-9;
+  double theta = FilterThreshold(p, dir_);
   if (theta <= 0.0) {
     sigs.push_back(MixSignature(tag, kUniversalPayload));
     return;

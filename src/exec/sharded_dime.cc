@@ -164,7 +164,12 @@ DimeResult RunOnPool(const PreparedGroup& pg,
   // ---- Step 1b: volume-balanced candidate verification. ------------------
   // Rules in turn, each rule's lists in visiting order. With one executor
   // the tasks run in spawn order, so the pairs are verified and skipped
-  // in exactly that order.
+  // in exactly that order. Every task verifies through its rule's plan.
+  std::vector<RulePlan> plans;
+  plans.reserve(positive.size());
+  for (const PositiveRule& rule : positive) {
+    plans.push_back(BuildRulePlan(pg, rule.predicates, Direction::kGe));
+  }
   StripedUnionFind uf(static_cast<size_t>(n));
   std::atomic<size_t> pos_checks{0};
   std::atomic<size_t> trans_skips{0};
@@ -182,7 +187,7 @@ DimeResult RunOnPool(const PreparedGroup& pg,
     TaskGroup verify_group(pool);
     auto spawn = [&](const VerifyTask& task) {
       if (task.first == task.last) return;
-      verify_group.Spawn([&pg, &positive, &lists, &uf, &control,
+      verify_group.Spawn([&plans, &lists, &uf, &control,
                           &verify_group, &pos_checks, &trans_skips,
                           &kernel_exits, task] {
         if (DIME_FAULT_POINT(failpoints::kWorkerFault)) {
@@ -241,7 +246,7 @@ DimeResult RunOnPool(const PreparedGroup& pg,
                 continue;
               }
               ++local_checks;
-              if (EvalPositiveRule(pg, positive[task.rule], e1, e2)) {
+              if (EvalRulePlan(plans[task.rule], e1, e2)) {
                 uf.Union(e1, e2);
               }
             }
@@ -312,6 +317,7 @@ DimeResult RunOnPool(const PreparedGroup& pg,
       TaskGroup ctx_group(pool);
       for (size_t r = 0; r < negative.size(); ++r) {
         internal::NegativeRuleContext& ctx = contexts[r];
+        ctx.plan = BuildRulePlan(pg, negative[r].predicates, Direction::kLe);
         ctx.gen = std::make_unique<SignatureGenerator>(
             pg, negative[r].predicates, Direction::kLe,
             /*rule_tag=*/0x1000 + r);
@@ -370,10 +376,9 @@ DimeResult RunOnPool(const PreparedGroup& pg,
       TaskGroup flag_group(pool);
       for (size_t p = 0; p < result.partitions.size(); ++p) {
         if (static_cast<int>(p) == result.pivot) continue;
-        flag_group.Spawn([&pg, &negative, &result, &control,
-                          &flag_group, &pivot_entities, &first_flagging,
-                          &contexts, &scratches, &neg_checks, &pruned,
-                          &kernel_exits, p] {
+        flag_group.Spawn([&result, &control, &flag_group, &pivot_entities,
+                          &first_flagging, &contexts, &scratches,
+                          &neg_checks, &pruned, &kernel_exits, p] {
           if (DIME_FAULT_POINT(failpoints::kWorkerFault)) {
             throw std::runtime_error("injected worker fault (step 3)");
           }
@@ -387,8 +392,8 @@ DimeResult RunOnPool(const PreparedGroup& pg,
           internal::NegativeScratch* scratch = scratches.Acquire();
           internal::NegativePhaseStats local;
           first_flagging[p] = internal::FlagPartitionAgainstPivot(
-              pg, negative, pivot_entities, result.partitions[p],
-              contexts, scratch, &local);
+              pivot_entities, result.partitions[p], contexts, scratch,
+              &local);
           scratches.Release(scratch);
           neg_checks.fetch_add(local.negative_pair_checks,
                                std::memory_order_relaxed);

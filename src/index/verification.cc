@@ -17,8 +17,4 @@ double PositiveBenefit(double probability, double cost) {
   return probability / std::max(cost, 1e-9);
 }
 
-double NegativeBenefit(double probability, double cost) {
-  return 1.0 / (std::max(probability, 1e-6) * std::max(cost, 1e-9));
-}
-
 }  // namespace dime

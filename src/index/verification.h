@@ -4,12 +4,11 @@
 #include <cstddef>
 
 /// \file verification.h
-/// The benefit model of Sections IV-C and IV-D. Verification order matters:
-/// for positive rules, verifying likely-similar cheap pairs first lets the
-/// transitivity short-circuit skip the most later work, so pairs are sorted
-/// by B = P / C descending; for negative rules one satisfied pair settles a
-/// whole partition, so likely-DISsimilar cheap pairs go first and
-/// B = 1 / (P * C).
+/// The benefit model of Sections IV-C and IV-D: B = P / C, verified in
+/// descending order. DIME+'s step 3 orders each member's candidate pivot
+/// entities by it, most likely similar (and cheapest) first: one violating
+/// pair settles that member, so the likely violations are tried before
+/// the likely satisfied pairs.
 
 namespace dime {
 
@@ -18,11 +17,8 @@ namespace dime {
 /// (Section IV-C, "Similar Probability").
 double SimilarProbability(size_t shared, size_t sig_count1, size_t sig_count2);
 
-/// Benefit of verifying a candidate for a positive rule.
+/// Benefit B = P / C of verifying a candidate pair.
 double PositiveBenefit(double probability, double cost);
-
-/// Benefit of verifying a candidate for a negative rule.
-double NegativeBenefit(double probability, double cost);
 
 }  // namespace dime
 

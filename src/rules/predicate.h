@@ -29,9 +29,8 @@ struct Predicate {
 
   /// True iff `sim` satisfies this predicate under `dir`.
   bool Compare(double sim, Direction dir) const {
-    constexpr double kEps = 1e-9;
-    return dir == Direction::kGe ? sim >= threshold - kEps
-                                 : sim <= threshold + kEps;
+    return dir == Direction::kGe ? sim >= threshold - kSimCompareEps
+                                 : sim <= threshold + kSimCompareEps;
   }
 
   /// Renders e.g. "overlap(Authors) >= 2" / "ontology(Venue) <= 0.25".

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/sim/similarity.h"
 
 namespace dime {
 namespace {
@@ -330,26 +331,38 @@ double EditSimilarity(std::string_view a, std::string_view b) {
 
 bool EditSimilarityAtLeast(std::string_view a, std::string_view b,
                            double tau) {
-  size_t max_len = std::max(a.size(), b.size());
-  if (max_len == 0) return tau <= 1.0;
-  if (tau <= 0.0) return true;
-  double allowed = (1.0 - tau) * static_cast<double>(max_len);
-  size_t max_dist = static_cast<size_t>(std::floor(allowed + 1e-9));
-  size_t ed = EditDistanceWithin(a, b, max_dist);
-  return ed <= max_dist;
+  const size_t max_len = std::max(a.size(), b.size());
+  if (max_len == 0) return 1.0 >= tau - kSimCompareEps;  // sim is exactly 1.0
+  // The check holds iff ed <= d1, where d1 is the largest distance with
+  // 1 - d1/max_len >= tau - eps. Derive d1 in closed form, then nudge it
+  // with the EXACT comparison Predicate::Compare applies, as
+  // EditSimilarityAtMost does.
+  const double len = static_cast<double>(max_len);
+  auto holds_at = [&](size_t ed) {
+    return 1.0 - static_cast<double>(ed) / len >= tau - kSimCompareEps;
+  };
+  const double guess = std::floor((1.0 - tau) * len);
+  size_t d1 = guess <= 0.0   ? 0
+              : guess >= len ? max_len
+                             : static_cast<size_t>(guess);
+  while (d1 < max_len && holds_at(d1 + 1)) ++d1;
+  while (d1 > 0 && !holds_at(d1)) --d1;
+  if (!holds_at(d1)) return false;  // not even equal strings qualify
+  if (d1 == max_len) return true;   // every distance qualifies
+  return EditDistanceWithin(a, b, d1) <= d1;
 }
 
 bool EditSimilarityAtMost(std::string_view a, std::string_view b,
                           double sigma) {
   const size_t max_len = std::max(a.size(), b.size());
-  if (max_len == 0) return 1.0 <= sigma + 1e-9;  // sim is exactly 1.0
+  if (max_len == 0) return 1.0 <= sigma + kSimCompareEps;  // sim is exactly 1.0
   // The check holds iff ed >= d0, where d0 is the smallest integer with
   // 1 - d0/max_len <= sigma + eps. Derive d0 in closed form, then nudge it
   // with the EXACT comparison Predicate::Compare applies, so the decision
   // is bit-identical to comparing the exact similarity.
   const double len = static_cast<double>(max_len);
   auto holds_at = [&](size_t ed) {
-    return 1.0 - static_cast<double>(ed) / len <= sigma + 1e-9;
+    return 1.0 - static_cast<double>(ed) / len <= sigma + kSimCompareEps;
   };
   double guess = std::ceil((1.0 - sigma) * len) - 1.0;
   size_t d0 = guess <= 0.0 ? 0 : static_cast<size_t>(guess);

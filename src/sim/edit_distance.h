@@ -13,7 +13,7 @@
 /// |i - j| <= max_dist band and abandons as soon as the column minimum
 /// provably exceeds the threshold. Distances are integers, so every
 /// variant returns exactly what the classic DP returns and the decisions
-/// downstream (EditSimilarityAtLeast, PredicateHolds) are bit-identical;
+/// downstream (EditSimilarityAtLeast/AtMost, rule plans) are bit-identical;
 /// the DP twins survive in `internal` as differential-test references.
 
 namespace dime {
@@ -32,14 +32,18 @@ size_t EditDistanceWithin(std::string_view a, std::string_view b,
 /// Both empty -> 1.0.
 double EditSimilarity(std::string_view a, std::string_view b);
 
-/// True iff EditSimilarity(a, b) >= tau, computed with the banded variant
-/// so the cost matches the threshold (used by rule verification).
+/// True iff EditSimilarity(a, b) >= tau - eps (eps = kSimCompareEps,
+/// matching Predicate::Compare on Direction::kGe) — the positive-rule
+/// comparison, decided with the banded variant so the cost matches the
+/// threshold. Bit-identical to `Predicate::Compare(EditSimilarity(a, b),
+/// kGe)`.
 bool EditSimilarityAtLeast(std::string_view a, std::string_view b, double tau);
 
-/// True iff EditSimilarity(a, b) <= sigma + eps (eps = 1e-9, matching
-/// Predicate::Compare on Direction::kLe) — the negative-rule comparison,
-/// decided with the banded variant instead of the full distance.
-/// Bit-identical to `Predicate::Compare(EditSimilarity(a, b), kLe)`.
+/// True iff EditSimilarity(a, b) <= sigma + eps (eps = kSimCompareEps,
+/// matching Predicate::Compare on Direction::kLe) — the negative-rule
+/// comparison, decided with the banded variant instead of the full
+/// distance. Bit-identical to `Predicate::Compare(EditSimilarity(a, b),
+/// kLe)`.
 bool EditSimilarityAtMost(std::string_view a, std::string_view b,
                           double sigma);
 

@@ -31,12 +31,6 @@
 
 namespace dime {
 
-/// The epsilon Predicate::Compare applies on both comparison directions;
-/// the threshold-aware kernels bake in the same tolerance so that
-/// `SetSimilarityAtLeast(f, a, b, t) == (SetSimilarity(f, a, b) >= t - eps)`
-/// holds exactly.
-inline constexpr double kSimCompareEps = 1e-9;
-
 /// Size of the intersection of two strictly ascending runs. Dispatches to
 /// an AVX2 block kernel (8 lanes, all-pairs block compare) when the CPU
 /// has it and both runs are dense enough; the scalar merge otherwise.

@@ -13,6 +13,15 @@
 
 namespace dime {
 
+/// The one tolerance every threshold comparison applies: a predicate
+/// holds iff `sim >= theta - eps` (positive rules) or `sim <= sigma + eps`
+/// (negative rules). Predicate::Compare, the threshold-aware kernels
+/// (e.g. `SetSimilarityAtLeast(f, a, b, t) == (SetSimilarity(f, a, b) >=
+/// t - eps)` exactly), the rule plans and the negative-rule signature lift
+/// `sigma + eps` all use it; the dual guarantee of core/signature.h holds
+/// only while they agree.
+inline constexpr double kSimCompareEps = 1e-9;
+
 /// The similarity-function library F.
 enum class SimFunc : int {
   kOverlap = 0,    ///< |A ∩ B| (absolute count; thresholds are counts)

@@ -50,7 +50,7 @@ double TotalWeight(RankSpan v, const std::vector<double>& weights);
 /// mass the weighted-cosine threshold kernels take.
 double SquaredWeightNorm(RankSpan v, const std::vector<double>& weights);
 
-/// Threshold-aware check `func(a, b) >= theta - eps` (eps = 1e-9, matching
+/// Threshold-aware check `func(a, b) >= theta - eps` (eps = kSimCompareEps, matching
 /// Predicate::Compare). `mass_a` / `mass_b` are TotalWeight for
 /// kWeightedJaccard and SquaredWeightNorm for kWeightedCosine, computed
 /// over the same spans and weights. Bit-identical to evaluating the exact

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/ontology/builtin.h"
+#include "src/sim/edit_distance.h"
 
 namespace dime {
 namespace {
@@ -143,8 +146,8 @@ TEST(PreprocessTest, EditSimilarityPredicate) {
   EXPECT_GT(sim, 0.4);
   EXPECT_LT(sim, 1.0);
   // Threshold-aware check agrees with the exact similarity.
-  EXPECT_EQ(PredicateHolds(pg, preds[0], Direction::kGe, 0, 1),
-            sim >= 0.5 - 1e-9);
+  const RulePlan plan = BuildRulePlan(pg, preds, Direction::kGe);
+  EXPECT_EQ(EvalRulePlan(plan, 0, 1), sim >= 0.5 - kSimCompareEps);
 }
 
 TEST(PreprocessTest, RuleEvaluation) {
@@ -155,54 +158,113 @@ TEST(PreprocessTest, RuleEvaluation) {
       "overlap(Authors) >= 1 ^ ontology(Venue) >= 0.75", g.schema, &pos[0]));
   ASSERT_TRUE(ParseNegativeRule("overlap(Authors) <= 0", g.schema, &neg[0]));
   PreparedGroup pg = PrepareGroup(g, pos, neg, MakeContext());
-  EXPECT_TRUE(EvalPositiveRule(pg, pos[0], 0, 1));
-  EXPECT_FALSE(EvalPositiveRule(pg, pos[0], 0, 2));
-  EXPECT_FALSE(EvalNegativeRule(pg, neg[0], 0, 1));
-  EXPECT_TRUE(EvalNegativeRule(pg, neg[0], 0, 2));
+  const RulePlan pos_plan =
+      BuildRulePlan(pg, pos[0].predicates, Direction::kGe);
+  const RulePlan neg_plan =
+      BuildRulePlan(pg, neg[0].predicates, Direction::kLe);
+  EXPECT_TRUE(EvalRulePlan(pos_plan, 0, 1));
+  EXPECT_FALSE(EvalRulePlan(pos_plan, 0, 2));
+  EXPECT_FALSE(EvalRulePlan(neg_plan, 0, 1));
+  EXPECT_TRUE(EvalRulePlan(neg_plan, 0, 2));
 }
 
-/// The resolved-plan path (BuildRulePlan + EvalRulePlan) must agree with
-/// the per-call dispatch path predicate-by-predicate and pair-by-pair —
-/// RunDime's pair loops depend on this equivalence for its pinned golden
-/// digests and counters.
-TEST(PreprocessTest, RulePlanMatchesUnplannedEvaluation) {
+/// Rule plans are the only threshold-aware evaluator, so every plan
+/// decision must equal the exact reference
+/// `pred.Compare(PredicateSimilarity(...), dir)`: for every function class
+/// (set, weighted, edit similarity, ontology), both directions, every
+/// ordered pair, and valid thresholds on and within a few epsilons of the
+/// pairs' own similarity values (where an epsilon disagreement shows).
+TEST(PreprocessTest, RulePlanMatchesExactSimilarity) {
   Group g = MakeGroup();
-  std::vector<PositiveRule> pos(2);
-  std::vector<NegativeRule> neg(2);
-  ASSERT_TRUE(ParsePositiveRule(
-      "overlap(Authors) >= 1 ^ ontology(Venue) >= 0.75", g.schema, &pos[0]));
-  ASSERT_TRUE(ParsePositiveRule(
-      "jaccard(Title:words) >= 0.3 ^ editsim(Venue) >= 0.4", g.schema,
-      &pos[1]));
-  ASSERT_TRUE(ParseNegativeRule("overlap(Authors) <= 0", g.schema, &neg[0]));
-  ASSERT_TRUE(ParseNegativeRule(
-      "cosine(Title:words) <= 0.5 ^ ontology(Venue) <= 0.25", g.schema,
-      &neg[1]));
-  PreparedGroup pg = PrepareGroup(g, pos, neg, MakeContext());
+  auto add = [&](const std::string& id, const std::string& title,
+                 std::vector<std::string> authors, const std::string& venue) {
+    Entity e;
+    e.id = id;
+    e.values = {{title}, std::move(authors), {venue}};
+    g.entities.push_back(std::move(e));
+  };
+  add("e4", "data cleaning system", {"Xu Chu", "Nan Tang", "Guoliang Li"},
+      "PVLDB");
+  add("e5", "", {}, "SIGMOD");
+  add("e6", "query study of data", {"Other Person", "Xu Chu"}, "ICDE 2016");
+
+  std::vector<Predicate> preds;
+  for (SimFunc f : {SimFunc::kOverlap, SimFunc::kJaccard, SimFunc::kDice,
+                    SimFunc::kCosine, SimFunc::kWeightedJaccard,
+                    SimFunc::kWeightedCosine}) {
+    preds.push_back(Pred(1, f, TokenMode::kValueList, 0.0));
+    preds.push_back(Pred(0, f, TokenMode::kWords, 0.0));
+  }
+  preds.push_back(Pred(0, SimFunc::kEditSim, TokenMode::kValueList, 0.0));
+  preds.push_back(Pred(2, SimFunc::kEditSim, TokenMode::kValueList, 0.0));
+  preds.push_back(Pred(2, SimFunc::kOntology, TokenMode::kValueList, 0.0, 0));
+  preds.push_back(Pred(0, SimFunc::kOntology, TokenMode::kWords, 0.0, 1));
+  PreparedGroup pg = PrepareGroupForPredicates(g, preds, MakeContext());
   const int n = static_cast<int>(pg.size());
-  for (const PositiveRule& rule : pos) {
-    RulePlan plan = BuildRulePlan(pg, rule.predicates, Direction::kGe);
-    ASSERT_EQ(plan.size(), rule.predicates.size());
+
+  size_t checked = 0;
+  for (Predicate pred : preds) {
+    std::vector<double> thresholds = {0.0, 0.25, 0.5, 0.75, 1.0};
+    const double max_threshold = IsNormalized(pred.func) ? 1.0 : 1e9;
     for (int i = 0; i < n; ++i) {
       for (int j = 0; j < n; ++j) {
-        EXPECT_EQ(EvalRulePlan(plan, i, j), EvalPositiveRule(pg, rule, i, j))
-            << "pair " << i << "," << j;
-        for (size_t p = 0; p < plan.size(); ++p) {
-          EXPECT_EQ(
-              PlanPredicateHolds(plan[p], i, j),
-              PredicateHolds(pg, rule.predicates[p], Direction::kGe, i, j))
-              << "pred " << p << " pair " << i << "," << j;
+        const double sim = PredicateSimilarity(pg, pred, i, j);
+        for (double d : {0.0, -0.5, 0.5, -2.0, 2.0}) {
+          const double t = sim + d * kSimCompareEps;
+          if (t >= 0.0 && t <= max_threshold) thresholds.push_back(t);
+        }
+      }
+    }
+    for (double t : thresholds) {
+      pred.threshold = t;
+      for (Direction dir : {Direction::kGe, Direction::kLe}) {
+        const RulePlan plan = BuildRulePlan(pg, {pred}, dir);
+        for (int i = 0; i < n; ++i) {
+          for (int j = 0; j < n; ++j) {
+            ++checked;
+            ASSERT_EQ(EvalRulePlan(plan, i, j),
+                      pred.Compare(PredicateSimilarity(pg, pred, i, j), dir))
+                << "func " << SimFuncName(pred.func) << " attr " << pred.attr
+                << " threshold " << t << " dir " << static_cast<int>(dir)
+                << " pair " << i << "," << j;
+          }
         }
       }
     }
   }
-  for (const NegativeRule& rule : neg) {
-    RulePlan plan = BuildRulePlan(pg, rule.predicates, Direction::kLe);
-    for (int i = 0; i < n; ++i) {
-      for (int j = 0; j < n; ++j) {
-        EXPECT_EQ(EvalRulePlan(plan, i, j), EvalNegativeRule(pg, rule, i, j))
-            << "pair " << i << "," << j;
+  EXPECT_GT(checked, 50000u);
+
+  // A conjunction holds iff each of its predicates does.
+  std::vector<PositiveRule> pos(1);
+  std::vector<NegativeRule> neg(1);
+  ASSERT_TRUE(ParsePositiveRule(
+      "jaccard(Title:words) >= 0.3 ^ editsim(Venue) >= 0.4 ^ "
+      "ontology(Venue) >= 0.5",
+      g.schema, &pos[0]));
+  ASSERT_TRUE(ParseNegativeRule(
+      "cosine(Title:words) <= 0.5 ^ ontology(Venue) <= 0.25 ^ "
+      "overlap(Authors) <= 1",
+      g.schema, &neg[0]));
+  PreparedGroup rule_pg = PrepareGroup(g, pos, neg, MakeContext());
+  const RulePlan pos_plan =
+      BuildRulePlan(rule_pg, pos[0].predicates, Direction::kGe);
+  const RulePlan neg_plan =
+      BuildRulePlan(rule_pg, neg[0].predicates, Direction::kLe);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      bool pos_all = true, neg_all = true;
+      for (const Predicate& p : pos[0].predicates) {
+        pos_all = pos_all && p.Compare(PredicateSimilarity(rule_pg, p, i, j),
+                                       Direction::kGe);
       }
+      for (const Predicate& p : neg[0].predicates) {
+        neg_all = neg_all && p.Compare(PredicateSimilarity(rule_pg, p, i, j),
+                                       Direction::kLe);
+      }
+      EXPECT_EQ(EvalRulePlan(pos_plan, i, j), pos_all)
+          << "pair " << i << "," << j;
+      EXPECT_EQ(EvalRulePlan(neg_plan, i, j), neg_all)
+          << "pair " << i << "," << j;
     }
   }
 }
@@ -261,10 +323,39 @@ TEST(PreprocessTest, VerificationCostIsPositiveAndTracksSizes) {
   std::vector<Predicate> preds{
       Pred(1, SimFunc::kOverlap, TokenMode::kValueList, 1.0)};
   PreparedGroup pg = PrepareGroupForPredicates(g, preds, MakeContext());
-  double c01 = RuleVerificationCost(pg, preds, 0, 1);
+  const RulePlan plan = BuildRulePlan(pg, preds, Direction::kLe);
+  double c01 = RuleVerificationCost(plan, 0, 1);
   EXPECT_GE(c01, 1.0);
   // e3 has fewer authors than e1/e2, so pairs with it are cheaper.
-  EXPECT_LT(RuleVerificationCost(pg, preds, 0, 2), c01 + 1.0);
+  EXPECT_LT(RuleVerificationCost(plan, 0, 2), c01 + 1.0);
+
+  // Each class prices from the plan's columns: rank-run sizes, the edit
+  // band times the shorter text, and ontology depths (unmapped -> 1).
+  std::vector<Predicate> mixed{
+      Pred(1, SimFunc::kOverlap, TokenMode::kValueList, 1.0),
+      Pred(0, SimFunc::kEditSim, TokenMode::kValueList, 0.5),
+      Pred(2, SimFunc::kOntology, TokenMode::kValueList, 0.75, 0)};
+  PreparedGroup mixed_pg = PrepareGroupForPredicates(g, mixed, MakeContext());
+  const PreparedAttr& title = mixed_pg.attrs[0];
+  const PreparedAttr& authors = mixed_pg.attrs[1];
+  const Ontology& tree = VenueOntology();
+  const std::vector<int>& nodes = mixed_pg.attrs[2].nodes.at(0);
+  for (int e2 : {1, 2}) {
+    const size_t len1 = title.text[0].size(), len2 = title.text[e2].size();
+    const double expected =
+        static_cast<double>(authors.value_ranks.size(0) +
+                            authors.value_ranks.size(e2)) +
+        static_cast<double>(
+            std::max<size_t>(1, MaxEditDistanceForSim(std::max(len1, len2),
+                                                      0.5)) *
+            std::min(len1, len2)) +
+        static_cast<double>(tree.Depth(nodes[0]) +
+                            (nodes[e2] == kNoNode ? 1 : tree.Depth(nodes[e2])));
+    EXPECT_EQ(RuleVerificationCost(
+                  BuildRulePlan(mixed_pg, mixed, Direction::kGe), 0, e2),
+              expected)
+        << "pair 0," << e2;
+  }
 }
 
 }  // namespace

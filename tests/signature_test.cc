@@ -115,6 +115,7 @@ TEST_P(SignatureCompletenessTest, FilterIsComplete) {
     }
     PreparedGroup pg = PrepareGroup(g, pos, neg, ctx);
     SignatureGenerator gen(pg, *predicates, dir, /*rule_tag=*/1);
+    const RulePlan plan = BuildRulePlan(pg, *predicates, dir);
 
     std::vector<std::vector<uint64_t>> sigs(g.size());
     for (size_t e = 0; e < g.size(); ++e) {
@@ -124,9 +125,10 @@ TEST_P(SignatureCompletenessTest, FilterIsComplete) {
     }
     for (size_t i = 0; i < g.size(); ++i) {
       for (size_t j = i + 1; j < g.size(); ++j) {
+        const bool holds =
+            EvalRulePlan(plan, static_cast<int>(i), static_cast<int>(j));
         if (rule_case.positive) {
-          if (EvalPositiveRule(pg, pos[0], static_cast<int>(i),
-                               static_cast<int>(j))) {
+          if (holds) {
             ++checked;
             EXPECT_TRUE(Intersects(sigs[i], sigs[j]))
                 << "pair (" << i << "," << j << ") satisfies '"
@@ -135,8 +137,7 @@ TEST_P(SignatureCompletenessTest, FilterIsComplete) {
         } else {
           if (!Intersects(sigs[i], sigs[j])) {
             ++checked;
-            EXPECT_TRUE(EvalNegativeRule(pg, neg[0], static_cast<int>(i),
-                                         static_cast<int>(j)))
+            EXPECT_TRUE(holds)
                 << "pair (" << i << "," << j
                 << ") shares no signature but violates '" << rule_case.text
                 << "'";
@@ -200,6 +201,8 @@ TEST(SignatureGeneratorTest, AnchorFallbackOnExplosiveCrossProduct) {
   PreparedGroup pg = PrepareGroup(g, pos, {}, ctx);
   SignatureGenerator gen(pg, pos[0].predicates, Direction::kGe, 1);
   EXPECT_TRUE(gen.anchor_only());
+  const RulePlan plan =
+      BuildRulePlan(pg, pos[0].predicates, Direction::kGe);
   // Completeness still holds through the anchor predicate.
   std::vector<std::vector<uint64_t>> sigs(g.size());
   for (size_t e = 0; e < g.size(); ++e) {
@@ -207,8 +210,7 @@ TEST(SignatureGeneratorTest, AnchorFallbackOnExplosiveCrossProduct) {
   }
   for (size_t i = 0; i < g.size(); ++i) {
     for (size_t j = i + 1; j < g.size(); ++j) {
-      if (EvalPositiveRule(pg, pos[0], static_cast<int>(i),
-                           static_cast<int>(j))) {
+      if (EvalRulePlan(plan, static_cast<int>(i), static_cast<int>(j))) {
         EXPECT_TRUE(Intersects(sigs[i], sigs[j]));
       }
     }
