@@ -6,8 +6,13 @@
 //                        [--rules <ruleset.txt>]
 //                        [--engine naive|plus]
 //                        [--threads <n>] [--venue-ontology]
-//                        [--ontology <tree.txt> --ontology-mode exact|keyword]
+//                        [--ontology <tree.txt>
+//                         [--ontology-mode exact|keyword]]...
 //                        [--deadline-ms <n>] [--stats]
+//
+// The group, --rules and the ontology flags follow the source grammar of
+// src/core/corpus.h, shared with dime_server, dime_snapshot build and
+// dime_delta replay; --positive/--negative rules follow the --rules file's.
 //
 // Snapshot mode — run over a prepared binary snapshot (dime_snapshot):
 //   dime_cli --snapshot <corpus.snap> [--group-name <name>]
@@ -83,12 +88,11 @@
 #include "src/common/exit_code.h"
 #include "src/common/string_util.h"
 #include "src/common/threads.h"
+#include "src/core/corpus.h"
 #include "src/core/metrics.h"
 #include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
 #include "src/exec/engine.h"
-#include "src/ontology/builtin.h"
-#include "src/rules/rule_io.h"
 #include "src/server/http.h"
 #include "src/server/net_util.h"
 #include "src/server/wire.h"
@@ -421,17 +425,18 @@ int main(int argc, char** argv) {
   if (std::strcmp(argv[1], "--client") == 0) return RunClient(argc, argv);
   if (std::strcmp(argv[1], "--snapshot") == 0) return RunSnapshot(argc, argv);
 
-  std::string path = argv[1];
-  std::vector<std::string> positive_texts, negative_texts;
-  bool use_venue_ontology = false;
+  CorpusSources sources;
+  sources.group_paths.push_back(argv[1]);
   EngineKind engine = EngineKind::kPlus;
   unsigned threads = 0;
   long deadline_ms = -1;
   bool show_stats = false;
-  std::vector<std::string> ontology_paths;
-  std::vector<std::string> ontology_modes;
-  std::string rules_path;
   for (int i = 2; i < argc; ++i) {
+    StatusOr<bool> corpus_flag = ParseCorpusFlag(argc, argv, &i, &sources);
+    if (!corpus_flag.ok()) {
+      return UsageError("%s", corpus_flag.status().message().c_str());
+    }
+    if (*corpus_flag) continue;
     std::string arg = argv[i];
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
@@ -441,21 +446,9 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--positive") {
-      positive_texts.push_back(next());
+      sources.positive_rules.push_back(next());
     } else if (arg == "--negative") {
-      negative_texts.push_back(next());
-    } else if (arg == "--rules") {
-      rules_path = next();
-    } else if (arg == "--venue-ontology") {
-      use_venue_ontology = true;
-    } else if (arg == "--ontology") {
-      ontology_paths.push_back(next());
-      ontology_modes.push_back("exact");
-    } else if (arg == "--ontology-mode") {
-      if (ontology_modes.empty()) {
-        return UsageError("--ontology-mode needs a preceding --ontology");
-      }
-      ontology_modes.back() = next();
+      sources.negative_rules.push_back(next());
     } else if (arg == "--engine") {
       if (!EngineKindFromName(next(), &engine)) {
         return UsageError("--engine must be one of %s",
@@ -473,81 +466,30 @@ int main(int argc, char** argv) {
     }
   }
 
-  Group group;
-  Status loaded = LoadGroup(path, path, &group);
-  if (!loaded.ok()) {
-    // The code tells the user what actually went wrong: a missing file, a
-    // failed read, a malformed header, or a row/schema disagreement — and
-    // the exit code (exit_code.h) forwards that distinction to the shell.
-    return ExitWithStatus(loaded, ("loading " + path).c_str());
-  }
+  // The code tells the user what actually went wrong: a missing file, a
+  // failed read, a malformed header or rule, a row/schema disagreement, or
+  // rules the context cannot evaluate — and the exit code (exit_code.h)
+  // forwards that distinction to the shell.
+  StatusOr<Corpus> corpus = LoadCorpus(sources);
+  if (!corpus.ok()) return ExitWithStatus(corpus.status(), "dime_cli");
+  const Group& group = corpus->groups[0];
   std::printf("Loaded %zu entities with %zu attributes%s.\n", group.size(),
               group.schema.size(),
               group.has_truth() ? " (ground truth present)" : "");
-
-  DimeContext context;
-  if (use_venue_ontology) {
-    context.ontologies.push_back(
-        OntologyRef{&VenueOntology(), MapMode::kExactName});
-    context.ontologies.push_back(
-        OntologyRef{&VenueOntology(), MapMode::kKeyword});
-  }
-  // User-provided ontology trees follow the built-in ones, if any.
-  std::vector<std::unique_ptr<Ontology>> loaded_trees;
-  for (size_t i = 0; i < ontology_paths.size(); ++i) {
-    auto tree = std::make_unique<Ontology>();
-    if (!Ontology::LoadFromFile(ontology_paths[i], tree.get())) {
-      return ExitWithStatus(
-          NotFoundError("cannot load ontology " + ontology_paths[i]),
-          "startup");
-    }
-    MapMode mode = ontology_modes[i] == "keyword" ? MapMode::kKeyword
-                                                  : MapMode::kExactName;
-    context.ontologies.push_back(OntologyRef{tree.get(), mode});
-    loaded_trees.push_back(std::move(tree));
-  }
-
-  std::vector<PositiveRule> positive;
-  std::vector<NegativeRule> negative;
-  if (!rules_path.empty()) {
-    std::string error;
-    if (!LoadRuleSet(rules_path, group.schema, &positive, &negative,
-                     &error)) {
-      return ExitWithStatus(
-          ParseError("cannot load rules from " + rules_path + ": " + error),
-          "startup");
-    }
-  }
-  for (const std::string& text : positive_texts) {
-    PositiveRule rule;
-    if (!ParsePositiveRule(text, group.schema, &rule)) {
-      return UsageError("bad positive rule: %s", text.c_str());
-    }
-    positive.push_back(std::move(rule));
-  }
-  for (const std::string& text : negative_texts) {
-    NegativeRule rule;
-    if (!ParseNegativeRule(text, group.schema, &rule)) {
-      return UsageError("bad negative rule: %s", text.c_str());
-    }
-    negative.push_back(std::move(rule));
-  }
-  if (positive.empty()) {
+  if (corpus->positive.empty()) {
     return UsageError("need at least one --positive rule");
-  }
-  std::string invalid = ValidateRules(group.schema, positive, negative, context);
-  if (!invalid.empty()) {
-    return UsageError("invalid rules: %s", invalid.c_str());
   }
 
   RunControl control;
   if (deadline_ms > 0) control.deadline = Deadline::AfterMillis(deadline_ms);
 
-  PreparedGroup pg = PrepareGroup(group, positive, negative, context);
+  PreparedGroup pg = PrepareGroup(group, corpus->positive, corpus->negative,
+                                  corpus->context);
   exec::ShardedOptions engine_options;
   engine_options.num_threads = threads;
-  DimeResult result = exec::RunEngine(engine, pg, positive, negative,
-                                      engine_options, control);
+  DimeResult result = exec::RunEngine(engine, pg, corpus->positive,
+                                      corpus->negative, engine_options,
+                                      control);
   if (!result.ok()) {
     std::fprintf(stderr, "note: run truncated (%s); results are partial\n",
                  result.status.ToString().c_str());

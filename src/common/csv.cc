@@ -106,26 +106,23 @@ void AppendCell(std::string* out, const std::string& cell, char delim) {
 
 }  // namespace
 
-StatusOr<std::vector<TsvRow>> ReadTsv(const std::string& path) {
+StatusOr<std::string> ReadTextFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return NotFoundError(path + ": cannot open");
   if (DIME_FAULT_POINT(failpoints::kIoRead)) {
     return IoError(path + ": injected read fault");
   }
-  // Slurp the whole file: quoted fields may span physical lines, so the
-  // parser needs the full byte stream, not a line at a time.
   std::ostringstream buf;
   buf << in.rdbuf();
   if (in.bad()) return IoError(path + ": read failed");
-  return ParseDelimited(buf.str(), '\t');
+  return std::move(buf).str();
 }
 
-bool ReadTsvFile(const std::string& path, std::vector<TsvRow>* rows) {
-  rows->clear();
-  StatusOr<std::vector<TsvRow>> read = ReadTsv(path);
-  if (!read.ok()) return false;
-  *rows = std::move(read).value();
-  return true;
+StatusOr<std::vector<TsvRow>> ReadTsv(const std::string& path) {
+  // The whole byte stream at once: quoted fields may span physical lines.
+  StatusOr<std::string> content = ReadTextFile(path);
+  if (!content.ok()) return content.status();
+  return ParseDelimited(*content, '\t');
 }
 
 std::vector<TsvRow> ParseTsv(const std::string& content) {
@@ -139,10 +136,6 @@ Status WriteTsv(const std::string& path, const std::vector<TsvRow>& rows) {
   out.flush();
   if (!out) return IoError(path + ": write failed");
   return OkStatus();
-}
-
-bool WriteTsvFile(const std::string& path, const std::vector<TsvRow>& rows) {
-  return WriteTsv(path, rows).ok();
 }
 
 std::string FormatTsv(const std::vector<TsvRow>& rows) {

@@ -7,7 +7,7 @@
 #include "src/common/status.h"
 
 /// \file csv.h
-/// Tab-separated dataset IO. Entities are serialized one per line with
+/// Dataset file IO. Entities are serialized one per line with
 /// attribute values separated by tabs; multi-valued attributes use '|'
 /// between values (e.g., author lists). This mirrors the flat-file dumps of
 /// the paper's crawled datasets.
@@ -17,24 +17,21 @@
 /// and LF inside a quoted cell are data, not structure — so quoted fields
 /// may span physical lines. FormatTsv/WriteTsv quote symmetrically, only
 /// when a cell needs it.
-///
-/// The Status APIs are the source of truth; the bool forms are thin shims
-/// kept for existing call sites and cannot distinguish a missing file from
-/// an IO error from an empty file.
 
 namespace dime {
 
 /// One parsed row: a list of cells.
 using TsvRow = std::vector<std::string>;
 
-/// Reads all rows of a TSV file. An empty file is OK (and yields zero
-/// rows); an unopenable file is NOT_FOUND; a read failure after opening is
-/// IO_ERROR. Failpoint: "io/read".
-StatusOr<std::vector<TsvRow>> ReadTsv(const std::string& path);
+/// The whole content of the file at `path`, the read every text loader
+/// (TSV, rule sets, ontology trees) shares: an unopenable file is
+/// NOT_FOUND, a read failure after opening is IO_ERROR, and both messages
+/// name the path. Failpoint: "io/read".
+StatusOr<std::string> ReadTextFile(const std::string& path);
 
-/// Shim over ReadTsv: returns false (and leaves `rows` empty) on any
-/// non-OK status.
-bool ReadTsvFile(const std::string& path, std::vector<TsvRow>* rows);
+/// Reads all rows of a TSV file (ReadTextFile, then ParseTsv). An empty
+/// file is OK and yields zero rows.
+StatusOr<std::vector<TsvRow>> ReadTsv(const std::string& path);
 
 /// Parses TSV content from a string (used by tests and embedded fixtures).
 /// Handles CRLF line endings and a trailing line without '\n'; blank lines
@@ -44,9 +41,6 @@ std::vector<TsvRow> ParseTsv(const std::string& content);
 /// Writes rows to a TSV file. NOT_FOUND when the file cannot be created,
 /// IO_ERROR when writing fails.
 Status WriteTsv(const std::string& path, const std::vector<TsvRow>& rows);
-
-/// Shim over WriteTsv. Returns false on IO error.
-bool WriteTsvFile(const std::string& path, const std::vector<TsvRow>& rows);
 
 /// Serializes rows into TSV text.
 std::string FormatTsv(const std::vector<TsvRow>& rows);

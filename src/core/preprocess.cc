@@ -13,6 +13,7 @@
 #include "src/sim/edit_distance.h"
 #include "src/sim/set_similarity.h"
 #include "src/sim/weighted_similarity.h"
+#include "src/text/token_dictionary.h"
 #include "src/text/tokenizer.h"
 
 namespace dime {
@@ -158,12 +159,13 @@ struct ChunkTokens {
 };
 
 /// A token column under construction, and the PreparedAttr fields it fills
-/// (the weight fields are null for q-grams).
+/// (the weight fields are null for q-grams). The merged dictionary lives
+/// only as long as the build: the engines read ranks, never tokens.
 struct ColumnBuild {
   int attr = 0;
   TokenColumn column = TokenColumn::kValues;
   std::vector<std::string>* text = nullptr;  ///< q-grams only
-  TokenDictionary* dict = nullptr;
+  TokenDictionary dict;
   RankColumn* ranks = nullptr;
   std::vector<double>* weights = nullptr;
   std::vector<double>* mass = nullptr;
@@ -186,14 +188,12 @@ ColumnBuild MakeColumn(int a, TokenColumn column, PreparedAttr* attr) {
   b.column = column;
   switch (column) {
     case TokenColumn::kValues:
-      b.dict = &attr->value_dict;
       b.ranks = &attr->value_ranks;
       b.weights = &attr->value_weights;
       b.mass = &attr->value_mass;
       b.sqnorm = &attr->value_sqnorm;
       break;
     case TokenColumn::kWords:
-      b.dict = &attr->word_dict;
       b.ranks = &attr->word_ranks;
       b.weights = &attr->word_weights;
       b.mass = &attr->word_mass;
@@ -201,7 +201,6 @@ ColumnBuild MakeColumn(int a, TokenColumn column, PreparedAttr* attr) {
       break;
     case TokenColumn::kQGrams:
       b.text = &attr->text;
-      b.dict = &attr->qgram_dict;
       b.ranks = &attr->qgram_ranks;
       break;
   }
@@ -417,15 +416,15 @@ PreparedGroup PrepareImpl(const Group& group,
   for (ColumnBuild& col : columns) {
     // Chunk 0's ids are already the merged ones: its dictionary starts
     // the merge and its remap stays empty.
-    *col.dict = std::move(col.chunks[0].dict);
+    col.dict = std::move(col.chunks[0].dict);
     col.remaps.resize(num_chunks);
     for (size_t c = 1; c < num_chunks; ++c) {
-      col.dict->Merge(col.chunks[c].dict, &col.remaps[c]);
+      col.dict.Merge(col.chunks[c].dict, &col.remaps[c]);
       col.chunks[c].dict = TokenDictionary();
     }
-    col.dict->BuildGlobalOrder();
+    col.dict.BuildGlobalOrder();
     if (col.weights != nullptr) {
-      *col.weights = IdfWeightsByRank(col.dict->DocumentFrequencyByRank(), n);
+      *col.weights = IdfWeightsByRank(col.dict.DocumentFrequencyByRank(), n);
       col.mass->resize(n);
       col.sqnorm->resize(n);
     }
@@ -447,7 +446,7 @@ PreparedGroup PrepareImpl(const Group& group,
       for (size_t i = 0; i < chunk.ids.size(); ++i) {
         const TokenId id =
             remap == nullptr ? chunk.ids[i] : (*remap)[chunk.ids[i]];
-        ranks[i] = col.dict->GlobalRank(id);
+        ranks[i] = col.dict.GlobalRank(id);
       }
       for (size_t r = 0; r + 1 < chunk.offsets.size(); ++r) {
         uint32_t* row = ranks + chunk.offsets[r];

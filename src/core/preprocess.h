@@ -13,7 +13,6 @@
 #include "src/ontology/ontology.h"
 #include "src/rules/rule.h"
 #include "src/sim/rank_span.h"
-#include "src/text/token_dictionary.h"
 
 /// \file preprocess.h
 /// Turns a raw Group into the canonical per-attribute representations that
@@ -41,8 +40,10 @@
 /// entities. A group of one chunk is prepared on the caller's thread; a
 /// larger one on a private work-stealing pool, each chunk interning into
 /// its own dictionary. The chunk dictionaries merge in chunk order, so the
-/// output is byte-identical to a one-chunk build whatever the thread
-/// count (DESIGN.md §7.3, "Preparation in chunks").
+/// ranks are byte-identical to a one-chunk build whatever the thread
+/// count (DESIGN.md §7.3, "Preparation in chunks"). The merged
+/// dictionary only assigns the ranks: a PreparedGroup keeps ranks,
+/// weights and masses, never the tokens.
 
 namespace dime {
 
@@ -180,10 +181,6 @@ struct PreparedAttr {
   RankColumn qgram_ranks;
   /// Per ontology index: per entity mapped node (kNoNode when unmapped).
   std::unordered_map<int, std::vector<int>> nodes;
-
-  TokenDictionary value_dict;
-  TokenDictionary word_dict;
-  TokenDictionary qgram_dict;
 };
 
 /// A Group plus everything the engines need to evaluate rules on it.

@@ -87,7 +87,25 @@ ScholarSetup MakeScholarSetup() {
   return setup;
 }
 
-std::vector<Group> MakeScholarDemoPages(size_t pages) {
+namespace {
+
+/// The Scholar preset's rules and venue tree over `groups`.
+Corpus ScholarCorpus(std::vector<Group> groups) {
+  ScholarSetup setup = MakeScholarSetup();
+  Corpus corpus;
+  corpus.schema = setup.schema;
+  corpus.positive = std::move(setup.positive);
+  corpus.negative = std::move(setup.negative);
+  corpus.context = setup.context;
+  // The context points at the tree object, which the move keeps in place.
+  corpus.trees.push_back(std::move(setup.venue_tree));
+  corpus.groups = std::move(groups);
+  return corpus;
+}
+
+}  // namespace
+
+Corpus MakeDemoCorpus(size_t pages) {
   std::vector<Group> groups;
   groups.reserve(pages);
   for (size_t i = 0; i < pages; ++i) {
@@ -100,7 +118,38 @@ std::vector<Group> MakeScholarDemoPages(size_t pages) {
     page.name = "page_" + std::to_string(i);
     groups.push_back(std::move(page));
   }
-  return groups;
+  return ScholarCorpus(std::move(groups));
+}
+
+StatusOr<Corpus> MakePresetCorpus(std::string_view name) {
+  if (name == "scholar-2999") {
+    ScholarGenOptions gen;
+    gen.num_correct = 2982;
+    gen.coauthor_pool = 190;
+    gen.seed = 6000;
+    std::vector<Group> groups;
+    groups.push_back(GenerateScholarGroup("Big Page", gen));
+    return ScholarCorpus(std::move(groups));
+  }
+  if (name == "amazon-10000") {
+    AmazonGenOptions gen;
+    gen.error_rate = 0.4;
+    gen.num_correct = 6000;
+    gen.window = 12;
+    gen.seed = 14000;
+    Group group = GenerateAmazonGroup(5, gen);
+    AmazonSetup setup = MakeAmazonSetup({group});
+    Corpus corpus;
+    corpus.schema = setup.schema;
+    corpus.positive = std::move(setup.positive);
+    corpus.negative = std::move(setup.negative);
+    corpus.context = setup.context;
+    corpus.trees.push_back(std::move(setup.theme_tree));
+    corpus.groups.push_back(std::move(group));
+    return corpus;
+  }
+  return InvalidArgumentError("unknown preset '" + std::string(name) +
+                              "' (scholar-2999 or amazon-10000)");
 }
 
 AmazonSetup MakeAmazonSetup(const std::vector<Group>& corpus,

@@ -2,10 +2,13 @@
 #define DIME_DATAGEN_PRESETS_H_
 
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "src/baselines/cr.h"
 #include "src/baselines/sifi.h"
+#include "src/common/status.h"
+#include "src/core/corpus.h"
 #include "src/core/preprocess.h"
 #include "src/rulegen/candidates.h"
 #include "src/rules/rule.h"
@@ -52,11 +55,18 @@ struct ScholarSetup {
 
 ScholarSetup MakeScholarSetup();
 
-/// The pages `dime_server --demo --demo-pages <pages>` serves and
-/// `dime_snapshot build --demo` writes, to be checked under
-/// MakeScholarSetup()'s rules: Scholar groups of ~130 entities named
+/// The corpus `dime_server --demo --demo-pages <pages>` serves and
+/// `dime_snapshot build --demo` writes: MakeScholarSetup()'s rules and
+/// venue tree over Scholar groups of ~130 entities named
 /// page_0..page_{pages-1}.
-std::vector<Group> MakeScholarDemoPages(size_t pages);
+Corpus MakeDemoCorpus(size_t pages);
+
+/// The corpus `dime_snapshot build --preset <name>` writes: "scholar-2999"
+/// is the Fig. 9(a) 3000-tuple Scholar page under MakeScholarSetup();
+/// "amazon-10000" the Fig. 9(b) 10000-tuple Amazon category under
+/// MakeAmazonSetup() fitted on that category. Any other name is
+/// INVALID_ARGUMENT.
+StatusOr<Corpus> MakePresetCorpus(std::string_view name);
 
 /// Configuration for Amazon-style groups. The Description ontology is an
 /// LDA theme hierarchy fitted on the given corpus (Section VI-A:

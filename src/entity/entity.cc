@@ -1,10 +1,8 @@
 #include "src/entity/entity.h"
 
 #include <fstream>
-#include <sstream>
 
 #include "src/common/csv.h"
-#include "src/common/fault_injection.h"
 #include "src/common/logging.h"
 
 namespace dime {
@@ -113,10 +111,6 @@ Status ParseGroupTsv(const std::string& tsv, std::string_view name,
   return OkStatus();
 }
 
-bool GroupFromTsv(const std::string& tsv, std::string_view name, Group* out) {
-  return ParseGroupTsv(tsv, name, out).ok();
-}
-
 Status SaveGroup(const Group& group, const std::string& path) {
   std::ofstream f(path, std::ios::binary);
   if (!f) return NotFoundError(path + ": cannot create");
@@ -127,23 +121,9 @@ Status SaveGroup(const Group& group, const std::string& path) {
 }
 
 Status LoadGroup(const std::string& path, std::string_view name, Group* out) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return NotFoundError(path + ": cannot open");
-  if (DIME_FAULT_POINT(failpoints::kIoRead)) {
-    return IoError(path + ": injected read fault");
-  }
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  if (f.bad()) return IoError(path + ": read failed");
-  return ParseGroupTsv(buf.str(), name, out);
-}
-
-bool SaveGroupTsv(const Group& group, const std::string& path) {
-  return SaveGroup(group, path).ok();
-}
-
-bool LoadGroupTsv(const std::string& path, std::string_view name, Group* out) {
-  return LoadGroup(path, name, out).ok();
+  StatusOr<std::string> content = ReadTextFile(path);
+  if (!content.ok()) return content.status();
+  return ParseGroupTsv(*content, name, out);
 }
 
 }  // namespace dime

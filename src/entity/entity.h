@@ -80,19 +80,12 @@ std::string GroupToTsv(const Group& group);
 Status ParseGroupTsv(const std::string& tsv, std::string_view name,
                      Group* out);
 
-/// Shim over ParseGroupTsv. Returns false on malformed input.
-bool GroupFromTsv(const std::string& tsv, std::string_view name, Group* out);
-
 /// File wrappers around the TSV codec. LoadGroup adds the IO failure
-/// modes: NOT_FOUND (unopenable file, distinct from an empty one, which
-/// parses as PARSE_ERROR for lack of a header) and IO_ERROR (read failed
-/// mid-stream; failpoint "io/read").
+/// modes of ReadTextFile (csv.h): NOT_FOUND (unopenable file, distinct
+/// from an empty one, which parses as PARSE_ERROR for lack of a header)
+/// and IO_ERROR (read failed mid-stream; failpoint "io/read").
 Status SaveGroup(const Group& group, const std::string& path);
 Status LoadGroup(const std::string& path, std::string_view name, Group* out);
-
-/// Bool shims over SaveGroup / LoadGroup.
-bool SaveGroupTsv(const Group& group, const std::string& path);
-bool LoadGroupTsv(const std::string& path, std::string_view name, Group* out);
 
 }  // namespace dime
 

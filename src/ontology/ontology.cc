@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <sstream>
 #include <vector>
 
+#include "src/common/csv.h"
 #include "src/common/logging.h"
 #include "src/common/string_util.h"
 
@@ -128,37 +128,45 @@ std::string Ontology::ToText() const {
   return out;
 }
 
-bool Ontology::FromText(std::string_view text, Ontology* out) {
+Status Ontology::FromText(std::string_view text, Ontology* out) {
   *out = Ontology();
+  size_t line_number = 0;
+  auto fail = [&line_number](const std::string& reason) {
+    return ParseError("line " + std::to_string(line_number) + ": " + reason);
+  };
   size_t start = 0;
   while (start < text.size()) {
     size_t end = text.find('\n', start);
     if (end == std::string_view::npos) end = text.size();
     std::string_view line = text.substr(start, end - start);
     start = end + 1;
+    ++line_number;
     if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (line.empty()) continue;
     std::vector<std::string> fields = Split(std::string(line), '\t');
     if (fields[0] == "root") {
-      if (fields.size() != 2 || out->NumNodes() != 0) return false;
+      if (fields.size() != 2) return fail("expected root<TAB>name");
+      if (out->NumNodes() != 0) return fail("a second root");
       out->AddRoot(fields[1]);
     } else if (fields[0] == "node") {
-      if (fields.size() != 3) return false;
+      if (fields.size() != 3) return fail("expected node<TAB>parent<TAB>name");
       int parent = out->FindByName(fields[1]);
-      if (parent == kNoNode || out->FindByName(fields[2]) != kNoNode) {
-        return false;
+      if (parent == kNoNode) return fail("unknown parent '" + fields[1] + "'");
+      if (out->FindByName(fields[2]) != kNoNode) {
+        return fail("duplicate node '" + fields[2] + "'");
       }
       out->AddNode(fields[2], parent);
     } else if (fields[0] == "keyword") {
-      if (fields.size() != 3) return false;
+      if (fields.size() != 3) return fail("expected keyword<TAB>word<TAB>node");
       int node = out->FindByName(fields[2]);
-      if (node == kNoNode) return false;
+      if (node == kNoNode) return fail("unknown node '" + fields[2] + "'");
       out->AddKeyword(fields[1], node);
     } else {
-      return false;
+      return fail("expected root, node or keyword");
     }
   }
-  return out->NumNodes() > 0;
+  if (out->NumNodes() == 0) return ParseError("no root node");
+  return OkStatus();
 }
 
 bool Ontology::SaveToFile(const std::string& path) const {
@@ -168,12 +176,12 @@ bool Ontology::SaveToFile(const std::string& path) const {
   return static_cast<bool>(f);
 }
 
-bool Ontology::LoadFromFile(const std::string& path, Ontology* out) {
-  std::ifstream f(path);
-  if (!f) return false;
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  return FromText(buf.str(), out);
+Status Ontology::LoadFromFile(const std::string& path, Ontology* out) {
+  StatusOr<std::string> text = ReadTextFile(path);
+  if (!text.ok()) return text.status();
+  Status parsed = FromText(*text, out);
+  if (!parsed.ok()) return ParseError(path + ": " + parsed.message());
+  return OkStatus();
 }
 
 int Ontology::TauDepth(int depth, double theta) {

@@ -7,6 +7,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/status.h"
+
 /// \file ontology.h
 /// Tree-structured ontologies for the ontology-based similarity function
 /// (Section II). Depth of the root is 1 and the similarity of two mapped
@@ -80,13 +82,15 @@ class Ontology {
   ///   keyword<TAB><word><TAB><node name>
   std::string ToText() const;
 
-  /// Parses ToText() output. Returns false on malformed input (out is
-  /// left in an unspecified state).
-  static bool FromText(std::string_view text, Ontology* out);
+  /// Parses ToText() output. Malformed input is PARSE_ERROR naming the
+  /// line (out is left in an unspecified state).
+  static Status FromText(std::string_view text, Ontology* out);
 
-  /// File wrappers around the text codec.
+  /// File wrappers around the text codec. LoadFromFile is NOT_FOUND or
+  /// IO_ERROR when the file cannot be read (ReadTextFile), PARSE_ERROR
+  /// naming the path and line for bad text.
   bool SaveToFile(const std::string& path) const;
-  static bool LoadFromFile(const std::string& path, Ontology* out);
+  static Status LoadFromFile(const std::string& path, Ontology* out);
 
  private:
   /// Lets the lower-cased maps be probed by string_view (no key copy).

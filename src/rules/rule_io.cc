@@ -1,8 +1,8 @@
 #include "src/rules/rule_io.h"
 
 #include <fstream>
-#include <sstream>
 
+#include "src/common/csv.h"
 #include "src/common/string_util.h"
 
 namespace dime {
@@ -73,17 +73,16 @@ bool SaveRuleSet(const std::string& path, const Schema& schema,
   return static_cast<bool>(f);
 }
 
-bool LoadRuleSet(const std::string& path, const Schema& schema,
-                 std::vector<PositiveRule>* positive,
-                 std::vector<NegativeRule>* negative, std::string* error) {
-  std::ifstream f(path);
-  if (!f) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return false;
+Status LoadRuleSet(const std::string& path, const Schema& schema,
+                   std::vector<PositiveRule>* positive,
+                   std::vector<NegativeRule>* negative) {
+  StatusOr<std::string> text = ReadTextFile(path);
+  if (!text.ok()) return text.status();
+  std::string error;
+  if (!RuleSetFromText(*text, schema, positive, negative, &error)) {
+    return ParseError(path + ": " + error);
   }
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  return RuleSetFromText(buf.str(), schema, positive, negative, error);
+  return OkStatus();
 }
 
 }  // namespace dime

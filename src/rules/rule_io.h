@@ -5,6 +5,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/rules/rule.h"
 
 /// \file rule_io.h
@@ -37,10 +38,12 @@ bool RuleSetFromText(std::string_view text, const Schema& schema,
 bool SaveRuleSet(const std::string& path, const Schema& schema,
                  const std::vector<PositiveRule>& positive,
                  const std::vector<NegativeRule>& negative);
-bool LoadRuleSet(const std::string& path, const Schema& schema,
-                 std::vector<PositiveRule>* positive,
-                 std::vector<NegativeRule>* negative,
-                 std::string* error = nullptr);
+/// Reads and parses the rule file at `path` against `schema`: NOT_FOUND
+/// or IO_ERROR when it cannot be read (ReadTextFile), PARSE_ERROR naming
+/// the path and line for bad text.
+Status LoadRuleSet(const std::string& path, const Schema& schema,
+                   std::vector<PositiveRule>* positive,
+                   std::vector<NegativeRule>* negative);
 
 }  // namespace dime
 

@@ -8,7 +8,14 @@
 //   dime_server --snapshot corpus.snap            # warm start (dime_snapshot)
 //   dime_server --group page.tsv [--group ...] --rules rules.txt
 //               [--venue-ontology]
-//               [--ontology tree.txt --ontology-mode exact|keyword]
+//               [--ontology tree.txt [--ontology-mode exact|keyword]]...
+//
+// --group, --rules and the ontology flags are read by the loader of
+// src/core/corpus.h, which dime_snapshot build, dime_cli and dime_delta
+// replay share: the same grammar, refused with the same exit codes (a
+// missing file 3, a malformed one 5, a group of another schema or invalid
+// rules 2). Every preloaded group (--group or --demo) is prepared at
+// startup; only a group sent inline is prepared per request.
 //
 // --snapshot may be combined with --demo or --group/--rules: a snapshot
 // that fails to load (corrupt, truncated, another format version) logs a
@@ -68,9 +75,8 @@
 #include "src/common/logging.h"
 #include "src/common/string_util.h"
 #include "src/common/threads.h"
+#include "src/core/corpus.h"
 #include "src/datagen/presets.h"
-#include "src/ontology/builtin.h"
-#include "src/rules/rule_io.h"
 #include "src/server/event_loop.h"
 #include "src/server/net_util.h"
 #include "src/store/delta_log.h"
@@ -79,25 +85,6 @@
 namespace {
 
 using namespace dime;
-
-/// The generated demo corpus: the Scholar preset rules/ontologies plus a
-/// few medium pages named page_0..page_{n-1} (addressable via the
-/// "group" request field).
-ServingCorpus MakeDemoCorpus(size_t pages) {
-  ScholarSetup setup = MakeScholarSetup();
-  ServingCorpus corpus;
-  corpus.schema = setup.schema;
-  corpus.positive = std::move(setup.positive);
-  corpus.negative = std::move(setup.negative);
-  corpus.context = setup.context;
-  // Moving the unique_ptr keeps the raw pointers in context.ontologies
-  // valid: they point at the tree object, not at the unique_ptr.
-  corpus.owned_trees.push_back(std::move(setup.venue_tree));
-  for (Group& page : MakeScholarDemoPages(pages)) {
-    corpus.AddGroup(std::move(page));
-  }
-  return corpus;
-}
 
 int Usage(const char* msg) {
   std::fprintf(stderr, "dime_server: %s (run with --help for usage)\n", msg);
@@ -228,11 +215,7 @@ int main(int argc, char** argv) {
   bool demo = false;
   size_t demo_pages = 4;
   std::string snapshot_path;
-  std::vector<std::string> group_paths;
-  std::string rules_path;
-  bool use_venue_ontology = false;
-  std::vector<std::string> ontology_paths;
-  std::vector<std::string> ontology_modes;
+  CorpusSources sources;
   bool watch = false;
   int watch_interval_ms = 500;
   std::string delta_log_path;
@@ -241,6 +224,9 @@ int main(int argc, char** argv) {
   ServiceOptions options;
 
   for (int i = 1; i < argc; ++i) {
+    StatusOr<bool> corpus_flag = ParseCorpusFlag(argc, argv, &i, &sources);
+    if (!corpus_flag.ok()) return Usage(corpus_flag.status().message().c_str());
+    if (*corpus_flag) continue;
     std::string arg = argv[i];
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
@@ -256,19 +242,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--demo-pages") {
       demo_pages = FlagValue(arg, next(), kMaxSize);
     } else if (arg == "--group") {
-      group_paths.push_back(next());
-    } else if (arg == "--rules") {
-      rules_path = next();
-    } else if (arg == "--venue-ontology") {
-      use_venue_ontology = true;
-    } else if (arg == "--ontology") {
-      ontology_paths.push_back(next());
-      ontology_modes.push_back("exact");
-    } else if (arg == "--ontology-mode") {
-      if (ontology_modes.empty()) {
-        return Usage("--ontology-mode needs a preceding --ontology");
-      }
-      ontology_modes.back() = next();
+      sources.group_paths.push_back(next());
     } else if (arg == "--watch") {
       watch = true;
     } else if (arg == "--watch-interval-ms") {
@@ -313,7 +287,8 @@ int main(int argc, char** argv) {
       std::printf(
           "dime_server --demo | --snapshot <file> | --group <tsv>... "
           "--rules <file>\n"
-          "  [--venue-ontology] [--ontology <tree> --ontology-mode m]\n"
+          "  [--venue-ontology] [--ontology <tree> [--ontology-mode "
+          "exact|keyword]]...\n"
           "  [--host H] [--port N] [--workers N] [--threads N]\n"
           "  [--queue-cap N]\n"
           "  [--cache-cap N] [--default-deadline-ms N] [--engine %s]\n"
@@ -346,7 +321,7 @@ int main(int argc, char** argv) {
                       corpus.content_fingerprint_hi),
                   static_cast<unsigned long long>(
                       corpus.content_fingerprint_lo));
-    } else if (demo || !group_paths.empty()) {
+    } else if (demo || !sources.group_paths.empty()) {
       // Degrade, never crash: a damaged snapshot costs the warm start,
       // not the service.
       std::fprintf(stderr,
@@ -362,56 +337,18 @@ int main(int argc, char** argv) {
   if (warm_started) {
     // Snapshot wins; any --demo/--group/--rules were only the fallback.
   } else if (demo) {
-    if (!group_paths.empty() || !rules_path.empty()) {
+    if (!sources.group_paths.empty() || !sources.rules_path.empty()) {
       return Usage("--demo and --group/--rules are mutually exclusive");
     }
-    corpus = MakeDemoCorpus(demo_pages);
+    corpus = PrepareCorpus(MakeDemoCorpus(demo_pages));
   } else {
-    if (group_paths.empty()) {
+    if (sources.group_paths.empty()) {
       return Usage("need --demo, --snapshot, or at least one --group");
     }
-    if (rules_path.empty()) return Usage("need --rules with --group");
-    for (const std::string& path : group_paths) {
-      Group group;
-      Status loaded = LoadGroup(path, path, &group);
-      if (!loaded.ok()) {
-        return ExitWithStatus(loaded, ("loading " + path).c_str());
-      }
-      if (group.name.empty()) group.name = path;
-      corpus.AddGroup(std::move(group));
-    }
-    corpus.schema = corpus.groups.front()->group().schema;
-    if (use_venue_ontology) {
-      corpus.context.ontologies.push_back(
-          OntologyRef{&VenueOntology(), MapMode::kExactName});
-      corpus.context.ontologies.push_back(
-          OntologyRef{&VenueOntology(), MapMode::kKeyword});
-    }
-    for (size_t i = 0; i < ontology_paths.size(); ++i) {
-      auto tree = std::make_unique<Ontology>();
-      if (!Ontology::LoadFromFile(ontology_paths[i], tree.get())) {
-        return ExitWithStatus(
-            NotFoundError("cannot load ontology " + ontology_paths[i]),
-            "startup");
-      }
-      MapMode mode = ontology_modes[i] == "keyword" ? MapMode::kKeyword
-                                                    : MapMode::kExactName;
-      corpus.context.ontologies.push_back(OntologyRef{tree.get(), mode});
-      corpus.owned_trees.push_back(std::move(tree));
-    }
-    std::string error;
-    if (!LoadRuleSet(rules_path, corpus.schema, &corpus.positive,
-                     &corpus.negative, &error)) {
-      return ExitWithStatus(
-          ParseError("cannot load rules from " + rules_path + ": " + error),
-          "startup");
-    }
-  }
-  std::string invalid = ValidateRules(corpus.schema, corpus.positive,
-                                      corpus.negative, corpus.context);
-  if (!invalid.empty()) {
-    return ExitWithStatus(InvalidArgumentError("invalid rules: " + invalid),
-                          "startup");
+    if (sources.rules_path.empty()) return Usage("need --rules with --group");
+    StatusOr<Corpus> loaded = LoadCorpus(sources);
+    if (!loaded.ok()) return ExitWithStatus(loaded.status(), "startup");
+    corpus = PrepareCorpus(std::move(loaded).value());
   }
 
   const uint64_t boot_fp_lo = corpus.content_fingerprint_lo;

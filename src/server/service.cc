@@ -235,7 +235,7 @@ StatusOr<ReloadOutcome> DimeService::ApplyDeltaLogAttempt(
   // inside next.context — and inside every shared group's prepared form —
   // stay valid in both generations. Rules, schema and ontologies are the
   // base's, so its context key carries over too.
-  next.shared_trees = old.shared_trees;
+  next.trees = old.trees;
   next.rules_text = old.rules_text;
   next.context_key = old.context_key;
 
@@ -250,18 +250,15 @@ StatusOr<ReloadOutcome> DimeService::ApplyDeltaLogAttempt(
   size_t prepared_total = 0;
   next.groups.reserve(old.groups.size());
   for (const std::shared_ptr<const ResidentGroup>& resident : old.groups) {
-    const bool named = touched.count(resident->group().name) != 0;
-    if (!named && resident->prepared() != nullptr) {
+    if (touched.count(resident->group().name) == 0) {
       next.groups.push_back(resident);
       continue;
     }
     Group group = resident->group();  // a copy — the records edit it
-    if (named) {
-      size_t applied = 0;
-      Status status = ApplyDeltaRecords(log->records, &group, &applied);
-      if (!status.ok()) return status;
-      applied_total += applied;
-    }
+    size_t applied = 0;
+    Status status = ApplyDeltaRecords(log->records, &group, &applied);
+    if (!status.ok()) return status;
+    applied_total += applied;
     next.groups.push_back(ResidentGroup::Prepare(
         std::move(group), next.positive, next.negative, next.context));
     ++prepared_total;
@@ -446,20 +443,19 @@ CheckReply DimeService::Execute(PendingCheck& pending) {
   // capture anything the engines throw (e.g. bad_alloc on a pathological
   // group) as an INTERNAL result instead of unwinding through the pool.
   try {
-    // Snapshot-preloaded and delta-merged groups come fully prepared —
-    // the warm-start payoff is skipping this PrepareGroup.
-    PreparedGroup local;
-    const PreparedGroup* pg = pending.resident == nullptr
-                                  ? nullptr
-                                  : pending.resident->prepared();
-    if (pg == nullptr) {
-      local = PrepareGroup(*pending.group, corpus.positive, corpus.negative,
-                           corpus.context);
-      pg = &local;
+    // Resident groups were prepared when their corpus was built; only an
+    // inline group is prepared here, for this request alone.
+    PreparedGroup inline_prepared;
+    if (pending.resident == nullptr) {
+      inline_prepared = PrepareGroup(*pending.group, corpus.positive,
+                                     corpus.negative, corpus.context);
     }
+    const PreparedGroup& pg = pending.resident == nullptr
+                                  ? inline_prepared
+                                  : pending.resident->prepared();
     exec::ShardedOptions engine_options;
     engine_options.pool = engine_pool_.get();
-    *result = exec::RunEngine(pending.engine, *pg, corpus.positive,
+    *result = exec::RunEngine(pending.engine, pg, corpus.positive,
                               corpus.negative, engine_options,
                               pending.control);
   } catch (const std::exception& e) {

@@ -37,7 +37,8 @@
 ///         bounded queue  ── full ──> RESOURCE_EXHAUSTED (shed, never block)
 ///                 │ admitted
 ///                 v
-///         worker pool ──> PrepareGroup + exec::RunEngine
+///         worker pool ──> exec::RunEngine (PrepareGroup first for an
+///                 │          inline group; resident groups are prepared)
 ///                 │          (per-request deadline via RunControl,
 ///                 │           anchored at ADMISSION so queue wait counts)
 ///                 v
@@ -137,8 +138,7 @@ struct ReloadOutcome {
   /// Delta records applied (ApplyDeltaLog only; 0 for snapshot reloads).
   size_t delta_records = 0;
   /// Groups this swap ran PrepareGroup on (ApplyDeltaLog only: the groups
-  /// its records touched, plus any the base epoch held unprepared; 0 for
-  /// snapshot reloads and InstallCorpus).
+  /// its records touched; 0 for snapshot reloads and InstallCorpus).
   size_t groups_prepared = 0;
   /// A truncated final record was dropped from the delta log (crash
   /// mid-append; the applied prefix is intact).
@@ -252,8 +252,7 @@ class DimeService {
   /// a record names are copied, edited and re-prepared; every other
   /// prepared group is shared with the current epoch as it is
   /// (ResidentGroup), prepared form, content key and snapshot storage
-  /// included. A corpus ingested without preparation is prepared in full
-  /// by its first merge. On any error — unreadable or corrupt log
+  /// included. On any error — unreadable or corrupt log
   /// (DATA_LOSS), a record naming an unknown group or entity — nothing is
   /// installed and the current epoch keeps serving.
   ///

@@ -13,6 +13,13 @@
 //                                               # merged group
 //       [--output merged.tsv]       # write the merged group
 //
+// replay reads the base group and the rules through the loader of
+// src/core/corpus.h, as dime_server does, but takes only its --rules and
+// --venue-ontology flags: it has no --ontology, so it cannot evaluate
+// rules over a tree file (the exported Amazon rules, say). The rules are
+// parsed against the base group's schema and must validate; a missing
+// base or rule file exits 3, a malformed one 5, invalid rules 2.
+//
 // Exit codes follow src/common/exit_code.h: a torn tail (crash
 // mid-append) inspects as OK with a note — the acknowledged prefix is
 // intact — but mid-stream corruption exits with the DATA_LOSS mapping.
@@ -24,11 +31,8 @@
 #include <vector>
 
 #include "src/common/exit_code.h"
-#include "src/common/string_util.h"
+#include "src/core/corpus.h"
 #include "src/core/dime_plus.h"
-#include "src/core/preprocess.h"
-#include "src/ontology/builtin.h"
-#include "src/rules/rule_io.h"
 #include "src/store/delta_log.h"
 
 namespace {
@@ -153,9 +157,8 @@ int RunInspect(int argc, char** argv) {
 int RunReplay(int argc, char** argv) {
   std::string path;
   std::string base_path;
-  std::string rules_path;
+  CorpusSources sources;
   std::string output_path;
-  bool use_venue_ontology = false;
   for (int i = 0; i < argc; ++i) {
     std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -165,12 +168,11 @@ int RunReplay(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--base") {
+    if (arg == "--rules" || arg == "--venue-ontology") {
+      StatusOr<bool> parsed = ParseCorpusFlag(argc, argv, &i, &sources);
+      if (!parsed.ok()) return Usage(parsed.status().message().c_str());
+    } else if (arg == "--base") {
       base_path = next();
-    } else if (arg == "--rules") {
-      rules_path = next();
-    } else if (arg == "--venue-ontology") {
-      use_venue_ontology = true;
     } else if (arg == "--output") {
       output_path = next();
     } else if (arg == "--help") {
@@ -184,13 +186,11 @@ int RunReplay(int argc, char** argv) {
   }
   if (path.empty()) return Usage("replay needs a log file");
   if (base_path.empty()) return Usage("replay needs --base");
+  sources.group_paths.push_back(base_path);
 
-  Group base;
-  Status loaded = LoadGroup(base_path, base_path, &base);
-  if (!loaded.ok()) {
-    return ExitWithStatus(loaded, ("loading " + base_path).c_str());
-  }
-  if (base.name.empty()) base.name = base_path;
+  StatusOr<Corpus> corpus = LoadCorpus(sources);
+  if (!corpus.ok()) return ExitWithStatus(corpus.status(), "replay");
+  const Group& base = corpus->groups[0];
 
   StatusOr<DeltaLogContents> contents = ReadDeltaLog(path);
   if (!contents.ok()) return ExitWithStatus(contents.status(), "replay");
@@ -209,33 +209,10 @@ int RunReplay(int argc, char** argv) {
               applied, contents->records.size(), base.name.c_str(),
               base.size(), merged.size());
 
-  if (!rules_path.empty()) {
-    std::vector<PositiveRule> positive;
-    std::vector<NegativeRule> negative;
-    std::string error;
-    if (!LoadRuleSet(rules_path, merged.schema, &positive, &negative,
-                     &error)) {
-      return ExitWithStatus(
-          ParseError("cannot load rules from " + rules_path + ": " + error),
-          "replay");
-    }
-    DimeContext context;
-    if (use_venue_ontology) {
-      context.ontologies.push_back(
-          OntologyRef{&VenueOntology(), MapMode::kExactName});
-      context.ontologies.push_back(
-          OntologyRef{&VenueOntology(), MapMode::kKeyword});
-    }
-    std::string invalid =
-        ValidateRules(merged.schema, positive, negative, context);
-    if (!invalid.empty()) {
-      return ExitWithStatus(
-          InvalidArgumentError("invalid rules in " + rules_path + ": " +
-                               invalid),
-          "replay");
-    }
-    PreparedGroup pg = PrepareGroup(merged, positive, negative, context);
-    DimeResult result = RunDimePlus(pg, positive, negative);
+  if (!sources.rules_path.empty()) {
+    PreparedGroup pg = PrepareGroup(merged, corpus->positive,
+                                    corpus->negative, corpus->context);
+    DimeResult result = RunDimePlus(pg, corpus->positive, corpus->negative);
     std::printf("dime_delta: replay: %zu partition(s), %zu entity(ies) "
                 "flagged\n",
                 result.partitions.size(), result.flagged().size());

@@ -10,27 +10,30 @@
 
 namespace dime {
 
+ResidentGroup::ResidentGroup(Group group,
+                             std::shared_ptr<PreparedGroup> prepared,
+                             std::shared_ptr<const void> backing)
+    : group_(std::move(group)), backing_(std::move(backing)) {
+  // Moving a Group keeps its entity storage in place, so only the back
+  // pointer needs fixing; borrowed arenas stay borrowed from `backing`.
+  prepared->group = &group_;
+  prepared_ = std::move(prepared);
+}
+
 std::shared_ptr<const ResidentGroup> ResidentGroup::Prepare(
     Group group, const std::vector<PositiveRule>& positive,
     const std::vector<NegativeRule>& negative, const DimeContext& context) {
-  auto resident = std::make_shared<ResidentGroup>(std::move(group));
-  // Prepared in place: the prepared form points at the Group it was
-  // built from, which must be the resident's own.
-  resident->prepared_ = std::make_shared<PreparedGroup>(
-      PrepareGroup(resident->group_, positive, negative, context));
-  return resident;
+  auto prepared = std::make_shared<PreparedGroup>(
+      PrepareGroup(group, positive, negative, context));
+  return Adopt(std::move(group), std::move(prepared), nullptr);
 }
 
 std::shared_ptr<const ResidentGroup> ResidentGroup::Adopt(
     Group group, std::shared_ptr<PreparedGroup> prepared,
     std::shared_ptr<const void> backing) {
-  auto resident = std::make_shared<ResidentGroup>(std::move(group));
-  // Moving a Group keeps its entity storage in place, so only the back
-  // pointer needs fixing; the arenas stay borrowed from `backing`.
-  prepared->group = &resident->group_;
-  resident->prepared_ = std::move(prepared);
-  resident->backing_ = std::move(backing);
-  return resident;
+  // Not make_shared: the constructor is private.
+  return std::shared_ptr<const ResidentGroup>(new ResidentGroup(
+      std::move(group), std::move(prepared), std::move(backing)));
 }
 
 Fingerprint ResidentGroup::content_key() const {
@@ -45,13 +48,29 @@ Fingerprint ResidentGroup::content_key() const {
   return key;
 }
 
+ServingCorpus PrepareCorpus(Corpus corpus) {
+  ServingCorpus serving;
+  serving.schema = std::move(corpus.schema);
+  serving.positive = std::move(corpus.positive);
+  serving.negative = std::move(corpus.negative);
+  serving.context = std::move(corpus.context);
+  serving.trees = std::move(corpus.trees);
+  serving.groups.reserve(corpus.groups.size());
+  for (Group& group : corpus.groups) {
+    serving.groups.push_back(ResidentGroup::Prepare(
+        std::move(group), serving.positive, serving.negative,
+        serving.context));
+  }
+  return serving;
+}
+
 ServingCorpus CorpusFromSnapshot(LoadedSnapshot snapshot) {
   ServingCorpus corpus;
   corpus.schema = std::move(snapshot.schema);
   corpus.positive = std::move(snapshot.positive);
   corpus.negative = std::move(snapshot.negative);
   corpus.context = std::move(snapshot.context);
-  corpus.shared_trees = std::move(snapshot.owned_trees);
+  corpus.trees = std::move(snapshot.trees);
   corpus.groups.reserve(snapshot.groups.size());
   for (size_t i = 0; i < snapshot.groups.size(); ++i) {
     corpus.groups.push_back(ResidentGroup::Adopt(
@@ -103,14 +122,6 @@ Fingerprint ContextKey(const Schema& schema, const std::string& rules_text,
 
 CorpusEpoch::CorpusEpoch(uint64_t sequence, ServingCorpus corpus)
     : sequence_(sequence), corpus_(std::move(corpus)) {
-  // Unique ownership becomes shared ownership: a successor epoch built
-  // from this one (delta merge) copies the shared_ptrs and the raw
-  // pointers inside context.ontologies stay valid in both epochs.
-  for (std::unique_ptr<Ontology>& tree : corpus_.owned_trees) {
-    corpus_.shared_trees.emplace_back(std::move(tree));
-  }
-  corpus_.owned_trees.clear();
-
   if (!corpus_.context_key.has_value()) {
     corpus_.rules_text =
         RuleSetToText(corpus_.schema, corpus_.positive, corpus_.negative);
@@ -162,12 +173,6 @@ const ResidentGroup* CorpusEpoch::ResidentOf(const Group& group) const {
   const ResidentGroup* resident = FindResident(group.name);
   return resident != nullptr && &resident->group() == &group ? resident
                                                              : nullptr;
-}
-
-const PreparedGroup* CorpusEpoch::FindPrepared(const Group* group) const {
-  const ResidentGroup* resident =
-      group == nullptr ? nullptr : ResidentOf(*group);
-  return resident == nullptr ? nullptr : resident->prepared();
 }
 
 void EpochManager::Retirer::operator()(const CorpusEpoch* epoch) const {

@@ -13,14 +13,16 @@
 
 #include "src/common/fingerprint.h"
 #include "src/common/mutex.h"
+#include "src/core/corpus.h"
 #include "src/core/preprocess.h"
 #include "src/store/snapshot.h"
 
 /// \file epoch.h
 /// Epoch-based zero-downtime corpus swap (RCU-style). A *corpus epoch* is
-/// one immutable, fully-indexed generation of the serving corpus — a
-/// loaded snapshot, a TSV-ingested corpus, or a delta merge on top of
-/// either. The EpochManager holds the latest epoch behind a refcount:
+/// one immutable, fully prepared generation of the serving corpus — a
+/// loaded snapshot, a prepared TSV or generated corpus, or a delta merge
+/// on top of either. The EpochManager holds the latest epoch behind a
+/// refcount:
 ///
 ///   Install(corpus)  publishes a new epoch; subsequent Pin() calls see it
 ///   Pin()            refcounts the current epoch for one request's lifetime
@@ -50,22 +52,18 @@
 namespace dime {
 
 /// One preloaded group as the serving layer holds it: the Group, its
-/// fully prepared form (null when the corpus was ingested without
-/// preparation; workers then prepare per request), a keep-alive for the
-/// snapshot mapping the prepared form borrows its arenas from, and the
-/// group's memoized content key. Immutable once published and shared by
-/// every epoch that holds it, so a delta-merged epoch keeps the untouched
-/// groups of its base — prepared state, key and storage alike — without
-/// keeping the base epoch itself alive.
+/// fully prepared form, a keep-alive for the snapshot mapping the prepared
+/// form borrows its arenas from, and the group's memoized content key.
+/// Immutable once published and shared by every epoch that holds it, so a
+/// delta-merged epoch keeps the untouched groups of its base — prepared
+/// state, key and storage alike — without keeping the base epoch itself
+/// alive.
 ///
 /// The prepared form's context points at the corpus's ontology trees, so
 /// a resident group is shared only between epochs that share those trees
 /// (a delta merge keeps its base's).
 class ResidentGroup {
  public:
-  /// An unprepared group (TSV ingest).
-  explicit ResidentGroup(Group group) : group_(std::move(group)) {}
-
   ResidentGroup(const ResidentGroup&) = delete;
   ResidentGroup& operator=(const ResidentGroup&) = delete;
 
@@ -74,22 +72,25 @@ class ResidentGroup {
       Group group, const std::vector<PositiveRule>& positive,
       const std::vector<NegativeRule>& negative, const DimeContext& context);
 
-  /// Adopts a loaded snapshot's group with its prepared form, re-pointing
-  /// `prepared->group` at the adopted copy. `backing` keeps the mapping
-  /// the prepared arenas borrow from alive for as long as this group is.
+  /// Adopts `group` with its prepared form (a loaded snapshot's),
+  /// re-pointing `prepared->group` at the adopted copy. `backing` keeps
+  /// the mapping the prepared arenas borrow from alive for as long as this
+  /// group is.
   static std::shared_ptr<const ResidentGroup> Adopt(
       Group group, std::shared_ptr<PreparedGroup> prepared,
       std::shared_ptr<const void> backing);
 
   const Group& group() const { return group_; }
-  /// The prepared form, or nullptr when the group was ingested unprepared.
-  const PreparedGroup* prepared() const { return prepared_.get(); }
+  const PreparedGroup& prepared() const { return *prepared_; }
 
   /// GroupContentKey(group()), computed on first use and memoized.
   /// Concurrent first uses may each compute it; all store the same value.
   Fingerprint content_key() const;
 
  private:
+  ResidentGroup(Group group, std::shared_ptr<PreparedGroup> prepared,
+                std::shared_ptr<const void> backing);
+
   Group group_;
   std::shared_ptr<const PreparedGroup> prepared_;
   std::shared_ptr<const void> backing_;
@@ -100,23 +101,19 @@ class ResidentGroup {
 };
 
 /// Everything one corpus generation holds resident: the schema the rules
-/// were parsed against, the rule set, the evaluation context (with owned
-/// ontology trees backing the context's refs), and optional preloaded
-/// groups addressable by name. Lived in src/server before epochs existed;
-/// it is store-level state — the serving layer consumes it through
-/// CorpusEpoch.
+/// were parsed against, the rule set, the evaluation context (with the
+/// ontology trees backing the context's refs), and the preloaded groups,
+/// every one prepared, addressable by name. Built by PrepareCorpus (a
+/// loaded or generated Corpus), CorpusFromSnapshot, or a delta merge on
+/// top of either; the serving layer consumes it through CorpusEpoch.
 struct ServingCorpus {
   Schema schema;
   std::vector<PositiveRule> positive;
   std::vector<NegativeRule> negative;
   DimeContext context;
-  /// Backing storage for `context.ontologies` pointers (moving the
-  /// unique_ptrs keeps the raw pointers stable). Converted to
-  /// `shared_trees` when the corpus becomes an epoch, so a delta-merged
-  /// successor epoch can share the trees without copying them.
-  std::vector<std::unique_ptr<Ontology>> owned_trees;
-  /// Shared ontology trees (snapshot loads and successor epochs).
-  std::vector<std::shared_ptr<const Ontology>> shared_trees;
+  /// Backing storage for the `context.ontologies` pointers, shared with a
+  /// delta-merged successor epoch so the pointers stay valid in both.
+  std::vector<std::shared_ptr<const Ontology>> trees;
   /// Preloaded groups, addressable by Group::name in CheckRequest, each
   /// owned on its own: a delta-merged corpus holds its base's pointers
   /// for every group no record touched.
@@ -133,12 +130,12 @@ struct ServingCorpus {
   /// synthesized from the epoch's context and group keys when zero.
   uint64_t content_fingerprint_lo = 0;
   uint64_t content_fingerprint_hi = 0;
-
-  /// Appends `group` unprepared.
-  void AddGroup(Group group) {
-    groups.push_back(std::make_shared<ResidentGroup>(std::move(group)));
-  }
 };
+
+/// Prepares every group of `corpus` against its rules and context
+/// (ResidentGroup::Prepare) and moves the rest over: how a loaded
+/// (LoadCorpus) or generated (MakeDemoCorpus) corpus becomes servable.
+ServingCorpus PrepareCorpus(Corpus corpus);
 
 /// Adapts a loaded snapshot into a serving corpus: rules, context and
 /// trees move over, and each group is adopted with its prepared form and
@@ -199,9 +196,6 @@ class CorpusEpoch {
   /// nullptr when `group` is not resident here or a group of the same
   /// name comes before it.
   const ResidentGroup* ResidentOf(const Group& group) const;
-  /// Fully prepared form of `group`, or nullptr when it is not resident
-  /// (ResidentOf) or was ingested without preparation.
-  const PreparedGroup* FindPrepared(const Group* group) const;
 
  private:
   const uint64_t sequence_;

@@ -59,7 +59,7 @@ struct SnapshotLoadOptions {
 
 /// A loaded snapshot. `prepared[i]` is parallel to `groups[i]` and
 /// borrows its arenas from `backing` — keep the whole struct (or at
-/// least `backing`, `groups` and `owned_trees`) alive for as long as any
+/// least `backing`, `groups` and `trees`) alive for as long as any
 /// engine touches the prepared groups. The struct is movable; moving
 /// preserves all internal pointers (vector storage moves wholesale), but
 /// `groups` must not be resized afterwards.
@@ -67,15 +67,14 @@ struct LoadedSnapshot {
   Schema schema;
   std::vector<PositiveRule> positive;
   std::vector<NegativeRule> negative;
-  /// Context with ontology refs pointing into `owned_trees`.
+  /// Context with ontology refs pointing into `trees`.
   DimeContext context;
-  std::vector<std::shared_ptr<const Ontology>> owned_trees;
+  std::vector<std::shared_ptr<const Ontology>> trees;
   std::vector<Group> groups;
   /// Fully prepared groups, rank arenas borrowed from `backing`;
-  /// prepared[i]->group == &groups[i]. Their token dictionaries are
-  /// empty: nothing on the serving path reads them, so the file does not
-  /// store them. Owned by the caller, which re-points `group` when it
-  /// moves the groups elsewhere (CorpusFromSnapshot does).
+  /// prepared[i]->group == &groups[i]. Owned by the caller, which
+  /// re-points `group` when it moves the groups elsewhere
+  /// (CorpusFromSnapshot does).
   std::vector<std::shared_ptr<PreparedGroup>> prepared;
   /// Content fingerprint from the snapshot tail (128-bit FNV-1a over the
   /// section payloads): the identity of this build of the corpus.

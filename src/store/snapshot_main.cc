@@ -11,27 +11,28 @@
 //     | --preset scholar-2999 | --preset amazon-10000
 //     | --group page.tsv [--group ...] --rules rules.txt
 //       [--venue-ontology]
-//       [--ontology tree.txt --ontology-mode exact|keyword]
+//       [--ontology tree.txt [--ontology-mode exact|keyword]]...
 //   dime_snapshot inspect corpus.snap
 //   dime_snapshot verify corpus.snap [--deep]
 //
-// Exit codes follow src/common/exit_code.h (0 OK; DATA_LOSS => 12, ...).
+// build reads its sources as dime_server does: --demo and the presets
+// from src/datagen/presets.h, --group, --rules and the ontology flags
+// through the loader of src/core/corpus.h.
+//
+// Exit codes follow src/common/exit_code.h (0 OK; a missing group, rule or
+// tree file => 3, a malformed one => 5, a group of another schema, invalid
+// rules or a bad flag => 2, DATA_LOSS => 12, ...).
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "src/common/exit_code.h"
 #include "src/common/string_util.h"
-#include "src/datagen/amazon_gen.h"
+#include "src/core/corpus.h"
 #include "src/datagen/presets.h"
-#include "src/datagen/scholar_gen.h"
-#include "src/ontology/builtin.h"
-#include "src/rules/rule_io.h"
 #include "src/store/snapshot.h"
 #include "src/store/snapshot_format.h"
 
@@ -50,7 +51,7 @@ void PrintHelp() {
       "dime_snapshot build --output <file>\n"
       "    --demo [--demo-pages N] | --preset scholar-2999|amazon-10000 |\n"
       "    --group <tsv>... --rules <file> [--venue-ontology]\n"
-      "    [--ontology <tree> --ontology-mode exact|keyword]\n"
+      "    [--ontology <tree> [--ontology-mode exact|keyword]]...\n"
       "dime_snapshot inspect <file>\n"
       "dime_snapshot verify <file> [--deep]\n"
       "\n"
@@ -62,79 +63,17 @@ void PrintHelp() {
       kSnapshotFormatVersion);
 }
 
-/// The rules, ontologies and groups a snapshot is built from.
-struct BuiltCorpus {
-  Schema schema;
-  std::vector<PositiveRule> positive;
-  std::vector<NegativeRule> negative;
-  DimeContext context;
-  std::vector<std::unique_ptr<Ontology>> owned_trees;
-  std::vector<Group> groups;
-};
-
-/// The corpus dime_server --demo serves: the same Scholar rules and
-/// MakeScholarDemoPages, so a demo snapshot serves byte-identical replies
-/// (the CI round-trip check depends on this).
-BuiltCorpus MakeDemoCorpus(size_t pages) {
-  ScholarSetup setup = MakeScholarSetup();
-  BuiltCorpus corpus;
-  corpus.schema = setup.schema;
-  corpus.positive = std::move(setup.positive);
-  corpus.negative = std::move(setup.negative);
-  corpus.context = setup.context;
-  corpus.owned_trees.push_back(std::move(setup.venue_tree));
-  corpus.groups = MakeScholarDemoPages(pages);
-  return corpus;
-}
-
-/// The --preset corpora: Fig. 9's largest Scholar and Amazon groups.
-BuiltCorpus MakeScholar2999() {
-  ScholarSetup setup = MakeScholarSetup();
-  BuiltCorpus corpus;
-  corpus.schema = setup.schema;
-  corpus.positive = std::move(setup.positive);
-  corpus.negative = std::move(setup.negative);
-  corpus.context = setup.context;
-  corpus.owned_trees.push_back(std::move(setup.venue_tree));
-  ScholarGenOptions gen;
-  gen.num_correct = 2982;
-  gen.coauthor_pool = 190;
-  gen.seed = 6000;
-  Group page = GenerateScholarGroup("Big Page", gen);
-  corpus.groups.push_back(std::move(page));
-  return corpus;
-}
-
-BuiltCorpus MakeAmazon10000() {
-  AmazonGenOptions gen;
-  gen.error_rate = 0.4;
-  gen.num_correct = 6000;
-  gen.window = 12;
-  gen.seed = 14000;
-  Group group = GenerateAmazonGroup(5, gen);
-  AmazonSetup setup = MakeAmazonSetup({group});
-  BuiltCorpus corpus;
-  corpus.schema = setup.schema;
-  corpus.positive = std::move(setup.positive);
-  corpus.negative = std::move(setup.negative);
-  corpus.context = setup.context;
-  corpus.owned_trees.push_back(std::move(setup.theme_tree));
-  corpus.groups.push_back(std::move(group));
-  return corpus;
-}
-
 int RunBuild(int argc, char** argv) {
   std::string output;
   bool demo = false;
   size_t demo_pages = 4;
   std::string preset;
-  std::vector<std::string> group_paths;
-  std::string rules_path;
-  bool use_venue_ontology = false;
-  std::vector<std::string> ontology_paths;
-  std::vector<std::string> ontology_modes;
+  CorpusSources sources;
 
   for (int i = 0; i < argc; ++i) {
+    StatusOr<bool> corpus_flag = ParseCorpusFlag(argc, argv, &i, &sources);
+    if (!corpus_flag.ok()) return Usage(corpus_flag.status().message().c_str());
+    if (*corpus_flag) continue;
     std::string arg = argv[i];
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
@@ -155,19 +94,7 @@ int RunBuild(int argc, char** argv) {
     } else if (arg == "--preset") {
       preset = next();
     } else if (arg == "--group") {
-      group_paths.push_back(next());
-    } else if (arg == "--rules") {
-      rules_path = next();
-    } else if (arg == "--venue-ontology") {
-      use_venue_ontology = true;
-    } else if (arg == "--ontology") {
-      ontology_paths.push_back(next());
-      ontology_modes.push_back("exact");
-    } else if (arg == "--ontology-mode") {
-      if (ontology_modes.empty()) {
-        return Usage("--ontology-mode needs a preceding --ontology");
-      }
-      ontology_modes.back() = next();
+      sources.group_paths.push_back(next());
     } else if (arg == "--help") {
       PrintHelp();
       return 0;
@@ -176,67 +103,25 @@ int RunBuild(int argc, char** argv) {
     }
   }
   if (output.empty()) return Usage("build needs --output");
-  const int sources = (demo ? 1 : 0) + (preset.empty() ? 0 : 1) +
-                      (group_paths.empty() ? 0 : 1);
-  if (sources != 1) {
+  const int source_count = (demo ? 1 : 0) + (preset.empty() ? 0 : 1) +
+                           (sources.group_paths.empty() ? 0 : 1);
+  if (source_count != 1) {
     return Usage("build needs exactly one of --demo, --preset, --group");
   }
-
-  BuiltCorpus corpus;
-  if (demo) {
-    corpus = MakeDemoCorpus(demo_pages);
-  } else if (!preset.empty()) {
-    if (preset == "scholar-2999") {
-      corpus = MakeScholar2999();
-    } else if (preset == "amazon-10000") {
-      corpus = MakeAmazon10000();
-    } else {
-      return Usage("--preset must be scholar-2999 or amazon-10000");
-    }
-  } else {
-    if (rules_path.empty()) return Usage("need --rules with --group");
-    for (const std::string& path : group_paths) {
-      Group group;
-      Status loaded = LoadGroup(path, path, &group);
-      if (!loaded.ok()) {
-        return ExitWithStatus(loaded, ("loading " + path).c_str());
-      }
-      if (group.name.empty()) group.name = path;
-      corpus.groups.push_back(std::move(group));
-    }
-    corpus.schema = corpus.groups.front().schema;
-    if (use_venue_ontology) {
-      corpus.context.ontologies.push_back(
-          OntologyRef{&VenueOntology(), MapMode::kExactName});
-      corpus.context.ontologies.push_back(
-          OntologyRef{&VenueOntology(), MapMode::kKeyword});
-    }
-    for (size_t i = 0; i < ontology_paths.size(); ++i) {
-      auto tree = std::make_unique<Ontology>();
-      if (!Ontology::LoadFromFile(ontology_paths[i], tree.get())) {
-        return ExitWithStatus(
-            NotFoundError("cannot load ontology " + ontology_paths[i]),
-            "build");
-      }
-      MapMode mode = ontology_modes[i] == "keyword" ? MapMode::kKeyword
-                                                    : MapMode::kExactName;
-      corpus.context.ontologies.push_back(OntologyRef{tree.get(), mode});
-      corpus.owned_trees.push_back(std::move(tree));
-    }
-    std::string error;
-    if (!LoadRuleSet(rules_path, corpus.schema, &corpus.positive,
-                     &corpus.negative, &error)) {
-      return ExitWithStatus(
-          ParseError("cannot load rules from " + rules_path + ": " + error),
-          "build");
-    }
+  if (!sources.group_paths.empty() && sources.rules_path.empty()) {
+    return Usage("need --rules with --group");
   }
 
+  StatusOr<Corpus> corpus = demo              ? MakeDemoCorpus(demo_pages)
+                            : !preset.empty() ? MakePresetCorpus(preset)
+                                              : LoadCorpus(sources);
+  if (!corpus.ok()) return ExitWithStatus(corpus.status(), "build");
+
   SnapshotWriteRequest request;
-  request.groups = &corpus.groups;
-  request.positive = &corpus.positive;
-  request.negative = &corpus.negative;
-  request.context = &corpus.context;
+  request.groups = &corpus->groups;
+  request.positive = &corpus->positive;
+  request.negative = &corpus->negative;
+  request.context = &corpus->context;
   Status written = WriteSnapshot(request, output);
   if (!written.ok()) return ExitWithStatus(written, "build");
 
@@ -247,7 +132,7 @@ int RunBuild(int argc, char** argv) {
       "group(s), fingerprint %016llx%016llx)\n",
       output.c_str(), info->version,
       static_cast<unsigned long long>(info->file_size),
-      info->sections.size(), corpus.groups.size(),
+      info->sections.size(), corpus->groups.size(),
       static_cast<unsigned long long>(info->fingerprint_hi),
       static_cast<unsigned long long>(info->fingerprint_lo));
   return 0;

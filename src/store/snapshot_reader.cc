@@ -303,12 +303,12 @@ StatusOr<LoadedSnapshot> LoadFromRaw(RawSnapshot raw) {
         return Malformed(*onto_sec, "unknown map mode");
       }
       auto tree = std::make_shared<Ontology>();
-      if (!Ontology::FromText(text, tree.get())) {
+      if (!Ontology::FromText(text, tree.get()).ok()) {
         return Malformed(*onto_sec, "ontology text does not parse");
       }
       loaded.context.ontologies.push_back(
           OntologyRef{tree.get(), static_cast<MapMode>(mode)});
-      loaded.owned_trees.push_back(std::move(tree));
+      loaded.trees.push_back(std::move(tree));
     }
   }
 
@@ -322,6 +322,11 @@ StatusOr<LoadedSnapshot> LoadFromRaw(RawSnapshot raw) {
     if (!RuleSetFromText(text, loaded.schema, &loaded.positive,
                          &loaded.negative, &error)) {
       return Malformed(*rules_sec, "rule set does not parse");
+    }
+    if (!ValidateRules(loaded.schema, loaded.positive, loaded.negative,
+                       loaded.context)
+             .empty()) {
+      return Malformed(*rules_sec, "rule set does not validate");
     }
   }
 

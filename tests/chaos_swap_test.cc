@@ -47,14 +47,8 @@ constexpr int kContextVariant = 3;
 /// (distinct seeds), so a cross-epoch mixup changes decisions detectably.
 /// Variant 3 has variant 0's content and one rule threshold changed, so a
 /// cache key that ignored the context would serve it variant 0's answer.
-ServingCorpus MakeVariant(int v) {
-  ScholarSetup setup = MakeScholarSetup();
-  ServingCorpus corpus;
-  corpus.schema = setup.schema;
-  corpus.positive = std::move(setup.positive);
-  corpus.negative = std::move(setup.negative);
-  corpus.context = setup.context;
-  corpus.owned_trees.push_back(std::move(setup.venue_tree));
+Corpus VariantCorpus(int v) {
+  Corpus corpus = MakeDemoCorpus(0);
   const int content = v == kContextVariant ? 0 : v;
   if (v == kContextVariant) {
     // Was "overlap(Authors) >= 2": more pairs merge in step 1.
@@ -67,16 +61,18 @@ ServingCorpus MakeVariant(int v) {
   gen.garbage_pubs = 2 + content;
   Group page = GenerateScholarGroup("Chaos Owner", gen);
   page.name = "page_0";
-  corpus.AddGroup(std::move(page));
+  corpus.groups.push_back(std::move(page));
   return corpus;
 }
+
+ServingCorpus MakeVariant(int v) { return PrepareCorpus(VariantCorpus(v)); }
 
 /// The single-epoch golden answer for variant v, computed with the same
 /// engine the service defaults to.
 DimeResult GoldenFor(int v) {
-  ServingCorpus corpus = MakeVariant(v);
-  return RunDimePlus(corpus.groups[0]->group(), corpus.positive,
-                     corpus.negative, corpus.context);
+  Corpus corpus = VariantCorpus(v);
+  return RunDimePlus(corpus.groups[0], corpus.positive, corpus.negative,
+                     corpus.context);
 }
 
 void ExpectSameDecisions(const DimeResult& golden, const DimeResult& got,

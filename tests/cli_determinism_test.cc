@@ -13,11 +13,18 @@
 // runs the same page through its merge-then-DIME+ path and must flag
 // exactly what Algorithm 1 flags on the merged group.
 //
+// The corpus-source tests drive the loader every front end shares
+// (src/core/corpus.h) through the binaries: an exported Amazon category
+// under --ontology themes.ontology --ontology-mode keyword flags what
+// Algorithm 1 flags, straight from TSV and through a snapshot; a group of
+// another schema, a misspelled --ontology-mode and a missing rules file
+// are refused with the same exit code by every binary that reads them.
+//
 // The last tests spawn generate_datasets: it never takes a flag as its
 // output directory, and a failed export exits with its Status code.
 //
-// DIME_CLI_BINARY, DIME_DELTA_BINARY, DIME_GENERATE_DATASETS_BINARY and
-// DIME_SERVER_BINARY are injected by CMake.
+// DIME_CLI_BINARY, DIME_DELTA_BINARY, DIME_GENERATE_DATASETS_BINARY,
+// DIME_SERVER_BINARY and DIME_SNAPSHOT_BINARY are injected by CMake.
 
 #include <sys/wait.h>
 
@@ -32,12 +39,11 @@
 
 #include "gtest/gtest.h"
 #include "src/common/exit_code.h"
+#include "src/core/corpus.h"
 #include "src/core/dime.h"
 #include "src/core/dime_plus.h"
 #include "src/core/preprocess.h"
 #include "src/datagen/export.h"
-#include "src/ontology/builtin.h"
-#include "src/rules/rule_io.h"
 #include "src/store/delta_log.h"
 
 namespace dime {
@@ -73,8 +79,8 @@ class CliDeterminismTest : public ::testing::Test {
     ExportOptions options;
     options.scholar_pages = 1;
     options.scholar_pubs = 2999;
-    options.amazon_categories = 1;  // keep the (unused) amazon half cheap
-    options.amazon_products = 20;
+    options.amazon_categories = 1;
+    options.amazon_products = 100;
     options.seed = 6000;
     ExportManifest manifest;
     const Status exported = ExportBenchmarkSuite(*dir_, options, &manifest);
@@ -82,6 +88,12 @@ class CliDeterminismTest : public ::testing::Test {
     ASSERT_EQ(manifest.scholar_groups.size(), 1u);
     page_ = new std::string(manifest.scholar_groups[0]);
     rules_ = new std::string(manifest.scholar_rules);
+    ASSERT_EQ(manifest.amazon_groups.size(), 1u);
+    amazon_sources_ = new CorpusSources;
+    amazon_sources_->group_paths = manifest.amazon_groups;
+    amazon_sources_->rules_path = manifest.amazon_rules;
+    amazon_sources_->ontologies.push_back(
+        {manifest.theme_ontology, MapMode::kKeyword});
 
     // A page big enough that --engine plus runs the sharded body.
     options.scholar_pubs = kPrepareChunkEntities;
@@ -101,6 +113,27 @@ class CliDeterminismTest : public ::testing::Test {
     delete page_;
     delete big_page_;
     delete rules_;
+    delete amazon_sources_;
+  }
+
+  /// The Scholar page under the exported rules and the venue tree.
+  static CorpusSources PageSources(const std::string& page) {
+    CorpusSources sources;
+    sources.group_paths = {page};
+    sources.rules_path = *rules_;
+    sources.venue_ontology = true;
+    return sources;
+  }
+
+  /// `result`'s flags by scrollbar prefix, as ids of `group`.
+  static std::vector<std::vector<std::string>> FlaggedIds(
+      const Group& group, const DimeResult& result) {
+    std::vector<std::vector<std::string>> ids;
+    for (const std::vector<int>& flagged : result.flagged_by_prefix) {
+      ids.emplace_back();
+      for (int e : flagged) ids.back().push_back(group.entities[e].id);
+    }
+    return ids;
   }
 
   static CliResult RunCli(const std::string& engine, unsigned threads) {
@@ -199,18 +232,12 @@ class CliDeterminismTest : public ::testing::Test {
     ASSERT_TRUE(contents.ok()) << contents.status().ToString();
     Group merged = base;
     ASSERT_TRUE(ApplyDeltaRecords(contents->records, &merged).ok());
-    std::vector<PositiveRule> positive;
-    std::vector<NegativeRule> negative;
-    std::string error;
-    ASSERT_TRUE(
-        LoadRuleSet(rules_path, merged.schema, &positive, &negative, &error))
-        << error;
-    DimeContext context;
-    context.ontologies.push_back(
-        OntologyRef{&VenueOntology(), MapMode::kExactName});
-    context.ontologies.push_back(
-        OntologyRef{&VenueOntology(), MapMode::kKeyword});
-    DimeResult expected = RunDime(merged, positive, negative, context);
+    CorpusSources sources = PageSources(*page_);
+    sources.rules_path = rules_path;
+    StatusOr<Corpus> corpus = LoadCorpus(sources);
+    ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+    DimeResult expected = RunDime(merged, corpus->positive, corpus->negative,
+                                  corpus->context);
     ASSERT_TRUE(expected.ok());
     std::vector<std::string> expected_ids;
     for (int e : expected.flagged()) {
@@ -224,12 +251,15 @@ class CliDeterminismTest : public ::testing::Test {
   static std::string* page_;
   static std::string* big_page_;
   static std::string* rules_;
+  /// The exported Amazon category under its rules and theme tree.
+  static CorpusSources* amazon_sources_;
 };
 
 std::string* CliDeterminismTest::dir_ = nullptr;
 std::string* CliDeterminismTest::page_ = nullptr;
 std::string* CliDeterminismTest::big_page_ = nullptr;
 std::string* CliDeterminismTest::rules_ = nullptr;
+CorpusSources* CliDeterminismTest::amazon_sources_ = nullptr;
 
 TEST_F(CliDeterminismTest, ShardedEngineDecisionsAreByteIdentical) {
   // The small page runs RunDimePlus whatever --threads says; the big one
@@ -248,28 +278,15 @@ TEST_F(CliDeterminismTest, ShardedEngineDecisionsAreByteIdentical) {
 }
 
 TEST_F(CliDeterminismTest, ShardedEngineMatchesSerialPlusOutput) {
-  Group group;
-  ASSERT_TRUE(LoadGroup(*big_page_, *big_page_, &group).ok());
+  StatusOr<Corpus> corpus = LoadCorpus(PageSources(*big_page_));
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  const Group& group = corpus->groups[0];
   ASSERT_GE(group.size(), kPrepareChunkEntities);
-  std::vector<PositiveRule> positive;
-  std::vector<NegativeRule> negative;
-  std::string error;
-  ASSERT_TRUE(LoadRuleSet(*rules_, group.schema, &positive, &negative, &error))
-      << error;
-  DimeContext context;
-  context.ontologies.push_back(
-      OntologyRef{&VenueOntology(), MapMode::kExactName});
-  context.ontologies.push_back(
-      OntologyRef{&VenueOntology(), MapMode::kKeyword});
-  DimeResult serial = RunDimePlus(PrepareGroup(group, positive, negative,
-                                               context),
-                                  positive, negative);
+  DimeResult serial = RunDimePlus(
+      PrepareGroup(group, corpus->positive, corpus->negative, corpus->context),
+      corpus->positive, corpus->negative);
   ASSERT_TRUE(serial.ok());
-  std::vector<std::vector<std::string>> expected;
-  for (const std::vector<int>& flagged : serial.flagged_by_prefix) {
-    expected.emplace_back();
-    for (int e : flagged) expected.back().push_back(group.entities[e].id);
-  }
+  std::vector<std::vector<std::string>> expected = FlaggedIds(group, serial);
   ASSERT_FALSE(expected.empty());
   EXPECT_FALSE(expected.back().empty());
 
@@ -336,6 +353,116 @@ TEST_F(CliDeterminismTest, DeltaReplayRefusesRulesItsContextCannotEvaluate) {
   EXPECT_NE(replay.output.find("ontology index 0 not provided"),
             std::string::npos)
       << replay.output;
+}
+
+// --ontology with --ontology-mode keyword reaches the engine: the exported
+// Amazon category flags what Algorithm 1 flags under its rules and the
+// theme tree, from TSV (dime_cli) and through a snapshot built from the
+// same sources (dime_snapshot build, then dime_cli --snapshot).
+TEST_F(CliDeterminismTest, OntologyFileInKeywordModeFlagsLikeAlgorithm1) {
+  StatusOr<Corpus> corpus = LoadCorpus(*amazon_sources_);
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  const Group& group = corpus->groups[0];
+  DimeResult expected_run = RunDime(group, corpus->positive, corpus->negative,
+                                    corpus->context);
+  ASSERT_TRUE(expected_run.ok());
+  std::vector<std::vector<std::string>> expected =
+      FlaggedIds(group, expected_run);
+  ASSERT_EQ(expected.size(), corpus->negative.size());
+  EXPECT_FALSE(expected.back().empty());
+
+  const std::string flags =
+      " --rules '" + amazon_sources_->rules_path + "' --ontology '" +
+      amazon_sources_->ontologies[0].path + "' --ontology-mode keyword";
+  CliResult cli = RunCommand(std::string(DIME_CLI_BINARY) + " '" +
+                             group.name + "'" + flags);
+  ASSERT_EQ(cli.exit_code, 0) << cli.output;
+  EXPECT_EQ(PrintedScrollbar(cli.output), expected) << cli.output;
+
+  const std::string snap = *dir_ + "/amazon.snap";
+  CliResult built = RunCommand(std::string(DIME_SNAPSHOT_BINARY) +
+                               " build --group '" + group.name + "'" + flags +
+                               " --output '" + snap + "'");
+  ASSERT_EQ(built.exit_code, 0) << built.output;
+  CliResult served = RunCommand(std::string(DIME_CLI_BINARY) +
+                                " --snapshot '" + snap + "'");
+  ASSERT_EQ(served.exit_code, 0) << served.output;
+  EXPECT_EQ(PrintedScrollbar(served.output), expected) << served.output;
+}
+
+// Every group of a corpus must have the first group's schema: dime_server
+// refuses a second group of another schema at startup, naming it, rather
+// than evaluating the rules against its columns by position.
+TEST_F(CliDeterminismTest, ServerRefusesGroupsOfDifferentSchemas) {
+  const std::string amazon = amazon_sources_->group_paths[0];
+  CliResult server = RunCommand(
+      "timeout 30 " + std::string(DIME_SERVER_BINARY) + " --group '" +
+      *page_ + "' --group '" + amazon + "' --rules '" + *rules_ +
+      "' --venue-ontology --port 0");
+  EXPECT_EQ(server.exit_code,
+            ExitCodeForStatusCode(StatusCode::kInvalidArgument))
+      << server.output;
+  EXPECT_NE(server.output.find("group '" + amazon +
+                               "' disagrees with the corpus schema"),
+            std::string::npos)
+      << server.output;
+}
+
+// --ontology-mode takes exact or keyword; a misspelling is a usage error
+// in every binary that parses it, never a silent exact mapping.
+TEST_F(CliDeterminismTest, MisspelledOntologyModeIsRefused) {
+  const std::string amazon = amazon_sources_->group_paths[0];
+  const std::string sources =
+      "--group '" + amazon + "' --rules '" + amazon_sources_->rules_path +
+      "' --ontology '" + amazon_sources_->ontologies[0].path +
+      "' --ontology-mode keywrod";
+  const std::string commands[] = {
+      "timeout 30 " + std::string(DIME_SERVER_BINARY) + " " + sources +
+          " --port 0",
+      std::string(DIME_SNAPSHOT_BINARY) + " build " + sources +
+          " --output '" + *dir_ + "/keywrod.snap'",
+      // dime_cli takes its group as the first argument.
+      std::string(DIME_CLI_BINARY) + " '" + amazon + "' " +
+          sources.substr(sources.find("--rules")),
+  };
+  for (const std::string& command : commands) {
+    CliResult r = RunCommand(command);
+    EXPECT_EQ(r.exit_code, ExitCodeForStatusCode(StatusCode::kInvalidArgument))
+        << command << "\n" << r.output;
+    EXPECT_NE(r.output.find("--ontology-mode must be exact or keyword"),
+              std::string::npos)
+        << command << "\n" << r.output;
+  }
+}
+
+// A rules file that is not there is NOT_FOUND (exit 3) in all four
+// binaries that read one, as a missing group is.
+TEST_F(CliDeterminismTest, MissingRulesFileIsNotFound) {
+  const std::string missing = *dir_ + "/no_such_rules.txt";
+  const std::string log = *dir_ + "/missing_rules.dlog";
+  {
+    std::remove(log.c_str());
+    StatusOr<DeltaLogWriter> writer = DeltaLogWriter::Open(log);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  }
+  const std::string commands[] = {
+      "timeout 30 " + std::string(DIME_SERVER_BINARY) + " --group '" +
+          *page_ + "' --rules '" + missing + "' --port 0",
+      std::string(DIME_SNAPSHOT_BINARY) + " build --group '" + *page_ +
+          "' --rules '" + missing + "' --output '" + *dir_ +
+          "/missing_rules.snap'",
+      std::string(DIME_CLI_BINARY) + " '" + *page_ + "' --rules '" + missing +
+          "'",
+      std::string(DIME_DELTA_BINARY) + " replay '" + log + "' --base '" +
+          *page_ + "' --rules '" + missing + "'",
+  };
+  for (const std::string& command : commands) {
+    CliResult r = RunCommand(command);
+    EXPECT_EQ(r.exit_code, ExitCodeForStatusCode(StatusCode::kNotFound))
+        << command << "\n" << r.output;
+    EXPECT_NE(r.output.find(missing), std::string::npos)
+        << command << "\n" << r.output;
+  }
 }
 
 // generate_datasets takes its one argument as the output directory, so a

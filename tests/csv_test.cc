@@ -29,16 +29,17 @@ TEST(TsvTest, FormatRoundTrip) {
 TEST(TsvTest, FileRoundTrip) {
   std::string path = testing::TempDir() + "/dime_tsv_test.tsv";
   std::vector<TsvRow> rows{{"Title", "Authors"}, {"KATARA", "Chu|Tang"}};
-  ASSERT_TRUE(WriteTsvFile(path, rows));
-  std::vector<TsvRow> readback;
-  ASSERT_TRUE(ReadTsvFile(path, &readback));
-  EXPECT_EQ(readback, rows);
+  ASSERT_TRUE(WriteTsv(path, rows).ok());
+  StatusOr<std::vector<TsvRow>> readback = ReadTsv(path);
+  ASSERT_TRUE(readback.ok()) << readback.status().ToString();
+  EXPECT_EQ(*readback, rows);
 }
 
 TEST(TsvTest, ReadMissingFileFails) {
-  std::vector<TsvRow> rows;
-  EXPECT_FALSE(ReadTsvFile("/nonexistent/path/file.tsv", &rows));
-  EXPECT_TRUE(rows.empty());
+  StatusOr<std::vector<TsvRow>> rows = ReadTsv("/nonexistent/path/file.tsv");
+  EXPECT_EQ(rows.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(rows.status().message().find("/nonexistent/path/file.tsv"),
+            std::string::npos);
 }
 
 TEST(TsvTest, ParseCrlfLineEndings) {
@@ -61,7 +62,7 @@ TEST(TsvTest, ParseTrailingLineWithoutNewline) {
 TEST(TsvTest, ReadTsvDistinguishesEmptyFromMissing) {
   // Empty file: OK with zero rows.
   std::string path = testing::TempDir() + "/dime_tsv_empty.tsv";
-  ASSERT_TRUE(WriteTsvFile(path, {}));
+  ASSERT_TRUE(WriteTsv(path, {}).ok());
   StatusOr<std::vector<TsvRow>> empty = ReadTsv(path);
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->empty());
@@ -71,14 +72,6 @@ TEST(TsvTest, ReadTsvDistinguishesEmptyFromMissing) {
       ReadTsv("/nonexistent/path/file.tsv");
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
-}
-
-TEST(TsvTest, ReadTsvFileShimTreatsEmptyAsSuccess) {
-  std::string path = testing::TempDir() + "/dime_tsv_empty2.tsv";
-  ASSERT_TRUE(WriteTsvFile(path, {}));
-  std::vector<TsvRow> rows{{"stale"}};
-  EXPECT_TRUE(ReadTsvFile(path, &rows));
-  EXPECT_TRUE(rows.empty());
 }
 
 TEST(TsvTest, ReadTsvHandlesCrlfFiles) {
@@ -153,10 +146,10 @@ TEST(TsvTest, QuotedRoundTripThroughFile) {
   std::vector<TsvRow> rows{{"Title", "Notes"},
                            {"KATARA", "tab\there and\nnewline"},
                            {"Next", "plain"}};
-  ASSERT_TRUE(WriteTsvFile(path, rows));
-  std::vector<TsvRow> readback;
-  ASSERT_TRUE(ReadTsvFile(path, &readback));
-  EXPECT_EQ(readback, rows);
+  ASSERT_TRUE(WriteTsv(path, rows).ok());
+  StatusOr<std::vector<TsvRow>> readback = ReadTsv(path);
+  ASSERT_TRUE(readback.ok()) << readback.status().ToString();
+  EXPECT_EQ(*readback, rows);
 }
 
 TEST(TsvTest, CrlfInsideQuotedFieldIsLiteralData) {

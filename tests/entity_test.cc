@@ -41,7 +41,7 @@ TEST(GroupTsvTest, RoundTripWithTruth) {
   Group g = SmallGroup(true);
   std::string tsv = GroupToTsv(g);
   Group parsed;
-  ASSERT_TRUE(GroupFromTsv(tsv, "test", &parsed));
+  ASSERT_TRUE(ParseGroupTsv(tsv, "test", &parsed).ok());
   EXPECT_EQ(parsed.name, "test");
   ASSERT_EQ(parsed.size(), 2u);
   EXPECT_EQ(parsed.schema.attribute_names(), g.schema.attribute_names());
@@ -54,7 +54,7 @@ TEST(GroupTsvTest, RoundTripWithTruth) {
 TEST(GroupTsvTest, RoundTripWithoutTruth) {
   Group g = SmallGroup(false);
   Group parsed;
-  ASSERT_TRUE(GroupFromTsv(GroupToTsv(g), "x", &parsed));
+  ASSERT_TRUE(ParseGroupTsv(GroupToTsv(g), "x", &parsed).ok());
   EXPECT_FALSE(parsed.has_truth());
   EXPECT_EQ(parsed.entities[1].value(0), (AttributeValue{"Topic models"}));
 }
@@ -67,7 +67,7 @@ TEST(GroupTsvTest, SanitizesStructuralCharacters) {
   e.values = {{"multi\nline", "pipe|inside"}};
   g.entities.push_back(std::move(e));
   Group parsed;
-  ASSERT_TRUE(GroupFromTsv(GroupToTsv(g), "x", &parsed));
+  ASSERT_TRUE(ParseGroupTsv(GroupToTsv(g), "x", &parsed).ok());
   ASSERT_EQ(parsed.size(), 1u);
   EXPECT_EQ(parsed.entities[0].id, "id with tabs");
   EXPECT_EQ(parsed.entities[0].value(0),
@@ -76,20 +76,25 @@ TEST(GroupTsvTest, SanitizesStructuralCharacters) {
 
 TEST(GroupTsvTest, RejectsMalformed) {
   Group parsed;
-  EXPECT_FALSE(GroupFromTsv("", "x", &parsed));
-  EXPECT_FALSE(GroupFromTsv("WrongHeader\tTitle\nrow\tvalue\n", "x", &parsed));
+  EXPECT_EQ(ParseGroupTsv("", "x", &parsed).code(), StatusCode::kParseError);
+  EXPECT_EQ(
+      ParseGroupTsv("WrongHeader\tTitle\nrow\tvalue\n", "x", &parsed).code(),
+      StatusCode::kParseError);
   // Row width mismatch.
-  EXPECT_FALSE(GroupFromTsv("_id\tTitle\ne1\ta\textras\n", "x", &parsed));
+  EXPECT_EQ(ParseGroupTsv("_id\tTitle\ne1\ta\textras\n", "x", &parsed).code(),
+            StatusCode::kSchemaMismatch);
 }
 
 TEST(GroupTsvTest, FileRoundTrip) {
   Group g = SmallGroup(true);
   std::string path = testing::TempDir() + "/dime_group_test.tsv";
-  ASSERT_TRUE(SaveGroupTsv(g, path));
+  ASSERT_TRUE(SaveGroup(g, path).ok());
   Group loaded;
-  ASSERT_TRUE(LoadGroupTsv(path, "loaded", &loaded));
+  ASSERT_TRUE(LoadGroup(path, "loaded", &loaded).ok());
   EXPECT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded.truth, g.truth);
+  EXPECT_EQ(LoadGroup(path + ".missing", "x", &loaded).code(),
+            StatusCode::kNotFound);
 }
 
 }  // namespace

@@ -23,21 +23,21 @@
 namespace dime {
 namespace {
 
-ServingCorpus MakeCorpus(int seed = 7, size_t entities = 20) {
-  ScholarSetup setup = MakeScholarSetup();
-  ServingCorpus corpus;
-  corpus.schema = setup.schema;
-  corpus.positive = std::move(setup.positive);
-  corpus.negative = std::move(setup.negative);
-  corpus.context = setup.context;
-  corpus.owned_trees.push_back(std::move(setup.venue_tree));
+/// One Scholar page named page_0 under the demo corpus's rules and venue
+/// tree.
+Corpus PageCorpus(int seed = 7, size_t entities = 20) {
+  Corpus corpus = MakeDemoCorpus(0);
   ScholarGenOptions gen;
   gen.num_correct = entities;
   gen.seed = seed;
   Group page = GenerateScholarGroup("Owner", gen);
   page.name = "page_0";
-  corpus.AddGroup(std::move(page));
+  corpus.groups.push_back(std::move(page));
   return corpus;
+}
+
+ServingCorpus MakeCorpus(int seed = 7, size_t entities = 20) {
+  return PrepareCorpus(PageCorpus(seed, entities));
 }
 
 /// Thread-safe recorder for retire-hook firings.
@@ -173,8 +173,12 @@ TEST(EpochTest, GroupAndPreparedLookup) {
   ASSERT_NE(group, nullptr);
   EXPECT_EQ(group, &epoch->corpus().groups[0]->group());
   EXPECT_EQ(epoch->FindGroup("no_such_page"), nullptr);
-  // TSV-ingested corpora carry no prepared groups.
-  EXPECT_EQ(epoch->FindPrepared(group), nullptr);
+  // Every resident group is prepared, from the resident copy; an equal
+  // copy is not resident.
+  ASSERT_NE(epoch->ResidentOf(*group), nullptr);
+  EXPECT_EQ(epoch->ResidentOf(*group)->prepared().group, group);
+  const Group copy = *group;
+  EXPECT_EQ(epoch->ResidentOf(copy), nullptr);
 }
 
 TEST(EpochTest, TsvCorpusGetsASynthesizedFingerprint) {
@@ -197,15 +201,16 @@ TEST(EpochTest, TsvCorpusGetsASynthesizedFingerprint) {
 }
 
 TEST(EpochTest, GroupLookupIsByNameAndFirstWins) {
-  ServingCorpus corpus = MakeCorpus(1);
-  Group second = corpus.groups[0]->group();
+  Corpus corpus = PageCorpus(1);
+  Group second = corpus.groups[0];
   second.entities.pop_back();  // same name, different content
-  corpus.AddGroup(std::move(second));
-  Group other = corpus.groups[0]->group();
+  corpus.groups.push_back(std::move(second));
+  Group other = corpus.groups[0];
   other.name = "page_1";
-  corpus.AddGroup(std::move(other));
+  corpus.groups.push_back(std::move(other));
   EpochManager manager;
-  std::shared_ptr<const CorpusEpoch> epoch = manager.Install(std::move(corpus));
+  std::shared_ptr<const CorpusEpoch> epoch =
+      manager.Install(PrepareCorpus(std::move(corpus)));
   const auto& groups = epoch->corpus().groups;
   EXPECT_EQ(epoch->FindGroup("page_0"), &groups[0]->group());
   EXPECT_EQ(epoch->FindGroup("page_1"), &groups[2]->group());
@@ -239,25 +244,33 @@ TEST(EpochTest, ContextKeyTracksRulesAndOntologiesNotGroups) {
   EXPECT_EQ(manager.Install(MakeCorpus(2))->context_key(),
             base->context_key());
 
-  ServingCorpus tree_changed = MakeCorpus(1);
-  tree_changed.owned_trees[0]->AddNode("Context Key Venue", 0);
-  EXPECT_NE(manager.Install(std::move(tree_changed))->context_key(),
-            base->context_key());
+  Corpus tree_changed = PageCorpus(1);
+  auto tree = std::make_shared<Ontology>(*tree_changed.trees[0]);
+  tree->AddNode("Context Key Venue", 0);
+  for (OntologyRef& ref : tree_changed.context.ontologies) {
+    ref.tree = tree.get();
+  }
+  tree_changed.trees = {tree};
+  EXPECT_NE(
+      manager.Install(PrepareCorpus(std::move(tree_changed)))->context_key(),
+      base->context_key());
 
-  ServingCorpus mode_changed = MakeCorpus(1);
+  Corpus mode_changed = PageCorpus(1);
   mode_changed.context.ontologies[0].mode = MapMode::kFuzzyName;
-  EXPECT_NE(manager.Install(std::move(mode_changed))->context_key(),
-            base->context_key());
+  EXPECT_NE(
+      manager.Install(PrepareCorpus(std::move(mode_changed)))->context_key(),
+      base->context_key());
 
-  ServingCorpus q_changed = MakeCorpus(1);
+  Corpus q_changed = PageCorpus(1);
   q_changed.context.qgram_q = 3;
-  EXPECT_NE(manager.Install(std::move(q_changed))->context_key(),
+  EXPECT_NE(manager.Install(PrepareCorpus(std::move(q_changed)))->context_key(),
             base->context_key());
 
-  ServingCorpus rules_changed = MakeCorpus(1);
+  Corpus rules_changed = PageCorpus(1);
   rules_changed.negative.pop_back();
-  EXPECT_NE(manager.Install(std::move(rules_changed))->context_key(),
-            base->context_key());
+  EXPECT_NE(
+      manager.Install(PrepareCorpus(std::move(rules_changed)))->context_key(),
+      base->context_key());
 }
 
 TEST(EpochTest, ConcurrentFirstGroupKeyAgrees) {

@@ -35,41 +35,19 @@ namespace {
 
 constexpr int kVariants = 3;
 
-/// The Scholar rules and ontologies with no groups yet.
-ServingCorpus ScholarCorpus() {
-  ScholarSetup setup = MakeScholarSetup();
-  ServingCorpus corpus;
-  corpus.schema = setup.schema;
-  corpus.positive = std::move(setup.positive);
-  corpus.negative = std::move(setup.negative);
-  corpus.context = setup.context;
-  corpus.owned_trees.push_back(std::move(setup.venue_tree));
-  return corpus;
-}
-
 /// Variant v of the serving corpus (chaos_swap_test's recipe): same
 /// schema and group name, per-variant content, so a cross-epoch mixup
 /// changes wire-visible decisions.
 ServingCorpus MakeVariant(int v) {
-  ServingCorpus corpus = ScholarCorpus();
+  Corpus corpus = MakeDemoCorpus(0);
   ScholarGenOptions gen;
   gen.num_correct = 30;
   gen.seed = 500 + v * 31;
   gen.garbage_pubs = 2 + v;
   Group page = GenerateScholarGroup("Chaos Owner", gen);
   page.name = "page_0";
-  corpus.AddGroup(std::move(page));
-  return corpus;
-}
-
-/// `dime_server --demo --demo-pages <pages>`'s corpus: the Scholar rules
-/// over MakeScholarDemoPages.
-ServingCorpus MakeDemoCorpus(size_t pages) {
-  ServingCorpus corpus = ScholarCorpus();
-  for (Group& page : MakeScholarDemoPages(pages)) {
-    corpus.AddGroup(std::move(page));
-  }
-  return corpus;
+  corpus.groups.push_back(std::move(page));
+  return PrepareCorpus(std::move(corpus));
 }
 
 JsonObject MustParse(const std::string& line) {
@@ -364,7 +342,8 @@ TEST_F(EventLoopTest, ThousandKeepAliveConnectionsOnBothProtocols) {
   service_options.queue_capacity = 8192;
   service_options.cache_capacity = 256;
   service_ =
-      std::make_unique<DimeService>(MakeDemoCorpus(kPages), service_options);
+      std::make_unique<DimeService>(PrepareCorpus(MakeDemoCorpus(kPages)),
+                                    service_options);
   server_ = std::make_unique<EventLoopServer>(service_.get(),
                                               EventLoopServerOptions{});
   ASSERT_TRUE(server_->Start().ok());

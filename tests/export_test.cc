@@ -25,7 +25,7 @@ TEST(ExportTest, SuiteRoundTripsThroughTheCodecs) {
 
   // Groups reload with ground truth intact.
   Group page;
-  ASSERT_TRUE(LoadGroupTsv(manifest.scholar_groups[0], "page0", &page));
+  ASSERT_TRUE(LoadGroup(manifest.scholar_groups[0], "page0", &page).ok());
   EXPECT_GT(page.size(), 40u);
   EXPECT_TRUE(page.has_truth());
   EXPECT_FALSE(page.TrueErrorIndices().empty());
@@ -33,17 +33,16 @@ TEST(ExportTest, SuiteRoundTripsThroughTheCodecs) {
   // Rules reload against the reloaded schema.
   std::vector<PositiveRule> positive;
   std::vector<NegativeRule> negative;
-  std::string error;
-  ASSERT_TRUE(LoadRuleSet(manifest.scholar_rules, page.schema, &positive,
-                          &negative, &error))
-      << error;
+  const Status rules = LoadRuleSet(manifest.scholar_rules, page.schema,
+                                   &positive, &negative);
+  ASSERT_TRUE(rules.ok()) << rules.ToString();
   EXPECT_EQ(positive.size(), 2u);
   EXPECT_EQ(negative.size(), 3u);
 
   // The ontology reloads and the whole pipeline runs from disk artifacts
   // alone, matching the in-memory preset run.
   Ontology venues;
-  ASSERT_TRUE(Ontology::LoadFromFile(manifest.venue_ontology, &venues));
+  ASSERT_TRUE(Ontology::LoadFromFile(manifest.venue_ontology, &venues).ok());
   DimeContext context;
   context.ontologies.push_back(OntologyRef{&venues, MapMode::kExactName});
   context.ontologies.push_back(OntologyRef{&venues, MapMode::kKeyword});
@@ -68,13 +67,14 @@ TEST(ExportTest, AmazonArtifactsRunFromDisk) {
   ASSERT_TRUE(exported.ok()) << exported.ToString();
 
   Group category;
-  ASSERT_TRUE(LoadGroupTsv(manifest.amazon_groups[0], "cat", &category));
+  ASSERT_TRUE(LoadGroup(manifest.amazon_groups[0], "cat", &category).ok());
   std::vector<PositiveRule> positive;
   std::vector<NegativeRule> negative;
   ASSERT_TRUE(LoadRuleSet(manifest.amazon_rules, category.schema, &positive,
-                          &negative));
+                          &negative)
+                  .ok());
   Ontology themes;
-  ASSERT_TRUE(Ontology::LoadFromFile(manifest.theme_ontology, &themes));
+  ASSERT_TRUE(Ontology::LoadFromFile(manifest.theme_ontology, &themes).ok());
   DimeContext context;
   context.ontologies.push_back(OntologyRef{&themes, MapMode::kKeyword});
   EXPECT_EQ(ValidateRules(category.schema, positive, negative, context), "");

@@ -208,15 +208,10 @@ void ExpectSnapshotRoundTripIdentity(const std::vector<Group>& groups,
 }
 
 TEST(GoldenEqualityTest, SnapshotRoundTripScholar2999) {
-  // Same generation parameters as `dime_snapshot build --preset
-  // scholar-2999` and the Fig. 9(a) 3000-tuple point.
-  ScholarSetup setup = MakeScholarSetup();
-  ScholarGenOptions gen;
-  gen.num_correct = 2982;
-  gen.coauthor_pool = 190;
-  gen.seed = 6000;
-  std::vector<Group> groups;
-  groups.push_back(GenerateScholarGroup("Big Page", gen));
+  // The `dime_snapshot build --preset scholar-2999` corpus, the Fig. 9(a)
+  // 3000-tuple point.
+  StatusOr<Corpus> corpus = MakePresetCorpus("scholar-2999");
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
   GoldenPins pins;
   pins.digest = 0x63899cea9b800171ULL;
   pins.naive_positive_checks = 5294584;
@@ -226,22 +221,15 @@ TEST(GoldenEqualityTest, SnapshotRoundTripScholar2999) {
   pins.plus_candidate_pairs = 10942516;
   pins.plus_pairs_skipped_by_transitivity = 10939522;
   ExpectSnapshotRoundTripIdentity(
-      groups, setup.positive, setup.negative, setup.context,
+      corpus->groups, corpus->positive, corpus->negative, corpus->context,
       testing::TempDir() + "/golden_scholar2999.snap", &pins);
 }
 
 TEST(GoldenEqualityTest, SnapshotRoundTripAmazon10000) {
-  // Same generation parameters as `dime_snapshot build --preset
-  // amazon-10000` and the Fig. 9(b) 10000-tuple point.
-  AmazonGenOptions gen;
-  gen.error_rate = 0.4;
-  gen.num_correct = 6000;
-  gen.window = 12;
-  gen.seed = 14000;
-  Group group = GenerateAmazonGroup(5, gen);
-  AmazonSetup setup = MakeAmazonSetup({group});
-  std::vector<Group> groups;
-  groups.push_back(std::move(group));
+  // The `dime_snapshot build --preset amazon-10000` corpus, the Fig. 9(b)
+  // 10000-tuple point.
+  StatusOr<Corpus> corpus = MakePresetCorpus("amazon-10000");
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
   GoldenPins pins;
   pins.digest = 0xdd8111edfbf8d618ULL;
   pins.naive_positive_checks = 149962443;
@@ -254,7 +242,7 @@ TEST(GoldenEqualityTest, SnapshotRoundTripAmazon10000) {
   pins.plus_candidate_pairs = 63611;
   pins.plus_pairs_skipped_by_transitivity = 38032;
   ExpectSnapshotRoundTripIdentity(
-      groups, setup.positive, setup.negative, setup.context,
+      corpus->groups, corpus->positive, corpus->negative, corpus->context,
       testing::TempDir() + "/golden_amazon10000.snap", &pins);
 }
 

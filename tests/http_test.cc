@@ -26,20 +26,14 @@ namespace dime {
 namespace {
 
 ServingCorpus MakeTestCorpus() {
-  ScholarSetup setup = MakeScholarSetup();
-  ServingCorpus corpus;
-  corpus.schema = setup.schema;
-  corpus.positive = std::move(setup.positive);
-  corpus.negative = std::move(setup.negative);
-  corpus.context = setup.context;
-  corpus.owned_trees.push_back(std::move(setup.venue_tree));
+  Corpus corpus = MakeDemoCorpus(0);
   ScholarGenOptions gen;
   gen.num_correct = 40;
   gen.seed = 77;
   Group page = GenerateScholarGroup("Owner", gen);
   page.name = "page_0";
-  corpus.AddGroup(std::move(page));
-  return corpus;
+  corpus.groups.push_back(std::move(page));
+  return PrepareCorpus(std::move(corpus));
 }
 
 JsonObject MustParseBody(const std::string& line) {

@@ -131,7 +131,8 @@ TEST(IntegrationTest, GroupSurvivesTsvRoundTripThroughEngine) {
   ScholarWorld world = MakeWorld(0, 1, 40);
   const Group& original = world.test_groups[0];
   Group reloaded;
-  ASSERT_TRUE(GroupFromTsv(GroupToTsv(original), original.name, &reloaded));
+  ASSERT_TRUE(
+      ParseGroupTsv(GroupToTsv(original), original.name, &reloaded).ok());
   DimeResult a = RunDimePlus(original, world.setup.positive,
                              world.setup.negative, world.setup.context);
   DimeResult b = RunDimePlus(reloaded, world.setup.positive,

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <utility>
+
 #include "src/common/random.h"
 #include "src/ontology/builtin.h"
 
@@ -135,7 +138,7 @@ TEST(OntologyTest, TextRoundTrip) {
   original.AddKeyword("query", original.FindByName("Database"));
   original.AddKeyword("kernel", original.FindByName("System"));
   Ontology parsed;
-  ASSERT_TRUE(Ontology::FromText(original.ToText(), &parsed));
+  ASSERT_TRUE(Ontology::FromText(original.ToText(), &parsed).ok());
   EXPECT_EQ(parsed.NumNodes(), original.NumNodes());
   EXPECT_EQ(parsed.ToText(), original.ToText());
   // Structure and behavior are preserved.
@@ -149,21 +152,29 @@ TEST(OntologyTest, TextRoundTrip) {
 TEST(OntologyTest, TextRoundTripBuiltinVenueTree) {
   const Ontology& original = VenueOntology();
   Ontology parsed;
-  ASSERT_TRUE(Ontology::FromText(original.ToText(), &parsed));
+  ASSERT_TRUE(Ontology::FromText(original.ToText(), &parsed).ok());
   EXPECT_EQ(parsed.ToText(), original.ToText());
 }
 
 TEST(OntologyTest, FromTextRejectsMalformedInput) {
   Ontology out;
-  EXPECT_FALSE(Ontology::FromText("", &out));
-  EXPECT_FALSE(Ontology::FromText("node\tmissing parent\tchild\n", &out));
-  EXPECT_FALSE(Ontology::FromText("root\ta\nnode\ta\n", &out));  // 2 fields
-  EXPECT_FALSE(Ontology::FromText("root\ta\nbogus\tx\ty\n", &out));
-  EXPECT_FALSE(Ontology::FromText("root\ta\nroot\tb\n", &out));  // two roots
-  EXPECT_FALSE(
-      Ontology::FromText("root\ta\nkeyword\tw\tmissing\n", &out));
-  // Duplicate node name.
-  EXPECT_FALSE(Ontology::FromText("root\ta\nnode\ta\tb\nnode\ta\tb\n", &out));
+  // Each is PARSE_ERROR naming the offending line.
+  const std::pair<const char*, const char*> cases[] = {
+      {"node\tmissing parent\tchild\n", "line 1"},
+      {"root\ta\nnode\ta\n", "line 2"},  // 2 fields
+      {"root\ta\nbogus\tx\ty\n", "line 2"},
+      {"root\ta\nroot\tb\n", "line 2"},  // two roots
+      {"root\ta\nkeyword\tw\tmissing\n", "line 2"},
+      // Duplicate node name.
+      {"root\ta\nnode\ta\tb\nnode\ta\tb\n", "line 3"},
+  };
+  for (const auto& [text, line] : cases) {
+    const Status status = Ontology::FromText(text, &out);
+    EXPECT_EQ(status.code(), StatusCode::kParseError) << text;
+    EXPECT_NE(status.message().find(line), std::string::npos)
+        << text << ": " << status.ToString();
+  }
+  EXPECT_EQ(Ontology::FromText("", &out).code(), StatusCode::kParseError);
 }
 
 TEST(OntologyTest, FileRoundTrip) {
@@ -171,9 +182,21 @@ TEST(OntologyTest, FileRoundTrip) {
   std::string path = testing::TempDir() + "/dime_ontology_test.txt";
   ASSERT_TRUE(original.SaveToFile(path));
   Ontology loaded;
-  ASSERT_TRUE(Ontology::LoadFromFile(path, &loaded));
+  ASSERT_TRUE(Ontology::LoadFromFile(path, &loaded).ok());
   EXPECT_EQ(loaded.ToText(), original.ToText());
-  EXPECT_FALSE(Ontology::LoadFromFile("/nonexistent/tree.txt", &loaded));
+
+  // An unreadable file is NOT_FOUND, bad text PARSE_ERROR; both name the
+  // file, and the parse error names the line.
+  const Status missing =
+      Ontology::LoadFromFile("/nonexistent/tree.txt", &loaded);
+  EXPECT_EQ(missing.code(), StatusCode::kNotFound) << missing.ToString();
+  EXPECT_NE(missing.message().find("/nonexistent/tree.txt"), std::string::npos);
+  std::string bad_path = testing::TempDir() + "/dime_ontology_bad.txt";
+  std::ofstream(bad_path) << "root\ta\nnode\tnowhere\tb\n";
+  const Status bad = Ontology::LoadFromFile(bad_path, &loaded);
+  EXPECT_EQ(bad.code(), StatusCode::kParseError) << bad.ToString();
+  EXPECT_NE(bad.message().find(bad_path + ": line 2"), std::string::npos)
+      << bad.ToString();
 }
 
 TEST(OntologyTest, BuiltinVenueOntologyWellFormed) {

@@ -3,7 +3,7 @@
 // weighing each entity on its own. The groups straddle the chunk
 // boundaries, so both the caller-thread path (one chunk) and the pooled
 // path (chunk dictionaries merged in chunk order) must reproduce every
-// column, weight, mass, text, mapped node and dictionary entry exactly.
+// rank column, weight, mass, text and mapped node exactly.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include "src/core/preprocess.h"
 #include "src/ontology/builtin.h"
 #include "src/sim/weighted_similarity.h"
+#include "src/text/token_dictionary.h"
 #include "src/text/tokenizer.h"
 
 namespace dime {
@@ -114,24 +115,11 @@ std::vector<RefAttr> ReferencePrepare(const Group& group,
 // ---------------------------------------------------------------------------
 // Column-by-column comparison.
 
-void ExpectSameDictionary(const TokenDictionary& got,
-                          const TokenDictionary& want,
-                          const std::string& where) {
-  ASSERT_EQ(got.size(), want.size()) << where;
-  for (TokenId id = 0; id < want.size(); ++id) {
-    ASSERT_EQ(got.Token(id), want.Token(id)) << where << " id " << id;
-    ASSERT_EQ(got.DocumentFrequency(id), want.DocumentFrequency(id))
-        << where << " id " << id;
-    ASSERT_EQ(got.GlobalRank(id), want.GlobalRank(id)) << where << " id " << id;
-  }
-}
-
-void ExpectSameColumn(const RankColumn& got, const TokenDictionary& got_dict,
+void ExpectSameColumn(const RankColumn& got,
                       const std::vector<double>* got_weights,
                       const std::vector<double>* got_mass,
                       const std::vector<double>* got_sqnorm,
                       const RefColumn& want, const std::string& where) {
-  ExpectSameDictionary(got_dict, want.dict, where + " dictionary");
   ASSERT_EQ(got.num_entities(), want.ranks.size()) << where;
   size_t total = 0;
   for (size_t e = 0; e < want.ranks.size(); ++e) {
@@ -159,19 +147,17 @@ void ExpectMatchesReference(const PreparedGroup& pg,
     ASSERT_EQ(got.has_words, ref.words.has_value()) << where;
     ASSERT_EQ(got.has_text, ref.qgrams.has_value()) << where;
     if (ref.values) {
-      ExpectSameColumn(got.value_ranks, got.value_dict, &got.value_weights,
-                       &got.value_mass, &got.value_sqnorm, *ref.values,
-                       where + " values");
+      ExpectSameColumn(got.value_ranks, &got.value_weights, &got.value_mass,
+                       &got.value_sqnorm, *ref.values, where + " values");
     }
     if (ref.words) {
-      ExpectSameColumn(got.word_ranks, got.word_dict, &got.word_weights,
-                       &got.word_mass, &got.word_sqnorm, *ref.words,
-                       where + " words");
+      ExpectSameColumn(got.word_ranks, &got.word_weights, &got.word_mass,
+                       &got.word_sqnorm, *ref.words, where + " words");
     }
     if (ref.qgrams) {
       EXPECT_EQ(got.text, ref.text) << where << " text";
-      ExpectSameColumn(got.qgram_ranks, got.qgram_dict, nullptr, nullptr,
-                       nullptr, *ref.qgrams, where + " q-grams");
+      ExpectSameColumn(got.qgram_ranks, nullptr, nullptr, nullptr,
+                       *ref.qgrams, where + " q-grams");
     }
     ASSERT_EQ(got.nodes.size(), ref.nodes.size()) << where;
     for (const auto& [oi, nodes] : ref.nodes) {

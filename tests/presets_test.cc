@@ -49,6 +49,26 @@ TEST(AmazonSetupTest, ThemeTreeFitsCorpus) {
   EXPECT_LT(setup.theme_tree->Similarity(router, printer), 1.0);
 }
 
+TEST(DemoCorpusTest, PagesAreNamedAndTheContextPointsAtTheOwnedTree) {
+  Corpus demo = MakeDemoCorpus(3);
+  ASSERT_EQ(demo.groups.size(), 3u);
+  for (size_t i = 0; i < demo.groups.size(); ++i) {
+    EXPECT_EQ(demo.groups[i].name, "page_" + std::to_string(i));
+    EXPECT_EQ(demo.groups[i].schema.attribute_names(),
+              demo.schema.attribute_names());
+  }
+  ASSERT_EQ(demo.trees.size(), 1u);
+  for (const OntologyRef& ref : demo.context.ontologies) {
+    EXPECT_EQ(ref.tree, demo.trees[0].get());
+  }
+  EXPECT_EQ(ValidateRules(demo.schema, demo.positive, demo.negative,
+                          demo.context),
+            "");
+  // A preset name outside the two defined is refused, not guessed.
+  EXPECT_EQ(MakePresetCorpus("scholar-3000").status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(SampleExamplePairsTest, LabelsFollowTruth) {
   ScholarGenOptions gen;
   gen.num_correct = 40;

@@ -19,6 +19,14 @@
 namespace dime {
 namespace {
 
+/// A failed parse reports one of ParseGroupTsv's two codes.
+void ExpectParseOkOrRefused(const Status& status) {
+  if (status.ok()) return;
+  EXPECT_TRUE(status.code() == StatusCode::kParseError ||
+              status.code() == StatusCode::kSchemaMismatch)
+      << status.ToString();
+}
+
 TEST(RobustnessTest, GroupFromTsvSurvivesRandomGarbage) {
   Random rng(2025);
   for (int trial = 0; trial < 300; ++trial) {
@@ -42,15 +50,15 @@ TEST(RobustnessTest, GroupFromTsvSurvivesRandomGarbage) {
     }
     Group g;
     // Must not crash; may succeed or fail.
-    GroupFromTsv(text, "fuzz", &g);
+    ExpectParseOkOrRefused(ParseGroupTsv(text, "fuzz", &g));
   }
 }
 
 TEST(RobustnessTest, GroupFromTsvSurvivesHeaderOnlyAndPrefixes) {
   Group g;
-  EXPECT_TRUE(GroupFromTsv("_id\tTitle\n", "x", &g));
+  EXPECT_TRUE(ParseGroupTsv("_id\tTitle\n", "x", &g).ok());
   EXPECT_EQ(g.size(), 0u);
-  EXPECT_TRUE(GroupFromTsv("_id\t_error\n", "x", &g));  // zero attributes
+  EXPECT_TRUE(ParseGroupTsv("_id\t_error\n", "x", &g).ok());  // no attributes
   EXPECT_EQ(g.schema.size(), 0u);
 }
 
@@ -75,21 +83,21 @@ TEST(RobustnessTest, GroupFromTsvSurvivesEmbeddedNuls) {
       }
     }
     Group g;
-    GroupFromTsv(text, "nul-fuzz", &g);  // must not crash
+    ExpectParseOkOrRefused(ParseGroupTsv(text, "nul-fuzz", &g));
   }
   // A NUL inside a cell is data, not a terminator.
   Group g;
   std::string tsv = "_id\tTitle\ne0\tab";
   tsv.push_back('\0');
   tsv += "cd\n";
-  ASSERT_TRUE(GroupFromTsv(tsv, "nul", &g));
+  ASSERT_TRUE(ParseGroupTsv(tsv, "nul", &g).ok());
   ASSERT_EQ(g.size(), 1u);
 }
 
 TEST(RobustnessTest, GroupFromTsvHandlesCrlf) {
   Group g;
   ASSERT_TRUE(
-      GroupFromTsv("_id\tTitle\r\ne0\tKATARA\r\ne1\tDIME", "crlf", &g));
+      ParseGroupTsv("_id\tTitle\r\ne0\tKATARA\r\ne1\tDIME", "crlf", &g).ok());
   ASSERT_EQ(g.size(), 2u);
   EXPECT_EQ(g.entities[0].values[0], (std::vector<std::string>{"KATARA"}));
   EXPECT_EQ(g.entities[1].values[0], (std::vector<std::string>{"DIME"}));
@@ -101,11 +109,11 @@ TEST(RobustnessTest, GroupFromTsvSurvivesMegabyteSingleLine) {
   std::string huge(1 << 21, 'x');
   for (size_t i = 0; i < huge.size(); i += 97) huge[i] = '\t';
   Group g;
-  GroupFromTsv(huge, "huge", &g);  // result (ok or not) is irrelevant
+  ExpectParseOkOrRefused(ParseGroupTsv(huge, "huge", &g));
 
   // Same, but as a valid group whose one cell is > 1 MB.
   std::string tsv = "_id\tTitle\ne0\t" + std::string(1 << 21, 'y');
-  ASSERT_TRUE(GroupFromTsv(tsv, "huge-cell", &g));
+  ASSERT_TRUE(ParseGroupTsv(tsv, "huge-cell", &g).ok());
   ASSERT_EQ(g.size(), 1u);
   EXPECT_EQ(g.entities[0].values[0][0].size(), size_t{1} << 21);
 }

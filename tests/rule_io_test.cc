@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+
 #include "src/datagen/presets.h"
 
 namespace dime {
@@ -71,12 +73,22 @@ TEST(RuleIoTest, FileRoundTrip) {
       SaveRuleSet(path, setup.schema, setup.positive, setup.negative));
   std::vector<PositiveRule> positive;
   std::vector<NegativeRule> negative;
-  ASSERT_TRUE(LoadRuleSet(path, setup.schema, &positive, &negative));
+  ASSERT_TRUE(LoadRuleSet(path, setup.schema, &positive, &negative).ok());
   EXPECT_EQ(positive.size(), setup.positive.size());
-  std::string error;
-  EXPECT_FALSE(LoadRuleSet("/nonexistent/rules.txt", setup.schema, &positive,
-                           &negative, &error));
-  EXPECT_FALSE(error.empty());
+
+  // An unreadable file is NOT_FOUND, bad text PARSE_ERROR; both name the
+  // file, and the parse error names the line.
+  const Status missing = LoadRuleSet("/nonexistent/rules.txt", setup.schema,
+                                     &positive, &negative);
+  EXPECT_EQ(missing.code(), StatusCode::kNotFound) << missing.ToString();
+  EXPECT_NE(missing.message().find("/nonexistent/rules.txt"),
+            std::string::npos);
+  std::string bad_path = testing::TempDir() + "/dime_rules_bad.txt";
+  std::ofstream(bad_path) << "positive: overlap(Authors) >= 2\nbogus\n";
+  const Status bad = LoadRuleSet(bad_path, setup.schema, &positive, &negative);
+  EXPECT_EQ(bad.code(), StatusCode::kParseError) << bad.ToString();
+  EXPECT_NE(bad.message().find(bad_path + ": line 2"), std::string::npos)
+      << bad.ToString();
 }
 
 }  // namespace

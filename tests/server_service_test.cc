@@ -42,18 +42,17 @@ std::vector<Group> MakeTestPages(size_t pages = 2) {
   return groups;
 }
 
-/// A resident corpus of `pages` (unprepared, like a TSV ingest) under the
-/// Scholar preset rules/ontologies.
-ServingCorpus TestCorpusOf(std::vector<Group> pages) {
-  ScholarSetup setup = MakeScholarSetup();
-  ServingCorpus corpus;
-  corpus.schema = setup.schema;
-  corpus.positive = std::move(setup.positive);
-  corpus.negative = std::move(setup.negative);
-  corpus.context = setup.context;
-  corpus.owned_trees.push_back(std::move(setup.venue_tree));
-  for (Group& page : pages) corpus.AddGroup(std::move(page));
+/// The demo corpus's rules and venue tree over `pages`.
+Corpus ScholarCorpusOf(std::vector<Group> pages) {
+  Corpus corpus = MakeDemoCorpus(0);
+  corpus.groups = std::move(pages);
   return corpus;
+}
+
+/// `pages` prepared under the demo corpus's rules, as dime_server serves
+/// its --group files.
+ServingCorpus TestCorpusOf(std::vector<Group> pages) {
+  return PrepareCorpus(ScholarCorpusOf(std::move(pages)));
 }
 
 ServingCorpus MakeTestCorpus(size_t pages = 2) {
@@ -591,8 +590,8 @@ TEST(LiveCorpusTest, ReloadFromSnapshotSwapsToAPreparedEpoch) {
   StatusOr<CheckReply> reply = service.Check(request);
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->epoch->sequence(), 2u);
-  // Snapshot epochs serve warm: the group came prepared off disk.
-  EXPECT_NE(reply->epoch->FindPrepared(reply->group), nullptr);
+  // Snapshot epochs serve warm: the resident group came prepared off disk.
+  EXPECT_NE(reply->epoch->ResidentOf(*reply->group), nullptr);
 
   // A reload that cannot load anything leaves the good epoch serving.
   StatusOr<ReloadOutcome> bad =
@@ -715,7 +714,7 @@ TEST(LiveCorpusTest, ApplyDeltaLogMergesAndServesMergedCorpus) {
   EXPECT_FALSE(found_removed);
   // The merged epoch was re-prepared in bulk — it serves warm like a
   // snapshot load, not via per-request PrepareGroup.
-  EXPECT_NE(reply->epoch->FindPrepared(reply->group), nullptr);
+  EXPECT_NE(reply->epoch->ResidentOf(*reply->group), nullptr);
   EXPECT_EQ(service.Stats().delta_records_applied, 2u);
 }
 
@@ -900,9 +899,12 @@ TEST(LiveCorpusTest, OntologyOnlyChangeMissesOnEveryGroup) {
   }
 
   // Same rules, same groups; one more venue in the ontology tree.
-  ServingCorpus changed = MakeTestCorpus();
-  changed.owned_trees[0]->AddNode("An Extra Venue Of Nothing", 0);
-  service.InstallCorpus(std::move(changed));
+  Corpus changed = ScholarCorpusOf(MakeTestPages());
+  auto tree = std::make_shared<Ontology>(*changed.trees[0]);
+  tree->AddNode("An Extra Venue Of Nothing", 0);
+  for (OntologyRef& ref : changed.context.ontologies) ref.tree = tree.get();
+  changed.trees = {tree};
+  service.InstallCorpus(PrepareCorpus(std::move(changed)));
   for (const char* name : {"page_0", "page_1"}) {
     EXPECT_FALSE(CheckHits(service, name)) << name;
   }
@@ -916,11 +918,11 @@ TEST(LiveCorpusTest, RulesOnlyChangeMissesOnEveryGroup) {
   }
 
   // Same groups and ontologies; one negative-rule threshold moved.
-  ServingCorpus changed = MakeTestCorpus();
+  Corpus changed = ScholarCorpusOf(MakeTestPages());
   ASSERT_TRUE(ParseNegativeRule(
       "overlap(Authors) <= 1 ^ ontology(Venue) <= 0.3", changed.schema,
       &changed.negative[1]));
-  service.InstallCorpus(std::move(changed));
+  service.InstallCorpus(PrepareCorpus(std::move(changed)));
   for (const char* name : {"page_0", "page_1"}) {
     EXPECT_FALSE(CheckHits(service, name)) << name;
   }
@@ -947,6 +949,9 @@ TEST(LiveCorpusTest, DeltaMergeKeepsUntouchedGroupsCached) {
   StatusOr<ReloadOutcome> outcome = service.ApplyDeltaLog(path);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   ASSERT_EQ(outcome->sequence, 2u);
+  // The corpus was prepared when it was built, so even its first merge
+  // prepares only the group the record names.
+  EXPECT_EQ(outcome->groups_prepared, 1u);
 
   // page_0 was edited: it misses. page_1 was not: its entry from epoch 1
   // answers under epoch 2, and the answer equals a fresh engine run.
@@ -1047,7 +1052,7 @@ TEST(LiveCorpusTest, DeltaMergeSharesUntouchedGroupsWithItsBase) {
   // The edited group is a new, re-prepared group...
   const Group* edited = merged->FindGroup("page_0");
   EXPECT_NE(edited, base->FindGroup("page_0"));
-  EXPECT_NE(merged->FindPrepared(edited), nullptr);
+  EXPECT_NE(merged->ResidentOf(*edited), nullptr);
   EXPECT_NE(merged->GroupKey(*edited),
             base->GroupKey(*base->FindGroup("page_0")));
   // ...and every other one is the base's own, still borrowing the
@@ -1056,11 +1061,11 @@ TEST(LiveCorpusTest, DeltaMergeSharesUntouchedGroupsWithItsBase) {
     const std::string name = "page_" + std::to_string(i);
     const Group* group = merged->FindGroup(name);
     EXPECT_EQ(group, base->FindGroup(name)) << name;
-    const PreparedGroup* prepared = merged->FindPrepared(group);
-    ASSERT_NE(prepared, nullptr) << name;
-    EXPECT_EQ(prepared, base->FindPrepared(base->FindGroup(name))) << name;
+    const ResidentGroup* resident = merged->ResidentOf(*group);
+    ASSERT_NE(resident, nullptr) << name;
+    EXPECT_EQ(resident, base->ResidentOf(*base->FindGroup(name))) << name;
     bool borrowed = false;
-    for (const PreparedAttr& attr : prepared->attrs) {
+    for (const PreparedAttr& attr : resident->prepared().attrs) {
       borrowed = borrowed || attr.value_ranks.borrowed();
     }
     EXPECT_TRUE(borrowed) << name;
@@ -1068,42 +1073,6 @@ TEST(LiveCorpusTest, DeltaMergeSharesUntouchedGroupsWithItsBase) {
   // Same rules and ontologies: the context key carries over.
   EXPECT_EQ(merged->context_key(), base->context_key());
   EXPECT_EQ(merged->rules_text(), base->rules_text());
-}
-
-TEST(LiveCorpusTest, FirstMergeOfAnUnpreparedCorpusPreparesEveryGroup) {
-  constexpr size_t kPages = 3;
-  DimeService service(MakeTestCorpus(kPages), ServiceOptions{});
-  const std::string log = ::testing::TempDir() + "/live_unprepared.dlog";
-
-  WriteDeltaLog(log, {EditOf(*service.CurrentEpoch()->FindGroup("page_0"), 0)});
-  StatusOr<ReloadOutcome> first = service.ApplyDeltaLog(log);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_EQ(first->groups_prepared, kPages);
-  std::shared_ptr<const CorpusEpoch> prepared = service.CurrentEpoch();
-  for (const auto& resident : prepared->corpus().groups) {
-    EXPECT_NE(resident->prepared(), nullptr) << resident->group().name;
-  }
-
-  // From then on only the touched group is prepared again.
-  WriteDeltaLog(log, {EditOf(*prepared->FindGroup("page_1"), 0)});
-  StatusOr<ReloadOutcome> second = service.ApplyDeltaLog(log);
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_EQ(second->groups_prepared, 1u);
-  std::shared_ptr<const CorpusEpoch> merged = service.CurrentEpoch();
-  EXPECT_EQ(merged->corpus().groups[0], prepared->corpus().groups[0]);
-  EXPECT_NE(merged->corpus().groups[1], prepared->corpus().groups[1]);
-  EXPECT_EQ(merged->corpus().groups[2], prepared->corpus().groups[2]);
-}
-
-/// A fully re-prepared serving corpus of `pages`: every group through
-/// PrepareGroup, as if nothing were shared.
-ServingCorpus PreparedTestCorpusOf(const std::vector<Group>& pages) {
-  ServingCorpus corpus = TestCorpusOf({});
-  for (const Group& page : pages) {
-    corpus.groups.push_back(ResidentGroup::Prepare(
-        page, corpus.positive, corpus.negative, corpus.context));
-  }
-  return corpus;
 }
 
 TEST(LiveCorpusTest, RandomDeltaMergesMatchAFullRePrepare) {
@@ -1191,7 +1160,7 @@ TEST(LiveCorpusTest, RandomDeltaMergesMatchAFullRePrepare) {
     StatusOr<ReloadOutcome> outcome = service.ApplyDeltaLog(log);
     ASSERT_TRUE(outcome.ok()) << "merge " << merge << ": "
                               << outcome.status().ToString();
-    reference.InstallCorpus(PreparedTestCorpusOf(model));
+    reference.InstallCorpus(TestCorpusOf(model));
 
     std::shared_ptr<const CorpusEpoch> epoch = service.CurrentEpoch();
     for (const Group& page : model) {
@@ -1265,11 +1234,9 @@ TEST(LiveCorpusTest, DeltaMergesChainNoEpochsAndReleaseTheMapping) {
 /// merged group, at the bench scale the snapshot presets pin
 /// (scholar-2999).
 TEST(LiveCorpusTest, GoldenDifferentialMergedEpochEqualsBatchOnScholar2999) {
-  ScholarGenOptions gen;
-  gen.num_correct = 2982;
-  gen.coauthor_pool = 190;
-  gen.seed = 6000;
-  Group full = GenerateScholarGroup("Big Page", gen);
+  StatusOr<Corpus> preset = MakePresetCorpus("scholar-2999");
+  ASSERT_TRUE(preset.ok()) << preset.status().ToString();
+  Group full = std::move(preset->groups[0]);
   full.truth.clear();  // deltas have no ground truth channel
 
   // Base = the snapshot generation; the delta log carries the 10 entities
