@@ -108,8 +108,12 @@ int main() {
 
   // Persist the selected rule set so dime_cli --rules can replay it.
   std::string rules_path = "/tmp/dime_learned_rules.txt";
-  if (SaveRuleSet(rules_path, setup.schema, positive, negative)) {
+  const Status saved =
+      SaveRuleSet(rules_path, setup.schema, positive, negative);
+  if (saved.ok()) {
     std::printf("Saved the selected rule set to %s\n", rules_path.c_str());
+  } else {
+    std::printf("Could not save the rule set: %s\n", saved.ToString().c_str());
   }
 
   // Apply the learned rules to an unseen page.

@@ -15,7 +15,8 @@
 /// acquire atomic load (uncontended; free on x86).
 ///
 /// Failpoint registry (every name in the tree, machine-checked):
-///   "io/read"                TSV/file reads fail with IO_ERROR
+///   "io/read"                ReadTextFile (group TSV, rule and
+///                            ontology file loads) fails with IO_ERROR
 ///   "parallel/worker-fault"  a DIME+ verification or partition task
 ///                            throws
 ///   "engine/deadline"        engines behave as if the deadline expired
@@ -32,7 +33,8 @@
 ///
 /// Usage (in a test):
 ///   ScopedFailpoint fp(failpoints::kIoRead);   // arm for 1 hit
-///   EXPECT_EQ(LoadGroup(path, "g").status().code(), StatusCode::kIoError);
+///   Group g;
+///   EXPECT_EQ(LoadGroup(path, "g", &g).code(), StatusCode::kIoError);
 
 namespace dime {
 namespace failpoints {

@@ -17,7 +17,7 @@
 /// Usage:
 ///   Status DoWork() {
 ///     DIME_RETURN_IF_ERROR(Prepare());
-///     DIME_ASSIGN_OR_RETURN(std::vector<TsvRow> rows, ReadTsv(path));
+///     DIME_ASSIGN_OR_RETURN(std::string text, ReadTextFile(path));
 ///     ...
 ///     return OkStatus();
 ///   }

@@ -50,18 +50,12 @@ std::vector<std::string> Split(std::string_view s, char delim) {
 
 std::vector<std::string> SplitAndTrim(std::string_view s, char delim) {
   std::vector<std::string> out;
-  for (const std::string& piece : Split(s, delim)) {
-    std::string_view trimmed = Trim(piece);
+  while (true) {
+    const size_t pos = s.find(delim);
+    std::string_view trimmed = Trim(s.substr(0, pos));
     if (!trimmed.empty()) out.emplace_back(trimmed);
-  }
-  return out;
-}
-
-std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out.append(parts[i]);
+    if (pos == std::string_view::npos) break;
+    s.remove_prefix(pos + 1);
   }
   return out;
 }

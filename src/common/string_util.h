@@ -32,9 +32,6 @@ std::vector<std::string> Split(std::string_view s, char delim);
 /// Splits `s` on `delim`, trimming each piece and dropping empty pieces.
 std::vector<std::string> SplitAndTrim(std::string_view s, char delim);
 
-/// Joins `parts` with `sep`.
-std::string Join(const std::vector<std::string>& parts, std::string_view sep);
-
 /// Returns true if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
 

@@ -1,7 +1,6 @@
 #include "src/datagen/export.h"
 
 #include <filesystem>
-#include <fstream>
 #include <system_error>
 
 #include "src/datagen/amazon_gen.h"
@@ -31,17 +30,6 @@ Status EnsureDirectory(const std::string& path) {
   return IoError(message);
 }
 
-/// Writes `text` to `path` with WriteTsv's codes: NOT_FOUND when the file
-/// cannot be created, IO_ERROR when the write fails.
-Status WriteTextFile(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return NotFoundError(path + ": cannot create");
-  out << text;
-  out.flush();
-  if (!out) return IoError(path + ": write failed");
-  return OkStatus();
-}
-
 }  // namespace
 
 Status ExportBenchmarkSuite(const std::string& directory,
@@ -66,12 +54,10 @@ Status ExportBenchmarkSuite(const std::string& directory,
     local.scholar_groups.push_back(path);
   }
   local.scholar_rules = scholar_dir + "/rules.txt";
-  DIME_RETURN_IF_ERROR(WriteTextFile(
-      local.scholar_rules,
-      RuleSetToText(scholar.schema, scholar.positive, scholar.negative)));
+  DIME_RETURN_IF_ERROR(SaveRuleSet(local.scholar_rules, scholar.schema,
+                                   scholar.positive, scholar.negative));
   local.venue_ontology = scholar_dir + "/venues.ontology";
-  DIME_RETURN_IF_ERROR(
-      WriteTextFile(local.venue_ontology, scholar.venue_tree->ToText()));
+  DIME_RETURN_IF_ERROR(scholar.venue_tree->SaveToFile(local.venue_ontology));
 
   // --- Amazon categories + preset rules + fitted theme tree. --------------
   std::vector<Group> corpus;
@@ -92,12 +78,10 @@ Status ExportBenchmarkSuite(const std::string& directory,
     local.amazon_groups.push_back(path);
   }
   local.amazon_rules = amazon_dir + "/rules.txt";
-  DIME_RETURN_IF_ERROR(WriteTextFile(
-      local.amazon_rules,
-      RuleSetToText(amazon.schema, amazon.positive, amazon.negative)));
+  DIME_RETURN_IF_ERROR(SaveRuleSet(local.amazon_rules, amazon.schema,
+                                   amazon.positive, amazon.negative));
   local.theme_ontology = amazon_dir + "/themes.ontology";
-  DIME_RETURN_IF_ERROR(
-      WriteTextFile(local.theme_ontology, amazon.theme_tree->ToText()));
+  DIME_RETURN_IF_ERROR(amazon.theme_tree->SaveToFile(local.theme_ontology));
 
   if (manifest != nullptr) *manifest = std::move(local);
   return OkStatus();

@@ -67,23 +67,43 @@ struct Group {
   std::vector<int> TrueErrorIndices() const;
 };
 
-/// Serializes a group to TSV: one header row of attribute names (plus a
-/// final "_error" column when ground truth is present), then one row per
-/// entity (id first). Multi-valued cells join values with '|'.
+/// Decodes one attribute cell of a group TSV into its value list: the
+/// cell is split on '|', each piece is trimmed of ASCII whitespace, and
+/// empty pieces are dropped (" a | b ||" -> {"a", "b"}). ParseGroupTsv
+/// and `dime_delta append --value` both decode cells through it.
+AttributeValue ParseAttributeCell(std::string_view cell);
+
+/// Serializes a group to TSV: one header row "_id", the attribute names
+/// and, when ground truth is present, a final "_error" column; then one
+/// row per entity (id first, truth as "1"/"0"). Multi-valued cells join
+/// values with '|'. Names, ids and values are sanitized (tab/CR/LF -> ' ',
+/// '|' -> '/') so every written file parses back; a cell that starts with
+/// '"' is written quoted.
 std::string GroupToTsv(const Group& group);
 
-/// Parses GroupToTsv output. Error codes distinguish the failure modes:
+/// Parses group TSV in one pass over `tsv`. Cells follow RFC 4180-style
+/// quoting: a '"' at the start of a cell opens a quote that runs to the
+/// matching closing quote ("" is a literal quote; tab, CR and LF inside
+/// are data, so a quoted cell may span lines; text after the closing
+/// quote is appended as is, and an unterminated quote runs to the end of
+/// input). A '"' anywhere else is data. Rows end at LF, CRLF or a CR at
+/// the end of input; blank rows are skipped. A header whose last cell is
+/// "_error" carries ground truth: an entity is mis-categorized iff its
+/// cell there is exactly "1". Error codes distinguish the failure modes:
 ///   PARSE_ERROR      empty input or a header that does not start with _id
 ///   SCHEMA_MISMATCH  an entity row whose cell count disagrees with the
-///                    header
+///                    header (rows are numbered from the header, blank
+///                    rows not counted)
 /// On error `out` is left cleared (empty schema, no entities).
 Status ParseGroupTsv(const std::string& tsv, std::string_view name,
                      Group* out);
 
-/// File wrappers around the TSV codec. LoadGroup adds the IO failure
-/// modes of ReadTextFile (csv.h): NOT_FOUND (unopenable file, distinct
-/// from an empty one, which parses as PARSE_ERROR for lack of a header)
-/// and IO_ERROR (read failed mid-stream; failpoint "io/read").
+/// File wrappers around the TSV codec. SaveGroup has WriteTextFile's
+/// codes (csv.h): NOT_FOUND when the file cannot be created, IO_ERROR when
+/// the write fails. LoadGroup adds the IO failure modes of ReadTextFile:
+/// NOT_FOUND (unopenable file, distinct from an empty one, which parses as
+/// PARSE_ERROR for lack of a header) and IO_ERROR (read failed
+/// mid-stream; failpoint "io/read").
 Status SaveGroup(const Group& group, const std::string& path);
 Status LoadGroup(const std::string& path, std::string_view name, Group* out);
 

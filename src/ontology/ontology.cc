@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <vector>
 
 #include "src/common/csv.h"
@@ -169,11 +168,8 @@ Status Ontology::FromText(std::string_view text, Ontology* out) {
   return OkStatus();
 }
 
-bool Ontology::SaveToFile(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) return false;
-  f << ToText();
-  return static_cast<bool>(f);
+Status Ontology::SaveToFile(const std::string& path) const {
+  return WriteTextFile(path, ToText());
 }
 
 Status Ontology::LoadFromFile(const std::string& path, Ontology* out) {

@@ -86,10 +86,12 @@ class Ontology {
   /// line (out is left in an unspecified state).
   static Status FromText(std::string_view text, Ontology* out);
 
-  /// File wrappers around the text codec. LoadFromFile is NOT_FOUND or
-  /// IO_ERROR when the file cannot be read (ReadTextFile), PARSE_ERROR
-  /// naming the path and line for bad text.
-  bool SaveToFile(const std::string& path) const;
+  /// File wrappers around the text codec. SaveToFile is NOT_FOUND when
+  /// the file cannot be created and IO_ERROR when the write fails
+  /// (WriteTextFile). LoadFromFile is NOT_FOUND or IO_ERROR when the file
+  /// cannot be read (ReadTextFile), PARSE_ERROR naming the path and line
+  /// for bad text.
+  Status SaveToFile(const std::string& path) const;
   static Status LoadFromFile(const std::string& path, Ontology* out);
 
  private:

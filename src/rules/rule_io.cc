@@ -1,7 +1,5 @@
 #include "src/rules/rule_io.h"
 
-#include <fstream>
-
 #include "src/common/csv.h"
 #include "src/common/string_util.h"
 
@@ -64,13 +62,10 @@ bool RuleSetFromText(std::string_view text, const Schema& schema,
   return true;
 }
 
-bool SaveRuleSet(const std::string& path, const Schema& schema,
-                 const std::vector<PositiveRule>& positive,
-                 const std::vector<NegativeRule>& negative) {
-  std::ofstream f(path);
-  if (!f) return false;
-  f << RuleSetToText(schema, positive, negative);
-  return static_cast<bool>(f);
+Status SaveRuleSet(const std::string& path, const Schema& schema,
+                   const std::vector<PositiveRule>& positive,
+                   const std::vector<NegativeRule>& negative) {
+  return WriteTextFile(path, RuleSetToText(schema, positive, negative));
 }
 
 Status LoadRuleSet(const std::string& path, const Schema& schema,

@@ -34,10 +34,12 @@ bool RuleSetFromText(std::string_view text, const Schema& schema,
                      std::vector<NegativeRule>* negative,
                      std::string* error = nullptr);
 
-/// File wrappers.
-bool SaveRuleSet(const std::string& path, const Schema& schema,
-                 const std::vector<PositiveRule>& positive,
-                 const std::vector<NegativeRule>& negative);
+/// Writes RuleSetToText output to `path` with WriteTextFile's codes:
+/// NOT_FOUND when the file cannot be created, IO_ERROR when the write
+/// fails.
+Status SaveRuleSet(const std::string& path, const Schema& schema,
+                   const std::vector<PositiveRule>& positive,
+                   const std::vector<NegativeRule>& negative);
 /// Reads and parses the rule file at `path` against `schema`: NOT_FOUND
 /// or IO_ERROR when it cannot be read (ReadTextFile), PARSE_ERROR naming
 /// the path and line for bad text.

@@ -6,7 +6,9 @@
 // Usage:
 //   dime_delta append <log> --group G --op add|remove|edit --id E
 //       [--value "v1|v2"]...        # one --value per schema attribute,
-//                                   # '|' separating multi-values
+//                                   # decoded like a group TSV cell
+//                                   # (ParseAttributeCell: '|' splits,
+//                                   # pieces trimmed, empties dropped)
 //   dime_delta inspect <log>        # header, per-record listing, tail state
 //   dime_delta replay <log> --base group.tsv
 //       [--rules rules.txt [--venue-ontology]]  # run DIME+ on the
@@ -33,6 +35,7 @@
 #include "src/common/exit_code.h"
 #include "src/core/corpus.h"
 #include "src/core/dime_plus.h"
+#include "src/entity/entity.h"
 #include "src/store/delta_log.h"
 
 namespace {
@@ -51,21 +54,6 @@ void PrintHelp() {
       "dime_delta inspect <log>\n"
       "dime_delta replay <log> --base <group.tsv>\n"
       "    [--rules <file> [--venue-ontology]] [--output <merged.tsv>]\n");
-}
-
-/// '|'-separated multi-values, matching the TSV codec of entity.h.
-AttributeValue ParseValueCell(const std::string& cell) {
-  AttributeValue value;
-  size_t start = 0;
-  while (true) {
-    size_t bar = cell.find('|', start);
-    std::string item = cell.substr(
-        start, bar == std::string::npos ? std::string::npos : bar - start);
-    if (!item.empty()) value.push_back(std::move(item));
-    if (bar == std::string::npos) break;
-    start = bar + 1;
-  }
-  return value;
 }
 
 int RunAppend(int argc, char** argv) {
@@ -91,7 +79,7 @@ int RunAppend(int argc, char** argv) {
     } else if (arg == "--id") {
       record.entity_id = next();
     } else if (arg == "--value") {
-      record.values.push_back(ParseValueCell(next()));
+      record.values.push_back(ParseAttributeCell(next()));
     } else if (arg == "--help") {
       PrintHelp();
       return 0;

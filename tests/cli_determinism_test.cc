@@ -465,6 +465,38 @@ TEST_F(CliDeterminismTest, MissingRulesFileIsNotFound) {
   }
 }
 
+// `dime_delta append --value` decodes its cell as a group TSV cell is
+// decoded (ParseAttributeCell): '|' splits, pieces are trimmed, empty
+// pieces dropped. An entity added through the log then has the values it
+// would have had in the base TSV, so its similarity text and content key
+// do not depend on the path it came in by.
+TEST(DeltaCliTest, AppendedValuesDecodeLikeAGroupTsvCell) {
+  char tmpl[] = "/tmp/dime_delta_cli_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  const std::string log = dir + "/values.dlog";
+  CliResult r = RunCommand(std::string(DIME_DELTA_BINARY) + " append '" +
+                           log +
+                           "' --group g --op add --id e1"
+                           " --value ' a | b ' --value 'x|| |y|'"
+                           " --value ' single '");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+
+  StatusOr<DeltaLogContents> contents = ReadDeltaLog(log);
+  ASSERT_TRUE(contents.ok()) << contents.status().ToString();
+  ASSERT_EQ(contents->records.size(), 1u);
+  const std::vector<AttributeValue> expected{{"a", "b"}, {"x", "y"},
+                                             {"single"}};
+  EXPECT_EQ(contents->records[0].values, expected);
+
+  Group tsv;
+  ASSERT_TRUE(ParseGroupTsv("_id\tA\tB\tC\ne1\t a | b \tx|| |y|\t single \n",
+                            "g", &tsv)
+                  .ok());
+  EXPECT_EQ(contents->records[0].values, tsv.entities[0].values);
+  std::filesystem::remove_all(dir);
+}
+
 // generate_datasets takes its one argument as the output directory, so a
 // flag must never be mistaken for one: --help / -h print the usage and
 // exit 0, any other flag exits INVALID_ARGUMENT, and neither writes.

@@ -80,9 +80,10 @@ class LoadCorpusTest : public ::testing::Test {
     page_ = dir_ + "/page.tsv";
     ASSERT_TRUE(SaveGroup(demo.groups[0], page_).ok());
     rules_ = dir_ + "/rules.txt";
-    ASSERT_TRUE(SaveRuleSet(rules_, demo.schema, demo.positive, demo.negative));
+    ASSERT_TRUE(
+        SaveRuleSet(rules_, demo.schema, demo.positive, demo.negative).ok());
     tree_ = dir_ + "/venues.tree";
-    ASSERT_TRUE(VenueOntology().SaveToFile(tree_));
+    ASSERT_TRUE(VenueOntology().SaveToFile(tree_).ok());
   }
 
   void TearDown() override { std::filesystem::remove_all(dir_); }

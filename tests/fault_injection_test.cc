@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/csv.h"
 #include "src/core/dime.h"
 #include "src/core/dime_plus.h"
 #include "src/entity/entity.h"
@@ -81,18 +80,18 @@ void WriteFile(const std::string& path, const std::string& content) {
 
 TEST_F(FaultInjectionTest, InjectedReadFailureIsIoError) {
   const std::string path = TempPath("fi_read.tsv");
-  WriteFile(path, "a\tb\nc\td\n");
+  WriteFile(path, "_id\tTitle\ne0\tKATARA\n");
 
+  Group g;
   {
     ScopedFailpoint fp(failpoints::kIoRead);
-    StatusOr<std::vector<TsvRow>> rows = ReadTsv(path);
-    ASSERT_FALSE(rows.ok());
-    EXPECT_EQ(rows.status().code(), StatusCode::kIoError);
+    const Status failed = LoadGroup(path, "g", &g);
+    EXPECT_EQ(failed.code(), StatusCode::kIoError) << failed.ToString();
+    EXPECT_NE(failed.message().find(path), std::string::npos);
   }
-  // Disarmed: the same read succeeds.
-  StatusOr<std::vector<TsvRow>> rows = ReadTsv(path);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows->size(), 2u);
+  // Disarmed: the same load succeeds.
+  ASSERT_TRUE(LoadGroup(path, "g", &g).ok());
+  EXPECT_EQ(g.size(), 1u);
 }
 
 TEST_F(FaultInjectionTest, IoErrorDistinctFromNotFoundAndParseError) {

@@ -180,7 +180,7 @@ TEST(OntologyTest, FromTextRejectsMalformedInput) {
 TEST(OntologyTest, FileRoundTrip) {
   Ontology original = BuildFig4Ontology();
   std::string path = testing::TempDir() + "/dime_ontology_test.txt";
-  ASSERT_TRUE(original.SaveToFile(path));
+  ASSERT_TRUE(original.SaveToFile(path).ok());
   Ontology loaded;
   ASSERT_TRUE(Ontology::LoadFromFile(path, &loaded).ok());
   EXPECT_EQ(loaded.ToText(), original.ToText());
@@ -197,6 +197,12 @@ TEST(OntologyTest, FileRoundTrip) {
   EXPECT_EQ(bad.code(), StatusCode::kParseError) << bad.ToString();
   EXPECT_NE(bad.message().find(bad_path + ": line 2"), std::string::npos)
       << bad.ToString();
+
+  // A file in a missing directory cannot be created: NOT_FOUND naming it.
+  const Status unwritable = original.SaveToFile("/nonexistent/dir/tree.txt");
+  EXPECT_EQ(unwritable.code(), StatusCode::kNotFound) << unwritable.ToString();
+  EXPECT_NE(unwritable.message().find("/nonexistent/dir/tree.txt"),
+            std::string::npos);
 }
 
 TEST(OntologyTest, BuiltinVenueOntologyWellFormed) {

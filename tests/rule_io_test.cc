@@ -70,7 +70,7 @@ TEST(RuleIoTest, FileRoundTrip) {
   ScholarSetup setup = MakeScholarSetup();
   std::string path = testing::TempDir() + "/dime_rules_test.txt";
   ASSERT_TRUE(
-      SaveRuleSet(path, setup.schema, setup.positive, setup.negative));
+      SaveRuleSet(path, setup.schema, setup.positive, setup.negative).ok());
   std::vector<PositiveRule> positive;
   std::vector<NegativeRule> negative;
   ASSERT_TRUE(LoadRuleSet(path, setup.schema, &positive, &negative).ok());
@@ -89,6 +89,14 @@ TEST(RuleIoTest, FileRoundTrip) {
   EXPECT_EQ(bad.code(), StatusCode::kParseError) << bad.ToString();
   EXPECT_NE(bad.message().find(bad_path + ": line 2"), std::string::npos)
       << bad.ToString();
+
+  // A file in a missing directory cannot be created: NOT_FOUND naming it.
+  const Status unwritable =
+      SaveRuleSet("/nonexistent/dir/rules.txt", setup.schema, setup.positive,
+                  setup.negative);
+  EXPECT_EQ(unwritable.code(), StatusCode::kNotFound) << unwritable.ToString();
+  EXPECT_NE(unwritable.message().find("/nonexistent/dir/rules.txt"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -38,12 +38,6 @@ TEST(StringUtilTest, SplitAndTrimDropsEmpties) {
   EXPECT_TRUE(SplitAndTrim("  |  | ", '|').empty());
 }
 
-TEST(StringUtilTest, Join) {
-  EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(Join({}, ", "), "");
-  EXPECT_EQ(Join({"only"}, ", "), "only");
-}
-
 TEST(StringUtilTest, StartsEndsWith) {
   EXPECT_TRUE(StartsWith("overlap(Authors)", "overlap"));
   EXPECT_FALSE(StartsWith("ov", "overlap"));
