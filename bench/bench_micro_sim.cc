@@ -143,7 +143,7 @@ void BM_EditDistanceBanded(benchmark::State& state) {
 BENCHMARK(BM_EditDistanceBanded)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_OntologySimilarity(benchmark::State& state) {
-  const Ontology& tree = VenueOntology();
+  const Ontology& tree = *VenueOntology();
   Random rng(4);
   std::vector<std::pair<int, int>> pairs;
   for (int i = 0; i < 64; ++i) {
@@ -159,7 +159,7 @@ void BM_OntologySimilarity(benchmark::State& state) {
 BENCHMARK(BM_OntologySimilarity);
 
 void BM_KeywordMapping(benchmark::State& state) {
-  const Ontology& tree = VenueOntology();
+  const Ontology& tree = *VenueOntology();
   std::vector<std::string> tokens =
       WordTokenize("efficient query index join towards cleaning systems");
   for (auto _ : state) {

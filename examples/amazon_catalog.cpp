@@ -33,8 +33,9 @@ int main() {
               "%zu + %zu + %zu products...\n",
               corpus[0].size(), corpus[1].size(), corpus[2].size());
   AmazonSetup setup = MakeAmazonSetup(corpus);
-  std::printf("Theme tree: %d nodes, depth %d.\n\n",
-              setup.theme_tree->NumNodes(), setup.theme_tree->MaxDepth());
+  const Ontology& themes = *setup.context.ontologies[0].tree;
+  std::printf("Theme tree: %d nodes, depth %d.\n\n", themes.NumNodes(),
+              themes.MaxDepth());
 
   for (const Group& category : corpus) {
     DimeResult result =
@@ -52,12 +53,12 @@ int main() {
         break;
       }
       const Entity& p = category.entities[e];
-      int theme = setup.theme_tree->MapByKeywords(
+      int theme = themes.MapByKeywords(
           WordTokenize(p.value(kAmazonDescription)[0]));
       std::printf("    [%s] %s  (theme: %s)\n",
                   category.truth[e] ? "WRONG " : "actually-ok",
                   p.value(kAmazonTitle)[0].c_str(),
-                  theme == kNoNode ? "?" : setup.theme_tree->Name(theme).c_str());
+                  theme == kNoNode ? "?" : themes.Name(theme).c_str());
     }
     std::printf("\n");
   }

@@ -8,6 +8,7 @@
 // author, venue in a different field).
 
 #include <iostream>
+#include <memory>
 
 #include "src/core/dime.h"
 #include "src/ontology/builtin.h"
@@ -64,15 +65,15 @@ int main() {
 
   // The miniature Fig. 4 ontology: venues at depth 4 under subfield and
   // broad-field nodes, so SIGMOD~VLDB = 0.75 and SIGMOD~RSC Advances = 0.25.
-  Ontology venue_tree = BuildFig4Ontology();
+  auto venues = std::make_shared<Ontology>(BuildFig4Ontology());
   // SIGIR is not in the miniature tree; add it under Computer Science so
   // e4's venue maps (as in the paper, where SIGIR is a CS venue).
-  int cs = venue_tree.FindByName("Computer Science");
-  int ir = venue_tree.AddNode("Information Retrieval", cs);
-  venue_tree.AddNode("SIGIR", ir);
+  int cs = venues->FindByName("Computer Science");
+  int ir = venues->AddNode("Information Retrieval", cs);
+  venues->AddNode("SIGIR", ir);
 
   DimeContext context;
-  context.ontologies.push_back(OntologyRef{&venue_tree, MapMode::kExactName});
+  context.ontologies.push_back(OntologyRef{venues, MapMode::kExactName});
 
   std::vector<PositiveRule> positive(2);
   std::vector<NegativeRule> negative(2);

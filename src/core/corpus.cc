@@ -1,5 +1,6 @@
 #include "src/core/corpus.h"
 
+#include <memory>
 #include <utility>
 
 #include "src/ontology/builtin.h"
@@ -61,16 +62,16 @@ StatusOr<Corpus> LoadCorpus(const CorpusSources& sources) {
 
   if (sources.venue_ontology) {
     corpus.context.ontologies.push_back(
-        OntologyRef{&VenueOntology(), MapMode::kExactName});
+        OntologyRef{VenueOntology(), MapMode::kExactName});
     corpus.context.ontologies.push_back(
-        OntologyRef{&VenueOntology(), MapMode::kKeyword});
+        OntologyRef{VenueOntology(), MapMode::kKeyword});
   }
   for (const CorpusSources::Tree& source : sources.ontologies) {
     auto tree = std::make_shared<Ontology>();
     Status loaded = Ontology::LoadFromFile(source.path, tree.get());
     if (!loaded.ok()) return loaded;
-    corpus.context.ontologies.push_back(OntologyRef{tree.get(), source.mode});
-    corpus.trees.push_back(std::move(tree));
+    corpus.context.ontologies.push_back(
+        OntologyRef{std::move(tree), source.mode});
   }
 
   if (!sources.rules_path.empty()) {

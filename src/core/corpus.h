@@ -1,7 +1,6 @@
 #ifndef DIME_CORE_CORPUS_H_
 #define DIME_CORE_CORPUS_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,9 +27,8 @@ struct Corpus {
   Schema schema;
   std::vector<PositiveRule> positive;
   std::vector<NegativeRule> negative;
-  /// Ontology refs point at the built-in venue tree or into `trees`.
+  /// Refs to the built-in venue tree and the loaded tree files.
   DimeContext context;
-  std::vector<std::shared_ptr<const Ontology>> trees;
   /// Every group has `schema`.
   std::vector<Group> groups;
 };

@@ -210,8 +210,7 @@ ColumnBuild MakeColumn(int a, TokenColumn column, PreparedAttr* attr) {
 /// Adds to `*tokens` and `*chars` the number of tokens AppendRow interns
 /// for one entity (duplicates included) and their bytes.
 void CountTokens(TokenColumn column, const AttributeValue& value,
-                 std::string_view text, int q, size_t* tokens,
-                 size_t* chars) {
+                 std::string_view text, size_t* tokens, size_t* chars) {
   switch (column) {
     case TokenColumn::kValues:
       *tokens += value.size();
@@ -229,7 +228,7 @@ void CountTokens(TokenColumn column, const AttributeValue& value,
       }
       break;
     case TokenColumn::kQGrams:
-      ForEachQGram(text, q, [&](std::string_view gram) {
+      ForEachQGram(text, kQGramLength, [&](std::string_view gram) {
         ++*tokens;
         *chars += gram.size();
       });
@@ -241,10 +240,10 @@ void CountTokens(TokenColumn column, const AttributeValue& value,
 /// entity's row: ascending distinct ids, each counted once toward its
 /// document frequency. The tokens are ToLower(Trim(element)) per element
 /// for value lists, WordTokenize(JoinAttributeText(value)) for words and
-/// QGrams(text, q) for q-grams. `scratch` is a reused lower-case buffer.
+/// QGrams(text, kQGramLength) for q-grams. `scratch` is a reused
+/// lower-case buffer.
 void AppendRow(TokenColumn column, const AttributeValue& value,
-               std::string_view text, int q, std::string* scratch,
-               ChunkTokens* out) {
+               std::string_view text, std::string* scratch, ChunkTokens* out) {
   const size_t row = out->ids.size();
   auto intern = [out](std::string_view token) {
     out->ids.push_back(out->dict.Intern(token));
@@ -264,7 +263,7 @@ void AppendRow(TokenColumn column, const AttributeValue& value,
       }
       break;
     case TokenColumn::kQGrams:
-      ForEachQGram(text, q, intern);
+      ForEachQGram(text, kQGramLength, intern);
       break;
   }
   const auto begin = out->ids.begin() + static_cast<ptrdiff_t>(row);
@@ -374,8 +373,7 @@ PreparedGroup PrepareImpl(const Group& group,
         if (col.text != nullptr) {
           text = (*col.text)[e] = JoinAttributeText(value);
         }
-        CountTokens(col.column, value, text, context.qgram_q, &out.tokens,
-                    &out.chars);
+        CountTokens(col.column, value, text, &out.tokens, &out.chars);
       }
     }
   });
@@ -402,7 +400,7 @@ PreparedGroup PrepareImpl(const Group& group,
       for (size_t e = begin; e < end; ++e) {
         AppendRow(col.column, group.entities[e].value(col.attr),
                   col.text == nullptr ? std::string_view() : (*col.text)[e],
-                  context.qgram_q, &scratch, &col.chunks[c]);
+                  &scratch, &col.chunks[c]);
       }
     }
     for (const OntologyJob& job : ontology_jobs) {
@@ -618,7 +616,7 @@ RulePlan BuildRulePlan(const PreparedGroup& pg,
       DIME_CHECK(it != attr.nodes.end());
       p.kind = PredicatePlan::Kind::kOntology;
       p.nodes = it->second.data();
-      p.tree = pg.context.ontologies[pred.ontology_index].tree;
+      p.tree = pg.context.ontologies[pred.ontology_index].tree.get();
     }
     plan.push_back(p);
   }

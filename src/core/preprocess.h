@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -50,6 +51,10 @@ namespace dime {
 /// Entities per preparation chunk. The split depends on the group size
 /// alone, never on the thread count.
 inline constexpr size_t kPrepareChunkEntities = 8192;
+
+/// q of the q-grams behind edit-similarity signatures (§IV-B): strings
+/// within edit distance d share one of their first q*d + 1 q-grams.
+inline constexpr int kQGramLength = 2;
 
 /// One attribute/mode's rank vectors for every entity, flattened CSR-style:
 /// entity e's strictly ascending ranks live at arena[offsets[e] ..
@@ -141,16 +146,16 @@ enum class MapMode : int {
   kFuzzyName = 2,
 };
 
-/// One ontology usable by kOntology predicates, addressed by index.
+/// One ontology usable by kOntology predicates, addressed by index. Refs
+/// own their trees (several may share one), so a context keeps them alive.
 struct OntologyRef {
-  const Ontology* tree = nullptr;
+  std::shared_ptr<const Ontology> tree;
   MapMode mode = MapMode::kExactName;
 };
 
 /// Shared evaluation context.
 struct DimeContext {
   std::vector<OntologyRef> ontologies;
-  int qgram_q = 2;  ///< q for edit-distance q-gram signatures
 };
 
 /// Prepared representations for one attribute. Only the members a rule

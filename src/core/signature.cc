@@ -75,7 +75,7 @@ SignatureGenerator::SignatureGenerator(const PreparedGroup& pg,
     const PreparedAttr& attr = pg.attrs[p.attr];
     for (size_t e = 0; e < n; ++e) {
       size_t d = MaxEditDistanceForSim(attr.text[e].size(), tau);
-      size_t prefix = static_cast<size_t>(pg.context.qgram_q) * d + 1;
+      size_t prefix = static_cast<size_t>(kQGramLength) * d + 1;
       if (prefix > attr.qgram_ranks.size(e)) {
         editsim_universal_[i] = true;
         break;
@@ -155,7 +155,7 @@ size_t SignatureGenerator::PredicateSignatureCount(size_t pred_idx,
     double tau = FilterThreshold(p, dir_);
     if (tau > 1.0) return 0;
     size_t d = MaxEditDistanceForSim(attr.text[entity].size(), tau);
-    return static_cast<size_t>(pg_.context.qgram_q) * d + 1;
+    return static_cast<size_t>(kQGramLength) * d + 1;
   }
 
   DIME_CHECK(p.func == SimFunc::kOntology);
@@ -244,7 +244,7 @@ void SignatureGenerator::PredicateSignatures(
     if (tau > 1.0) return;  // unsatisfiable with any partner
     const RankSpan grams = attr.qgram_ranks.view(entity);
     size_t d = MaxEditDistanceForSim(attr.text[entity].size(), tau);
-    size_t prefix = static_cast<size_t>(pg_.context.qgram_q) * d + 1;
+    size_t prefix = static_cast<size_t>(kQGramLength) * d + 1;
     DIME_CHECK_LE(prefix, grams.size());  // else editsim_universal_ is set
     sigs.resize(prefix);
     MixHashBatch32(tag, grams.data(), prefix, sigs.data());

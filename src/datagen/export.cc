@@ -57,7 +57,8 @@ Status ExportBenchmarkSuite(const std::string& directory,
   DIME_RETURN_IF_ERROR(SaveRuleSet(local.scholar_rules, scholar.schema,
                                    scholar.positive, scholar.negative));
   local.venue_ontology = scholar_dir + "/venues.ontology";
-  DIME_RETURN_IF_ERROR(scholar.venue_tree->SaveToFile(local.venue_ontology));
+  DIME_RETURN_IF_ERROR(
+      scholar.context.ontologies[0].tree->SaveToFile(local.venue_ontology));
 
   // --- Amazon categories + preset rules + fitted theme tree. --------------
   std::vector<Group> corpus;
@@ -81,7 +82,8 @@ Status ExportBenchmarkSuite(const std::string& directory,
   DIME_RETURN_IF_ERROR(SaveRuleSet(local.amazon_rules, amazon.schema,
                                    amazon.positive, amazon.negative));
   local.theme_ontology = amazon_dir + "/themes.ontology";
-  DIME_RETURN_IF_ERROR(amazon.theme_tree->SaveToFile(local.theme_ontology));
+  DIME_RETURN_IF_ERROR(
+      amazon.context.ontologies[0].tree->SaveToFile(local.theme_ontology));
 
   if (manifest != nullptr) *manifest = std::move(local);
   return OkStatus();

@@ -12,11 +12,10 @@ namespace dime {
 ScholarSetup MakeScholarSetup() {
   ScholarSetup setup;
   setup.schema = ScholarSchema();
-  setup.venue_tree = std::make_unique<Ontology>(BuildVenueOntology());
   setup.context.ontologies.push_back(
-      OntologyRef{setup.venue_tree.get(), MapMode::kExactName});
+      OntologyRef{VenueOntology(), MapMode::kExactName});
   setup.context.ontologies.push_back(
-      OntologyRef{setup.venue_tree.get(), MapMode::kKeyword});
+      OntologyRef{VenueOntology(), MapMode::kKeyword});
 
   setup.positive.resize(2);
   DIME_CHECK(ParsePositiveRule("overlap(Authors) >= 2", setup.schema,
@@ -89,18 +88,13 @@ ScholarSetup MakeScholarSetup() {
 
 namespace {
 
-/// The Scholar preset's rules and venue tree over `groups`.
-Corpus ScholarCorpus(std::vector<Group> groups) {
-  ScholarSetup setup = MakeScholarSetup();
-  Corpus corpus;
-  corpus.schema = setup.schema;
-  corpus.positive = std::move(setup.positive);
-  corpus.negative = std::move(setup.negative);
-  corpus.context = setup.context;
-  // The context points at the tree object, which the move keeps in place.
-  corpus.trees.push_back(std::move(setup.venue_tree));
-  corpus.groups = std::move(groups);
-  return corpus;
+/// A preset's rules and ontologies (a ScholarSetup or an AmazonSetup)
+/// over `groups`.
+template <typename Setup>
+Corpus CorpusOf(Setup setup, std::vector<Group> groups) {
+  return Corpus{std::move(setup.schema), std::move(setup.positive),
+                std::move(setup.negative), std::move(setup.context),
+                std::move(groups)};
 }
 
 }  // namespace
@@ -118,7 +112,7 @@ Corpus MakeDemoCorpus(size_t pages) {
     page.name = "page_" + std::to_string(i);
     groups.push_back(std::move(page));
   }
-  return ScholarCorpus(std::move(groups));
+  return CorpusOf(MakeScholarSetup(), std::move(groups));
 }
 
 StatusOr<Corpus> MakePresetCorpus(std::string_view name) {
@@ -129,7 +123,7 @@ StatusOr<Corpus> MakePresetCorpus(std::string_view name) {
     gen.seed = 6000;
     std::vector<Group> groups;
     groups.push_back(GenerateScholarGroup("Big Page", gen));
-    return ScholarCorpus(std::move(groups));
+    return CorpusOf(MakeScholarSetup(), std::move(groups));
   }
   if (name == "amazon-10000") {
     AmazonGenOptions gen;
@@ -137,16 +131,9 @@ StatusOr<Corpus> MakePresetCorpus(std::string_view name) {
     gen.num_correct = 6000;
     gen.window = 12;
     gen.seed = 14000;
-    Group group = GenerateAmazonGroup(5, gen);
-    AmazonSetup setup = MakeAmazonSetup({group});
-    Corpus corpus;
-    corpus.schema = setup.schema;
-    corpus.positive = std::move(setup.positive);
-    corpus.negative = std::move(setup.negative);
-    corpus.context = setup.context;
-    corpus.trees.push_back(std::move(setup.theme_tree));
-    corpus.groups.push_back(std::move(group));
-    return corpus;
+    std::vector<Group> groups{GenerateAmazonGroup(5, gen)};
+    AmazonSetup setup = MakeAmazonSetup(groups);
+    return CorpusOf(std::move(setup), std::move(groups));
   }
   return InvalidArgumentError("unknown preset '" + std::string(name) +
                               "' (scholar-2999 or amazon-10000)");
@@ -169,10 +156,9 @@ AmazonSetup MakeAmazonSetup(const std::vector<Group>& corpus,
       docs.push_back(WordTokenize(joined));
     }
   }
-  setup.theme_tree =
-      std::make_unique<Ontology>(BuildThemeHierarchy(docs, hierarchy));
-  setup.context.ontologies.push_back(
-      OntologyRef{setup.theme_tree.get(), MapMode::kKeyword});
+  setup.context.ontologies.push_back(OntologyRef{
+      std::make_shared<const Ontology>(BuildThemeHierarchy(docs, hierarchy)),
+      MapMode::kKeyword});
 
   setup.positive.resize(3);
   DIME_CHECK(ParsePositiveRule(

@@ -1,7 +1,6 @@
 #ifndef DIME_DATAGEN_PRESETS_H_
 #define DIME_DATAGEN_PRESETS_H_
 
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -26,9 +25,9 @@ namespace dime {
 /// Configuration for Google-Scholar-style groups.
 struct ScholarSetup {
   Schema schema;
-  std::unique_ptr<Ontology> venue_tree;
-  /// context.ontologies[0] = venue tree, exact-name mapping (Venue);
-  /// context.ontologies[1] = venue tree, keyword mapping (Title).
+  /// context.ontologies[0] = venue tree (VenueOntology()), exact-name
+  /// mapping (Venue); context.ontologies[1] = the same tree, keyword
+  /// mapping (Title).
   DimeContext context;
   /// phi_1+: overlap(Authors) >= 2
   /// phi_2+: overlap(Authors) >= 1 ^ ontology(Venue) >= 0.75
@@ -73,8 +72,8 @@ StatusOr<Corpus> MakePresetCorpus(std::string_view name);
 /// "we utilized LDA to learn a theme hierarchy structure").
 struct AmazonSetup {
   Schema schema;
-  std::unique_ptr<Ontology> theme_tree;
-  /// context.ontologies[0] = theme tree, keyword mapping (Description).
+  /// context.ontologies[0] = the fitted theme tree, keyword mapping
+  /// (Description).
   DimeContext context;
   /// phi_3+: ov(Also_bought) >= 2 ^ ov(Also_viewed) >= 2
   /// phi_4+: ov(Bought_together) >= 1 ^ on(Description) >= 0.75

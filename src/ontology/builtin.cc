@@ -104,6 +104,8 @@ const std::vector<ResearchArea>& ResearchAreas() {
   return kAreas;
 }
 
+namespace {
+
 Ontology BuildVenueOntology() {
   Ontology tree;
   int root = tree.AddRoot("Venue");
@@ -131,8 +133,11 @@ Ontology BuildVenueOntology() {
   return tree;
 }
 
-const Ontology& VenueOntology() {
-  static const Ontology& kTree = *new Ontology(BuildVenueOntology());
+}  // namespace
+
+const std::shared_ptr<const Ontology>& VenueOntology() {
+  static const auto& kTree = *new std::shared_ptr<const Ontology>(
+      std::make_shared<const Ontology>(BuildVenueOntology()));
   return kTree;
 }
 

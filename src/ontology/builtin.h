@@ -1,6 +1,7 @@
 #ifndef DIME_ONTOLOGY_BUILTIN_H_
 #define DIME_ONTOLOGY_BUILTIN_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,12 +33,9 @@ struct ResearchArea {
 /// synthetic data generators.
 const std::vector<ResearchArea>& ResearchAreas();
 
-/// Builds a fresh copy of the venue ontology (with keywords registered on
-/// the subfield nodes).
-Ontology BuildVenueOntology();
-
-/// Shared immutable instance of BuildVenueOntology().
-const Ontology& VenueOntology();
+/// The venue ontology (keywords registered on the subfield nodes), built
+/// once and never destroyed: every OntologyRef to it shares this one.
+const std::shared_ptr<const Ontology>& VenueOntology();
 
 /// The exact miniature ontology of Fig. 4, used by unit tests and the
 /// quickstart example: Venue -> {Computer Science -> {Database -> {SIGMOD,

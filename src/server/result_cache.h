@@ -21,8 +21,8 @@
 /// (DimeService::RequestFingerprint) combines three 128-bit parts:
 ///   - the engine name;
 ///   - the epoch's context key, computed once per epoch over the schema,
-///     the canonical rule text, qgram_q and every ontology ref's mode and
-///     tree (CorpusEpoch::context_key);
+///     the canonical rule text and every ontology ref's mode and tree
+///     (CorpusEpoch::context_key);
 ///   - the group content key, a hash over the group's raw fields, each
 ///     length-prefixed (CorpusEpoch::GroupKey; memoized per resident
 ///     group, hashed once per request for inline groups).

@@ -58,7 +58,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -73,6 +72,7 @@
 
 #include "src/common/exit_code.h"
 #include "src/common/logging.h"
+#include "src/common/mutex.h"
 #include "src/common/string_util.h"
 #include "src/common/threads.h"
 #include "src/core/corpus.h"
@@ -121,6 +121,9 @@ struct LiveCorpusState {
   /// file's, and the watcher must not re-load an unchanged file).
   uint64_t loaded_fp_lo DIME_GUARDED_BY(mu) = 0;
   uint64_t loaded_fp_hi DIME_GUARDED_BY(mu) = 0;
+  /// Set at shutdown, which signals `watch_cv` to end the watcher's wait.
+  bool watch_stop DIME_GUARDED_BY(mu) = false;
+  CondVar watch_cv;
 };
 
 uint64_t FileSize(const std::string& path) {
@@ -404,16 +407,23 @@ int main(int argc, char** argv) {
   // validates header/tail without parsing payloads — cheap) and swap a
   // changed file in; also merge the delta log once it crosses the size
   // threshold (the "recompute in bulk" trigger).
-  std::atomic<bool> watch_stop{false};
   std::thread watcher;
   if (watch || (!delta_log_path.empty() && !live.snapshot_path.empty()) ||
       (!delta_log_path.empty() && demo)) {
     watcher = std::thread([&] {
       uint64_t last_bad_delta_size = 0;
-      while (!watch_stop.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(watch_interval_ms));
-        if (watch_stop.load(std::memory_order_relaxed)) break;
+      while (true) {
+        {
+          MutexLock lock(&live.mu);
+          const auto due = std::chrono::steady_clock::now() +
+                           std::chrono::milliseconds(watch_interval_ms);
+          // WaitFor is false once `due` has passed; a wakeup re-checks.
+          while (!live.watch_stop &&
+                 live.watch_cv.WaitFor(
+                     &live.mu, due - std::chrono::steady_clock::now())) {
+          }
+          if (live.watch_stop) break;
+        }
         bool snapshot_changed = false;
         if (watch && !live.snapshot_path.empty()) {
           StatusOr<SnapshotInfo> info = InspectSnapshot(live.snapshot_path);
@@ -470,7 +480,11 @@ int main(int argc, char** argv) {
 
   server.Wait();  // until a shutdown request or SIGTERM/SIGINT
 
-  watch_stop.store(true, std::memory_order_relaxed);
+  {
+    MutexLock lock(&live.mu);
+    live.watch_stop = true;
+  }
+  live.watch_cv.SignalAll();
   if (signal_thread.joinable()) {
     // Wake the helper if no signal ever arrived (byte 0 = not a signal).
     unsigned char zero = 0;

@@ -231,11 +231,8 @@ StatusOr<ReloadOutcome> DimeService::ApplyDeltaLogAttempt(
   next.positive = old.positive;
   next.negative = old.negative;
   next.context = old.context;
-  // Ontology trees are shared with the base epoch, so the raw pointers
-  // inside next.context — and inside every shared group's prepared form —
-  // stay valid in both generations. Rules, schema and ontologies are the
-  // base's, so its context key carries over too.
-  next.trees = old.trees;
+  // Rules, schema and ontologies are the base's, so its context key
+  // carries over too.
   next.rules_text = old.rules_text;
   next.context_key = old.context_key;
 

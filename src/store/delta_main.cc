@@ -10,17 +10,14 @@
 //                                   # (ParseAttributeCell: '|' splits,
 //                                   # pieces trimmed, empties dropped)
 //   dime_delta inspect <log>        # header, per-record listing, tail state
-//   dime_delta replay <log> --base group.tsv
-//       [--rules rules.txt [--venue-ontology]]  # run DIME+ on the
-//                                               # merged group
-//       [--output merged.tsv]       # write the merged group
+//   dime_delta replay <log> --base group.tsv [--output merged.tsv]
+//       [--rules rules.txt] [--venue-ontology]  # DIME+ on the merged group
+//       [--ontology tree.txt [--ontology-mode exact|keyword]]...
 //
-// replay reads the base group and the rules through the loader of
-// src/core/corpus.h, as dime_server does, but takes only its --rules and
-// --venue-ontology flags: it has no --ontology, so it cannot evaluate
-// rules over a tree file (the exported Amazon rules, say). The rules are
-// parsed against the base group's schema and must validate; a missing
-// base or rule file exits 3, a malformed one 5, invalid rules 2.
+// replay reads the base group, the rules and the trees through the loader
+// of src/core/corpus.h, with dime_server's flags. The rules are parsed
+// against the base group's schema and must validate; a missing base,
+// rule or tree file exits 3, a malformed one 5, invalid rules 2.
 //
 // Exit codes follow src/common/exit_code.h: a torn tail (crash
 // mid-append) inspects as OK with a note — the acknowledged prefix is
@@ -52,8 +49,9 @@ void PrintHelp() {
       "dime_delta append <log> --group G --op add|remove|edit --id E\n"
       "    [--value \"v1|v2\"]...    (one --value per schema attribute)\n"
       "dime_delta inspect <log>\n"
-      "dime_delta replay <log> --base <group.tsv>\n"
-      "    [--rules <file> [--venue-ontology]] [--output <merged.tsv>]\n");
+      "dime_delta replay <log> --base <group.tsv> [--output <merged.tsv>]\n"
+      "    [--rules <file>] [--venue-ontology]\n"
+      "    [--ontology <tree> [--ontology-mode exact|keyword]]...\n");
 }
 
 int RunAppend(int argc, char** argv) {
@@ -148,6 +146,9 @@ int RunReplay(int argc, char** argv) {
   CorpusSources sources;
   std::string output_path;
   for (int i = 0; i < argc; ++i) {
+    StatusOr<bool> corpus_flag = ParseCorpusFlag(argc, argv, &i, &sources);
+    if (!corpus_flag.ok()) return Usage(corpus_flag.status().message().c_str());
+    if (*corpus_flag) continue;
     std::string arg = argv[i];
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
@@ -156,10 +157,7 @@ int RunReplay(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--rules" || arg == "--venue-ontology") {
-      StatusOr<bool> parsed = ParseCorpusFlag(argc, argv, &i, &sources);
-      if (!parsed.ok()) return Usage(parsed.status().message().c_str());
-    } else if (arg == "--base") {
+    if (arg == "--base") {
       base_path = next();
     } else if (arg == "--output") {
       output_path = next();

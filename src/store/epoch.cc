@@ -54,7 +54,6 @@ ServingCorpus PrepareCorpus(Corpus corpus) {
   serving.positive = std::move(corpus.positive);
   serving.negative = std::move(corpus.negative);
   serving.context = std::move(corpus.context);
-  serving.trees = std::move(corpus.trees);
   serving.groups.reserve(corpus.groups.size());
   for (Group& group : corpus.groups) {
     serving.groups.push_back(ResidentGroup::Prepare(
@@ -70,7 +69,6 @@ ServingCorpus CorpusFromSnapshot(LoadedSnapshot snapshot) {
   corpus.positive = std::move(snapshot.positive);
   corpus.negative = std::move(snapshot.negative);
   corpus.context = std::move(snapshot.context);
-  corpus.trees = std::move(snapshot.trees);
   corpus.groups.reserve(snapshot.groups.size());
   for (size_t i = 0; i < snapshot.groups.size(); ++i) {
     corpus.groups.push_back(ResidentGroup::Adopt(
@@ -109,7 +107,6 @@ Fingerprint ContextKey(const Schema& schema, const std::string& rules_text,
   h.Word(schema.size());
   for (const std::string& attr : schema.attribute_names()) h.Field(attr);
   h.Field(rules_text);
-  h.Word(static_cast<uint64_t>(context.qgram_q));
   h.Word(context.ontologies.size());
   for (const OntologyRef& ref : context.ontologies) {
     h.Word(static_cast<uint64_t>(ref.mode));

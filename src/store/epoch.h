@@ -58,10 +58,6 @@ namespace dime {
 /// delta-merged epoch keeps the untouched groups of its base — prepared
 /// state, key and storage alike — without keeping the base epoch itself
 /// alive.
-///
-/// The prepared form's context points at the corpus's ontology trees, so
-/// a resident group is shared only between epochs that share those trees
-/// (a delta merge keeps its base's).
 class ResidentGroup {
  public:
   ResidentGroup(const ResidentGroup&) = delete;
@@ -101,9 +97,9 @@ class ResidentGroup {
 };
 
 /// Everything one corpus generation holds resident: the schema the rules
-/// were parsed against, the rule set, the evaluation context (with the
-/// ontology trees backing the context's refs), and the preloaded groups,
-/// every one prepared, addressable by name. Built by PrepareCorpus (a
+/// were parsed against, the rule set, the evaluation context (its refs
+/// own the ontology trees), and the preloaded groups, every one
+/// prepared, addressable by name. Built by PrepareCorpus (a
 /// loaded or generated Corpus), CorpusFromSnapshot, or a delta merge on
 /// top of either; the serving layer consumes it through CorpusEpoch.
 struct ServingCorpus {
@@ -111,9 +107,6 @@ struct ServingCorpus {
   std::vector<PositiveRule> positive;
   std::vector<NegativeRule> negative;
   DimeContext context;
-  /// Backing storage for the `context.ontologies` pointers, shared with a
-  /// delta-merged successor epoch so the pointers stay valid in both.
-  std::vector<std::shared_ptr<const Ontology>> trees;
   /// Preloaded groups, addressable by Group::name in CheckRequest, each
   /// owned on its own: a delta-merged corpus holds its base's pointers
   /// for every group no record touched.
@@ -137,8 +130,8 @@ struct ServingCorpus {
 /// (LoadCorpus) or generated (MakeDemoCorpus) corpus becomes servable.
 ServingCorpus PrepareCorpus(Corpus corpus);
 
-/// Adapts a loaded snapshot into a serving corpus: rules, context and
-/// trees move over, and each group is adopted with its prepared form and
+/// Adapts a loaded snapshot into a serving corpus: rules and context
+/// move over, and each group is adopted with its prepared form and
 /// a keep-alive for the mapping (ResidentGroup::Adopt).
 ServingCorpus CorpusFromSnapshot(LoadedSnapshot snapshot);
 
@@ -167,10 +160,10 @@ class CorpusEpoch {
   const std::string& rules_text() const { return corpus_.rules_text; }
 
   /// The context half of every result-cache key, over the schema,
-  /// rules_text(), qgram_q, and each ontology ref's mode and
-  /// Ontology::ToText(). Computed once at construction, or carried over
-  /// from the base epoch by a delta merge. Two epochs whose rules and
-  /// ontologies agree share it, whatever their groups.
+  /// rules_text(), and each ontology ref's mode and Ontology::ToText().
+  /// Computed once at construction, or carried over from the base epoch
+  /// by a delta merge. Two epochs whose rules and ontologies agree share
+  /// it, whatever their groups.
   const Fingerprint& context_key() const { return *corpus_.context_key; }
 
   /// The content key of `group` (GroupContentKey): memoized in its

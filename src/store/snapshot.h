@@ -39,7 +39,6 @@ struct SnapshotWriteRequest {
   const std::vector<Group>* groups = nullptr;
   const std::vector<PositiveRule>* positive = nullptr;
   const std::vector<NegativeRule>* negative = nullptr;
-  /// Evaluation context; ontology pointers must be live during the call.
   const DimeContext* context = nullptr;
 };
 
@@ -58,18 +57,17 @@ struct SnapshotLoadOptions {
 };
 
 /// A loaded snapshot. `prepared[i]` is parallel to `groups[i]` and
-/// borrows its arenas from `backing` — keep the whole struct (or at
-/// least `backing`, `groups` and `trees`) alive for as long as any
-/// engine touches the prepared groups. The struct is movable; moving
-/// preserves all internal pointers (vector storage moves wholesale), but
-/// `groups` must not be resized afterwards.
+/// borrows its arenas from `backing` — keep `backing` and `groups` alive
+/// for as long as any engine touches the prepared groups (each prepared
+/// group's context owns its ontology trees). The struct is movable;
+/// moving preserves all internal pointers (vector storage moves
+/// wholesale), but `groups` must not be resized afterwards.
 struct LoadedSnapshot {
   Schema schema;
   std::vector<PositiveRule> positive;
   std::vector<NegativeRule> negative;
-  /// Context with ontology refs pointing into `trees`.
+  /// Refs naming one stored tree share one parsed Ontology.
   DimeContext context;
-  std::vector<std::shared_ptr<const Ontology>> trees;
   std::vector<Group> groups;
   /// Fully prepared groups, rank arenas borrowed from `backing`;
   /// prepared[i]->group == &groups[i]. Owned by the caller, which

@@ -49,7 +49,7 @@ inline constexpr char kSnapshotMagic[8] = {'D', 'I', 'M', 'E',
                                            'S', 'N', 'P', '\n'};
 inline constexpr uint64_t kSnapshotTailMagic =
     0x4C494154454D4944ULL;  // "DIMETAIL" little-endian
-inline constexpr uint32_t kSnapshotFormatVersion = 2;
+inline constexpr uint32_t kSnapshotFormatVersion = 3;
 
 inline constexpr size_t kSnapshotHeaderSize = 16;
 inline constexpr size_t kSnapshotTailSize = 48;
@@ -61,9 +61,9 @@ inline constexpr size_t kSnapshotSectionEntrySize = 32;
 /// indexes and negative signatures) and token dictionaries. Never reuse
 /// them.
 enum class SnapshotSectionId : uint32_t {
-  kMeta = 1,        ///< qgram_q, group count, schema
+  kMeta = 1,        ///< group count, schema
   kRules = 2,       ///< RuleSetToText of the rule set
-  kOntologies = 3,  ///< per ontology: map mode + Ontology::ToText
+  kOntologies = 3,  ///< each distinct tree's text, then per ref: index, mode
   kGroup = 4,       ///< per group: name + schema + framed entities
   kPrepared = 5,    ///< per group: PreparedAttr columns (zero-copy)
 };

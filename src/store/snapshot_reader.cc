@@ -268,15 +268,12 @@ StatusOr<LoadedSnapshot> LoadFromRaw(RawSnapshot raw) {
   // meta
   DIME_ASSIGN_OR_RETURN(const Section* meta_sec,
                         require(SnapshotSectionId::kMeta, 0));
-  uint32_t qgram_q, pad;
   uint64_t group_count, attr_count;
   {
     ByteReader meta = section_reader(*meta_sec);
-    if (!meta.U32(&qgram_q) || !meta.U32(&pad) || !meta.U64(&group_count) ||
-        !meta.U64(&attr_count)) {
+    if (!meta.U64(&group_count) || !meta.U64(&attr_count)) {
       return Malformed(*meta_sec, "truncated header");
     }
-    if (pad != 0) return Malformed(*meta_sec, "bad header padding");
     std::vector<std::string> names(attr_count);
     for (std::string& name : names) {
       if (!meta.String(&name)) return Malformed(*meta_sec, "truncated name");
@@ -284,31 +281,40 @@ StatusOr<LoadedSnapshot> LoadFromRaw(RawSnapshot raw) {
     loaded.schema = Schema(std::move(names));
     if (group_count == 0) return Malformed(*meta_sec, "zero groups");
   }
-  loaded.context.qgram_q = static_cast<int>(qgram_q);
 
   // ontologies (before rules: ValidateRules needs them in context)
   DIME_ASSIGN_OR_RETURN(const Section* onto_sec,
                         require(SnapshotSectionId::kOntologies, 0));
   {
     ByteReader onto = section_reader(*onto_sec);
-    uint64_t n_onto;
-    if (!onto.U64(&n_onto)) return Malformed(*onto_sec, "truncated header");
-    for (uint64_t i = 0; i < n_onto; ++i) {
-      uint32_t mode, pad;
+    // A tree costs at least its u64 text length, so a count past
+    // remaining() / 8 cannot be honest; each ref is exactly 8 bytes.
+    uint64_t n_trees, n_refs;
+    std::vector<std::shared_ptr<const Ontology>> trees;
+    if (!onto.U64(&n_trees) || n_trees > onto.remaining() / 8) {
+      return Malformed(*onto_sec, "truncated tree table");
+    }
+    for (uint64_t t = 0; t < n_trees; ++t) {
       std::string text;
-      if (!onto.U32(&mode) || !onto.U32(&pad) || !onto.String(&text)) {
-        return Malformed(*onto_sec, "truncated ontology");
-      }
-      if (mode > static_cast<uint32_t>(MapMode::kFuzzyName)) {
-        return Malformed(*onto_sec, "unknown map mode");
-      }
       auto tree = std::make_shared<Ontology>();
-      if (!Ontology::FromText(text, tree.get()).ok()) {
+      if (!onto.String(&text) || !Ontology::FromText(text, tree.get()).ok()) {
         return Malformed(*onto_sec, "ontology text does not parse");
       }
+      trees.push_back(std::move(tree));
+    }
+    if (!onto.U64(&n_refs) || onto.remaining() % 8 != 0 ||
+        n_refs != onto.remaining() / 8) {
+      return Malformed(*onto_sec, "ref table size");
+    }
+    for (uint64_t r = 0; r < n_refs; ++r) {
+      uint32_t tree_index = 0, mode = 0;
+      if (!onto.U32(&tree_index) || !onto.U32(&mode) ||
+          tree_index >= trees.size() ||
+          mode > static_cast<uint32_t>(MapMode::kFuzzyName)) {
+        return Malformed(*onto_sec, "ref names no stored tree or map mode");
+      }
       loaded.context.ontologies.push_back(
-          OntologyRef{tree.get(), static_cast<MapMode>(mode)});
-      loaded.trees.push_back(std::move(tree));
+          OntologyRef{trees[tree_index], static_cast<MapMode>(mode)});
     }
   }
 

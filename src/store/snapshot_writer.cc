@@ -110,11 +110,6 @@ StatusOr<std::string> SerializeSnapshot(const SnapshotWriteRequest& request) {
                                   "' disagrees with the corpus schema");
     }
   }
-  for (const OntologyRef& ref : request.context->ontologies) {
-    if (ref.tree == nullptr) {
-      return InvalidArgumentError("context has a null ontology tree");
-    }
-  }
   std::string validation = ValidateRules(schema, *request.positive,
                                          *request.negative, *request.context);
   if (!validation.empty()) {
@@ -129,8 +124,6 @@ StatusOr<std::string> SerializeSnapshot(const SnapshotWriteRequest& request) {
 
   {
     ByteSink meta;
-    meta.U32(static_cast<uint32_t>(request.context->qgram_q));
-    meta.U32(0);
     meta.U64(groups.size());
     meta.U64(schema.size());
     for (const std::string& name : schema.attribute_names()) {
@@ -141,13 +134,24 @@ StatusOr<std::string> SerializeSnapshot(const SnapshotWriteRequest& request) {
   add(SnapshotSectionId::kRules, 0,
       RuleSetToText(schema, *request.positive, *request.negative));
   {
-    ByteSink onto;
-    onto.U64(request.context->ontologies.size());
+    // Each distinct tree once (by pointer), then per ref: index, mode.
+    std::vector<const Ontology*> trees;
+    ByteSink refs;
     for (const OntologyRef& ref : request.context->ontologies) {
-      onto.U32(static_cast<uint32_t>(ref.mode));
-      onto.U32(0);
-      onto.String(ref.tree->ToText());
+      if (ref.tree == nullptr) {
+        return InvalidArgumentError("context has a null ontology tree");
+      }
+      auto it = std::find(trees.begin(), trees.end(), ref.tree.get());
+      refs.U32(static_cast<uint32_t>(it - trees.begin()));
+      refs.U32(static_cast<uint32_t>(ref.mode));
+      if (it == trees.end()) trees.push_back(ref.tree.get());
     }
+    ByteSink onto;
+    onto.U64(trees.size());
+    for (const Ontology* tree : trees) onto.String(tree->ToText());
+    onto.U64(request.context->ontologies.size());
+    const std::string ref_bytes = refs.Take();
+    onto.Raw(ref_bytes.data(), ref_bytes.size());
     add(SnapshotSectionId::kOntologies, 0, onto.Take());
   }
 

@@ -388,6 +388,63 @@ TEST_F(CliDeterminismTest, OntologyFileInKeywordModeFlagsLikeAlgorithm1) {
                                 " --snapshot '" + snap + "'");
   ASSERT_EQ(served.exit_code, 0) << served.output;
   EXPECT_EQ(PrintedScrollbar(served.output), expected) << served.output;
+
+  // dime_delta replay takes the same flags; an empty log replays the
+  // group as it is.
+  const std::string log = *dir_ + "/amazon_empty.dlog";
+  {
+    std::remove(log.c_str());
+    StatusOr<DeltaLogWriter> writer = DeltaLogWriter::Open(log);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  }
+  CliResult replay = RunCommand(std::string(DIME_DELTA_BINARY) + " replay '" +
+                                log + "' --base '" + group.name + "'" + flags);
+  ASSERT_EQ(replay.exit_code, 0) << replay.output;
+  std::vector<std::string> expected_ids;
+  for (int e : expected_run.flagged()) {
+    expected_ids.push_back(group.entities[e].id);
+  }
+  EXPECT_EQ(PrintedFlags(replay.output), expected_ids) << replay.output;
+}
+
+// The --delta-log watcher waits out its poll interval on a condition
+// variable that shutdown signals: a server whose watcher polls every 10 s
+// still exits 0 within 3 s of a shutdown request.
+TEST_F(CliDeterminismTest, ShutdownDoesNotWaitOutTheWatchInterval) {
+  const std::string out = *dir_ + "/watch_server.out";
+  const std::string script =
+      "timeout 30 " + std::string(DIME_SERVER_BINARY) +
+      " --demo --demo-pages 1 --delta-log '" + *dir_ +
+      "/watch.dlog' --watch-interval-ms 10000 --port 0 > '" + out +
+      "' 2>&1 &\n"
+      "pid=$!\n"
+      "port=\n"
+      "for i in $(seq 1 300); do\n"
+      "  port=$(sed -n 's/^dime_server listening on .*:\\([0-9]*\\)$/\\1/p' '" +
+      out + "')\n"
+      "  [ -n \"$port\" ] && break\n"
+      "  sleep 0.1\n"
+      "done\n"
+      "[ -n \"$port\" ] || { kill $pid; echo no-port; exit 90; }\n"
+      "start=$(date +%s%N)\n"
+      + std::string(DIME_CLI_BINARY) +
+      " --client --port \"$port\" --request shutdown --no-retry\n"
+      "wait $pid\n"
+      "code=$?\n"
+      "end=$(date +%s%N)\n"
+      "echo \"server_exit=$code ms=$(( (end - start) / 1000000 ))\"\n";
+  CliResult r = RunCommand(script);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const size_t at = r.output.find("server_exit=");
+  ASSERT_NE(at, std::string::npos) << r.output;
+  int server_exit = -1;
+  long ms = -1;
+  ASSERT_EQ(std::sscanf(r.output.c_str() + at, "server_exit=%d ms=%ld",
+                        &server_exit, &ms),
+            2)
+      << r.output;
+  EXPECT_EQ(server_exit, 0) << r.output;
+  EXPECT_LT(ms, 3000) << r.output;
 }
 
 // Every group of a corpus must have the first group's schema: dime_server

@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "src/core/dime.h"
+#include "src/core/dime_plus.h"
 #include "src/datagen/presets.h"
 #include "src/ontology/builtin.h"
 #include "src/rules/rule_io.h"
@@ -83,7 +85,7 @@ class LoadCorpusTest : public ::testing::Test {
     ASSERT_TRUE(
         SaveRuleSet(rules_, demo.schema, demo.positive, demo.negative).ok());
     tree_ = dir_ + "/venues.tree";
-    ASSERT_TRUE(VenueOntology().SaveToFile(tree_).ok());
+    ASSERT_TRUE(VenueOntology()->SaveToFile(tree_).ok());
   }
 
   void TearDown() override { std::filesystem::remove_all(dir_); }
@@ -112,16 +114,53 @@ TEST_F(LoadCorpusTest, VenueTreeComesFirstThenTreeFilesInFlagOrder) {
   EXPECT_EQ(corpus->positive.size(), 2u);
   EXPECT_EQ(corpus->negative.size(), 3u);
   ASSERT_EQ(corpus->context.ontologies.size(), 4u);
-  ASSERT_EQ(corpus->trees.size(), 2u);
   const std::vector<OntologyRef>& refs = corpus->context.ontologies;
-  EXPECT_EQ(refs[0].tree, &VenueOntology());
+  EXPECT_EQ(refs[0].tree, VenueOntology());
   EXPECT_EQ(refs[0].mode, MapMode::kExactName);
-  EXPECT_EQ(refs[1].tree, &VenueOntology());
+  EXPECT_EQ(refs[1].tree, VenueOntology());
   EXPECT_EQ(refs[1].mode, MapMode::kKeyword);
-  EXPECT_EQ(refs[2].tree, corpus->trees[0].get());
+  // Each tree file loads into a tree of its own.
+  ASSERT_NE(refs[2].tree, nullptr);
+  EXPECT_NE(refs[2].tree, VenueOntology());
+  EXPECT_EQ(refs[2].tree->ToText(), VenueOntology()->ToText());
   EXPECT_EQ(refs[2].mode, MapMode::kKeyword);
-  EXPECT_EQ(refs[3].tree, corpus->trees[1].get());
+  ASSERT_NE(refs[3].tree, nullptr);
+  EXPECT_NE(refs[3].tree, refs[2].tree);
   EXPECT_EQ(refs[3].mode, MapMode::kExactName);
+}
+
+TEST_F(LoadCorpusTest, PreparedGroupOutlivesItsCorpus) {
+  // Tree files only: the corpus's context is the trees' one owner until
+  // a group is prepared, whose context then shares them. Destroying the
+  // corpus must leave the prepared group runnable (clean under ASan).
+  CorpusSources sources = Sources();
+  sources.venue_ontology = false;
+  sources.ontologies = {{tree_, MapMode::kExactName},
+                        {tree_, MapMode::kKeyword}};
+  Group group;
+  std::vector<PositiveRule> positive;
+  std::vector<NegativeRule> negative;
+  PreparedGroup pg;
+  DimeResult before;
+  {
+    StatusOr<Corpus> corpus = LoadCorpus(sources);
+    ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+    group = corpus->groups[0];
+    positive = corpus->positive;
+    negative = corpus->negative;
+    pg = PrepareGroup(group, positive, negative, corpus->context);
+    before = RunDime(pg, positive, negative);
+  }
+  ASSERT_EQ(pg.context.ontologies.size(), 2u);
+  EXPECT_EQ(pg.context.ontologies[0].tree.use_count(), 1);
+
+  DimeResult naive = RunDime(pg, positive, negative);
+  DimeResult plus = RunDimePlus(pg, positive, negative);
+  EXPECT_FALSE(before.flagged().empty());
+  EXPECT_EQ(naive.partitions, before.partitions);
+  EXPECT_EQ(naive.flagged_by_prefix, before.flagged_by_prefix);
+  EXPECT_EQ(plus.partitions, before.partitions);
+  EXPECT_EQ(plus.flagged_by_prefix, before.flagged_by_prefix);
 }
 
 TEST_F(LoadCorpusTest, InlineRulesFollowTheFileRules) {

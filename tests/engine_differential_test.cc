@@ -123,7 +123,6 @@ struct RandomCase {
   Group group;
   std::vector<PositiveRule> positive;
   std::vector<NegativeRule> negative;
-  std::unique_ptr<Ontology> tree;
   DimeContext context;
   PreparedGroup pg;
 };
@@ -142,7 +141,6 @@ std::unique_ptr<RandomCase> MakeScholarCase(uint64_t seed) {
   c->group = GenerateScholarGroup("Random Owner", options);
   c->positive = std::move(setup.positive);
   c->negative = std::move(setup.negative);
-  c->tree = std::move(setup.venue_tree);
   c->context = setup.context;
   c->pg = PrepareGroup(c->group, c->positive, c->negative, c->context);
   return c;
@@ -161,7 +159,6 @@ std::unique_ptr<RandomCase> MakeAmazonCase(uint64_t seed) {
   AmazonSetup setup = MakeAmazonSetup({c->group});
   c->positive = std::move(setup.positive);
   c->negative = std::move(setup.negative);
-  c->tree = std::move(setup.theme_tree);
   c->context = setup.context;
   c->pg = PrepareGroup(c->group, c->positive, c->negative, c->context);
   return c;

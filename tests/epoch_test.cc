@@ -245,12 +245,10 @@ TEST(EpochTest, ContextKeyTracksRulesAndOntologiesNotGroups) {
             base->context_key());
 
   Corpus tree_changed = PageCorpus(1);
-  auto tree = std::make_shared<Ontology>(*tree_changed.trees[0]);
+  auto tree =
+      std::make_shared<Ontology>(*tree_changed.context.ontologies[0].tree);
   tree->AddNode("Context Key Venue", 0);
-  for (OntologyRef& ref : tree_changed.context.ontologies) {
-    ref.tree = tree.get();
-  }
-  tree_changed.trees = {tree};
+  for (OntologyRef& ref : tree_changed.context.ontologies) ref.tree = tree;
   EXPECT_NE(
       manager.Install(PrepareCorpus(std::move(tree_changed)))->context_key(),
       base->context_key());
@@ -260,11 +258,6 @@ TEST(EpochTest, ContextKeyTracksRulesAndOntologiesNotGroups) {
   EXPECT_NE(
       manager.Install(PrepareCorpus(std::move(mode_changed)))->context_key(),
       base->context_key());
-
-  Corpus q_changed = PageCorpus(1);
-  q_changed.context.qgram_q = 3;
-  EXPECT_NE(manager.Install(PrepareCorpus(std::move(q_changed)))->context_key(),
-            base->context_key());
 
   Corpus rules_changed = PageCorpus(1);
   rules_changed.negative.pop_back();

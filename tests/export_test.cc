@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "src/core/dime_plus.h"
 #include "src/datagen/presets.h"
 #include "src/ontology/ontology.h"
@@ -41,11 +43,12 @@ TEST(ExportTest, SuiteRoundTripsThroughTheCodecs) {
 
   // The ontology reloads and the whole pipeline runs from disk artifacts
   // alone, matching the in-memory preset run.
-  Ontology venues;
-  ASSERT_TRUE(Ontology::LoadFromFile(manifest.venue_ontology, &venues).ok());
+  auto venues = std::make_shared<Ontology>();
+  ASSERT_TRUE(
+      Ontology::LoadFromFile(manifest.venue_ontology, venues.get()).ok());
   DimeContext context;
-  context.ontologies.push_back(OntologyRef{&venues, MapMode::kExactName});
-  context.ontologies.push_back(OntologyRef{&venues, MapMode::kKeyword});
+  context.ontologies.push_back(OntologyRef{venues, MapMode::kExactName});
+  context.ontologies.push_back(OntologyRef{venues, MapMode::kKeyword});
   DimeResult from_disk = RunDimePlus(page, positive, negative, context);
 
   ScholarSetup setup = MakeScholarSetup();
@@ -73,10 +76,11 @@ TEST(ExportTest, AmazonArtifactsRunFromDisk) {
   ASSERT_TRUE(LoadRuleSet(manifest.amazon_rules, category.schema, &positive,
                           &negative)
                   .ok());
-  Ontology themes;
-  ASSERT_TRUE(Ontology::LoadFromFile(manifest.theme_ontology, &themes).ok());
+  auto themes = std::make_shared<Ontology>();
+  ASSERT_TRUE(
+      Ontology::LoadFromFile(manifest.theme_ontology, themes.get()).ok());
   DimeContext context;
-  context.ontologies.push_back(OntologyRef{&themes, MapMode::kKeyword});
+  context.ontologies.push_back(OntologyRef{themes, MapMode::kKeyword});
   EXPECT_EQ(ValidateRules(category.schema, positive, negative, context), "");
   DimeResult r = RunDimePlus(category, positive, negative, context);
   EXPECT_FALSE(r.partitions.empty());

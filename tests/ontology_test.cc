@@ -66,7 +66,7 @@ TEST(OntologyTest, SimilarityMatchesExample4) {
 }
 
 TEST(OntologyTest, SimilarityIsSymmetricAndBounded) {
-  const Ontology& tree = VenueOntology();
+  const Ontology& tree = *VenueOntology();
   Random rng(5);
   for (int trial = 0; trial < 500; ++trial) {
     int a = static_cast<int>(rng.Uniform(tree.NumNodes()));
@@ -99,7 +99,7 @@ TEST(OntologyTest, TauDepthMatchesExample6) {
 /// Lemma 4.2 (node signatures): if sim(n, n') >= theta then the ancestors
 /// at depth tau_min coincide.
 TEST(OntologyTest, NodeSignatureLemma) {
-  const Ontology& tree = VenueOntology();
+  const Ontology& tree = *VenueOntology();
   Random rng(13);
   for (double theta : {0.5, 0.75, 0.9}) {
     for (int trial = 0; trial < 2000; ++trial) {
@@ -150,7 +150,7 @@ TEST(OntologyTest, TextRoundTrip) {
 }
 
 TEST(OntologyTest, TextRoundTripBuiltinVenueTree) {
-  const Ontology& original = VenueOntology();
+  const Ontology& original = *VenueOntology();
   Ontology parsed;
   ASSERT_TRUE(Ontology::FromText(original.ToText(), &parsed).ok());
   EXPECT_EQ(parsed.ToText(), original.ToText());
@@ -206,7 +206,7 @@ TEST(OntologyTest, FileRoundTrip) {
 }
 
 TEST(OntologyTest, BuiltinVenueOntologyWellFormed) {
-  const Ontology& tree = VenueOntology();
+  const Ontology& tree = *VenueOntology();
   EXPECT_GT(tree.NumNodes(), 60);
   EXPECT_EQ(tree.MaxDepth(), 4);
   // Every research area's venues resolve to depth-4 leaves under the right

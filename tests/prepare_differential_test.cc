@@ -96,7 +96,7 @@ std::vector<RefAttr> ReferencePrepare(const Group& group,
       for (const Entity& e : group.entities) {
         attr.text.push_back(JoinAttributeText(e.value(ai)));
         ids.push_back(attr.qgrams->dict.InternDocument(
-            QGrams(attr.text.back(), context.qgram_q)));
+            QGrams(attr.text.back(), kQGramLength)));
       }
       FinishColumn(ids, /*weighted=*/false, &*attr.qgrams);
     }
@@ -189,7 +189,7 @@ Vocabulary MakeVocabulary() {
     }
     v.words.push_back(w);
   }
-  const Ontology& tree = VenueOntology();
+  const Ontology& tree = *VenueOntology();
   for (int node = 1; node < tree.NumNodes(); ++node) {
     v.venues.push_back(tree.Name(node));
   }
@@ -279,9 +279,9 @@ Predicate Pred(int attr, SimFunc func, TokenMode mode, double threshold,
 DimeContext MakeContext() {
   DimeContext context;
   context.ontologies.push_back(
-      OntologyRef{&VenueOntology(), MapMode::kExactName});
+      OntologyRef{VenueOntology(), MapMode::kExactName});
   context.ontologies.push_back(
-      OntologyRef{&VenueOntology(), MapMode::kKeyword});
+      OntologyRef{VenueOntology(), MapMode::kKeyword});
   return context;
 }
 

@@ -31,8 +31,8 @@ Group MakeGroup() {
 DimeContext MakeContext() {
   DimeContext ctx;
   ctx.ontologies.push_back(
-      OntologyRef{&VenueOntology(), MapMode::kExactName});
-  ctx.ontologies.push_back(OntologyRef{&VenueOntology(), MapMode::kKeyword});
+      OntologyRef{VenueOntology(), MapMode::kExactName});
+  ctx.ontologies.push_back(OntologyRef{VenueOntology(), MapMode::kKeyword});
   return ctx;
 }
 
@@ -90,7 +90,7 @@ TEST(PreprocessTest, ExactNameOntologyMapping) {
       Pred(2, SimFunc::kOntology, TokenMode::kValueList, 0.75, 0)};
   PreparedGroup pg = PrepareGroupForPredicates(g, preds, MakeContext());
   const std::vector<int>& nodes = pg.attrs[2].nodes.at(0);
-  const Ontology& tree = VenueOntology();
+  const Ontology& tree = *VenueOntology();
   EXPECT_EQ(nodes[0], tree.FindByName("SIGMOD"));
   EXPECT_EQ(nodes[1], tree.FindByName("VLDB"));
   EXPECT_EQ(nodes[2], kNoNode);  // unmapped workshop
@@ -106,7 +106,7 @@ TEST(PreprocessTest, KeywordOntologyMappingOnTitles) {
       Pred(0, SimFunc::kOntology, TokenMode::kWords, 0.7, 1)};
   PreparedGroup pg = PrepareGroupForPredicates(g, preds, MakeContext());
   const std::vector<int>& nodes = pg.attrs[0].nodes.at(1);
-  const Ontology& tree = VenueOntology();
+  const Ontology& tree = *VenueOntology();
   // "data cleaning system" votes for the Database subfield ("cleaning" is
   // a Database keyword); "query optimization" likewise.
   EXPECT_EQ(nodes[0], tree.FindByName("Database"));
@@ -115,7 +115,7 @@ TEST(PreprocessTest, KeywordOntologyMappingOnTitles) {
 }
 
 TEST(PreprocessTest, FuzzyNameMappingHandlesTypos) {
-  const Ontology& tree = VenueOntology();
+  const Ontology& tree = *VenueOntology();
   // Exact hit still wins under fuzzy mode.
   EXPECT_EQ(MapAttributeToNode(tree, MapMode::kFuzzyName, {"SIGMOD 2015"}),
             tree.FindByName("SIGMOD"));
@@ -338,7 +338,7 @@ TEST(PreprocessTest, VerificationCostIsPositiveAndTracksSizes) {
   PreparedGroup mixed_pg = PrepareGroupForPredicates(g, mixed, MakeContext());
   const PreparedAttr& title = mixed_pg.attrs[0];
   const PreparedAttr& authors = mixed_pg.attrs[1];
-  const Ontology& tree = VenueOntology();
+  const Ontology& tree = *VenueOntology();
   const std::vector<int>& nodes = mixed_pg.attrs[2].nodes.at(0);
   for (int e2 : {1, 2}) {
     const size_t len1 = title.text[0].size(), len2 = title.text[e2].size();

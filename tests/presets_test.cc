@@ -4,6 +4,7 @@
 
 #include "src/datagen/amazon_gen.h"
 #include "src/datagen/scholar_gen.h"
+#include "src/ontology/builtin.h"
 
 namespace dime {
 namespace {
@@ -37,16 +38,15 @@ TEST(AmazonSetupTest, ThemeTreeFitsCorpus) {
   ASSERT_EQ(setup.positive.size(), 3u);
   ASSERT_EQ(setup.negative.size(), 2u);
   ASSERT_EQ(setup.context.ontologies.size(), 1u);
-  EXPECT_EQ(setup.context.ontologies[0].tree, setup.theme_tree.get());
-  EXPECT_EQ(setup.theme_tree->MaxDepth(), 3);
+  ASSERT_NE(setup.context.ontologies[0].tree, nullptr);
+  const Ontology& themes = *setup.context.ontologies[0].tree;
+  EXPECT_EQ(themes.MaxDepth(), 3);
   // The theme tree separates the two categories' vocabulary.
-  int router = setup.theme_tree->MapByKeywords({"wifi", "wireless",
-                                                "ethernet"});
-  int printer = setup.theme_tree->MapByKeywords({"ink", "cartridge",
-                                                 "scanner"});
+  int router = themes.MapByKeywords({"wifi", "wireless", "ethernet"});
+  int printer = themes.MapByKeywords({"ink", "cartridge", "scanner"});
   ASSERT_NE(router, kNoNode);
   ASSERT_NE(printer, kNoNode);
-  EXPECT_LT(setup.theme_tree->Similarity(router, printer), 1.0);
+  EXPECT_LT(themes.Similarity(router, printer), 1.0);
 }
 
 TEST(DemoCorpusTest, PagesAreNamedAndTheContextPointsAtTheOwnedTree) {
@@ -57,9 +57,10 @@ TEST(DemoCorpusTest, PagesAreNamedAndTheContextPointsAtTheOwnedTree) {
     EXPECT_EQ(demo.groups[i].schema.attribute_names(),
               demo.schema.attribute_names());
   }
-  ASSERT_EQ(demo.trees.size(), 1u);
+  // Both refs share the one built-in venue tree.
+  ASSERT_EQ(demo.context.ontologies.size(), 2u);
   for (const OntologyRef& ref : demo.context.ontologies) {
-    EXPECT_EQ(ref.tree, demo.trees[0].get());
+    EXPECT_EQ(ref.tree, VenueOntology());
   }
   EXPECT_EQ(ValidateRules(demo.schema, demo.positive, demo.negative,
                           demo.context),

@@ -900,10 +900,9 @@ TEST(LiveCorpusTest, OntologyOnlyChangeMissesOnEveryGroup) {
 
   // Same rules, same groups; one more venue in the ontology tree.
   Corpus changed = ScholarCorpusOf(MakeTestPages());
-  auto tree = std::make_shared<Ontology>(*changed.trees[0]);
+  auto tree = std::make_shared<Ontology>(*changed.context.ontologies[0].tree);
   tree->AddNode("An Extra Venue Of Nothing", 0);
-  for (OntologyRef& ref : changed.context.ontologies) ref.tree = tree.get();
-  changed.trees = {tree};
+  for (OntologyRef& ref : changed.context.ontologies) ref.tree = tree;
   service.InstallCorpus(PrepareCorpus(std::move(changed)));
   for (const char* name : {"page_0", "page_1"}) {
     EXPECT_FALSE(CheckHits(service, name)) << name;

@@ -72,7 +72,7 @@ Group RandomGroup(uint64_t seed, size_t n) {
 DimeContext MakeContext() {
   DimeContext ctx;
   ctx.ontologies.push_back(
-      OntologyRef{&VenueOntology(), MapMode::kExactName});
+      OntologyRef{VenueOntology(), MapMode::kExactName});
   return ctx;
 }
 

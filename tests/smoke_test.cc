@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+
 #include "src/core/dime.h"
 #include "src/core/dime_plus.h"
 #include "src/core/metrics.h"
@@ -51,7 +54,6 @@ Group Fig1Group() {
 }
 
 struct Fig1Setup {
-  Ontology tree;
   DimeContext context;
   std::vector<PositiveRule> positive;
   std::vector<NegativeRule> negative;
@@ -61,11 +63,12 @@ struct Fig1Setup {
 Fig1Setup MakeFig1Setup() {
   Fig1Setup s;
   s.schema = Schema({"Title", "Authors", "Venue"});
-  s.tree = BuildFig4Ontology();
-  int cs = s.tree.FindByName("Computer Science");
-  int ir = s.tree.AddNode("Information Retrieval", cs);
-  s.tree.AddNode("SIGIR", ir);
-  s.context.ontologies.push_back(OntologyRef{&s.tree, MapMode::kExactName});
+  auto tree = std::make_shared<Ontology>(BuildFig4Ontology());
+  int cs = tree->FindByName("Computer Science");
+  int ir = tree->AddNode("Information Retrieval", cs);
+  tree->AddNode("SIGIR", ir);
+  s.context.ontologies.push_back(
+      OntologyRef{std::move(tree), MapMode::kExactName});
   s.positive.resize(2);
   s.negative.resize(2);
   EXPECT_TRUE(

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <fstream>
 #include <string>
 #include <string_view>
@@ -121,6 +122,44 @@ TEST_F(SnapshotTest, RoundTripRunsIdentically) {
     EXPECT_EQ(from_cold.pivot, from_warm.pivot);
     EXPECT_EQ(from_cold.flagged_by_prefix, from_warm.flagged_by_prefix);
     EXPECT_EQ(from_cold.first_flagging_rule, from_warm.first_flagging_rule);
+  }
+}
+
+TEST_F(SnapshotTest, RefsOfOneTreeShareItAfterALoad) {
+  // The demo corpus maps Venue (ref 0) and Title (ref 1) onto the one
+  // venue tree: the snapshot stores the tree once, and the load parses
+  // it once and points both refs, in every prepared group, at it.
+  Corpus demo = MakeDemoCorpus(2);
+  SnapshotWriteRequest request;
+  request.groups = &demo.groups;
+  request.positive = &demo.positive;
+  request.negative = &demo.negative;
+  request.context = &demo.context;
+  const std::string path = TempPath("demo.snap");
+  ASSERT_TRUE(WriteSnapshot(request, path).ok());
+
+  StatusOr<SnapshotInfo> info = InspectSnapshot(path);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  const size_t tree_bytes = demo.context.ontologies[0].tree->ToText().size();
+  for (const SnapshotInfo::Section& sec : info->sections) {
+    if (sec.id == static_cast<uint32_t>(SnapshotSectionId::kOntologies)) {
+      EXPECT_LT(sec.length, tree_bytes + 64);
+    }
+  }
+
+  StatusOr<LoadedSnapshot> loaded = LoadSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const std::vector<OntologyRef>& refs = loaded->context.ontologies;
+  ASSERT_EQ(refs.size(), 2u);
+  ASSERT_NE(refs[0].tree, nullptr);
+  EXPECT_EQ(refs[0].tree, refs[1].tree);
+  EXPECT_EQ(refs[0].mode, MapMode::kExactName);
+  EXPECT_EQ(refs[1].mode, MapMode::kKeyword);
+  EXPECT_EQ(refs[0].tree->ToText(), demo.context.ontologies[0].tree->ToText());
+  for (const std::shared_ptr<PreparedGroup>& pg : loaded->prepared) {
+    ASSERT_EQ(pg->context.ontologies.size(), 2u);
+    EXPECT_EQ(pg->context.ontologies[0].tree, refs[0].tree);
+    EXPECT_EQ(pg->context.ontologies[1].tree, refs[0].tree);
   }
 }
 
@@ -334,6 +373,17 @@ class SnapshotCorruptionTest : public SnapshotTest {
     return LoadSnapshot(path).status();
   }
 
+  /// Recomputes tail_crc (over the section table and the tail fields
+  /// before it) after a test patched either.
+  static void ResealTail(std::string* bytes) {
+    const size_t tail = bytes->size() - kSnapshotTailSize;
+    uint64_t table_offset;
+    std::memcpy(&table_offset, &(*bytes)[tail], sizeof(table_offset));
+    const uint32_t tail_crc = Crc32(std::string_view(*bytes).substr(
+        table_offset, tail + 32 - table_offset));
+    std::memcpy(&(*bytes)[tail + 32], &tail_crc, sizeof(tail_crc));
+  }
+
   std::string image_;
   std::string path_;
   SnapshotInfo info_;
@@ -381,28 +431,27 @@ TEST_F(SnapshotCorruptionTest, BadMagicIsParseError) {
 }
 
 TEST_F(SnapshotCorruptionTest, FutureVersionIsParseError) {
-  // A newer version in the header alone, and an older one patched
+  // A newer version in the header alone, and older ones patched
   // consistently into header and tail (tail_crc recomputed), so that
-  // only the version itself is wrong. Every entry point refuses both
+  // only the version itself is wrong. Every entry point refuses each
   // and says how to fix it.
   std::string future = image_;
   future[8] = 99;  // little-endian low byte of the header version field
-  std::string older = image_;
-  const uint32_t v1 = 1;
-  std::memcpy(&older[8], &v1, sizeof(v1));
-  const size_t tail = older.size() - kSnapshotTailSize;
-  std::memcpy(&older[tail + 12], &v1, sizeof(v1));
-  uint64_t table_offset;
-  std::memcpy(&table_offset, &older[tail], sizeof(table_offset));
-  const uint32_t tail_crc = Crc32(
-      std::string_view(older).substr(table_offset, tail + 32 - table_offset));
-  std::memcpy(&older[tail + 32], &tail_crc, sizeof(tail_crc));
+  auto older = [&](uint32_t version) {
+    std::string bytes = image_;
+    std::memcpy(&bytes[8], &version, sizeof(version));
+    const size_t tail = bytes.size() - kSnapshotTailSize;
+    std::memcpy(&bytes[tail + 12], &version, sizeof(version));
+    ResealTail(&bytes);
+    return bytes;
+  };
 
   struct Case {
     uint32_t version;
     std::string bytes;
   };
-  for (const Case& c : {Case{99, future}, Case{1, older}}) {
+  for (const Case& c :
+       {Case{99, future}, Case{1, older(1)}, Case{2, older(2)}}) {
     const std::string path = TempPath("version_variant.snap");
     WriteFile(path, c.bytes);
     for (const Status& status :
@@ -416,6 +465,53 @@ TEST_F(SnapshotCorruptionTest, FutureVersionIsParseError) {
           << status.ToString();
       EXPECT_NE(status.message().find("dime_snapshot build"),
                 std::string::npos)
+          << status.ToString();
+    }
+  }
+}
+
+TEST_F(SnapshotCorruptionTest, RefPastTheTreeCountIsDataLoss) {
+  // The ontologies section: u64 tree count, each tree's text (u64 length
+  // + bytes), u64 ref count, then per ref u32 tree index | u32 mode.
+  // Point ref 0 one past the last tree and reseal every checksum, so the
+  // bytes pass their CRCs and only the index is wrong.
+  size_t entry = 0;
+  while (info_.sections[entry].id !=
+         static_cast<uint32_t>(SnapshotSectionId::kOntologies)) {
+    ++entry;
+  }
+  const SnapshotInfo::Section& sec = info_.sections[entry];
+  std::string bytes = image_;
+  uint64_t trees, pos = sec.offset;
+  std::memcpy(&trees, &bytes[pos], sizeof(trees));
+  ASSERT_EQ(trees, 1u);  // the venue tree, shared by both refs
+  pos += 8;
+  for (uint64_t t = 0; t < trees; ++t) {
+    uint64_t length;
+    std::memcpy(&length, &bytes[pos], sizeof(length));
+    pos += 8 + length;
+  }
+  uint64_t refs;
+  std::memcpy(&refs, &bytes[pos], sizeof(refs));
+  ASSERT_EQ(refs, 2u);
+  pos += 8;
+  for (uint32_t bad_index : {static_cast<uint32_t>(trees), UINT32_MAX}) {
+    std::memcpy(&bytes[pos], &bad_index, sizeof(bad_index));
+    const uint32_t crc =
+        Crc32(std::string_view(bytes).substr(sec.offset, sec.length));
+    uint64_t table_offset;
+    std::memcpy(&table_offset,
+                &bytes[bytes.size() - kSnapshotTailSize], sizeof(uint64_t));
+    std::memcpy(&bytes[table_offset + entry * kSnapshotSectionEntrySize + 24],
+                &crc, sizeof(crc));
+    ResealTail(&bytes);
+
+    const std::string path = TempPath("bad_tree_index.snap");
+    WriteFile(path, bytes);
+    for (const Status& status :
+         {LoadSnapshot(path).status(), VerifySnapshot(path)}) {
+      EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+      EXPECT_NE(status.message().find("ontologies"), std::string::npos)
           << status.ToString();
     }
   }
