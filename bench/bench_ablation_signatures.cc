@@ -14,8 +14,8 @@
 #include "src/common/timer.h"
 #include "src/core/dime_plus.h"
 #include "src/datagen/dbgen_gen.h"
-#include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
+#include "src/repro/experiments.h"
 
 namespace dime {
 namespace {
@@ -84,7 +84,7 @@ int main() {
   // The clustering strawman, for the record (Related Work / Exp-1).
   {
     bench::PrintTitle("Strawman: 2-means clustering vs DIME (Scholar)");
-    ScholarSetup setup = MakeScholarSetup();
+    ScholarExperiment setup = MakeScholarExperiment();
     std::vector<Prf> km, dime;
     for (uint64_t s = 0; s < 5; ++s) {
       ScholarGenOptions gen;

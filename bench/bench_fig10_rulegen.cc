@@ -10,8 +10,8 @@
 #include "src/baselines/decision_tree.h"
 #include "src/baselines/sifi.h"
 #include "src/datagen/amazon_gen.h"
-#include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
+#include "src/repro/experiments.h"
 #include "src/rulegen/crossval.h"
 
 namespace dime {
@@ -49,7 +49,7 @@ int main() {
 
   // Scholar: 229 positive / 201 negative examples as in the paper.
   {
-    ScholarSetup setup = MakeScholarSetup();
+    ScholarExperiment setup = MakeScholarExperiment();
     ScholarGenOptions gen;
     gen.num_correct = bench::QuickMode() ? 100 : 200;
     std::vector<Group> groups;

@@ -16,8 +16,8 @@
 #include "src/common/logging.h"
 #include "src/core/dime_plus.h"
 #include "src/datagen/amazon_gen.h"
-#include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
+#include "src/repro/experiments.h"
 
 namespace dime {
 namespace {
@@ -29,7 +29,7 @@ using bench::QuickMode;
 
 void RunScholar() {
   PrintTitle("Fig. 6(a)  Google Scholar: DIME vs CR vs SVM");
-  ScholarSetup setup = MakeScholarSetup();
+  ScholarExperiment setup = MakeScholarExperiment();
   const size_t num_groups = QuickMode() ? 5 : 20;
   const size_t pubs = QuickMode() ? 120 : 320;
 

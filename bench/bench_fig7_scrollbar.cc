@@ -11,8 +11,8 @@
 #include "bench/bench_util.h"
 #include "src/core/dime_plus.h"
 #include "src/datagen/amazon_gen.h"
-#include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
+#include "src/repro/experiments.h"
 
 namespace dime {
 namespace {

@@ -18,8 +18,8 @@
 #include "src/common/timer.h"
 #include "src/core/dime_plus.h"
 #include "src/datagen/amazon_gen.h"
-#include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
+#include "src/repro/experiments.h"
 
 namespace dime {
 namespace {
@@ -64,7 +64,7 @@ Timings TimeAll(const Group& group, const std::vector<PositiveRule>& pos,
 
 void RunScholar() {
   PrintTitle("Fig. 9(a)  Scholar: runtime (seconds) vs #entities");
-  ScholarSetup setup = MakeScholarSetup();
+  ScholarExperiment setup = MakeScholarExperiment();
 
   // Train the SVM once on small groups.
   ScholarGenOptions gen;

@@ -10,7 +10,7 @@
 
 #include "bench/bench_util.h"
 #include "src/core/dime_plus.h"
-#include "src/core/review_session.h"
+#include "src/repro/review_session.h"
 #include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
 

@@ -12,7 +12,7 @@
 #include "src/core/dime_plus.h"
 #include "src/core/metrics.h"
 #include "src/datagen/amazon_gen.h"
-#include "src/datagen/presets.h"
+#include "src/repro/experiments.h"
 #include "src/text/tokenizer.h"
 
 int main() {

@@ -21,7 +21,7 @@
 #include <string>
 
 #include "src/common/exit_code.h"
-#include "src/datagen/export.h"
+#include "src/repro/export.h"
 
 namespace {
 

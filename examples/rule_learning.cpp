@@ -14,8 +14,8 @@
 #include "src/baselines/sifi.h"
 #include "src/core/dime_plus.h"
 #include "src/core/metrics.h"
-#include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
+#include "src/repro/experiments.h"
 #include "src/rulegen/crossval.h"
 #include "src/rulegen/greedy.h"
 #include "src/rules/rule_io.h"
@@ -23,7 +23,7 @@
 int main() {
   using namespace dime;
 
-  ScholarSetup setup = MakeScholarSetup();
+  ScholarExperiment setup = MakeScholarExperiment();
 
   // Training pages and example pairs.
   ScholarGenOptions gen;

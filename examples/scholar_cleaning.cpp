@@ -12,7 +12,7 @@
 #include "src/core/dime_plus.h"
 #include "src/core/explain.h"
 #include "src/core/metrics.h"
-#include "src/core/review_session.h"
+#include "src/repro/review_session.h"
 #include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
 

@@ -16,8 +16,8 @@
 /// ontology trees the rules' ontology(·) predicates map onto. Every front
 /// end (`dime_server`, `dime_snapshot build`, `dime_cli`, `dime_delta
 /// replay`) turns its command line into a Corpus through the one flag
-/// parser and the one loader below; the generated corpora (`--demo`,
-/// `--preset`) come from src/datagen/presets.h.
+/// parser and the one loader below; the generated demo corpus (`--demo`)
+/// comes from src/datagen/presets.h.
 
 namespace dime {
 

@@ -1,4 +1,4 @@
-#include "src/datagen/export.h"
+#include "src/repro/export.h"
 
 #include <filesystem>
 #include <system_error>
@@ -8,6 +8,7 @@
 #include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
 #include "src/ontology/builtin.h"
+#include "src/repro/experiments.h"
 #include "src/rules/rule_io.h"
 
 namespace dime {

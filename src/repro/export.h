@@ -1,5 +1,5 @@
-#ifndef DIME_DATAGEN_EXPORT_H_
-#define DIME_DATAGEN_EXPORT_H_
+#ifndef DIME_REPRO_EXPORT_H_
+#define DIME_REPRO_EXPORT_H_
 
 #include <string>
 #include <vector>
@@ -54,4 +54,4 @@ Status ExportBenchmarkSuite(const std::string& directory,
 
 }  // namespace dime
 
-#endif  // DIME_DATAGEN_EXPORT_H_
+#endif  // DIME_REPRO_EXPORT_H_

@@ -1,5 +1,5 @@
-#ifndef DIME_CORE_REVIEW_SESSION_H_
-#define DIME_CORE_REVIEW_SESSION_H_
+#ifndef DIME_REPRO_REVIEW_SESSION_H_
+#define DIME_REPRO_REVIEW_SESSION_H_
 
 #include <cstddef>
 #include <cstdint>
@@ -75,4 +75,4 @@ ConfirmOracle NoisyTruthOracle(const Group& group, double mistake_rate,
 
 }  // namespace dime
 
-#endif  // DIME_CORE_REVIEW_SESSION_H_
+#endif  // DIME_REPRO_REVIEW_SESSION_H_

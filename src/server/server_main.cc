@@ -243,7 +243,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--snapshot") {
       snapshot_path = next();
     } else if (arg == "--demo-pages") {
-      demo_pages = FlagValue(arg, next(), kMaxSize);
+      demo_pages = FlagValue(arg, next(), kMaxDemoPages);
     } else if (arg == "--group") {
       sources.group_paths.push_back(next());
     } else if (arg == "--watch") {

@@ -8,16 +8,16 @@
 // Usage:
 //   dime_snapshot build --output corpus.snap
 //       --demo [--demo-pages N]                   # generated Scholar corpus
-//     | --preset scholar-2999 | --preset amazon-10000
 //     | --group page.tsv [--group ...] --rules rules.txt
 //       [--venue-ontology]
 //       [--ontology tree.txt [--ontology-mode exact|keyword]]...
 //   dime_snapshot inspect corpus.snap
 //   dime_snapshot verify corpus.snap [--deep]
 //
-// build reads its sources as dime_server does: --demo and the presets
-// from src/datagen/presets.h, --group, --rules and the ontology flags
-// through the loader of src/core/corpus.h.
+// build reads its sources as dime_server does: --demo from
+// src/datagen/presets.h, --group, --rules and the ontology flags through
+// the loader of src/core/corpus.h. To snapshot the benchmark data, export
+// it with generate_datasets and build from the exported files.
 //
 // Exit codes follow src/common/exit_code.h (0 OK; a missing group, rule or
 // tree file => 3, a malformed one => 5, a group of another schema, invalid
@@ -26,7 +26,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <string>
 
 #include "src/common/exit_code.h"
@@ -49,7 +48,7 @@ int Usage(const char* msg) {
 void PrintHelp() {
   std::printf(
       "dime_snapshot build --output <file>\n"
-      "    --demo [--demo-pages N] | --preset scholar-2999|amazon-10000 |\n"
+      "    --demo [--demo-pages N] |\n"
       "    --group <tsv>... --rules <file> [--venue-ontology]\n"
       "    [--ontology <tree> [--ontology-mode exact|keyword]]...\n"
       "dime_snapshot inspect <file>\n"
@@ -67,7 +66,6 @@ int RunBuild(int argc, char** argv) {
   std::string output;
   bool demo = false;
   size_t demo_pages = 4;
-  std::string preset;
   CorpusSources sources;
 
   for (int i = 0; i < argc; ++i) {
@@ -87,12 +85,9 @@ int RunBuild(int argc, char** argv) {
     } else if (arg == "--demo") {
       demo = true;
     } else if (arg == "--demo-pages") {
-      StatusOr<uint64_t> pages = ParseUintFlag(
-          arg, next(), 0, std::numeric_limits<size_t>::max());
+      StatusOr<uint64_t> pages = ParseUintFlag(arg, next(), 0, kMaxDemoPages);
       if (!pages.ok()) return Usage(pages.status().message().c_str());
       demo_pages = *pages;
-    } else if (arg == "--preset") {
-      preset = next();
     } else if (arg == "--group") {
       sources.group_paths.push_back(next());
     } else if (arg == "--help") {
@@ -103,18 +98,15 @@ int RunBuild(int argc, char** argv) {
     }
   }
   if (output.empty()) return Usage("build needs --output");
-  const int source_count = (demo ? 1 : 0) + (preset.empty() ? 0 : 1) +
-                           (sources.group_paths.empty() ? 0 : 1);
-  if (source_count != 1) {
-    return Usage("build needs exactly one of --demo, --preset, --group");
+  if (demo == !sources.group_paths.empty()) {
+    return Usage("build needs exactly one of --demo, --group");
   }
   if (!sources.group_paths.empty() && sources.rules_path.empty()) {
     return Usage("need --rules with --group");
   }
 
-  StatusOr<Corpus> corpus = demo              ? MakeDemoCorpus(demo_pages)
-                            : !preset.empty() ? MakePresetCorpus(preset)
-                                              : LoadCorpus(sources);
+  StatusOr<Corpus> corpus =
+      demo ? MakeDemoCorpus(demo_pages) : LoadCorpus(sources);
   if (!corpus.ok()) return ExitWithStatus(corpus.status(), "build");
 
   SnapshotWriteRequest request;

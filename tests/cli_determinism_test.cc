@@ -20,6 +20,9 @@
 // another schema, a misspelled --ontology-mode and a missing rules file
 // are refused with the same exit code by every binary that reads them.
 //
+// --demo-pages above kMaxDemoPages is refused by dime_server and
+// dime_snapshot build alike.
+//
 // The last tests spawn generate_datasets: it never takes a flag as its
 // output directory, and a failed export exits with its Status code.
 //
@@ -43,7 +46,8 @@
 #include "src/core/dime.h"
 #include "src/core/dime_plus.h"
 #include "src/core/preprocess.h"
-#include "src/datagen/export.h"
+#include "src/datagen/presets.h"
+#include "src/repro/export.h"
 #include "src/store/delta_log.h"
 
 namespace dime {
@@ -518,6 +522,27 @@ TEST_F(CliDeterminismTest, MissingRulesFileIsNotFound) {
     EXPECT_EQ(r.exit_code, ExitCodeForStatusCode(StatusCode::kNotFound))
         << command << "\n" << r.output;
     EXPECT_NE(r.output.find(missing), std::string::npos)
+        << command << "\n" << r.output;
+  }
+}
+
+// --demo-pages is capped at kMaxDemoPages in both binaries that generate
+// the demo corpus: a larger count is a usage error, refused before any
+// page is generated, not an abort in the generator's allocation.
+TEST(DemoCorpusCliTest, DemoPageCountAboveTheCapIsRefused) {
+  const std::string pages = " --demo --demo-pages 18446744073709551615";
+  const std::string commands[] = {
+      "timeout 30 " + std::string(DIME_SERVER_BINARY) + pages + " --port 0",
+      std::string(DIME_SNAPSHOT_BINARY) + " build" + pages +
+          " --output /dev/null/never.snap",
+  };
+  for (const std::string& command : commands) {
+    CliResult r = RunCommand(command);
+    EXPECT_EQ(r.exit_code, ExitCodeForStatusCode(StatusCode::kInvalidArgument))
+        << command << "\n" << r.output;
+    EXPECT_NE(r.output.find("--demo-pages: expected an integer in [0, " +
+                            std::to_string(kMaxDemoPages) + "]"),
+              std::string::npos)
         << command << "\n" << r.output;
   }
 }

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "src/core/metrics.h"
-#include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
+#include "src/repro/experiments.h"
 
 namespace dime {
 namespace {
@@ -76,7 +76,7 @@ TEST(CrTest, SingletonGroup) {
 }
 
 TEST(CrTest, BestThresholdPicksHighestF1) {
-  ScholarSetup setup = MakeScholarSetup();
+  ScholarExperiment setup = MakeScholarExperiment();
   ScholarGenOptions gen;
   gen.num_correct = 60;
   gen.seed = 4;
@@ -93,7 +93,7 @@ TEST(CrTest, BestThresholdPicksHighestF1) {
 }
 
 TEST(CrTest, FlagsSomethingOnScholarData) {
-  ScholarSetup setup = MakeScholarSetup();
+  ScholarExperiment setup = MakeScholarExperiment();
   ScholarGenOptions gen;
   gen.num_correct = 80;
   gen.seed = 8;

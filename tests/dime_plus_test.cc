@@ -16,9 +16,9 @@
 #include "src/core/dime_plus_internal.h"
 #include "src/datagen/amazon_gen.h"
 #include "src/datagen/dbgen_gen.h"
-#include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
 #include "src/exec/group_by_signature.h"
+#include "src/repro/experiments.h"
 
 namespace dime {
 namespace {

@@ -35,9 +35,9 @@
 #include "src/core/dime_plus.h"
 #include "src/datagen/amazon_gen.h"
 #include "src/datagen/dbgen_gen.h"
-#include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
 #include "src/exec/sharded_dime.h"
+#include "src/repro/experiments.h"
 
 namespace dime {
 namespace {

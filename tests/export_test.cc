@@ -1,4 +1,4 @@
-#include "src/datagen/export.h"
+#include "src/repro/export.h"
 
 #include <gtest/gtest.h>
 

@@ -31,8 +31,8 @@
 
 #include "src/core/dime_plus.h"
 #include "src/datagen/amazon_gen.h"
-#include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
+#include "src/repro/experiments.h"
 #include "src/store/snapshot.h"
 
 namespace dime {
@@ -208,8 +208,7 @@ void ExpectSnapshotRoundTripIdentity(const std::vector<Group>& groups,
 }
 
 TEST(GoldenEqualityTest, SnapshotRoundTripScholar2999) {
-  // The `dime_snapshot build --preset scholar-2999` corpus, the Fig. 9(a)
-  // 3000-tuple point.
+  // The scholar-2999 preset corpus, the Fig. 9(a) 3000-tuple point.
   StatusOr<Corpus> corpus = MakePresetCorpus("scholar-2999");
   ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
   GoldenPins pins;
@@ -226,8 +225,7 @@ TEST(GoldenEqualityTest, SnapshotRoundTripScholar2999) {
 }
 
 TEST(GoldenEqualityTest, SnapshotRoundTripAmazon10000) {
-  // The `dime_snapshot build --preset amazon-10000` corpus, the Fig. 9(b)
-  // 10000-tuple point.
+  // The amazon-10000 preset corpus, the Fig. 9(b) 10000-tuple point.
   StatusOr<Corpus> corpus = MakePresetCorpus("amazon-10000");
   ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
   GoldenPins pins;

@@ -8,15 +8,15 @@
 #include "src/baselines/svm.h"
 #include "src/core/dime_plus.h"
 #include "src/core/metrics.h"
-#include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
+#include "src/repro/experiments.h"
 #include "src/rulegen/greedy.h"
 
 namespace dime {
 namespace {
 
 struct ScholarWorld {
-  ScholarSetup setup = MakeScholarSetup();
+  ScholarExperiment setup = MakeScholarExperiment();
   std::vector<Group> train_groups;
   std::vector<Group> test_groups;
 };

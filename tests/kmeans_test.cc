@@ -3,10 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
-#include "src/core/metrics.h"
-#include "src/datagen/presets.h"
 #include "src/core/dime_plus.h"
+#include "src/core/metrics.h"
 #include "src/datagen/scholar_gen.h"
+#include "src/repro/experiments.h"
 
 namespace dime {
 namespace {
@@ -57,7 +57,7 @@ TEST(KMeansTest, EmptyInput) {
 /// shears off a chunk of correct entities or misses errors, landing below
 /// DIME's best-scrollbar F-measure on average.
 TEST(KMeansDiscoverTest, UnderperformsDimeOnScholarData) {
-  ScholarSetup setup = MakeScholarSetup();
+  ScholarExperiment setup = MakeScholarExperiment();
   std::vector<Prf> kmeans_results, dime_results;
   for (uint64_t seed : {21u, 22u, 23u, 24u}) {
     ScholarGenOptions gen;

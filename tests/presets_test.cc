@@ -1,4 +1,4 @@
-#include "src/datagen/presets.h"
+#include "src/repro/experiments.h"
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,7 @@ namespace dime {
 namespace {
 
 TEST(ScholarSetupTest, RulesMatchThePaper) {
-  ScholarSetup setup = MakeScholarSetup();
+  ScholarExperiment setup = MakeScholarExperiment();
   ASSERT_EQ(setup.positive.size(), 2u);
   ASSERT_EQ(setup.negative.size(), 3u);
   EXPECT_EQ(setup.positive[0].ToString(setup.schema),
@@ -96,7 +96,7 @@ TEST(SampleExamplePairsTest, LabelsFollowTruth) {
 }
 
 TEST(SampleExamplePairsTest, FeatureVectorsMatchLibrary) {
-  ScholarSetup setup = MakeScholarSetup();
+  ScholarExperiment setup = MakeScholarExperiment();
   ScholarGenOptions gen;
   gen.num_correct = 30;
   gen.seed = 4;

@@ -1,4 +1,4 @@
-#include "src/core/review_session.h"
+#include "src/repro/review_session.h"
 
 #include <gtest/gtest.h>
 

@@ -20,8 +20,8 @@
 #include "src/core/dime_plus.h"
 #include "src/core/preprocess.h"
 #include "src/datagen/dbgen_gen.h"
-#include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
+#include "src/repro/experiments.h"
 #include "src/rules/rule.h"
 
 namespace dime {

@@ -4,8 +4,8 @@
 
 #include "src/common/random.h"
 #include "src/core/metrics.h"
-#include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
+#include "src/repro/experiments.h"
 
 namespace dime {
 namespace {
@@ -80,7 +80,7 @@ TEST(LinearSvmTest, DeterministicTraining) {
 }
 
 TEST(SvmDiscoverTest, FlagsErrorsInScholarGroup) {
-  ScholarSetup setup = MakeScholarSetup();
+  ScholarExperiment setup = MakeScholarExperiment();
   // Train on example pairs from a few groups, discover on a fresh group.
   ScholarGenOptions gen;
   gen.num_correct = 60;

@@ -93,13 +93,19 @@ const std::map<std::string, std::set<std::string>>& AllowedDeps() {
         "core", "rulegen"}},
       {"datagen",
        {"common", "entity", "sim", "text", "index", "ontology", "rules",
-        "core", "rulegen", "baselines", "topicmodel"}},
+        "core"}},
       {"exec",
        {"common", "entity", "sim", "text", "index", "ontology", "rules",
         "core"}},
       {"server",
        {"common", "entity", "sim", "text", "index", "ontology", "rules",
         "core", "store", "exec"}},
+      // The research harness (dime_repro): the experiment setups may use
+      // every serving module and the baselines, rule generation and LDA.
+      {"repro",
+       {"common", "entity", "sim", "text", "index", "ontology", "rules",
+        "core", "store", "exec", "server", "datagen", "rulegen", "baselines",
+        "topicmodel"}},
   };
   return kAllowed;
 }

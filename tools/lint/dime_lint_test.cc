@@ -89,6 +89,24 @@ TEST(IncludeLayering, CleanWhenEveryEdgeIsDeclared) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
 }
 
+// The serving library may not reach the research harness: a generator
+// header that includes the LDA theme builder is a layering error.
+TEST(IncludeLayering, FlagsDatagenReachingTheHarness) {
+  LintResult r = RunLint("include_layering_datagen_firing", "include-layering");
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_TRUE(Contains(r.output,
+                       "module 'datagen' may not include 'src/topicmodel/'"))
+      << r.output;
+  // datagen -> core is a declared edge; it must not fire.
+  EXPECT_FALSE(Contains(r.output, "may not include 'src/core/'")) << r.output;
+  EXPECT_TRUE(Contains(r.output, "1 finding in")) << r.output;
+}
+
+TEST(IncludeLayering, ReproMayReachTheHarnessAndTheServingModules) {
+  LintResult r = RunLint("include_layering_repro_clean", "include-layering");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+}
+
 TEST(FailpointRegistry, FlagsDocDriftLiteralsAndUntestedNames) {
   LintResult r = RunLint("failpoint_registry_firing", "failpoint-registry");
   EXPECT_EQ(r.exit_code, 1);
